@@ -2,7 +2,8 @@
     performance section. It measures the Bigarray kernel layer against the
     retained {!S4o_tensor.Reference} implementations — matmul GFLOP/s,
     im2col conv2d vs the naive loop nest, fused elementwise vs the generic
-    stride walker, and matmul scaling over 1/2/4/8 domains — and with
+    stride walker, the channel-broadcast and leading-axis-sum plans that
+    BatchNorm runs, and matmul scaling over 1/2/4/8 domains — and with
     [--json] writes [BENCH_kernels.json].
 
     Regression gating: [bench/kernels_baseline.json] stores the {e
@@ -211,6 +212,60 @@ let bench_elementwise ~quick ~min_time =
     };
   ]
 
+(* ---------------------------------------------------- broadcast plans -- *)
+
+(* BatchNorm's two hot shapes on a ResNet activation map: a per-channel
+   operand broadcast over [N;H;W;C] (the rows plan) and the per-channel
+   statistic summed over the leading axes (the row-accumulate reduction).
+   Same shape in --quick and full runs, so both gate the same ratio. *)
+let bench_broadcast ~min_time =
+  let shape = [| 32; 32; 32; 8 |] in
+  let rng = S4o_tensor.Prng.create 46 in
+  let x = Dense.rand_normal rng shape in
+  let c = Dense.rand_normal rng [| 8 |] in
+  let n = Dense.numel x in
+  let per t = t /. float_of_int n *. 1e9 in
+  let measure key name fast slow =
+    let fast_t = time_it ~min_time ~name fast in
+    let slow_t = time_it ~min_time ~name:(name ^ "-baseline") slow in
+    let speedup = slow_t /. fast_t in
+    ( [
+        key;
+        Printf.sprintf "%.2f" (per fast_t);
+        Printf.sprintf "%.2f" (per slow_t);
+        Printf.sprintf "%.2fx" speedup;
+      ],
+      {
+        key;
+        speedup;
+        row =
+          Json.Obj
+            [
+              ("shape", Json.Str "[32;32;32;8]");
+              ("fast_ns", Json.Num (per fast_t));
+              ("baseline_ns", Json.Num (per slow_t));
+              ("speedup", Json.Num speedup);
+            ];
+      } )
+  in
+  let rows =
+    [
+      measure "elementwise_channel_add" "channel-add"
+        (fun () -> Dense.add x c)
+        (fun () -> Dense.map2_strided ( +. ) x c);
+      measure "sum_axes_leading" "sum-axes-leading"
+        (fun () -> Dense.sum_axes x [ 0; 1; 2 ])
+        (fun () -> Reference.sum_axes x [ 0; 1; 2 ]);
+    ]
+  in
+  Report.table
+    ~title:
+      "Kernels 3b: [32;32;32;8] channel broadcast (add [8], vs the strided \
+       walker) and leading-axis sum over [0;1;2] (vs Reference)"
+    ~headers:[ "kernel"; "fast ns/elem"; "baseline ns/elem"; "speedup" ]
+    ~rows:(List.map fst rows);
+  List.map snd rows
+
 (* ------------------------------------------------------------ scaling -- *)
 
 let bench_scaling ~quick ~min_time =
@@ -313,8 +368,11 @@ let run ~quick ~json ~trace_out () =
   let matmul_results = bench_matmul ~quick ~min_time in
   let conv_results = bench_conv ~quick ~min_time in
   let elt_results = bench_elementwise ~quick ~min_time in
+  let broadcast_results = bench_broadcast ~min_time in
   let scaling_rows = bench_scaling ~quick ~min_time in
-  let results = matmul_results @ conv_results @ elt_results in
+  let results =
+    matmul_results @ conv_results @ elt_results @ broadcast_results
+  in
   if json then begin
     let doc =
       Json.Obj
@@ -328,6 +386,8 @@ let run ~quick ~json ~trace_out () =
                 ("conv2d", Json.Arr (List.map (fun r -> r.row) conv_results));
                 ( "elementwise",
                   Json.Arr (List.map (fun r -> r.row) elt_results) );
+                ( "broadcast",
+                  Json.Arr (List.map (fun r -> r.row) broadcast_results) );
                 ("scaling", Json.Arr scaling_rows);
                 ( "speedups",
                   Json.Obj

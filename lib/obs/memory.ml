@@ -14,8 +14,12 @@ type tag_cell = {
   mutable t_frees : int;
 }
 
+(* A free reported by a GC finaliser, not yet applied to the totals. *)
+type pending_free = { p_gen : int; p_tag : string; p_bytes : int }
+
 type t = {
   mutex : Mutex.t;
+  pending : pending_free list Atomic.t;
   mutable enabled : bool;
   mutable gen : int;
   mutable live : int;
@@ -32,6 +36,7 @@ let default_tag = "tensor"
 let create ?(enabled = true) () =
   {
     mutex = Mutex.create ();
+    pending = Atomic.make [];
     enabled;
     gen = 0;
     live = 0;
@@ -52,10 +57,6 @@ let set_enabled t on = t.enabled <- on
 let generation t = t.gen
 let current_tag t = t.tag
 
-let locked t f =
-  Mutex.lock t.mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
-
 let cell t tag =
   match Hashtbl.find_opt t.by_tag tag with
   | Some c -> c
@@ -63,6 +64,33 @@ let cell t tag =
       let c = { t_live = 0; t_peak = 0; t_allocs = 0; t_frees = 0 } in
       Hashtbl.add t.by_tag tag c;
       c
+
+let apply_free t tag bytes =
+  t.live <- t.live - bytes;
+  t.frees <- t.frees + 1;
+  let c = cell t tag in
+  c.t_live <- c.t_live - bytes;
+  c.t_frees <- c.t_frees + 1
+
+(* Caller holds the mutex. Frees queued under an older generation belong
+   to a measurement that [reset] already discarded. *)
+let drain t =
+  match Atomic.exchange t.pending [] with
+  | [] -> ()
+  | frees ->
+      List.iter
+        (fun p -> if p.p_gen = t.gen then apply_free t p.p_tag p.p_bytes)
+        (List.rev frees)
+
+(* Every locked section first applies the finaliser frees queued since the
+   last one, so readers and the peak computation see them. *)
+let locked t f =
+  Mutex.lock t.mutex;
+  Fun.protect
+    ~finally:(fun () -> Mutex.unlock t.mutex)
+    (fun () ->
+      drain t;
+      f ())
 
 let alloc t ?tag bytes =
   if t.enabled then
@@ -79,14 +107,23 @@ let alloc t ?tag bytes =
 let free t ?tag bytes =
   if t.enabled then
     locked t (fun () ->
-        let tag = match tag with Some s -> s | None -> t.tag in
-        t.live <- t.live - bytes;
-        t.frees <- t.frees + 1;
-        let c = cell t tag in
-        c.t_live <- c.t_live - bytes;
-        c.t_frees <- c.t_frees + 1)
+        apply_free t (match tag with Some s -> s | None -> t.tag) bytes)
 
-let free_gen t ~gen ?tag bytes = if gen = t.gen then free t ?tag bytes
+(* Runs inside GC finalisers, which can fire at any allocation point —
+   including inside [alloc] while this domain holds the mutex. Taking the
+   mutex here would deadlock (the error-checking mutex raises instead), so
+   the free is pushed onto a lock-free list that the next locked call
+   drains. *)
+let free_gen t ~gen ?tag bytes =
+  if t.enabled && gen = t.gen then begin
+    let tag = match tag with Some s -> s | None -> t.tag in
+    let p = { p_gen = gen; p_tag = tag; p_bytes = bytes } in
+    let rec push () =
+      let old = Atomic.get t.pending in
+      if not (Atomic.compare_and_set t.pending old (p :: old)) then push ()
+    in
+    push ()
+  end
 
 let note_view t =
   if t.enabled then locked t (fun () -> t.views <- t.views + 1)
@@ -102,10 +139,15 @@ let with_tag t tag f =
     Fun.protect ~finally:(fun () -> t.tag <- saved) f
   end
 
-let live_bytes t = t.live
-let peak_bytes t = t.peak
-let alloc_count t = t.allocs
-let free_count t = t.frees
+(* Readers drain queued finaliser frees first; with none queued they stay
+   a plain load, which keeps the engine's per-dispatch sample cheap. *)
+let read t f =
+  if Atomic.get t.pending = [] then f t else locked t (fun () -> f t)
+
+let live_bytes t = read t (fun t -> t.live)
+let peak_bytes t = read t (fun t -> t.peak)
+let alloc_count t = read t (fun t -> t.allocs)
+let free_count t = read t (fun t -> t.frees)
 let view_count t = t.views
 
 let tags t =
@@ -142,12 +184,13 @@ let human_bytes b =
   else Printf.sprintf "%d B" b
 
 let rows t =
+  let live = live_bytes t and peak = peak_bytes t in
   [
     ("tracking", if t.enabled then "enabled" else "disabled");
-    ("live tensor bytes", Printf.sprintf "%d (%s)" t.live (human_bytes t.live));
-    ("peak tensor bytes", Printf.sprintf "%d (%s)" t.peak (human_bytes t.peak));
-    ("allocations", string_of_int t.allocs);
-    ("frees", string_of_int t.frees);
+    ("live tensor bytes", Printf.sprintf "%d (%s)" live (human_bytes live));
+    ("peak tensor bytes", Printf.sprintf "%d (%s)" peak (human_bytes peak));
+    ("allocations", string_of_int (alloc_count t));
+    ("frees", string_of_int (free_count t));
     ("zero-copy views", string_of_int t.views);
   ]
 
@@ -168,10 +211,10 @@ let to_json t =
   let open Json in
   Obj
     [
-      ("live_bytes", Num (float_of_int t.live));
-      ("peak_bytes", Num (float_of_int t.peak));
-      ("alloc_count", Num (float_of_int t.allocs));
-      ("free_count", Num (float_of_int t.frees));
+      ("live_bytes", Num (float_of_int (live_bytes t)));
+      ("peak_bytes", Num (float_of_int (peak_bytes t)));
+      ("alloc_count", Num (float_of_int (alloc_count t)));
+      ("free_count", Num (float_of_int (free_count t)));
       ("view_count", Num (float_of_int t.views));
       ( "tags",
         Arr

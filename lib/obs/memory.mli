@@ -17,7 +17,11 @@
     profiled region ([s4o_cli profile] does) and read the totals after.
 
     Thread-safety: mutations take a mutex — allocations happen on the main
-    domain, but GC finalisers may run on any {!S4o_tensor.Pool} worker. *)
+    domain, but GC finalisers may run on any {!S4o_tensor.Pool} worker.
+    Finaliser frees ({!free_gen}) never take it: a finaliser can fire at
+    an allocation point inside a locked section on the same domain, so
+    they go onto a lock-free queue that the next locked call or reader
+    applies. *)
 
 type t
 

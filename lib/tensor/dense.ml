@@ -198,23 +198,37 @@ let map f t =
   done;
   { shape = Array.copy t.shape; data = out }
 
+(* Advance the row-major multi-index [idx] over [shape] by one element,
+   rightmost axis fastest (past the last element it wraps to zeros). *)
+let[@inline] next_index idx shape =
+  let k = ref (Array.length idx - 1) in
+  let carrying = ref true in
+  while !carrying && !k >= 0 do
+    idx.(!k) <- idx.(!k) + 1;
+    if idx.(!k) = shape.(!k) then begin
+      idx.(!k) <- 0;
+      decr k
+    end
+    else carrying := false
+  done
+
+(* Strides of [s] aligned to the right of a rank-[r] output shape, 0 on
+   stretched (size-1) or missing dimensions. *)
+let aligned_strides s r =
+  let rs = Shape.rank s in
+  let st = Shape.strides s in
+  Array.init r (fun i ->
+      let j = i - (r - rs) in
+      if j < 0 || s.(j) = 1 then 0 else st.(j))
+
 (* The generic broadcasting walker: maps each output index back through
    stride-0 "stretched" dimensions with a carry-increment multi-index.
-   Correct for every shape pair; the specialized entry points below only
-   exist because this walk costs ~10x a flat loop per element. *)
+   Correct for every shape pair; the broadcast plans below only exist
+   because this walk costs ~10x a flat loop per element. *)
 let map2_strided f a b =
   let out_shape = Shape.broadcast a.shape b.shape in
   let r = Shape.rank out_shape in
-  let aligned_strides s =
-    (* strides of [s] aligned to the right of [out_shape], 0 on stretched
-       or missing dimensions *)
-    let rs = Shape.rank s in
-    let st = Shape.strides s in
-    Array.init r (fun i ->
-        let j = i - (r - rs) in
-        if j < 0 || s.(j) = 1 then 0 else st.(j))
-  in
-  let sa = aligned_strides a.shape and sb = aligned_strides b.shape in
+  let sa = aligned_strides a.shape r and sb = aligned_strides b.shape r in
   let out = alloc (Shape.numel out_shape) in
   let da = a.data and db = b.data in
   let idx = Array.make r 0 in
@@ -223,186 +237,149 @@ let map2_strided f a b =
     A.unsafe_set out flat
       (f (A.unsafe_get da (Shape.offset sa idx))
          (A.unsafe_get db (Shape.offset sb idx)));
-    (* increment the multi-index, rightmost dimension fastest *)
-    let k = ref (r - 1) in
-    let carrying = ref (flat < n - 1) in
-    while !carrying && !k >= 0 do
-      idx.(!k) <- idx.(!k) + 1;
-      if idx.(!k) = out_shape.(!k) then begin
-        idx.(!k) <- 0;
-        decr k
-      end
-      else carrying := false
-    done
+    next_index idx out_shape
   done;
   { shape = out_shape; data = out }
+
+(* {2 Broadcast plans}
+
+   A binary op classifies its operands once, then runs one flat loop.
+   [Left]/[Right] names the operand that is broadcast (the small one). *)
+
+type side = Left | Right
+
+type plan =
+  | Same  (** equal shapes *)
+  | Scalar of side  (** one element, no more axes than the other side *)
+  | Rows of side * int
+      (** the small side, leading 1s dropped, is a trailing suffix of the
+          other side's shape: output element [i] reads [small.(i mod m)] *)
+  | Strided  (** anything else: the generic walker *)
+
+(* [small] has no more axes than [big] and, with its leading 1s dropped,
+   equals the trailing axes of [big]. Then [Shape.broadcast big small] is
+   [big] and [small]'s flat index at output element [i] is [i mod numel
+   small]. *)
+let is_row_suffix ~small ~big =
+  let rs = Shape.rank small and rb = Shape.rank big in
+  rs <= rb
+  &&
+  let lead = ref 0 in
+  while !lead < rs && small.(!lead) = 1 do
+    incr lead
+  done;
+  let ok = ref true in
+  for j = !lead to rs - 1 do
+    if small.(j) <> big.(rb - rs + j) then ok := false
+  done;
+  !ok
 
 (* [b] broadcasts onto [a.shape] as a single constant *)
 let scalar_onto a b = numel b = 1 && Shape.rank b.shape <= Shape.rank a.shape
 
-let map2 f a b =
-  if Shape.equal a.shape b.shape then begin
-    let n = numel a in
-    let out = alloc n in
-    let da = a.data and db = b.data in
-    for i = 0 to n - 1 do
-      A.unsafe_set out i (f (A.unsafe_get da i) (A.unsafe_get db i))
-    done;
-    { shape = Array.copy a.shape; data = out }
-  end
-  else if scalar_onto a b then begin
-    let c = A.unsafe_get b.data 0 in
-    let n = numel a in
-    let out = alloc n in
-    let da = a.data in
-    for i = 0 to n - 1 do
-      A.unsafe_set out i (f (A.unsafe_get da i) c)
-    done;
-    { shape = Array.copy a.shape; data = out }
-  end
-  else if scalar_onto b a then begin
-    let c = A.unsafe_get a.data 0 in
-    let n = numel b in
-    let out = alloc n in
-    let db = b.data in
-    for i = 0 to n - 1 do
-      A.unsafe_set out i (f c (A.unsafe_get db i))
-    done;
-    { shape = Array.copy b.shape; data = out }
-  end
-  else map2_strided f a b
+let plan a b =
+  if Shape.equal a.shape b.shape then Same
+  else if scalar_onto a b then Scalar Right
+  else if scalar_onto b a then Scalar Left
+  else if is_row_suffix ~small:b.shape ~big:a.shape then Rows (Right, numel b)
+  else if is_row_suffix ~small:a.shape ~big:b.shape then Rows (Left, numel a)
+  else Strided
 
-(* The four arithmetic ops are hand-monomorphized: without flambda the
-   closure passed to [map2] is an indirect call per element, which is most
-   of the cost of the op. Each gets the same three paths as [map2]. *)
+(* The op a plan loop applies. Without flambda, inlining a loop that takes
+   a closure still leaves an indirect call (and boxed floats) per element,
+   which is most of an op's cost. A constant tag does specialise: when
+   [apply2] is inlined with, say, [Add], the compiler resolves [eval]'s
+   match and the loop body is a bare [addsd]. [Fn] is the generic case. *)
+type binop =
+  | Add
+  | Sub
+  | Mul
+  | Div
+  | Relu_grad
+  | Fn of (float -> float -> float)
 
-let add a b =
-  if Shape.equal a.shape b.shape then begin
-    let n = numel a in
-    let out = alloc n in
-    let da = a.data and db = b.data in
-    for i = 0 to n - 1 do
-      A.unsafe_set out i (A.unsafe_get da i +. A.unsafe_get db i)
-    done;
-    { shape = Array.copy a.shape; data = out }
-  end
-  else if scalar_onto a b then begin
-    let c = A.unsafe_get b.data 0 in
-    let n = numel a in
-    let out = alloc n in
-    let da = a.data in
-    for i = 0 to n - 1 do
-      A.unsafe_set out i (A.unsafe_get da i +. c)
-    done;
-    { shape = Array.copy a.shape; data = out }
-  end
-  else if scalar_onto b a then begin
-    let c = A.unsafe_get a.data 0 in
-    let n = numel b in
-    let out = alloc n in
-    let db = b.data in
-    for i = 0 to n - 1 do
-      A.unsafe_set out i (c +. A.unsafe_get db i)
-    done;
-    { shape = Array.copy b.shape; data = out }
-  end
-  else map2_strided ( +. ) a b
+let[@inline] eval op x y =
+  match op with
+  | Add -> x +. y
+  | Sub -> x -. y
+  | Mul -> x *. y
+  | Div -> x /. y
+  | Relu_grad -> if x > 0.0 then y else 0.0
+  | Fn f -> f x y
 
-let sub a b =
-  if Shape.equal a.shape b.shape then begin
-    let n = numel a in
-    let out = alloc n in
-    let da = a.data and db = b.data in
-    for i = 0 to n - 1 do
-      A.unsafe_set out i (A.unsafe_get da i -. A.unsafe_get db i)
-    done;
-    { shape = Array.copy a.shape; data = out }
-  end
-  else if scalar_onto a b then begin
-    let c = A.unsafe_get b.data 0 in
-    let n = numel a in
-    let out = alloc n in
-    let da = a.data in
-    for i = 0 to n - 1 do
-      A.unsafe_set out i (A.unsafe_get da i -. c)
-    done;
-    { shape = Array.copy a.shape; data = out }
-  end
-  else if scalar_onto b a then begin
-    let c = A.unsafe_get a.data 0 in
-    let n = numel b in
-    let out = alloc n in
-    let db = b.data in
-    for i = 0 to n - 1 do
-      A.unsafe_set out i (c -. A.unsafe_get db i)
-    done;
-    { shape = Array.copy b.shape; data = out }
-  end
-  else map2_strided ( -. ) a b
+(* For the walker, which takes a closure either way. *)
+let closure = function
+  | Add -> ( +. )
+  | Sub -> ( -. )
+  | Mul -> ( *. )
+  | Div -> ( /. )
+  | Relu_grad -> fun x y -> eval Relu_grad x y
+  | Fn f -> f
 
-let mul a b =
-  if Shape.equal a.shape b.shape then begin
-    let n = numel a in
-    let out = alloc n in
-    let da = a.data and db = b.data in
-    for i = 0 to n - 1 do
-      A.unsafe_set out i (A.unsafe_get da i *. A.unsafe_get db i)
-    done;
-    { shape = Array.copy a.shape; data = out }
-  end
-  else if scalar_onto a b then begin
-    let c = A.unsafe_get b.data 0 in
-    let n = numel a in
-    let out = alloc n in
-    let da = a.data in
-    for i = 0 to n - 1 do
-      A.unsafe_set out i (A.unsafe_get da i *. c)
-    done;
-    { shape = Array.copy a.shape; data = out }
-  end
-  else if scalar_onto b a then begin
-    let c = A.unsafe_get a.data 0 in
-    let n = numel b in
-    let out = alloc n in
-    let db = b.data in
-    for i = 0 to n - 1 do
-      A.unsafe_set out i (c *. A.unsafe_get db i)
-    done;
-    { shape = Array.copy b.shape; data = out }
-  end
-  else map2_strided ( *. ) a b
+(* Runs [op] under [plan a b]. Every path applies [op] to the same operands,
+   in the same order, as {!map2_strided}, so results are bit-identical to
+   the walker. Operand buffers are bound after [alloc] so they are not
+   live across the call (which would spill them and reload per element). *)
+let[@inline] apply2 op a b =
+  match plan a b with
+  | Same ->
+      let n = numel a in
+      let out = alloc n in
+      let da = a.data and db = b.data in
+      for i = 0 to n - 1 do
+        A.unsafe_set out i (eval op (A.unsafe_get da i) (A.unsafe_get db i))
+      done;
+      { shape = Array.copy a.shape; data = out }
+  | Scalar Right ->
+      let c = A.unsafe_get b.data 0 in
+      let n = numel a in
+      let out = alloc n in
+      let da = a.data in
+      for i = 0 to n - 1 do
+        A.unsafe_set out i (eval op (A.unsafe_get da i) c)
+      done;
+      { shape = Array.copy a.shape; data = out }
+  | Scalar Left ->
+      let c = A.unsafe_get a.data 0 in
+      let n = numel b in
+      let out = alloc n in
+      let db = b.data in
+      for i = 0 to n - 1 do
+        A.unsafe_set out i (eval op c (A.unsafe_get db i))
+      done;
+      { shape = Array.copy b.shape; data = out }
+  | Rows (Right, m) ->
+      let n = numel a in
+      let out = alloc n in
+      let da = a.data and db = b.data in
+      for r = 0 to (if m = 0 then 0 else n / m) - 1 do
+        let base = r * m in
+        for j = 0 to m - 1 do
+          A.unsafe_set out (base + j)
+            (eval op (A.unsafe_get da (base + j)) (A.unsafe_get db j))
+        done
+      done;
+      { shape = Array.copy a.shape; data = out }
+  | Rows (Left, m) ->
+      let n = numel b in
+      let out = alloc n in
+      let da = a.data and db = b.data in
+      for r = 0 to (if m = 0 then 0 else n / m) - 1 do
+        let base = r * m in
+        for j = 0 to m - 1 do
+          A.unsafe_set out (base + j)
+            (eval op (A.unsafe_get da j) (A.unsafe_get db (base + j)))
+        done
+      done;
+      { shape = Array.copy b.shape; data = out }
+  | Strided -> map2_strided (closure op) a b
 
-let div a b =
-  if Shape.equal a.shape b.shape then begin
-    let n = numel a in
-    let out = alloc n in
-    let da = a.data and db = b.data in
-    for i = 0 to n - 1 do
-      A.unsafe_set out i (A.unsafe_get da i /. A.unsafe_get db i)
-    done;
-    { shape = Array.copy a.shape; data = out }
-  end
-  else if scalar_onto a b then begin
-    let c = A.unsafe_get b.data 0 in
-    let n = numel a in
-    let out = alloc n in
-    let da = a.data in
-    for i = 0 to n - 1 do
-      A.unsafe_set out i (A.unsafe_get da i /. c)
-    done;
-    { shape = Array.copy a.shape; data = out }
-  end
-  else if scalar_onto b a then begin
-    let c = A.unsafe_get a.data 0 in
-    let n = numel b in
-    let out = alloc n in
-    let db = b.data in
-    for i = 0 to n - 1 do
-      A.unsafe_set out i (c /. A.unsafe_get db i)
-    done;
-    { shape = Array.copy b.shape; data = out }
-  end
-  else map2_strided ( /. ) a b
+let map2 f a b = apply2 (Fn f) a b
+let add a b = apply2 Add a b
+let sub a b = apply2 Sub a b
+let mul a b = apply2 Mul a b
+let div a b = apply2 Div a b
+let relu_grad x g = apply2 Relu_grad x g
 
 let neg t =
   let n = numel t in
@@ -513,32 +490,51 @@ let min_value t =
   done;
   !acc
 
+(* Every reduced axis of extent <> 1 comes before every kept axis of
+   extent <> 1 (size-1 axes do not move the flat index). Then input element
+   [i] lands in output element [i mod numel out]: the shape of every
+   [unbroadcast] of a rows broadcast, and of BatchNorm's statistics. *)
+let leading_reduction shape axes =
+  let kept_seen = ref false and ok = ref true in
+  Array.iteri
+    (fun i d ->
+      if d <> 1 then
+        if not (List.mem i axes) then kept_seen := true
+        else if !kept_seen then ok := false)
+    shape;
+  !ok
+
 let sum_axes ?(keep_dims = false) t axes =
   let out_shape_kept = Shape.reduce_axes ~keep_dims:true t.shape axes in
   let out = zeros out_shape_kept in
-  let st_out = Shape.strides out_shape_kept in
-  let r = rank t in
   let n = numel t in
   let d = t.data and od = out.data in
-  let idx = Array.make r 0 in
-  for flat = 0 to n - 1 do
-    (* the output offset ignores reduced axes because their kept size is 1 *)
-    let off = ref 0 in
-    for i = 0 to r - 1 do
-      if out_shape_kept.(i) <> 1 then off := !off + (st_out.(i) * idx.(i))
-    done;
-    A.unsafe_set od !off (A.unsafe_get od !off +. A.unsafe_get d flat);
-    let k = ref (r - 1) in
-    let carrying = ref (flat < n - 1) in
-    while !carrying && !k >= 0 do
-      idx.(!k) <- idx.(!k) + 1;
-      if idx.(!k) = t.shape.(!k) then begin
-        idx.(!k) <- 0;
-        decr k
-      end
-      else carrying := false
+  if leading_reduction t.shape axes then begin
+    (* Row-accumulate: each output element still receives its inputs in
+       increasing flat order, onto the same 0.0 start, as in the walk
+       below — so the sums are bit-identical to it. *)
+    let m = numel out in
+    for r = 0 to (if m = 0 then 0 else n / m) - 1 do
+      let base = r * m in
+      for j = 0 to m - 1 do
+        A.unsafe_set od j (A.unsafe_get od j +. A.unsafe_get d (base + j))
+      done
     done
-  done;
+  end
+  else begin
+    let st_out = Shape.strides out_shape_kept in
+    let r = rank t in
+    let idx = Array.make r 0 in
+    for flat = 0 to n - 1 do
+      (* the output offset ignores reduced axes because their kept size is 1 *)
+      let off = ref 0 in
+      for i = 0 to r - 1 do
+        if out_shape_kept.(i) <> 1 then off := !off + (st_out.(i) * idx.(i))
+      done;
+      A.unsafe_set od !off (A.unsafe_get od !off +. A.unsafe_get d flat);
+      next_index idx t.shape
+    done
+  end;
   if keep_dims then out
   else { out with shape = Shape.reduce_axes ~keep_dims:false t.shape axes }
 
@@ -576,12 +572,46 @@ let flatten_to_2d t =
   let n = t.shape.(0) in
   reshape t [| n; numel t / n |]
 
+(* The one-operand form of {!map2_strided}: gathers [t] through
+   stride-0 stretched dimensions. *)
+let broadcast_strided t target =
+  let r = Shape.rank target in
+  let st = aligned_strides t.shape r in
+  let n = Shape.numel target in
+  let out = alloc n in
+  let d = t.data in
+  let idx = Array.make r 0 in
+  for flat = 0 to n - 1 do
+    A.unsafe_set out flat (A.unsafe_get d (Shape.offset st idx));
+    next_index idx target
+  done;
+  { shape = Array.copy target; data = out }
+
 let broadcast_to t target =
   let out = Shape.broadcast t.shape target in
   if not (Shape.equal out target) then
     fail "broadcast_to: %s does not broadcast to %s" (Shape.to_string t.shape)
       (Shape.to_string target);
-  map2 (fun x _ -> x) t (zeros target)
+  if Shape.equal t.shape target then copy t
+  else if numel t = 1 then create target (A.unsafe_get t.data 0)
+  else if is_row_suffix ~small:t.shape ~big:target then begin
+    (* Tile: copy [t] into the first row, then keep doubling the filled
+       prefix with [blit] — log2(rows) memcpys instead of a per-row or
+       per-element loop. *)
+    let m = numel t and n = Shape.numel target in
+    let out = alloc n in
+    if n > 0 then begin
+      A.blit t.data (A.sub out 0 m);
+      let filled = ref m in
+      while !filled < n do
+        let len = min !filled (n - !filled) in
+        A.blit (A.sub out 0 len) (A.sub out !filled len);
+        filled := !filled + len
+      done
+    end;
+    { shape = Array.copy target; data = out }
+  end
+  else broadcast_strided t target
 
 let unbroadcast t target =
   if Shape.equal t.shape target then t

@@ -10,9 +10,16 @@
     applied to values the caller uniquely owns (this is what the optimizer's
     in-place update path uses).
 
-    Elementwise binary operations specialize two fast paths — same-shape
-    (one flat fused loop) and scalar-vs-tensor — and fall back to the
-    generic strided broadcast walker ({!map2_strided}) otherwise.
+    Elementwise binary operations classify their operands once into a
+    broadcast plan — same shape, scalar on either side, or {e rows} (the
+    smaller operand, leading 1s dropped, is a trailing suffix of the
+    output shape, as in a [[N;H;W;C] op [C]] channel broadcast) — and run
+    one flat loop per plan; any other shape pair (e.g. a [[N;1]] column
+    broadcast) falls back to the generic strided walker ({!map2_strided}).
+    [sum_axes] over leading axes and [broadcast_to] onto a rows target
+    have flat fast paths too. Every fast path performs the same float
+    operations in the same order as the generic walker, so results are
+    bit-identical to it.
     [matmul]/[batch_matmul] are cache-blocked with a 2x4 register
     micro-kernel and partition output rows across the domain pool above a
     fixed work cutoff; the partition is contiguous, so results are
@@ -124,8 +131,8 @@ val add_at_inplace : t -> int array -> float -> unit
 
 val map : (float -> float) -> t -> t
 
-(** Broadcasting binary map (NumPy rules): same-shape and scalar fast
-    paths, {!map2_strided} otherwise. *)
+(** Broadcasting binary map (NumPy rules): same-shape, scalar and rows
+    fast paths, {!map2_strided} otherwise. *)
 val map2 : (float -> float -> float) -> t -> t -> t
 
 (** The generic strided broadcast walker, with no fast paths. Semantically
@@ -147,6 +154,10 @@ val sqrt : t -> t
 val abs : t -> t
 val sign : t -> t
 val relu : t -> t
+
+(** [relu_grad x g] is [g] where [x > 0], else [0] (broadcasting like
+    {!map2}) — the ReLU pullback. *)
+val relu_grad : t -> t -> t
 val sigmoid : t -> t
 val tanh : t -> t
 val maximum : t -> t -> t

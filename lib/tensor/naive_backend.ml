@@ -21,7 +21,7 @@ let sqrt = Dense.sqrt
 let relu = Dense.relu
 let sigmoid = Dense.sigmoid
 let tanh = Dense.tanh
-let relu_grad x g = Dense.map2 (fun xv gv -> if xv > 0.0 then gv else 0.0) x g
+let relu_grad = Dense.relu_grad
 let reshape = Dense.reshape
 let transpose = Dense.transpose
 let broadcast_to = Dense.broadcast_to

@@ -114,6 +114,26 @@ let test_memory_through_dense () =
         (Memory.live_bytes mem)
         (80_000 * (Memory.alloc_count mem - Memory.free_count mem)))
 
+(* Finaliser frees used to take the tracker's mutex; a GC slice inside
+   [Memory.alloc] then ran a finaliser that re-locked it on the same domain
+   and killed the process well before 500k allocations. *)
+let test_memory_survives_sustained_allocation () =
+  with_global_tracking (fun mem ->
+      for _ = 1 to 2_000_000 do
+        ignore (Sys.opaque_identity (Dense.zeros [| 16 |]))
+      done;
+      Gc.full_major ();
+      Gc.full_major ();
+      Test_util.check_int "every allocation recorded" 2_000_000
+        (Memory.alloc_count mem);
+      Test_util.check_int "every finaliser free applied" 2_000_000
+        (Memory.free_count mem);
+      Test_util.check_int "live bytes balance to zero" 0 (Memory.live_bytes mem);
+      let tensor_tag =
+        List.find (fun (s : Memory.tag_stats) -> s.tag = "tensor") (Memory.tags mem)
+      in
+      Test_util.check_int "per-tag slice balances too" 0 tensor_tag.live_bytes)
+
 let test_disabled_profiling_is_cheap () =
   (* Disabled recorder and tracker must record nothing... *)
   let r = Recorder.create ~enabled:false () in
@@ -458,6 +478,8 @@ let suite =
         tc "generation drops stale finaliser frees" `Quick test_memory_generation;
         tc "Dense buffers are accounted end to end" `Quick
           test_memory_through_dense;
+        tc "2M tracked allocations survive and balance" `Quick
+          test_memory_survives_sustained_allocation;
         tc "disabled profiling is near-free" `Slow test_disabled_profiling_is_cheap;
       ] );
     ( "profiling.analysis",

@@ -770,6 +770,109 @@ let qcheck_map2_fast_paths_match_strided =
       D.equal (D.map2 ( +. ) a b) (D.map2_strided ( +. ) a b)
       && D.equal (D.add a b) (D.map2_strided ( +. ) a b))
 
+(* {2 Broadcast plans}
+
+   Random broadcast-compatible shape pairs, built to hit every plan: equal
+   shapes, scalars (rank 0 and all-ones), trailing-suffix rows with and
+   without leading 1s (including a small side with more axes than the big
+   one), and arbitrary stretched axes that only the strided walker handles;
+   either operand order. Values mix signed zeros with normals so [div]
+   produces infinities and NaNs, and results are compared bit for bit. *)
+
+let broadcast_case_gen =
+  let open QCheck.Gen in
+  let dim = frequency [ (1, return 0); (14, int_range 1 4) ] in
+  let* big = array_size (int_range 0 4) dim in
+  let r = Array.length big in
+  let suffix k = Array.sub big (r - k) k in
+  let* small =
+    int_range 0 4 >>= function
+    | 0 -> return (Array.copy big)
+    | 1 -> map (fun k -> Array.make k 1) (int_range 0 r)
+    | 2 -> map suffix (int_range 0 r)
+    | 3 ->
+        map2
+          (fun ones k -> Array.append (Array.make ones 1) (suffix k))
+          (int_range 1 3) (int_range 0 r)
+    | _ ->
+        map
+          (fun mask ->
+            Array.mapi (fun i d -> if mask land (1 lsl i) <> 0 then 1 else d) big)
+          (int_range 0 15)
+  in
+  let* swap = bool in
+  let* axes_kind = int_range 0 2 in
+  let* axes_pick = int_range 0 15 in
+  let* keep_dims = bool in
+  let+ seed = int_range 0 100_000 in
+  let a, b = if swap then (small, big) else (big, small) in
+  (a, b, (axes_kind, axes_pick, keep_dims), seed)
+
+let broadcast_case =
+  QCheck.make broadcast_case_gen ~print:(fun (a, b, (kind, pick, keep), seed) ->
+      Printf.sprintf "%s op %s, axes (%d, %d, keep=%b), seed %d"
+        (Shape.to_string a) (Shape.to_string b) kind pick keep seed)
+
+let special_normal g shape =
+  D.init_flat shape (fun _ ->
+      match Prng.int g 6 with
+      | 0 -> 0.0
+      | 1 -> -0.0
+      | _ -> Prng.normal g)
+
+let same_bits x y =
+  Shape.equal (D.shape x) (D.shape y)
+  && Array.for_all2
+       (fun u v -> Int64.equal (Int64.bits_of_float u) (Int64.bits_of_float v))
+       (D.to_array x) (D.to_array y)
+
+let qcheck_broadcast_plans_bit_identical =
+  Test_util.qtest ~count:400 "broadcast plans are bit-identical to the walkers"
+    broadcast_case
+    (fun (sa, sb, (axes_kind, axes_pick, keep_dims), seed) ->
+      let g = Prng.create seed in
+      let a = special_normal g sa and b = special_normal g sb in
+      let relu_grad x y = if x > 0.0 then y else 0.0 in
+      let mix x y = (x *. 0.5) -. y in
+      let binary_ok =
+        List.for_all
+          (fun (fast, f) -> same_bits (fast a b) (D.map2_strided f a b))
+          [
+            (D.add, ( +. ));
+            (D.sub, ( -. ));
+            (D.mul, ( *. ));
+            (D.div, ( /. ));
+            (D.relu_grad, relu_grad);
+            (D.map2 mix, mix);
+          ]
+      in
+      let out = Shape.broadcast sa sb in
+      let x = D.add a b in
+      let broadcast_ok =
+        List.for_all
+          (fun t ->
+            same_bits (D.broadcast_to t out)
+              (D.map2_strided (fun v _ -> v) t (D.zeros out)))
+          [ a; b ]
+      in
+      (* leading prefixes (the row-accumulate path), random subsets, and
+         the same subsets listed in reverse, as [unbroadcast] builds them *)
+      let r = Shape.rank out in
+      let axes =
+        match axes_kind with
+        | 0 -> List.init (if r = 0 then 0 else 1 + (axes_pick mod r)) Fun.id
+        | 1 -> List.filter (fun i -> axes_pick land (1 lsl i) <> 0) (List.init r Fun.id)
+        | _ ->
+            List.rev
+              (List.filter (fun i -> axes_pick land (1 lsl i) <> 0) (List.init r Fun.id))
+      in
+      let sum_ok =
+        same_bits
+          (D.sum_axes ~keep_dims x axes)
+          (Reference.sum_axes ~keep_dims x axes)
+      in
+      binary_ok && broadcast_ok && sum_ok)
+
 (* {1 Pool} *)
 
 let test_pool_covers_range () =
@@ -833,6 +936,7 @@ let kernel_suite =
           test_parallel_batch_matmul_bit_identical;
         tc "parallel conv2d bit-identical" `Quick test_parallel_conv2d_bit_identical;
         qcheck_map2_fast_paths_match_strided;
+        qcheck_broadcast_plans_bit_identical;
       ] );
     ( "tensor.buffers",
       [
