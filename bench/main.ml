@@ -357,7 +357,7 @@ let ablation_fusion () =
     List.fold_left
       (fun acc (n : S4o_xla.Hlo.node) ->
         match n.S4o_xla.Hlo.role with
-        | S4o_xla.Hlo.Compute -> acc +. time_of n.S4o_xla.Hlo.info
+        | S4o_xla.Hlo.Compute _ -> acc +. time_of n.S4o_xla.Hlo.info
         | S4o_xla.Hlo.Param _ | S4o_xla.Hlo.Literal _ -> acc)
       0.0 optimized.S4o_xla.Hlo.nodes
   in
@@ -377,7 +377,7 @@ let ablation_fusion () =
                (List.filter
                   (fun (n : S4o_xla.Hlo.node) ->
                     match n.S4o_xla.Hlo.role with
-                    | S4o_xla.Hlo.Compute -> true
+                    | S4o_xla.Hlo.Compute _ -> true
                     | _ -> false)
                   optimized.S4o_xla.Hlo.nodes));
           Printf.sprintf "%.1f" (unfused *. 1e3);

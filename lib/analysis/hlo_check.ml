@@ -5,9 +5,10 @@
     stack assumes: node shapes must agree with what the op would actually
     produce from its input shapes (the catalog computed them at record
     time, but a pass that rewires inputs can silently invalidate them), and
-    parameters must stay well-numbered. The checker re-derives every
-    compute node's shape from its inputs and attributes using the same
-    rules as {!S4o_ops.Catalog} and reports disagreements as errors.
+    parameters must stay well-numbered. The checker has no shape rules of
+    its own: it rebuilds every compute node's op from its kind and input
+    shapes with {!S4o_ops.Catalog.of_kind} and reports a rejected input or a
+    disagreeing declared shape as an error.
 
     Lints (advisory): dead nodes not reachable from the outputs (what
     [dead_code_elim] would drop), duplicate literal contents (what [cse]
@@ -40,322 +41,6 @@ let pp_finding ppf f =
     (match f.node with Some id -> Printf.sprintf " n%d" id | None -> "")
     f.message
 
-(** {1 Attribute parsing}
-
-    Attribute strings are the catalog's: ["c=3"], ["[2x3]"],
-    ["axes=0,1;keep"], ["stride=2x2;pad=same"], ["size=2x2;stride=1x1"]. *)
-
-let parse_shape s =
-  let s = String.trim s in
-  let n = String.length s in
-  if n < 2 || s.[0] <> '[' || s.[n - 1] <> ']' then None
-  else if n = 2 then Some [||]
-  else
-    let dims = String.split_on_char 'x' (String.sub s 1 (n - 2)) in
-    let parsed = List.map int_of_string_opt dims in
-    if List.for_all Option.is_some parsed then
-      Some (Array.of_list (List.map Option.get parsed))
-    else None
-
-let attr_fields attrs =
-  List.filter_map
-    (fun kv ->
-      match String.index_opt kv '=' with
-      | Some i ->
-          Some
-            ( String.sub kv 0 i,
-              String.sub kv (i + 1) (String.length kv - i - 1) )
-      | None -> Some (kv, ""))
-    (String.split_on_char ';' attrs)
-
-let parse_pair s =
-  match String.split_on_char 'x' s with
-  | [ a; b ] -> begin
-      match (int_of_string_opt a, int_of_string_opt b) with
-      | Some a, Some b -> Some (a, b)
-      | _, _ -> None
-    end
-  | _ -> None
-
-let parse_conv_attrs attrs =
-  let fields = attr_fields attrs in
-  match
-    ( Option.bind (List.assoc_opt "stride" fields) parse_pair,
-      List.assoc_opt "pad" fields )
-  with
-  | Some stride, Some "same" -> Some (stride, Convolution.Same)
-  | Some stride, Some "valid" -> Some (stride, Convolution.Valid)
-  | _, _ -> None
-
-let parse_pool_attrs attrs =
-  let fields = attr_fields attrs in
-  match
-    ( Option.bind (List.assoc_opt "size" fields) parse_pair,
-      Option.bind (List.assoc_opt "stride" fields) parse_pair )
-  with
-  | Some size, Some stride -> Some (size, stride)
-  | _, _ -> None
-
-let parse_axes attrs =
-  let fields = attr_fields attrs in
-  let keep = List.mem_assoc "keep" fields in
-  match List.assoc_opt "axes" fields with
-  | None -> None
-  | Some s ->
-      let parts = String.split_on_char ',' s in
-      let axes = List.map int_of_string_opt parts in
-      if List.for_all Option.is_some axes then
-        Some (List.map Option.get axes, keep)
-      else None
-
-(** {1 Shape rules}
-
-    [expected_shape op inputs attrs] re-derives the output shape the
-    catalog would compute. [Ok None] means no rule is registered for the
-    op (unknown ops lint rather than error, so user-defined kernels can
-    flow through). [Error msg] means the inputs/attrs themselves are
-    malformed for the op. *)
-
-let rank_is r (s : Shape.t) = Shape.rank s = r
-
-let expected_shape op_name (inputs : Shape.t list) attrs :
-    (Shape.t option, string) result =
-  let open struct
-    exception Bad of string
-  end in
-  let bad fmt = Format.kasprintf (fun s -> raise (Bad s)) fmt in
-  let arity n =
-    if List.length inputs <> n then
-      bad "expects %d input(s), has %d" n (List.length inputs)
-  in
-  let in1 () =
-    arity 1;
-    List.nth inputs 0
-  in
-  let in2 () =
-    arity 2;
-    (List.nth inputs 0, List.nth inputs 1)
-  in
-  let attr_shape () =
-    match parse_shape attrs with
-    | Some s -> s
-    | None -> bad "unparseable shape attribute %S" attrs
-  in
-  let conv_attrs () =
-    match parse_conv_attrs attrs with
-    | Some v -> v
-    | None -> bad "unparseable conv attributes %S" attrs
-  in
-  let pool_attrs () =
-    match parse_pool_attrs attrs with
-    | Some v -> v
-    | None -> bad "unparseable pool attributes %S" attrs
-  in
-  let broadcast2 () =
-    let a, b = in2 () in
-    if not (Shape.broadcastable a b) then
-      bad "inputs %s and %s do not broadcast" (Shape.to_string a)
-        (Shape.to_string b);
-    Shape.broadcast a b
-  in
-  let pool_out input (kh, kw) (sh, sw) =
-    if not (rank_is 4 input) then
-      bad "expects rank-4 NHWC input, has %s" (Shape.to_string input);
-    let oh = Convolution.out_dim Valid ~size:input.(1) ~kernel:kh ~stride:sh in
-    let ow = Convolution.out_dim Valid ~size:input.(2) ~kernel:kw ~stride:sw in
-    [| input.(0); oh; ow; input.(3) |]
-  in
-  try
-    let shape =
-      match op_name with
-      | "add" | "sub" | "mul" | "div" | "relu_grad" -> Some (broadcast2 ())
-      | "neg" | "exp" | "log" | "sqrt" | "relu" | "sigmoid" | "tanh"
-      | "softmax" | "log_softmax" ->
-          Some (in1 ())
-      | "scale" | "add_scalar" ->
-          let a = in1 () in
-          (match List.assoc_opt "c" (attr_fields attrs) with
-          | Some c when float_of_string_opt c <> None -> ()
-          | Some _ | None -> bad "unparseable scalar attribute %S" attrs);
-          Some a
-      | "reshape" ->
-          let a = in1 () in
-          let target = attr_shape () in
-          if not (Shape.can_reshape a target) then
-            bad "cannot reshape %s to %s" (Shape.to_string a)
-              (Shape.to_string target);
-          Some target
-      | "transpose" ->
-          let a = in1 () in
-          if not (rank_is 2 a) then
-            bad "expects rank 2, has %s" (Shape.to_string a);
-          Some [| a.(1); a.(0) |]
-      | "batch_transpose" ->
-          let a = in1 () in
-          if not (rank_is 3 a) then
-            bad "expects rank 3, has %s" (Shape.to_string a);
-          Some [| a.(0); a.(2); a.(1) |]
-      | "broadcast" ->
-          let a = in1 () in
-          let target = attr_shape () in
-          if not (Shape.broadcastable a target) then
-            bad "%s does not broadcast to %s" (Shape.to_string a)
-              (Shape.to_string target);
-          Some (Shape.broadcast a target)
-      | "unbroadcast" ->
-          let a = in1 () in
-          let target = attr_shape () in
-          if not (Shape.broadcastable target a) then
-            bad "%s is not an unbroadcast of %s" (Shape.to_string target)
-              (Shape.to_string a);
-          Some target
-      | "sum_axes" ->
-          let a = in1 () in
-          let axes, keep_dims =
-            match parse_axes attrs with
-            | Some v -> v
-            | None -> bad "unparseable axes attribute %S" attrs
-          in
-          List.iter
-            (fun ax ->
-              if ax < 0 || ax >= Shape.rank a then
-                bad "axis %d out of range for %s" ax (Shape.to_string a))
-            axes;
-          Some (Shape.reduce_axes ~keep_dims a axes)
-      | "sum_all" | "mean_all" ->
-          ignore (in1 ());
-          Some [||]
-      | "matmul" ->
-          let a, b = in2 () in
-          if not (rank_is 2 a && rank_is 2 b) then
-            bad "expects rank-2 inputs, has %s x %s" (Shape.to_string a)
-              (Shape.to_string b);
-          if a.(1) <> b.(0) then
-            bad "contraction mismatch: %s x %s" (Shape.to_string a)
-              (Shape.to_string b);
-          Some [| a.(0); b.(1) |]
-      | "batch_matmul" ->
-          let a, b = in2 () in
-          if not (rank_is 3 a && rank_is 3 b) then
-            bad "expects rank-3 inputs, has %s x %s" (Shape.to_string a)
-              (Shape.to_string b);
-          if a.(0) <> b.(0) || a.(2) <> b.(1) then
-            bad "batch/contraction mismatch: %s x %s" (Shape.to_string a)
-              (Shape.to_string b);
-          Some [| a.(0); a.(1); b.(2) |]
-      | "conv2d" ->
-          let input, filter = in2 () in
-          let (sh, sw), padding = conv_attrs () in
-          if not (rank_is 4 input && rank_is 4 filter) then
-            bad "expects rank-4 input and filter, has %s, %s"
-              (Shape.to_string input) (Shape.to_string filter);
-          if input.(3) <> filter.(2) then
-            bad "input channels %d but filter takes %d" input.(3) filter.(2);
-          let oh =
-            Convolution.out_dim padding ~size:input.(1) ~kernel:filter.(0)
-              ~stride:sh
-          in
-          let ow =
-            Convolution.out_dim padding ~size:input.(2) ~kernel:filter.(1)
-              ~stride:sw
-          in
-          Some [| input.(0); oh; ow; filter.(3) |]
-      | "conv2d_backward_input" ->
-          (* Inputs (filter, grad); declared shape is the original input.
-             Consistency: conv2d(declared, filter) must produce grad. *)
-          ignore (in2 ());
-          None
-      | "conv2d_backward_filter" -> ignore (in2 ()); None
-      | "avg_pool2d" | "max_pool2d" ->
-          let input = in1 () in
-          let size, stride = pool_attrs () in
-          Some (pool_out input size stride)
-      | "avg_pool2d_backward" -> ignore (in1 ()); None
-      | "max_pool2d_backward" ->
-          (* Inputs (input, grad); output shape is the input's, and pooling
-             the input must produce the grad's shape. *)
-          let input, grad = in2 () in
-          let size, stride = pool_attrs () in
-          let pooled = pool_out input size stride in
-          if not (Shape.equal pooled grad) then
-            bad "pooling %s gives %s but grad is %s" (Shape.to_string input)
-              (Shape.to_string pooled) (Shape.to_string grad);
-          Some input
-      | _ -> None
-    in
-    Ok shape
-  with Bad msg -> Error msg
-
-(** Ops with a declared (not derivable) output shape, checked for
-    consistency with their inputs instead. *)
-let declared_shape_consistent op_name (inputs : Shape.t list) attrs
-    (out : Shape.t) : (unit, string) result =
-  let check_conv_like ~filter ~grad ~input (sh, sw) padding =
-    if
-      Shape.rank input = 4 && Shape.rank filter = 4 && Shape.rank grad = 4
-      && input.(0) = grad.(0)
-      && input.(3) = filter.(2)
-      && grad.(3) = filter.(3)
-      && Convolution.out_dim padding ~size:input.(1) ~kernel:filter.(0)
-           ~stride:sh
-         = grad.(1)
-      && Convolution.out_dim padding ~size:input.(2) ~kernel:filter.(1)
-           ~stride:sw
-         = grad.(2)
-    then Ok ()
-    else
-      Error
-        (Format.sprintf
-           "inconsistent convolution: input %s, filter %s, grad %s"
-           (Shape.to_string input) (Shape.to_string filter)
-           (Shape.to_string grad))
-  in
-  match (op_name, inputs) with
-  | "conv2d_backward_input", [ filter; grad ] -> begin
-      match parse_conv_attrs attrs with
-      | None -> Error (Printf.sprintf "unparseable conv attributes %S" attrs)
-      | Some (stride, padding) ->
-          check_conv_like ~filter ~grad ~input:out stride padding
-    end
-  | "conv2d_backward_filter", [ input; grad ] -> begin
-      match parse_conv_attrs attrs with
-      | None -> Error (Printf.sprintf "unparseable conv attributes %S" attrs)
-      | Some (stride, padding) ->
-          check_conv_like ~filter:out ~grad ~input stride padding
-    end
-  | "avg_pool2d_backward", [ grad ] -> begin
-      match parse_pool_attrs attrs with
-      | None -> Error (Printf.sprintf "unparseable pool attributes %S" attrs)
-      | Some ((kh, kw), (sh, sw)) ->
-          if
-            Shape.rank out = 4 && Shape.rank grad = 4
-            && out.(0) = grad.(0)
-            && out.(3) = grad.(3)
-            && Convolution.out_dim Valid ~size:out.(1) ~kernel:kh ~stride:sh
-               = grad.(1)
-            && Convolution.out_dim Valid ~size:out.(2) ~kernel:kw ~stride:sw
-               = grad.(2)
-          then Ok ()
-          else
-            Error
-              (Format.sprintf "pooling %s does not give grad %s"
-                 (Shape.to_string out) (Shape.to_string grad))
-    end
-  | _, _ -> Ok ()
-
-let known_op op_name =
-  match
-    expected_shape op_name [] ""
-    (* probe: any rule reports arity/attr errors, unknown ops report None *)
-  with
-  | Ok None -> (
-      match op_name with
-      | "conv2d_backward_input" | "conv2d_backward_filter"
-      | "avg_pool2d_backward" ->
-          true
-      | _ -> false)
-  | Ok (Some _) | Error _ -> true
-
 (** {1 Node and graph checks} *)
 
 let check_node (n : Hlo.node) : finding list =
@@ -367,29 +52,20 @@ let check_node (n : Hlo.node) : finding list =
   match n.role with
   | Hlo.Param _ | Hlo.Literal _ ->
       if n.inputs <> [] then
-        add Error "role" "%s node has %d inputs" n.op_name
+        add Error "role" "%s node has %d inputs" (Hlo.name n)
           (List.length n.inputs)
       else []
-  | Hlo.Compute -> begin
+  | Hlo.Compute kind -> (
       let input_shapes = List.map (fun (i : Hlo.node) -> i.shape) n.inputs in
-      match expected_shape n.op_name input_shapes n.attrs with
-      | Error msg -> add Error "arity" "%s: %s" n.op_name msg
-      | Ok (Some want) when not (Shape.equal want n.shape) ->
+      match (S4o_ops.Catalog.of_kind kind input_shapes).out_shape with
+      | want when Shape.equal want n.shape -> []
+      | want ->
           add Error "shape" "%s: inputs %s give %s but node declares %s"
-            n.op_name
+            (Hlo.name n)
             (String.concat ", " (List.map Shape.to_string input_shapes))
             (Shape.to_string want) (Shape.to_string n.shape)
-      | Ok (Some _) -> []
-      | Ok None -> begin
-          match
-            declared_shape_consistent n.op_name input_shapes n.attrs n.shape
-          with
-          | Error msg -> add Error "shape" "%s: %s" n.op_name msg
-          | Ok () ->
-              if known_op n.op_name then []
-              else add Warning "unknown-op" "no shape rule for %s" n.op_name
-        end
-    end
+      | exception Invalid_argument msg -> add Error "arity" "%s" msg
+      | exception Shape.Shape_error msg -> add Error "shape" "%s" msg)
 
 let lint_graph ?pending_limit (g : Hlo.graph) : finding list =
   let out = ref [] in
@@ -412,25 +88,24 @@ let lint_graph ?pending_limit (g : Hlo.graph) : finding list =
     (fun (n : Hlo.node) ->
       if not (Hashtbl.mem reachable n.id) then
         add ~node:n.id "dead-node" "%s [%s] unreachable from outputs: dead code"
-          n.op_name (Shape.to_string n.shape))
+          (Hlo.name n) (Shape.to_string n.shape))
     g.nodes;
   (* Duplicate literals: same contents recorded as distinct nodes — CSE
      would merge them; before it runs they bloat the fingerprint and the
      transfer set. *)
-  let lits = Hashtbl.create 16 in
+  let lits = Hlo.Node_table.create 16 in
   List.iter
     (fun (n : Hlo.node) ->
       match n.role with
-      | Hlo.Literal v -> begin
-          let key = (Shape.to_string n.shape, Dense.hash_contents v) in
-          match Hashtbl.find_opt lits key with
-          | Some (prior_id, pv) when Dense.equal pv v ->
+      | Hlo.Literal _ -> (
+          let key = Hlo.node_key ~input:(fun i -> i.Hlo.id) n in
+          match Hlo.Node_table.find_opt lits key with
+          | Some prior_id ->
               add ~node:n.id "dup-literal"
                 "literal [%s] duplicates n%d: cse would merge them"
                 (Shape.to_string n.shape) prior_id
-          | Some _ | None -> Hashtbl.replace lits key (n.id, v)
-        end
-      | Hlo.Compute | Hlo.Param _ -> ())
+          | None -> Hlo.Node_table.add lits key n.id)
+      | Hlo.Compute _ | Hlo.Param _ -> ())
     g.nodes;
   (match pending_limit with
   | Some limit when Hlo.size g > limit ->
@@ -526,19 +201,19 @@ module Hazard = struct
     Hashtbl.reset t.skeletons;
     t.reported <- []
 
-  (* Shape-free structural hash: op names, roles, and topology. Attrs are
-     excluded too — reshape/broadcast embed shapes in their attrs. *)
+  (* Shape-free structural hash: op names, roles, and topology. Op
+     parameters are excluded too — reshape/broadcast carry shapes. *)
   let skeleton (g : Hlo.graph) =
     let index = Hashtbl.create 64 in
     List.iteri (fun i (n : Hlo.node) -> Hashtbl.add index n.id i) g.nodes;
     let node_key (n : Hlo.node) =
       let role =
         match n.role with
-        | Hlo.Compute -> "c"
+        | Hlo.Compute _ -> "c"
         | Hlo.Param i -> Printf.sprintf "p%d" i
         | Hlo.Literal _ -> "l"
       in
-      Printf.sprintf "%s/%s/%s" n.op_name role
+      Printf.sprintf "%s/%s/%s" (Hlo.name n) role
         (String.concat ","
            (List.map
               (fun (i : Hlo.node) -> string_of_int (Hashtbl.find index i.id))

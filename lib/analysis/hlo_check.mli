@@ -1,11 +1,10 @@
-(** HLO graph checker and linter: re-derives every compute node's output
-    shape from its inputs and attributes (the same rules as
-    {!S4o_ops.Catalog}) and reports disagreements as errors; lints dead
+(** HLO graph checker and linter: rebuilds every compute node's op from its
+    kind and input shapes with {!S4o_ops.Catalog.of_kind} and reports
+    rejected inputs and disagreeing declared shapes as errors; lints dead
     nodes, duplicate literals, oversized pending regions, and — across
     cuts, via {!Hazard} — recompile hazards. Checked mode runs {!run} on
     every trace cut and after every compiler pass. *)
 
-open S4o_tensor
 open S4o_xla
 
 type severity = Error | Warning
@@ -14,8 +13,7 @@ type finding = {
   severity : severity;
   rule : string;  (** Stable rule id: ["shape"], ["arity"], ["role"],
                       ["param"], ["dead-node"], ["dup-literal"],
-                      ["pending-region"], ["recompile-hazard"],
-                      ["unknown-op"]. *)
+                      ["pending-region"], ["recompile-hazard"]. *)
   node : int option;
   message : string;
 }
@@ -25,12 +23,6 @@ exception Check_error of string
 val errors : finding list -> finding list
 val warnings : finding list -> finding list
 val pp_finding : Format.formatter -> finding -> unit
-
-(** [expected_shape op inputs attrs]: the output shape the catalog would
-    compute — [Ok None] when the op has no closed-form rule (or is
-    unknown), [Error _] when inputs/attrs are malformed for the op. *)
-val expected_shape :
-  string -> Shape.t list -> string -> (Shape.t option, string) result
 
 (** Arity, role, and shape findings for one node. *)
 val check_node : Hlo.node -> finding list

@@ -78,7 +78,7 @@ let compute_nodes (g : S4o_xla.Hlo.graph) =
     (List.filter
        (fun (n : S4o_xla.Hlo.node) ->
          match n.S4o_xla.Hlo.role with
-         | S4o_xla.Hlo.Compute -> true
+         | S4o_xla.Hlo.Compute _ -> true
          | S4o_xla.Hlo.Param _ | S4o_xla.Hlo.Literal _ -> false)
        g.S4o_xla.Hlo.nodes)
 
@@ -98,7 +98,7 @@ let step_time s ~device ~graph =
         List.filter
           (fun (n : S4o_xla.Hlo.node) ->
             match n.S4o_xla.Hlo.role with
-            | S4o_xla.Hlo.Compute -> true
+            | S4o_xla.Hlo.Compute _ -> true
             | S4o_xla.Hlo.Param _ | S4o_xla.Hlo.Literal _ -> false)
           graph.S4o_xla.Hlo.nodes
       in

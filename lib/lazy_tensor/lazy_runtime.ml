@@ -30,7 +30,7 @@ type t = {
   trace_overhead_per_op : float;
   cache_enabled : bool;
   auto_cut_threshold : int option;
-  cache : (int, S4o_xla.Compiler.executable) Hashtbl.t;
+  cache : S4o_xla.Compiler.executable S4o_xla.Hlo.Table.t;
   (* All counters live in the engine's shared metrics registry, so one
      snapshot of the registry sees the whole stack. *)
   c_cuts : Metrics.counter;
@@ -60,7 +60,7 @@ let create ?(trace_overhead_per_op = default_trace_overhead)
     trace_overhead_per_op;
     cache_enabled;
     auto_cut_threshold;
-    cache = Hashtbl.create 16;
+    cache = S4o_xla.Hlo.Table.create 16;
     c_cuts = Metrics.counter m "lazy.traces_cut";
     c_auto_cuts = Metrics.counter m "lazy.auto_cuts";
     c_hits = Metrics.counter m "lazy.cache_hits";
@@ -121,10 +121,11 @@ let materialize t roots =
       (fun () ->
         Engine.spend_host t.engine
           (t.trace_overhead_per_op *. float_of_int n_ops));
-    let fp = S4o_xla.Hlo.fingerprint graph in
+    let key = S4o_xla.Hlo.key graph in
+    let fp = S4o_xla.Hlo.key_hash key in
     let exe =
       match
-        if t.cache_enabled then Hashtbl.find_opt t.cache fp else None
+        if t.cache_enabled then S4o_xla.Hlo.Table.find_opt t.cache key else None
       with
       | Some exe ->
           Metrics.incr t.c_hits;
@@ -142,7 +143,7 @@ let materialize t roots =
           let exe = S4o_xla.Compiler.compile ~engine:t.engine graph in
           Metrics.observe t.compile_times
             (S4o_xla.Compiler.stats exe).S4o_xla.Compiler.compile_seconds;
-          if t.cache_enabled then Hashtbl.replace t.cache fp exe;
+          if t.cache_enabled then S4o_xla.Hlo.Table.replace t.cache key exe;
           exe
     in
     let feeds =
@@ -197,7 +198,7 @@ let note_recorded t node =
         materialize t t.recent
       end
 
-let cache_size t = Hashtbl.length t.cache
+let cache_size t = S4o_xla.Hlo.Table.length t.cache
 
 let force t node =
   materialize t [ node ];

@@ -1,5 +1,5 @@
 (** The LazyTensor runtime (§3.3–3.4): cuts traces, JIT-compiles them via the
-    XLA-style compiler, and caches compiled programs by trace fingerprint so
+    XLA-style compiler, and caches compiled programs by structural trace key so
     that "each unique trace is only compiled by XLA once". Tracing overhead
     is still paid on every iteration — the §3.4 limitation Table 3
     quantifies — because the full imperative programming model means traces
@@ -86,7 +86,8 @@ val barrier : t -> Trace.node list -> unit
 val note_recorded : t -> Trace.node -> unit
 
 (** Number of distinct compiled programs currently cached — one per unique
-    trace fingerprint. A serving workload that buckets its batch shapes
+    structural trace key ({!S4o_xla.Hlo.key}); a hit compares the full key,
+    not just its hash. A serving workload that buckets its batch shapes
     keeps this bounded by the bucket count (times distinct models), which is
     the point of shape bucketing: steady-state traffic hits the cache
     instead of growing it. *)

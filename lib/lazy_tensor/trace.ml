@@ -90,9 +90,7 @@ let to_hlo roots =
       | None -> assert false
       | Some op ->
           let inputs = List.map (fun a -> Hashtbl.find hlo_of a.id) n.args in
-          Hashtbl.add hlo_of n.id
-            (S4o_xla.Hlo.op ~name:op.name ~attrs:op.attrs ~shape:op.out_shape
-               ~info:op.info ~inputs ~kernel:op.kernel ()))
+          Hashtbl.add hlo_of n.id (S4o_xla.Hlo.op op inputs))
     pending;
   let outputs =
     List.filter_map

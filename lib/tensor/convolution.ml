@@ -347,9 +347,11 @@ let max_pool2d_backward ~size ~stride input grad =
         for ox = 0 to ow - 1 do
           for ch = 0 to c - 1 do
             (* strict > keeps the historical tie rule: the first (row-major)
-               maximal element takes the whole gradient *)
+               maximal element takes the whole gradient. A window with no
+               element above -inf (all -inf or NaN) routes it to its first
+               element, never to an offset outside the window. *)
             let best = ref Float.neg_infinity in
-            let best_off = ref (-1) in
+            let best_off = ref ((((((b * h) + (oy * sh)) * w) + (ox * sw)) * c) + ch) in
             for ky = 0 to kh - 1 do
               for kx = 0 to kw - 1 do
                 let iy = (oy * sh) + ky and ix = (ox * sw) + kx in

@@ -440,6 +440,19 @@ let equal a b =
        !ok
      end
 
+let bit_equal a b =
+  Shape.equal a.shape b.shape
+  &&
+  let da = a.data and db = b.data in
+  let rec from i =
+    i >= numel a
+    || Int64.equal
+         (Int64.bits_of_float (A.unsafe_get da i))
+         (Int64.bits_of_float (A.unsafe_get db i))
+       && from (i + 1)
+  in
+  from 0
+
 let allclose ?(rtol = 1e-5) ?(atol = 1e-8) a b =
   Shape.equal a.shape b.shape
   && begin

@@ -167,12 +167,17 @@ val clip : lo:float -> hi:float -> t -> t
 (** {1 Comparison} *)
 
 val equal : t -> t -> bool
+
+(** Same shape and the same bits in every element: [0.0] and [-0.0] differ,
+    and a NaN equals a NaN with the same payload. *)
+val bit_equal : t -> t -> bool
+
 val allclose : ?rtol:float -> ?atol:float -> t -> t -> bool
 
 (** [hash_contents ?prefix t] hashes shape plus (at most) the first [prefix]
     elements (default 64) of the buffer directly — no intermediate array
-    copy, unlike [Hashtbl.hash (to_array t)]. Equal tensors hash equal;
-    collisions are possible (confirm with {!equal}). *)
+    copy, unlike [Hashtbl.hash (to_array t)]. Bit-equal tensors hash equal;
+    collisions are possible (confirm with {!bit_equal}). *)
 val hash_contents : ?prefix:int -> t -> int
 
 (** {1 Reductions} *)

@@ -72,7 +72,7 @@ let run exe engine feeds =
       match n.role with
       | Hlo.Param i -> feeds.(i)
       | Hlo.Literal v -> v
-      | Hlo.Compute ->
+      | Hlo.Compute _ ->
           n.kernel
             (Array.of_list
                (List.map (fun (i : Hlo.node) -> Hashtbl.find values i.id) n.inputs))
@@ -85,7 +85,7 @@ let run exe engine feeds =
     (fun (n : Hlo.node) ->
       match n.role with
       | Hlo.Param _ | Hlo.Literal _ -> eval_node n
-      | Hlo.Compute -> ())
+      | Hlo.Compute _ -> ())
     exe.graph.Hlo.nodes;
   List.iter
     (fun (c : Opt.cluster) ->
@@ -119,7 +119,7 @@ let peak_memory ?(donated = []) exe =
       (fun acc (n : Hlo.node) ->
         match n.role with
         | Hlo.Param _ | Hlo.Literal _ -> acc + bytes n
-        | Hlo.Compute -> acc)
+        | Hlo.Compute _ -> acc)
       0 exe.graph.Hlo.nodes
   in
   (* Donated parameter buffers may be reused for a shape-matching output, so
@@ -139,7 +139,7 @@ let peak_memory ?(donated = []) exe =
     (fun (n : Hlo.node) ->
       match n.role with
       | Hlo.Param _ | Hlo.Literal _ -> ()
-      | Hlo.Compute ->
+      | Hlo.Compute _ ->
           let is_output = List.mem n.id output_ids in
           let aliased =
             is_output
@@ -162,7 +162,7 @@ let peak_memory ?(donated = []) exe =
           List.iter
             (fun (i : Hlo.node) ->
               match i.role with
-              | Hlo.Compute ->
+              | Hlo.Compute _ ->
                   let r = Hashtbl.find remaining i.id - 1 in
                   Hashtbl.replace remaining i.id r;
                   if r = 0 && not (List.mem i.id output_ids) then

@@ -1,19 +1,18 @@
 (** An HLO-like graph intermediate representation — the target of LazyTensor
     tracing (§3.3) and the input of the domain-specific compiler.
 
-    Nodes are immutable, hash-consed-by-construction DAG vertices. Each node
-    carries: the semantic operation name and attribute string (used for CSE
-    and for trace fingerprinting), the output shape, cost metadata
+    Nodes are immutable DAG vertices. A compute node carries its op's
+    {!S4o_ops.Catalog.kind} (the op and its parameters: what CSE and trace
+    keys compare), the output shape, cost metadata
     ({!S4o_device.Op_info.t}), and a kernel closure giving the operation's
     semantics on {!S4o_tensor.Dense} values. Parameters are fed at execution
     time; literals are embedded constants. *)
 
 open S4o_tensor
+module Catalog = S4o_ops.Catalog
 
 type node = {
   id : int;
-  op_name : string;
-  attrs : string;  (** Semantics-affecting parameters, e.g. stride/padding. *)
   shape : Shape.t;
   info : S4o_device.Op_info.t;
   inputs : node list;
@@ -22,7 +21,7 @@ type node = {
 }
 
 and role =
-  | Compute
+  | Compute of Catalog.kind
   | Param of int  (** Fed at execution; the int is the parameter position. *)
   | Literal of Dense.t
 
@@ -32,46 +31,51 @@ let next_id () =
   incr counter;
   !counter
 
+let leaf_info name bytes_out =
+  {
+    S4o_device.Op_info.name;
+    kind = S4o_device.Op_info.Data_movement;
+    flops = 0;
+    bytes_in = 0;
+    bytes_out;
+  }
+
 let param ~index ~shape =
   {
     id = next_id ();
-    op_name = "parameter";
-    attrs = string_of_int index;
     shape;
-    info =
-      {
-        S4o_device.Op_info.name = "parameter";
-        kind = S4o_device.Op_info.Data_movement;
-        flops = 0;
-        bytes_in = 0;
-        bytes_out = 0;
-      };
+    info = leaf_info "parameter" 0;
     inputs = [];
     kernel = (fun _ -> invalid_arg "parameter node has no kernel");
     role = Param index;
   }
 
 let literal value =
+  let shape = Dense.shape value in
   {
     id = next_id ();
-    op_name = "constant";
-    attrs = "";
-    shape = Dense.shape value;
-    info =
-      {
-        S4o_device.Op_info.name = "constant";
-        kind = S4o_device.Op_info.Data_movement;
-        flops = 0;
-        bytes_in = 0;
-        bytes_out = S4o_device.Op_info.bytes_of_shape (Dense.shape value);
-      };
+    shape;
+    info = leaf_info "constant" (S4o_device.Op_info.bytes_of_shape shape);
     inputs = [];
     kernel = (fun _ -> value);
     role = Literal value;
   }
 
-let op ~name ?(attrs = "") ~shape ~info ~inputs ~kernel () =
-  { id = next_id (); op_name = name; attrs; shape; info; inputs; kernel; role = Compute }
+let op (o : Catalog.op) inputs =
+  {
+    id = next_id ();
+    shape = o.out_shape;
+    info = o.info;
+    inputs;
+    kernel = o.kernel;
+    role = Compute o.kind;
+  }
+
+let name n =
+  match n.role with
+  | Compute kind -> Catalog.name kind
+  | Param _ -> "parameter"
+  | Literal _ -> "constant"
 
 (** {1 Graphs} *)
 
@@ -95,40 +99,86 @@ let size g = List.length g.nodes
 
 let params g =
   List.filter_map
-    (fun n -> match n.role with Param i -> Some (i, n) | Compute | Literal _ -> None)
+    (fun n -> match n.role with Param i -> Some (i, n) | Compute _ | Literal _ -> None)
     g.nodes
   |> List.sort (fun (a, _) (b, _) -> compare a b)
   |> List.map snd
 
-(** Structural fingerprint: identical traces (same ops, attributes, shapes,
-    topology) produce the same fingerprint regardless of node identity —
-    the key of the XLA-program cache (§3.4). *)
-let fingerprint g =
-  let renumber = Hashtbl.create 64 in
-  List.iteri (fun i n -> Hashtbl.add renumber n.id i) g.nodes;
-  let h = ref 0 in
-  let mix v = h := (!h * 1000003) lxor v in
-  List.iter
-    (fun n ->
-      mix (Hashtbl.hash n.op_name);
-      mix (Hashtbl.hash n.attrs);
-      mix (Shape.hash n.shape);
-      (match n.role with
-      | Param i -> mix (i + 17)
-      | Literal v -> mix (Dense.hash_contents v)
-      | Compute -> mix 3);
-      List.iter (fun i -> mix (Hashtbl.find renumber i.id)) n.inputs)
-    g.nodes;
-  mix (List.length g.outputs);
-  List.iter (fun o -> mix (Hashtbl.find renumber o.id)) g.outputs;
-  !h
+(** {1 Structural keys} *)
+
+type node_key = role * Shape.t * int list
+
+let node_key ~input n = (n.role, n.shape, List.map input n.inputs)
+
+let equal_role a b =
+  match (a, b) with
+  | Compute x, Compute y -> Catalog.equal x y
+  | Param i, Param j -> i = j
+  | Literal u, Literal v -> Dense.bit_equal u v
+  | (Compute _ | Param _ | Literal _), _ -> false
+
+let equal_node_key (ra, sa, ia) (rb, sb, ib) =
+  Shape.equal sa sb && ia = ib && equal_role ra rb
+
+let mix h v = (h * 1000003) lxor v
+
+let hash_node_key (role, shape, inputs) =
+  let h =
+    match role with
+    | Compute kind -> Catalog.hash kind
+    | Param i -> i + 17
+    | Literal v -> Dense.hash_contents v
+  in
+  List.fold_left mix (mix h (Shape.hash shape)) inputs
+
+module Node_table = Hashtbl.Make (struct
+  type t = node_key
+
+  let equal = equal_node_key
+  let hash = hash_node_key
+end)
+
+type key = { hash : int; node_keys : node_key array; output_positions : int list }
+
+let key g =
+  let position = Hashtbl.create 64 in
+  List.iteri (fun i n -> Hashtbl.add position n.id i) g.nodes;
+  let input n = Hashtbl.find position n.id in
+  let node_keys = Array.of_list (List.map (node_key ~input) g.nodes) in
+  let output_positions = List.map input g.outputs in
+  let h = Array.fold_left (fun h k -> mix h (hash_node_key k)) 0 node_keys in
+  let h = List.fold_left mix (mix h (List.length output_positions)) output_positions in
+  { hash = h; node_keys; output_positions }
+
+let key_hash k = k.hash
+
+let equal_key a b =
+  a.hash = b.hash
+  && a.output_positions = b.output_positions
+  && Array.length a.node_keys = Array.length b.node_keys
+  && Array.for_all2 equal_node_key a.node_keys b.node_keys
+
+module Table = Hashtbl.Make (struct
+  type t = key
+
+  let equal = equal_key
+  let hash = key_hash
+end)
+
+let fingerprint g = key_hash (key g)
 
 (** {1 Rendering (Figure 4)} *)
 
 let pp_node ppf n =
   let ins = String.concat ", " (List.map (fun i -> Format.sprintf "%%%d" i.id) n.inputs) in
-  let attrs = if n.attrs = "" then "" else Format.sprintf " {%s}" n.attrs in
-  Format.fprintf ppf "%%%d = %s%s(%s) : %s" n.id n.op_name attrs ins
+  let params =
+    match n.role with
+    | Compute kind -> (
+        match Catalog.params_to_string kind with "" -> "" | p -> " {" ^ p ^ "}")
+    | Param i -> Format.sprintf " {%d}" i
+    | Literal _ -> ""
+  in
+  Format.fprintf ppf "%%%d = %s%s(%s) : %s" n.id (name n) params ins
     (Shape.to_string n.shape)
 
 let pp_graph ppf g =
@@ -140,16 +190,16 @@ let pp_graph ppf g =
 let to_string g = Format.asprintf "%a" pp_graph g
 
 (** GraphViz rendering of the trace DAG, as in Figure 4. *)
-let to_dot ?(name = "trace") g =
+let to_dot ?name:(graph_name = "trace") g =
   let buf = Buffer.create 1024 in
-  Buffer.add_string buf (Format.sprintf "digraph %s {\n  rankdir=TB;\n" name);
+  Buffer.add_string buf (Format.sprintf "digraph %s {\n  rankdir=TB;\n" graph_name);
   List.iter
     (fun n ->
       let color =
         match n.role with
         | Param _ -> "lightblue"
         | Literal _ -> "lightgray"
-        | Compute -> (
+        | Compute _ -> (
             match n.info.S4o_device.Op_info.kind with
             | S4o_device.Op_info.Contraction -> "lightsalmon"
             | _ -> "white")
@@ -157,7 +207,7 @@ let to_dot ?(name = "trace") g =
       Buffer.add_string buf
         (Format.sprintf
            "  n%d [label=\"%s\\n%s\", style=filled, fillcolor=%s];\n" n.id
-           n.op_name
+           (name n)
            (Shape.to_string n.shape)
            color);
       List.iter

@@ -1,19 +1,17 @@
 (** An HLO-like graph intermediate representation — the target of LazyTensor
     tracing (§3.3) and the input of the domain-specific compiler.
 
-    Nodes are immutable DAG vertices carrying the semantic operation name and
-    attribute string (used for CSE and trace fingerprinting), the output
-    shape, cost metadata, and a kernel closure giving the operation's
-    semantics on {!S4o_tensor.Dense} values. Parameters are fed at execution
-    time; literals are embedded constants. The record is exposed because the
+    Nodes are immutable DAG vertices. A compute node carries its op's
+    {!S4o_ops.Catalog.kind} (the op and its parameters), the output shape,
+    cost metadata, and a kernel closure giving the operation's semantics on
+    {!S4o_tensor.Dense} values. Parameters are fed at execution time;
+    literals are embedded constants. The record is exposed because the
     optimizer, fuser, and executor pattern-match on it throughout. *)
 
 open S4o_tensor
 
 type node = {
-  id : int;  (** Globally unique; not part of the structural fingerprint. *)
-  op_name : string;
-  attrs : string;  (** Semantics-affecting parameters, e.g. stride/padding. *)
+  id : int;  (** Globally unique; not part of the structural key. *)
   shape : Shape.t;
   info : S4o_device.Op_info.t;
   inputs : node list;
@@ -22,22 +20,18 @@ type node = {
 }
 
 and role =
-  | Compute
+  | Compute of S4o_ops.Catalog.kind
   | Param of int  (** Fed at execution; the int is the parameter position. *)
   | Literal of Dense.t
 
 val param : index:int -> shape:Shape.t -> node
 val literal : Dense.t -> node
 
-val op :
-  name:string ->
-  ?attrs:string ->
-  shape:Shape.t ->
-  info:S4o_device.Op_info.t ->
-  inputs:node list ->
-  kernel:(Dense.t array -> Dense.t) ->
-  unit ->
-  node
+(** [op o inputs]: a compute node applying catalog op [o] to [inputs]. *)
+val op : S4o_ops.Catalog.op -> node list -> node
+
+(** The op name ({!S4o_ops.Catalog.name}), ["parameter"] or ["constant"]. *)
+val name : node -> string
 
 (** {1 Graphs} *)
 
@@ -52,10 +46,39 @@ val size : graph -> int
 (** Parameter nodes, sorted by parameter position. *)
 val params : graph -> node list
 
-(** Structural fingerprint: identical traces (same ops, attributes, shapes,
-    topology, literal contents) fingerprint equal regardless of node
-    identity — the key of the XLA-program cache (§3.4). Parameter {e values}
-    do not participate, so the cache hits across training steps. *)
+(** {1 Structural keys}
+
+    A node's key is its role (for a compute node, the op kind with its
+    parameters; for a literal, its contents), its shape, and its operands,
+    numbered by the caller. Floats compare by bit pattern, so [scale 0.0]
+    and [scale (-0.0)], or two constants that agree to many digits, never
+    share a key. *)
+
+type node_key
+
+val node_key : input:(node -> int) -> node -> node_key
+
+(** Nodes by key: CSE numbers operands by node id. *)
+module Node_table : Hashtbl.S with type key = node_key
+
+(** The structural key of a graph: every node's key, with operands numbered
+    by topological position, and the output positions. Equal keys mean the
+    same program regardless of node identity — the key of the XLA-program
+    cache (§3.4). Parameter {e values} do not participate, so the cache hits
+    across training steps. *)
+type key
+
+val key : graph -> key
+val equal_key : key -> key -> bool
+
+(** Computed once, when the key is built. *)
+val key_hash : key -> int
+
+(** Programs by key. A lookup compares the full key, not just its hash. *)
+module Table : Hashtbl.S with type key = key
+
+(** [key_hash (key g)]: equal graphs fingerprint equal; unequal ones may
+    collide. *)
 val fingerprint : graph -> int
 
 (** {1 Rendering (Figure 4)} *)

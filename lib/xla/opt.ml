@@ -1,5 +1,3 @@
-open S4o_tensor
-
 (* Rewrite a graph bottom-up: [rewrite n inputs'] sees the node with its
    already-rewritten operands and returns the replacement. *)
 let map_graph (g : Hlo.graph) (rewrite : Hlo.node -> Hlo.node list -> Hlo.node) =
@@ -18,7 +16,7 @@ let map_graph (g : Hlo.graph) (rewrite : Hlo.node -> Hlo.node list -> Hlo.node) 
     (List.map (fun (o : Hlo.node) -> Hashtbl.find subst o.id) g.outputs)
 
 let literal_value (n : Hlo.node) =
-  match n.role with Literal v -> Some v | Compute | Param _ -> None
+  match n.role with Literal v -> Some v | Compute _ | Param _ -> None
 
 (* Checked mode installs the HLO checker here; called with the pass name
    and its output graph after every pass. *)
@@ -29,46 +27,26 @@ let checked name g =
   g
 
 let cse g =
-  let seen : (string, Hlo.node) Hashtbl.t = Hashtbl.create 64 in
+  let seen = Hlo.Node_table.create 64 in
   checked "cse"
-  @@ map_graph g (fun n inputs ->
-      let key =
-        Format.asprintf "%s|%s|%a|%s" n.op_name n.attrs Shape.pp n.shape
-          (String.concat ","
-             (List.map (fun (i : Hlo.node) -> string_of_int i.id) inputs))
-      in
+  @@ map_graph g (fun n _ ->
       match n.role with
       | Param _ -> n
-      | Literal v -> begin
-          (* Literals participate keyed by contents. [hash_contents] reads a
-             bounded prefix of the buffer in place — no per-literal array
-             copy per CSE pass — so the [Dense.equal] confirm below stays
-             load-bearing for literals that agree on the prefix. *)
-          let key = key ^ "#" ^ string_of_int (Dense.hash_contents v) in
-          match Hashtbl.find_opt seen key with
-          | Some prior
-            when Option.fold ~none:false
-                   ~some:(fun pv -> Dense.equal pv v)
-                   (literal_value prior) ->
-              prior
-          | Some _ | None ->
-              Hashtbl.replace seen key n;
-              n
-        end
-      | Compute -> begin
-          match Hashtbl.find_opt seen key with
+      | Compute _ | Literal _ -> (
+          (* [map_graph] has already rewired [n] to its merged operands. *)
+          let key = Hlo.node_key ~input:(fun i -> i.Hlo.id) n in
+          match Hlo.Node_table.find_opt seen key with
           | Some prior -> prior
           | None ->
-              Hashtbl.add seen key n;
-              n
-        end)
+              Hlo.Node_table.add seen key n;
+              n))
 
 let constant_fold g =
   checked "constant_fold"
   @@ map_graph g (fun n inputs ->
       match n.role with
       | Param _ | Literal _ -> n
-      | Compute ->
+      | Compute _ ->
           let values = List.map literal_value inputs in
           if inputs <> [] && List.for_all Option.is_some values then
             Hlo.literal (n.kernel (Array.of_list (List.map Option.get values)))
@@ -82,11 +60,11 @@ type cluster = { members : Hlo.node list; info : S4o_device.Op_info.t }
 let fusible (n : Hlo.node) =
   match (n.role, n.info.S4o_device.Op_info.kind) with
   | (Param _ | Literal _), _ -> false
-  | Compute, (S4o_device.Op_info.Elementwise | Reduction | Data_movement) -> true
-  | Compute, (S4o_device.Op_info.Contraction | Fused _) -> false
+  | Compute _, (S4o_device.Op_info.Elementwise | Reduction | Data_movement) -> true
+  | Compute _, (S4o_device.Op_info.Contraction | Fused _) -> false
 
 let is_compute (n : Hlo.node) =
-  match n.role with Compute -> true | Param _ | Literal _ -> false
+  match n.role with Compute _ -> true | Param _ | Literal _ -> false
 
 let fuse (g : Hlo.graph) =
   (* cluster id per node id; clusters accumulate members in reverse topo *)

@@ -11,7 +11,8 @@
     installs the HLO checker here; the default is a no-op. *)
 val post_pass_hook : (string -> Hlo.graph -> unit) ref
 
-(** Merge structurally identical nodes (same op, attributes, operands). *)
+(** Merge nodes with equal {!Hlo.node_key}s (same op kind and parameters,
+    shape and operands). *)
 val cse : Hlo.graph -> Hlo.graph
 
 (** Evaluate compute nodes whose operands are all literals. *)

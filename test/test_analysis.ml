@@ -13,10 +13,6 @@ module Hlo = S4o_xla.Hlo
 module C = S4o_ops.Catalog
 open S4o_tensor
 
-let node_of_op (op : C.op) inputs =
-  Hlo.op ~name:op.C.name ~attrs:op.C.attrs ~shape:op.C.out_shape ~info:op.C.info
-    ~inputs ~kernel:op.C.kernel ()
-
 (* f(x, y) = x*y + sin x, with one dead instruction (exp y). *)
 let build_with_dead () =
   let b = B.create ~name:"with_dead" ~n_args:2 in
@@ -258,11 +254,7 @@ let test_checked_hook_catches_corrupt_hlo () =
   let p = Hlo.param ~index:0 ~shape:[| 4 |] in
   let bad =
     (* declares [8] but add of [4],[4] gives [4] *)
-    Hlo.op ~name:"add" ~shape:[| 8 |]
-      ~info:(S4o_device.Op_info.elementwise "add" ~inputs:[ [| 4 |] ] ~output:[| 8 |] ())
-      ~inputs:[ p; p ]
-      ~kernel:(fun args -> args.(0))
-      ()
+    { (Hlo.op (C.add [| 4 |] [| 4 |]) [ p; p ]) with Hlo.shape = [| 8 |] }
   in
   let g = Hlo.graph_of_outputs [ bad ] in
   Test_util.check_raises_any "cut hook raises" (fun () ->
@@ -274,7 +266,7 @@ let test_checked_counts_hlo_passes () =
   Checked.enable ();
   Checked.reset_stats ();
   let p0 = Hlo.param ~index:0 ~shape:[| 4 |] in
-  let r = node_of_op (C.relu [| 4 |]) [ p0 ] in
+  let r = Hlo.op (C.relu [| 4 |]) [ p0 ] in
   ignore (S4o_xla.Opt.optimize (Hlo.graph_of_outputs [ r ]));
   Test_util.check_true "each pass checked"
     ((Checked.stats ()).Checked.hlo_checked >= 3)
@@ -293,9 +285,9 @@ let test_checked_metrics_attached () =
 let test_hlo_clean_catalog_graph () =
   let p0 = Hlo.param ~index:0 ~shape:[| 2; 3 |] in
   let p1 = Hlo.param ~index:1 ~shape:[| 3; 4 |] in
-  let mm = node_of_op (C.matmul [| 2; 3 |] [| 3; 4 |]) [ p0; p1 ] in
-  let r = node_of_op (C.relu [| 2; 4 |]) [ mm ] in
-  let s = node_of_op (C.sum_all [| 2; 4 |]) [ r ] in
+  let mm = Hlo.op (C.matmul [| 2; 3 |] [| 3; 4 |]) [ p0; p1 ] in
+  let r = Hlo.op (C.relu [| 2; 4 |]) [ mm ] in
+  let s = Hlo.op (C.sum_all [| 2; 4 |]) [ r ] in
   let g = Hlo.graph_of_outputs [ s ] in
   Alcotest.(check int) "no findings" 0 (List.length (HC.check_graph g))
 
@@ -303,11 +295,7 @@ let test_hlo_shape_mismatch () =
   let p0 = Hlo.param ~index:0 ~shape:[| 2; 3 |] in
   let p1 = Hlo.param ~index:1 ~shape:[| 3; 4 |] in
   let bad =
-    Hlo.op ~name:"matmul" ~shape:[| 4; 2 |]
-      ~info:(S4o_device.Op_info.matmul ~m:2 ~k:3 ~n:4)
-      ~inputs:[ p0; p1 ]
-      ~kernel:(fun args -> args.(0))
-      ()
+    { (Hlo.op (C.matmul [| 2; 3 |] [| 3; 4 |]) [ p0; p1 ]) with Hlo.shape = [| 4; 2 |] }
   in
   let errs = HC.errors (HC.check_graph (Hlo.graph_of_outputs [ bad ])) in
   Test_util.check_int "one shape error" 1 (List.length errs);
@@ -315,30 +303,10 @@ let test_hlo_shape_mismatch () =
 
 let test_hlo_arity_error () =
   let p0 = Hlo.param ~index:0 ~shape:[| 4 |] in
-  let bad =
-    Hlo.op ~name:"add" ~shape:[| 4 |]
-      ~info:(S4o_device.Op_info.elementwise "add" ~inputs:[ [| 4 |] ] ~output:[| 4 |] ())
-      ~inputs:[ p0 ]
-      ~kernel:(fun args -> args.(0))
-      ()
-  in
+  let bad = Hlo.op (C.add [| 4 |] [| 4 |]) [ p0 ] in
   let errs = HC.errors (HC.check_graph (Hlo.graph_of_outputs [ bad ])) in
   Test_util.check_int "one arity error" 1 (List.length errs);
   Test_util.check_string "rule" "arity" (List.hd errs).HC.rule
-
-let test_hlo_unknown_op_warns () =
-  let p0 = Hlo.param ~index:0 ~shape:[| 4 |] in
-  let n =
-    Hlo.op ~name:"my_custom_op" ~shape:[| 4 |]
-      ~info:(S4o_device.Op_info.elementwise "my_custom_op" ~inputs:[ [| 4 |] ] ~output:[| 4 |] ())
-      ~inputs:[ p0 ]
-      ~kernel:(fun args -> args.(0))
-      ()
-  in
-  let fs = HC.check_graph (Hlo.graph_of_outputs [ n ]) in
-  Test_util.check_int "no errors" 0 (List.length (HC.errors fs));
-  Test_util.check_true "unknown-op warning"
-    (List.exists (fun (f : HC.finding) -> f.rule = "unknown-op") fs)
 
 let test_hlo_conv_backward_consistency () =
   (* Consistent conv2d_backward_input: input 1x8x8x3, filter 3x3x3x8,
@@ -349,21 +317,18 @@ let test_hlo_conv_backward_consistency () =
     C.conv2d_backward_input ~padding:Convolution.Same
       ~input_shape:[| 1; 8; 8; 3 |] [| 3; 3; 3; 8 |] [| 1; 8; 8; 8 |]
   in
-  let good = node_of_op op [ filter; grad ] in
+  let good = Hlo.op op [ filter; grad ] in
   Test_util.check_int "consistent backward clean" 0
     (List.length (HC.errors (HC.check_graph (Hlo.graph_of_outputs [ good ]))));
   (* Same node but declaring the wrong input shape. *)
-  let bad =
-    Hlo.op ~name:op.C.name ~attrs:op.C.attrs ~shape:[| 1; 9; 8; 3 |]
-      ~info:op.C.info ~inputs:[ filter; grad ] ~kernel:op.C.kernel ()
-  in
+  let bad = { good with Hlo.shape = [| 1; 9; 8; 3 |] } in
   Test_util.check_true "inconsistent backward caught"
     (HC.errors (HC.check_graph (Hlo.graph_of_outputs [ bad ])) <> [])
 
 let test_hlo_duplicate_literal_lint () =
   let l1 = Hlo.literal (Dense.of_array [| 2 |] [| 1.0; 2.0 |]) in
   let l2 = Hlo.literal (Dense.of_array [| 2 |] [| 1.0; 2.0 |]) in
-  let s = node_of_op (C.add [| 2 |] [| 2 |]) [ l1; l2 ] in
+  let s = Hlo.op (C.add [| 2 |] [| 2 |]) [ l1; l2 ] in
   let fs = HC.check_graph (Hlo.graph_of_outputs [ s ]) in
   Test_util.check_true "dup literal linted"
     (List.exists (fun (f : HC.finding) -> f.rule = "dup-literal") fs);
@@ -377,8 +342,8 @@ let test_hlo_duplicate_literal_lint () =
 
 let test_hlo_dead_node_lint () =
   let p0 = Hlo.param ~index:0 ~shape:[| 4 |] in
-  let live = node_of_op (C.relu [| 4 |]) [ p0 ] in
-  let dead = node_of_op (C.neg [| 4 |]) [ p0 ] in
+  let live = Hlo.op (C.relu [| 4 |]) [ p0 ] in
+  let dead = Hlo.op (C.neg [| 4 |]) [ p0 ] in
   let g = { Hlo.outputs = [ live ]; nodes = [ p0; live; dead ] } in
   Test_util.check_true "dead node linted"
     (List.exists (fun (f : HC.finding) -> f.rule = "dead-node") (HC.check_graph g))
@@ -388,22 +353,22 @@ let test_hlo_param_density () =
      lints; a duplicate index is a hard error. *)
   let p0 = Hlo.param ~index:0 ~shape:[| 4 |] in
   let p2 = Hlo.param ~index:2 ~shape:[| 4 |] in
-  let s = node_of_op (C.add [| 4 |] [| 4 |]) [ p0; p2 ] in
+  let s = Hlo.op (C.add [| 4 |] [| 4 |]) [ p0; p2 ] in
   let fs = HC.check_graph (Hlo.graph_of_outputs [ s ]) in
   Test_util.check_int "gap is not fatal" 0 (List.length (HC.errors fs));
   Test_util.check_true "param gap linted"
     (List.exists (fun (f : HC.finding) -> f.rule = "param") fs);
   let d0 = Hlo.param ~index:0 ~shape:[| 4 |] in
   let d0' = Hlo.param ~index:0 ~shape:[| 4 |] in
-  let s' = node_of_op (C.add [| 4 |] [| 4 |]) [ d0; d0' ] in
+  let s' = Hlo.op (C.add [| 4 |] [| 4 |]) [ d0; d0' ] in
   Test_util.check_true "duplicate index is fatal"
     (HC.errors (HC.check_graph (Hlo.graph_of_outputs [ s' ]))
     |> List.exists (fun (f : HC.finding) -> f.rule = "param"))
 
 let test_hlo_pending_limit () =
   let p0 = Hlo.param ~index:0 ~shape:[| 4 |] in
-  let n1 = node_of_op (C.relu [| 4 |]) [ p0 ] in
-  let n2 = node_of_op (C.neg [| 4 |]) [ n1 ] in
+  let n1 = Hlo.op (C.relu [| 4 |]) [ p0 ] in
+  let n2 = Hlo.op (C.neg [| 4 |]) [ n1 ] in
   let g = Hlo.graph_of_outputs [ n2 ] in
   Test_util.check_true "region lint fires"
     (List.exists
@@ -416,7 +381,7 @@ let test_hazard_detector () =
   let hz = HC.Hazard.create ~threshold:3 () in
   let graph_at batch =
     let p = Hlo.param ~index:0 ~shape:[| batch; 4 |] in
-    Hlo.graph_of_outputs [ node_of_op (C.relu [| batch; 4 |]) [ p ] ]
+    Hlo.graph_of_outputs [ Hlo.op (C.relu [| batch; 4 |]) [ p ] ]
   in
   Test_util.check_int "first" 0 (List.length (HC.Hazard.observe hz (graph_at 1)));
   Test_util.check_int "repeat same shape" 0
@@ -443,7 +408,7 @@ let test_trace_cut_checked () =
 
 let test_report_json_roundtrip () =
   let p0 = Hlo.param ~index:0 ~shape:[| 4 |] in
-  let g = Hlo.graph_of_outputs [ node_of_op (C.relu [| 4 |]) [ p0 ] ] in
+  let g = Hlo.graph_of_outputs [ Hlo.op (C.relu [| 4 |]) [ p0 ] ] in
   let json =
     HC.report_to_json ~graph_name:"t" g (HC.check_graph g)
     |> S4o_obs.Json.to_string
@@ -815,7 +780,6 @@ let suite =
         tc "clean catalog graph" `Quick test_hlo_clean_catalog_graph;
         tc "shape mismatch" `Quick test_hlo_shape_mismatch;
         tc "arity error" `Quick test_hlo_arity_error;
-        tc "unknown op warns" `Quick test_hlo_unknown_op_warns;
         tc "conv backward consistency" `Quick test_hlo_conv_backward_consistency;
         tc "duplicate literal lint" `Quick test_hlo_duplicate_literal_lint;
         tc "dead node lint" `Quick test_hlo_dead_node_lint;

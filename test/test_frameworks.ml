@@ -9,19 +9,15 @@ module C = S4o_ops.Catalog
 
 (* A small conv-net-ish step graph shared by all tests. *)
 let step_graph () =
-  let node op inputs =
-    Hlo.op ~name:op.C.name ~attrs:op.C.attrs ~shape:op.C.out_shape
-      ~info:op.C.info ~inputs ~kernel:op.C.kernel ()
-  in
   let x = Hlo.param ~index:0 ~shape:[| 8; 16; 16; 3 |] in
   let f = Hlo.param ~index:1 ~shape:[| 3; 3; 3; 8 |] in
   let b = Hlo.param ~index:2 ~shape:[| 8 |] in
   let conv =
-    node (C.conv2d ~padding:S4o_tensor.Convolution.Same [| 8; 16; 16; 3 |] [| 3; 3; 3; 8 |]) [ x; f ]
+    Hlo.op (C.conv2d ~padding:S4o_tensor.Convolution.Same [| 8; 16; 16; 3 |] [| 3; 3; 3; 8 |]) [ x; f ]
   in
-  let biased = node (C.add [| 8; 16; 16; 8 |] [| 8 |]) [ conv; b ] in
-  let act = node (C.relu [| 8; 16; 16; 8 |]) [ biased ] in
-  let pooled = node (C.avg_pool2d ~size:(2, 2) ~stride:(2, 2) [| 8; 16; 16; 8 |]) [ act ] in
+  let biased = Hlo.op (C.add [| 8; 16; 16; 8 |] [| 8 |]) [ conv; b ] in
+  let act = Hlo.op (C.relu [| 8; 16; 16; 8 |]) [ biased ] in
+  let pooled = Hlo.op (C.avg_pool2d ~size:(2, 2) ~stride:(2, 2) [| 8; 16; 16; 8 |]) [ act ] in
   Hlo.graph_of_outputs [ pooled ]
 
 let gpu = Spec.gtx1080
@@ -82,13 +78,9 @@ let test_table3_orderings_hold () =
      the eager per-op dispatch dominates while lazy's cheaper tracing plus
      fusion wins. (On very small traces eager can actually win — the §3.1
      rationale for keeping the naive tensor around.) *)
-  let node op inputs =
-    Hlo.op ~name:op.C.name ~attrs:op.C.attrs ~shape:op.C.out_shape
-      ~info:op.C.info ~inputs ~kernel:op.C.kernel ()
-  in
   let x = ref (Hlo.param ~index:0 ~shape:[| 64 |]) in
   for _ = 1 to 60 do
-    x := node (C.relu [| 64 |]) [ !x ]
+    x := Hlo.op (C.relu [| 64 |]) [ !x ]
   done;
   let g = Hlo.graph_of_outputs [ !x ] in
   let time s = (Strategy.step_time s ~device:gpu ~graph:g).Strategy.step_seconds in

@@ -13,7 +13,7 @@ let rng = Prng.create 31
 let run (op : C.op) args =
   let out = op.C.kernel args in
   if not (Shape.equal (Dense.shape out) op.C.out_shape) then
-    Alcotest.failf "%s: declared shape %s, kernel produced %s" op.C.name
+    Alcotest.failf "%s: declared shape %s, kernel produced %s" (C.name op.C.kind)
       (Shape.to_string op.C.out_shape)
       (Shape.to_string (Dense.shape out));
   out
@@ -61,7 +61,50 @@ let test_unary_ops_match_dense () =
 let test_scale_attrs_distinguish_constants () =
   let a = C.scale 2.0 [| 4 |] in
   let b = C.scale 3.0 [| 4 |] in
-  Test_util.check_true "constants recorded in attrs" (a.C.attrs <> b.C.attrs)
+  Test_util.check_true "constants recorded in the kind" (not (C.equal a.C.kind b.C.kind));
+  Test_util.check_true "printed exactly"
+    (C.params_to_string (C.scale 1.0000001 [| 4 |]).C.kind
+    <> C.params_to_string (C.scale 1.0000004 [| 4 |]).C.kind);
+  (* Same trace shape, constants equal to six digits: the second force must
+     not reuse the first program. *)
+  let rt = S4o_lazy.Lazy_runtime.create (S4o_device.Engine.create S4o_device.Device_spec.gtx1080) in
+  let module L = S4o_lazy.Lazy_backend.Make (struct
+    let rt = rt
+  end) in
+  let x = Dense.of_array [| 1 |] [| 1000.0 |] in
+  let force c = Dense.item (L.to_dense (L.scale c (L.of_dense x))) in
+  Test_util.check_float ~eps:0.0 "first constant" (1000.0 *. 1.0000001) (force 1.0000001);
+  Test_util.check_float ~eps:0.0 "second constant" (1000.0 *. 1.0000004) (force 1.0000004)
+
+let test_malformed_shapes_raise () =
+  let shape_error name f =
+    match f () with
+    | _ -> Alcotest.failf "%s: accepted" name
+    | exception Shape.Shape_error _ -> ()
+  in
+  let padding = Convolution.Same in
+  shape_error "conv2d channel mismatch" (fun () ->
+      C.conv2d ~padding [| 1; 8; 8; 3 |] [| 3; 3; 4; 8 |]);
+  shape_error "conv2d rank" (fun () -> C.conv2d ~padding [| 8; 8; 3 |] [| 3; 3; 3; 8 |]);
+  shape_error "unbroadcast to a non-suffix" (fun () -> C.unbroadcast [| 4; 3 |] [| 5 |]);
+  shape_error "broadcast_to a smaller shape" (fun () -> C.broadcast_to [| 2; 3 |] [| 3 |]);
+  shape_error "backward input grad mismatch" (fun () ->
+      C.conv2d_backward_input ~padding ~input_shape:[| 1; 8; 8; 3 |] [| 3; 3; 3; 8 |]
+        [| 1; 9; 8; 8 |]);
+  shape_error "pool rank" (fun () -> C.avg_pool2d ~size:(2, 2) ~stride:(2, 2) [| 8; 8 |]);
+  shape_error "softmax rank" (fun () -> C.softmax [| 8 |]);
+  (* The lazy backend raises when the op is recorded, not at the next cut. *)
+  let rt = S4o_lazy.Lazy_runtime.create (S4o_device.Engine.create S4o_device.Device_spec.gtx1080) in
+  let module L = S4o_lazy.Lazy_backend.Make (struct
+    let rt = rt
+  end) in
+  let x = L.of_dense (Dense.zeros [| 1; 8; 8; 3 |]) in
+  let f = L.of_dense (Dense.zeros [| 3; 3; 4; 8 |]) in
+  shape_error "lazy conv2d at the call" (fun () -> L.conv2d ~padding x f);
+  shape_error "lazy unbroadcast at the call" (fun () ->
+      L.unbroadcast (L.of_dense (Dense.zeros [| 4; 3 |])) [| 5 |]);
+  Test_util.check_int "nothing was cut" 0
+    (S4o_lazy.Lazy_runtime.stats rt).S4o_obs.Stats.traces_cut
 
 let test_relu_grad_kernel () =
   let x = Dense.of_array [| 4 |] [| -1.0; 2.0; -3.0; 4.0 |] in
@@ -163,8 +206,8 @@ let test_cost_metadata_sane () =
   in
   List.iter
     (fun (op : C.op) ->
-      Test_util.check_true (op.C.name ^ " flops >= 0") (op.C.info.Op.flops >= 0);
-      Test_util.check_true (op.C.name ^ " bytes out > 0") (op.C.info.Op.bytes_out > 0))
+      Test_util.check_true (C.name op.C.kind ^ " flops >= 0") (op.C.info.Op.flops >= 0);
+      Test_util.check_true (C.name op.C.kind ^ " bytes out > 0") (op.C.info.Op.bytes_out > 0))
     ops
 
 let qcheck_elementwise_flops_scale_with_numel =
@@ -183,6 +226,7 @@ let suite =
         tc "binary broadcast shapes" `Quick test_binary_broadcast_shape;
         tc "unary ops match Dense" `Quick test_unary_ops_match_dense;
         tc "scale constants in attrs" `Quick test_scale_attrs_distinguish_constants;
+        tc "malformed shapes raise at the call" `Quick test_malformed_shapes_raise;
         tc "relu_grad kernel" `Quick test_relu_grad_kernel;
         tc "matmul" `Quick test_matmul_op;
         tc "conv2d and backwards" `Quick test_conv_op_and_backwards;

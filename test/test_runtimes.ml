@@ -58,15 +58,131 @@ let test_lazy_matches_naive () =
             (expr (module Bk) a b))
         [ 1; 2; 3; 4; 5 ])
 
+(* {1 Differential fuzzing}
+
+   A random program is a list of steps over a growing pool of values, which
+   starts as two [n x m] inputs and a [2x2x1x1] conv filter. A step is an op
+   code, two operand selectors (taken modulo the number of values that fit
+   the op) and a constant for [scale]/[add_scalar]. Each case runs a program,
+   then the same program with every constant moved to a near-equal one
+   ([c] to [Float.succ c], [1.0000001] to [1.0000004], [0.0] to [-0.0]) twice,
+   then with different input dims. Naive, eager and lazy with the program
+   cache on and off must agree bit for bit on every value; the eager and lazy
+   runtimes are shared by every program of every case, so a cache hit on a
+   near-equal program is exactly what this looks for. *)
+
+type program = { dims : int * int; seed : int; steps : (int * int * int * float) list }
+
+let run_program (type t) (module B : Backend_intf.S with type t = t) p =
+  let n, m = p.dims in
+  let rng = Random.State.make [| p.seed |] in
+  let input shape =
+    B.of_dense
+      (Dense.of_array shape
+         (Array.init (Shape.numel shape) (fun _ ->
+              match Random.State.int rng 8 with
+              | 0 -> 0.0
+              | 1 -> -0.0
+              | _ -> Random.State.float rng 4.0 -. 2.0)))
+  in
+  let vals = ref [ input [| n; m |]; input [| n; m |]; input [| 2; 2; 1; 1 |] ] in
+  (* Every caller's predicate admits at least one value: [a] itself, or the
+     input filter. *)
+  let pick sel ok =
+    let fits = List.filter (fun v -> ok (B.shape v)) !vals in
+    List.nth fits (sel mod List.length fits)
+  in
+  let step (code, s1, s2, c) =
+    let a = pick s1 (fun _ -> true) in
+    let sa = B.shape a in
+    let same () = pick s2 (Shape.equal sa) in
+    let nhwc () = B.reshape a [| 1; sa.(0); sa.(1); 1 |] in
+    let flat x = B.reshape x [| sa.(0) - 1; sa.(1) - 1 |] in
+    let rank = Shape.rank sa in
+    let padding = if s2 mod 2 = 0 then Convolution.Same else Convolution.Valid in
+    match code with
+    | 0 | 1 | 2 | 3 | 4 ->
+        let b = pick s2 (Shape.broadcastable sa) in
+        [| B.add; B.sub; B.mul; B.div; B.relu_grad |].(code) a b
+    | 5 -> B.scale c a
+    | 6 -> B.add_scalar c a
+    | 7 -> [| B.neg; B.exp; B.log; B.sqrt; B.relu; B.sigmoid; B.tanh |].(s2 mod 7) a
+    | 8 when rank = 2 -> if s2 mod 2 = 0 then B.softmax a else B.log_softmax a
+    | 9 -> if rank = 1 then B.reshape a [| 1; sa.(0) |] else B.reshape a [| Shape.numel sa |]
+    | 10 when rank = 2 -> B.transpose a
+    | 10 when rank = 3 -> B.batch_transpose a
+    | 11 when rank >= 1 -> B.sum_axes ~keep_dims:(s2 mod 2 = 0) a [ s2 mod rank ]
+    | 12 -> if s2 mod 2 = 0 then B.sum_all a else B.mean_all a
+    | 13 when rank < 3 -> B.broadcast_to a (Array.append [| 2 |] sa)
+    | 14 when rank >= 2 -> B.unbroadcast a (Array.sub sa 1 (rank - 1))
+    | 15 when rank = 2 -> B.matmul a (B.transpose (same ()))
+    | 15 when rank = 3 -> B.batch_matmul a (B.batch_transpose (same ()))
+    | 16 when rank = 2 && (padding = Same || (sa.(0) >= 2 && sa.(1) >= 2)) ->
+        let f = pick s1 (Shape.equal [| 2; 2; 1; 1 |]) in
+        let y = B.conv2d ~padding (nhwc ()) f in
+        let sy = B.shape y in
+        B.reshape y [| sy.(1); sy.(2) |]
+    | 17 when rank = 2 ->
+        let f = pick s1 (Shape.equal [| 2; 2; 1; 1 |]) in
+        let g = B.reshape (same ()) [| 1; sa.(0); sa.(1); 1 |] in
+        if s2 mod 2 = 0 then
+          B.reshape
+            (B.conv2d_backward_input ~padding:Same ~input_shape:(B.shape g) f g)
+            sa
+        else B.conv2d_backward_filter ~padding:Same ~filter_shape:[| 2; 2; 1; 1 |] (nhwc ()) g
+    | 18 when rank = 2 && sa.(0) >= 2 && sa.(1) >= 2 -> (
+        let x = nhwc () in
+        let size = (2, 2) and stride = (1, 1) in
+        let avg = B.avg_pool2d ~size ~stride x and mx = B.max_pool2d ~size ~stride x in
+        match s2 mod 4 with
+        | 0 -> flat avg
+        | 1 -> flat mx
+        | 2 -> B.reshape (B.avg_pool2d_backward ~size ~stride ~input_shape:(B.shape x) avg) sa
+        | _ -> B.reshape (B.max_pool2d_backward ~size ~stride x mx) sa)
+    | _ -> B.neg a
+  in
+  List.iter (fun st -> vals := !vals @ [ step st ]) p.steps;
+  List.map B.to_dense !vals
+
+let near_equal c =
+  if c = 0.0 then -.c
+  else if c = 1.0000001 then 1.0000004
+  else if c = 1.0000004 then 1.0000001
+  else Float.succ c
+
+let arb_program =
+  let open QCheck.Gen in
+  let const = oneof [ oneofl [ 0.0; -0.0; 1.0000001; 1.0000004 ]; float_range (-3.0) 3.0 ] in
+  let step = quad (int_bound 19) (int_bound 1000) (int_bound 1000) const in
+  let print p =
+    Printf.sprintf "dims %dx%d, seed %d: %s" (fst p.dims) (snd p.dims) p.seed
+      (String.concat "; "
+         (List.map (fun (op, s1, s2, c) -> Printf.sprintf "(%d %d %d %.17g)" op s1 s2 c) p.steps))
+  in
+  QCheck.make ~print
+    (map3
+       (fun n m (seed, steps) -> { dims = (n, m); seed; steps })
+       (int_range 1 4) (int_range 1 4)
+       (pair (int_bound 100_000) (list_size (int_range 1 12) step)))
+
 let qcheck_three_backends_agree =
-  Test_util.qtest ~count:40 "naive = eager = lazy on random inputs"
-    QCheck.(int_range 10 10_000)
-    (fun seed ->
-      let a, b = sample_inputs seed in
-      let naive = expr (module Naive_backend) a b in
-      let eager = with_eager (fun (module Bk) _ _ -> expr (module Bk) a b) in
-      let lzy = with_lazy (fun (module Bk) _ _ -> expr (module Bk) a b) in
-      Dense.equal naive eager && Dense.allclose ~rtol:1e-12 ~atol:1e-12 naive lzy)
+  let eager = with_eager (fun bk _ _ -> bk) in
+  let lazy_cached = with_lazy (fun bk _ _ -> bk) in
+  let lazy_uncached = with_lazy ~cache_enabled:false (fun bk _ _ -> bk) in
+  Test_util.qtest ~count:300 "naive = eager = lazy on random programs" arb_program
+    (fun p ->
+      let nudged p =
+        { p with steps = List.map (fun (o, a, b, c) -> (o, a, b, near_equal c)) p.steps }
+      in
+      let n, m = p.dims in
+      List.for_all
+        (fun p ->
+          let naive = run_program (module Naive_backend) p in
+          List.for_all
+            (fun (module Bk : Backend_intf.S) ->
+              List.for_all2 Dense.bit_equal naive (run_program (module Bk) p))
+            [ eager; lazy_cached; lazy_uncached ])
+        [ p; nudged p; nudged (nudged p); { p with dims = (m + 1, n) } ])
 
 (* {1 Eager runtime behaviour} *)
 

@@ -407,7 +407,14 @@ let test_max_pool () =
       (D.of_array [| 1; 1; 1; 1 |] [| 5.0 |]) in
   Test_util.check_tensor "max pool backward routes to argmax"
     (D.of_array [| 1; 2; 2; 1 |] [| 0.; 5.; 0.; 0. |])
-    back
+    back;
+  (* No element beats -inf: the gradient lands on the window's first
+     element, inside the window. *)
+  let x = D.of_array [| 1; 2; 2; 1 |] [| Float.nan; Float.nan; Float.neg_infinity; Float.nan |] in
+  let back = Convolution.max_pool2d_backward ~size:(1, 2) ~stride:(1, 2) x
+      (D.of_array [| 1; 2; 1; 1 |] [| 5.0; 6.0 |]) in
+  Alcotest.(check (array (float 0.0))) "all-NaN windows stay in bounds"
+    [| 5.; 0.; 6.; 0. |] (D.to_array back)
 
 let test_conv2d_flops () =
   (* [1;4;4;1] x [2;2;1;1] valid -> 3x3 output; 2*9*4 = 72 flops *)

@@ -8,17 +8,13 @@ module Opt = S4o_xla.Opt
 module Compiler = S4o_xla.Compiler
 module C = S4o_ops.Catalog
 
-let node_of_op (op : C.op) inputs =
-  Hlo.op ~name:op.C.name ~attrs:op.C.attrs ~shape:op.C.out_shape ~info:op.C.info
-    ~inputs ~kernel:op.C.kernel ()
-
 (* A small graph: (p0 + p1) * relu(p0 + p1), with the add shared. *)
 let build_shared_graph () =
   let p0 = Hlo.param ~index:0 ~shape:[| 4 |] in
   let p1 = Hlo.param ~index:1 ~shape:[| 4 |] in
-  let sum = node_of_op (C.add [| 4 |] [| 4 |]) [ p0; p1 ] in
-  let r = node_of_op (C.relu [| 4 |]) [ sum ] in
-  let out = node_of_op (C.mul [| 4 |] [| 4 |]) [ sum; r ] in
+  let sum = Hlo.op (C.add [| 4 |] [| 4 |]) [ p0; p1 ] in
+  let r = Hlo.op (C.relu [| 4 |]) [ sum ] in
+  let out = Hlo.op (C.mul [| 4 |] [| 4 |]) [ sum; r ] in
   Hlo.graph_of_outputs [ out ]
 
 (* {1 Graph structure} *)
@@ -51,15 +47,27 @@ let test_fingerprint_id_invariant () =
 let test_fingerprint_sensitive_to_attrs () =
   let build c =
     let p = Hlo.param ~index:0 ~shape:[| 4 |] in
-    Hlo.graph_of_outputs [ node_of_op (C.scale c [| 4 |]) [ p ] ]
+    Hlo.graph_of_outputs [ Hlo.op (C.scale c [| 4 |]) [ p ] ]
   in
   Test_util.check_true "different constant, different fingerprint"
-    (Hlo.fingerprint (build 1.0) <> Hlo.fingerprint (build 2.0))
+    (Hlo.fingerprint (build 1.0) <> Hlo.fingerprint (build 2.0));
+  (* Constants that agree to six digits, or only in the sign of zero, are
+     different programs. *)
+  let distinct c c' = not (Hlo.equal_key (Hlo.key (build c)) (Hlo.key (build c'))) in
+  Test_util.check_true "near-equal constants, different keys" (distinct 1.0000001 1.0000004);
+  Test_util.check_true "0.0 and -0.0, different keys" (distinct 0.0 (-0.0));
+  Test_util.check_true "same constant, equal keys" (not (distinct 1.5 1.5));
+  (* CSE keeps both scales of one input. *)
+  let p = Hlo.param ~index:0 ~shape:[| 4 |] in
+  let s1 = Hlo.op (C.scale 1.0000001 [| 4 |]) [ p ] in
+  let s2 = Hlo.op (C.scale 1.0000004 [| 4 |]) [ p ] in
+  let g, _ = Opt.optimize (Hlo.graph_of_outputs [ Hlo.op (C.add [| 4 |] [| 4 |]) [ s1; s2 ] ]) in
+  Test_util.check_int "both scales survive optimize" 4 (Hlo.size g)
 
 let test_fingerprint_sensitive_to_shape () =
   let build n =
     let p = Hlo.param ~index:0 ~shape:[| n |] in
-    Hlo.graph_of_outputs [ node_of_op (C.relu [| n |]) [ p ] ]
+    Hlo.graph_of_outputs [ Hlo.op (C.relu [| n |]) [ p ] ]
   in
   Test_util.check_true "shape change recompiles (S3.4)"
     (Hlo.fingerprint (build 4) <> Hlo.fingerprint (build 8))
@@ -76,9 +84,9 @@ let test_dot_rendering () =
 
 let test_cse_merges_duplicates () =
   let p0 = Hlo.param ~index:0 ~shape:[| 4 |] in
-  let a1 = node_of_op (C.relu [| 4 |]) [ p0 ] in
-  let a2 = node_of_op (C.relu [| 4 |]) [ p0 ] in
-  let out = node_of_op (C.add [| 4 |] [| 4 |]) [ a1; a2 ] in
+  let a1 = Hlo.op (C.relu [| 4 |]) [ p0 ] in
+  let a2 = Hlo.op (C.relu [| 4 |]) [ p0 ] in
+  let out = Hlo.op (C.add [| 4 |] [| 4 |]) [ a1; a2 ] in
   let g = Hlo.graph_of_outputs [ out ] in
   Test_util.check_int "before" 4 (Hlo.size g);
   let g' = Opt.cse g in
@@ -87,9 +95,9 @@ let test_cse_merges_duplicates () =
 let test_constant_folding () =
   let l1 = Hlo.literal (Dense.of_array [| 2 |] [| 1.0; 2.0 |]) in
   let l2 = Hlo.literal (Dense.of_array [| 2 |] [| 10.0; 20.0 |]) in
-  let s = node_of_op (C.add [| 2 |] [| 2 |]) [ l1; l2 ] in
+  let s = Hlo.op (C.add [| 2 |] [| 2 |]) [ l1; l2 ] in
   let p = Hlo.param ~index:0 ~shape:[| 2 |] in
-  let out = node_of_op (C.mul [| 2 |] [| 2 |]) [ s; p ] in
+  let out = Hlo.op (C.mul [| 2 |] [| 2 |]) [ s; p ] in
   let g = Opt.constant_fold (Hlo.graph_of_outputs [ out ]) in
   let folded =
     List.exists
@@ -118,10 +126,10 @@ let test_fusion_chains () =
   let f = Hlo.param ~index:1 ~shape:[| 3; 3; 3; 4 |] in
   let b = Hlo.param ~index:2 ~shape:[| 4 |] in
   let conv =
-    node_of_op (C.conv2d ~padding:Convolution.Same [| 1; 8; 8; 3 |] [| 3; 3; 3; 4 |]) [ x; f ]
+    Hlo.op (C.conv2d ~padding:Convolution.Same [| 1; 8; 8; 3 |] [| 3; 3; 3; 4 |]) [ x; f ]
   in
-  let biased = node_of_op (C.add [| 1; 8; 8; 4 |] [| 4 |]) [ conv; b ] in
-  let act = node_of_op (C.relu [| 1; 8; 8; 4 |]) [ biased ] in
+  let biased = Hlo.op (C.add [| 1; 8; 8; 4 |] [| 4 |]) [ conv; b ] in
+  let act = Hlo.op (C.relu [| 1; 8; 8; 4 |]) [ biased ] in
   let g = Hlo.graph_of_outputs [ act ] in
   let clusters = Opt.fuse g in
   Test_util.check_int "single fused kernel" 1 (List.length clusters);
@@ -138,16 +146,16 @@ let test_fusion_two_contractions_not_merged () =
   let x = Hlo.param ~index:0 ~shape:[| 4; 4 |] in
   let w1 = Hlo.param ~index:1 ~shape:[| 4; 4 |] in
   let w2 = Hlo.param ~index:2 ~shape:[| 4; 4 |] in
-  let m1 = node_of_op (C.matmul [| 4; 4 |] [| 4; 4 |]) [ x; w1 ] in
-  let m2 = node_of_op (C.matmul [| 4; 4 |] [| 4; 4 |]) [ m1; w2 ] in
+  let m1 = Hlo.op (C.matmul [| 4; 4 |] [| 4; 4 |]) [ x; w1 ] in
+  let m2 = Hlo.op (C.matmul [| 4; 4 |] [| 4; 4 |]) [ m1; w2 ] in
   let g = Hlo.graph_of_outputs [ m2 ] in
   Test_util.check_int "two clusters" 2 (List.length (Opt.fuse g))
 
 let test_fusion_saves_memory_traffic () =
   let x = Hlo.param ~index:0 ~shape:[| 1024 |] in
-  let a = node_of_op (C.relu [| 1024 |]) [ x ] in
-  let b = node_of_op (C.exp [| 1024 |]) [ a ] in
-  let c = node_of_op (C.sqrt [| 1024 |]) [ b ] in
+  let a = Hlo.op (C.relu [| 1024 |]) [ x ] in
+  let b = Hlo.op (C.exp [| 1024 |]) [ a ] in
+  let c = Hlo.op (C.sqrt [| 1024 |]) [ b ] in
   let g = Hlo.graph_of_outputs [ c ] in
   let clusters = Opt.fuse g in
   Test_util.check_int "one cluster" 1 (List.length clusters);
@@ -174,7 +182,7 @@ let test_fusion_partitions_compute_nodes () =
       List.filter_map
         (fun n ->
           match n.Hlo.role with
-          | Hlo.Compute -> Some n.Hlo.id
+          | Hlo.Compute _ -> Some n.Hlo.id
           | Hlo.Param _ | Hlo.Literal _ -> None)
         g.Hlo.nodes
       |> List.sort compare
@@ -186,14 +194,14 @@ let test_fusion_partitions_compute_nodes () =
   let x = Hlo.param ~index:0 ~shape:[| 2; 2 |] in
   let w = Hlo.param ~index:1 ~shape:[| 2; 2 |] in
   let lit = Hlo.literal (Dense.ones [| 2; 2 |]) in
-  let m = node_of_op (C.matmul [| 2; 2 |] [| 2; 2 |]) [ x; w ] in
-  let r = node_of_op (C.relu [| 2; 2 |]) [ m ] in
-  let skip = node_of_op (C.add [| 2; 2 |] [| 2; 2 |]) [ x; lit ] in
-  let out = node_of_op (C.add [| 2; 2 |] [| 2; 2 |]) [ r; skip ] in
+  let m = Hlo.op (C.matmul [| 2; 2 |] [| 2; 2 |]) [ x; w ] in
+  let r = Hlo.op (C.relu [| 2; 2 |]) [ m ] in
+  let skip = Hlo.op (C.add [| 2; 2 |] [| 2; 2 |]) [ x; lit ] in
+  let out = Hlo.op (C.add [| 2; 2 |] [| 2; 2 |]) [ r; skip ] in
   check_partition (Hlo.graph_of_outputs [ out ]);
   (* contraction-heavy chain *)
-  let m1 = node_of_op (C.matmul [| 2; 2 |] [| 2; 2 |]) [ x; w ] in
-  let m2 = node_of_op (C.matmul [| 2; 2 |] [| 2; 2 |]) [ m1; w ] in
+  let m1 = Hlo.op (C.matmul [| 2; 2 |] [| 2; 2 |]) [ x; w ] in
+  let m2 = Hlo.op (C.matmul [| 2; 2 |] [| 2; 2 |]) [ m1; w ] in
   check_partition (Hlo.graph_of_outputs [ m2 ])
 
 let test_fusion_schedulable_in_order () =
@@ -201,10 +209,10 @@ let test_fusion_schedulable_in_order () =
      cluster order must produce correct values (acyclicity regression test) *)
   let x = Hlo.param ~index:0 ~shape:[| 2; 2 |] in
   let w = Hlo.param ~index:1 ~shape:[| 2; 2 |] in
-  let m = node_of_op (C.matmul [| 2; 2 |] [| 2; 2 |]) [ x; w ] in
-  let r = node_of_op (C.relu [| 2; 2 |]) [ m ] in
-  let skip = node_of_op (C.scale 2.0 [| 2; 2 |]) [ x ] in
-  let out = node_of_op (C.add [| 2; 2 |] [| 2; 2 |]) [ r; skip ] in
+  let m = Hlo.op (C.matmul [| 2; 2 |] [| 2; 2 |]) [ x; w ] in
+  let r = Hlo.op (C.relu [| 2; 2 |]) [ m ] in
+  let skip = Hlo.op (C.scale 2.0 [| 2; 2 |]) [ x ] in
+  let out = Hlo.op (C.add [| 2; 2 |] [| 2; 2 |]) [ r; skip ] in
   let g = Hlo.graph_of_outputs [ out ] in
   let engine = S4o_device.Engine.create S4o_device.Device_spec.desktop_cpu in
   let xs = Dense.of_array [| 2; 2 |] [| 1.; 2.; 3.; 4. |] in
@@ -272,7 +280,7 @@ let test_peak_memory_donation () =
      one w-sized buffer at the peak *)
   let w = Hlo.param ~index:0 ~shape:[| 1024 |] in
   let gpar = Hlo.param ~index:1 ~shape:[| 1024 |] in
-  let upd = node_of_op (C.sub [| 1024 |] [| 1024 |]) [ w; gpar ] in
+  let upd = Hlo.op (C.sub [| 1024 |] [| 1024 |]) [ w; gpar ] in
   let exe = Compiler.compile (Hlo.graph_of_outputs [ upd ]) in
   let plain = Compiler.peak_memory exe in
   let donated = Compiler.peak_memory ~donated:[ 0 ] exe in
@@ -293,10 +301,10 @@ let qcheck_compiled_equals_direct =
         let pick () = List.nth !nodes (Prng.int rng (List.length !nodes)) in
         let next =
           match Prng.int rng 4 with
-          | 0 -> node_of_op (C.add [| n |] [| n |]) [ pick (); pick () ]
-          | 1 -> node_of_op (C.mul [| n |] [| n |]) [ pick (); pick () ]
-          | 2 -> node_of_op (C.relu [| n |]) [ pick () ]
-          | _ -> node_of_op (C.tanh [| n |]) [ pick () ]
+          | 0 -> Hlo.op (C.add [| n |] [| n |]) [ pick (); pick () ]
+          | 1 -> Hlo.op (C.mul [| n |] [| n |]) [ pick (); pick () ]
+          | 2 -> Hlo.op (C.relu [| n |]) [ pick () ]
+          | _ -> Hlo.op (C.tanh [| n |]) [ pick () ]
         in
         nodes := next :: !nodes
       done;
@@ -315,7 +323,7 @@ let qcheck_compiled_equals_direct =
             | Hlo.Param 0 -> a
             | Hlo.Param _ -> b
             | Hlo.Literal v -> v
-            | Hlo.Compute ->
+            | Hlo.Compute _ ->
                 node.Hlo.kernel
                   (Array.of_list
                      (List.map
