@@ -407,6 +407,17 @@ let run_profile backend model_name epochs batch_size n lr seed trace_out
     Format.printf "%a%!" S4o_obs.Stats.pp stats;
     Printf.printf "\ntensor memory (off-heap):\n%!";
     Format.printf "%a%!" S4o_obs.Memory.pp mem;
+    let m = S4o_device.Engine.metrics engine in
+    (* Only the lazy runtime registers these ([Compiler.run]'s arena). *)
+    let counters = S4o_obs.Metrics.snapshot m in
+    (match
+       ( List.assoc_opt "xla.buffers_reused" counters,
+         List.assoc_opt "xla.buffers_fresh" counters )
+     with
+    | Some (S4o_obs.Metrics.Counter_v reused), Some (S4o_obs.Metrics.Counter_v fresh) ->
+        Printf.printf "  recycled in Compiler.run  %d of %d allocations\n" reused
+          (reused + fresh)
+    | _ -> ());
     Printf.printf "\ntrace analysis:\n%!";
     Format.printf "%a%!" S4o_obs.Analysis.pp report;
     let ps = S4o_tensor.Pool.stats () in
@@ -425,7 +436,6 @@ let run_profile backend model_name epochs batch_size n lr seed trace_out
     else Printf.printf "\ndomain pool: no parallel runs (workload too small)\n";
     (* Fold the memory and pool readouts into the engine's metrics registry
        so the Prometheus exposition carries the whole profile. *)
-    let m = S4o_device.Engine.metrics engine in
     let set_gauge name v = S4o_obs.Metrics.set (S4o_obs.Metrics.gauge m name) v in
     set_gauge "memory.tensor_live_bytes"
       (float_of_int (S4o_obs.Memory.live_bytes mem));

@@ -37,6 +37,8 @@ type t = {
   c_auto_cuts : Metrics.counter;
   c_hits : Metrics.counter;
   c_misses : Metrics.counter;
+  c_reused : Metrics.counter;  (* bumped by [Compiler.run] *)
+  c_fresh : Metrics.counter;
   trace_sizes : Metrics.histogram;  (* ops per cut trace *)
   compile_times : Metrics.histogram;  (* seconds per JIT invocation *)
   mutable ops_since_cut : int;
@@ -65,6 +67,8 @@ let create ?(trace_overhead_per_op = default_trace_overhead)
     c_auto_cuts = Metrics.counter m "lazy.auto_cuts";
     c_hits = Metrics.counter m "lazy.cache_hits";
     c_misses = Metrics.counter m "lazy.cache_misses";
+    c_reused = Metrics.counter m "xla.buffers_reused";
+    c_fresh = Metrics.counter m "xla.buffers_fresh";
     trace_sizes = Metrics.histogram m "lazy.trace_ops";
     compile_times = Metrics.histogram m "lazy.compile_seconds";
     ops_since_cut = 0;
@@ -155,6 +159,8 @@ let materialize t roots =
           | Trace.Pending -> assert false)
         leaves
     in
+    let reused0 = Metrics.counter_value t.c_reused
+    and fresh0 = Metrics.counter_value t.c_fresh in
     if List.for_all Option.is_some feeds then begin
       let outputs =
         S4o_xla.Compiler.run exe t.engine
@@ -169,8 +175,14 @@ let materialize t roots =
       S4o_xla.Compiler.simulate exe t.engine;
       List.iter (fun (r : Trace.node) -> r.Trace.state <- Trace.Simulated) roots
     end;
+    let delta c c0 = string_of_int (Metrics.counter_value c - c0) in
     Recorder.end_span rec_ outer
-      ~args:[ ("ops", string_of_int n_ops) ]
+      ~args:
+        [
+          ("ops", string_of_int n_ops);
+          ("buffers_reused", delta t.c_reused reused0);
+          ("buffers_fresh", delta t.c_fresh fresh0);
+        ]
       ~at:(Engine.host_time t.engine)
   end
 

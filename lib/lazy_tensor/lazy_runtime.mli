@@ -13,7 +13,11 @@
     Every materialize is recorded on the engine's {!S4o_obs.Recorder} as a
     host-track span enclosing the trace-record span, the compile span (cache
     misses only), and cache-hit/miss instants — so a Chrome-trace export
-    shows exactly where §3.4's re-tracing and JIT time goes. *)
+    shows exactly where §3.4's re-tracing and JIT time goes. The span's args
+    give the cut's op count and how many of the run's allocations were
+    served from recycled buffers ([buffers_reused]) or made fresh
+    ([buffers_fresh]); the engine's metrics registry accumulates the same
+    two numbers as [xla.buffers_reused] and [xla.buffers_fresh]. *)
 
 type t
 

@@ -14,7 +14,7 @@ let fail fmt = Format.kasprintf (fun s -> raise (Shape_error s)) fmt
    the free. The finaliser captures the tracker generation so a buffer
    that dies after [Memory.reset] is dropped instead of corrupting the
    next measurement's balance. *)
-let alloc n : buffer =
+let alloc_fresh n : buffer =
   let data = A.create Bigarray.float64 Bigarray.c_layout n in
   let mem = S4o_obs.Memory.global in
   if S4o_obs.Memory.enabled mem then begin
@@ -25,6 +25,52 @@ let alloc n : buffer =
     Gc.finalise (fun _ -> S4o_obs.Memory.free_gen mem ~gen ~tag bytes) data
   end;
   data
+
+(* Released buffers by element count, installed on one domain for one
+   scope ({!Arena.scoped}). Pool workers never see one: the key defaults
+   to [None]. *)
+type arena = {
+  free : (int, buffer list) Hashtbl.t;
+  mutable reused : int;
+  mutable fresh : int;
+}
+
+let arena_key : arena option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
+
+(* The single allocation hook: an exact-size buffer from this domain's
+   arena if one is installed and holds one, else a fresh buffer. A reused
+   buffer was charged to the tracker when first allocated, and its
+   finaliser credits the free when it finally dies. *)
+let alloc n : buffer =
+  match Domain.DLS.get arena_key with
+  | None -> alloc_fresh n
+  | Some a -> (
+      match Hashtbl.find_opt a.free n with
+      | Some (b :: rest) ->
+          Hashtbl.replace a.free n rest;
+          a.reused <- a.reused + 1;
+          b
+      | Some [] | None ->
+          a.fresh <- a.fresh + 1;
+          alloc_fresh n)
+
+module Arena = struct
+  type t = arena
+
+  let scoped f =
+    let a = { free = Hashtbl.create 16; reused = 0; fresh = 0 } in
+    let prev = Domain.DLS.get arena_key in
+    Domain.DLS.set arena_key (Some a);
+    Fun.protect ~finally:(fun () -> Domain.DLS.set arena_key prev) (fun () -> f a)
+
+  let release a t =
+    let n = A.dim t.data in
+    let rest = Option.value ~default:[] (Hashtbl.find_opt a.free n) in
+    Hashtbl.replace a.free n (t.data :: rest)
+
+  let reused a = a.reused
+  let fresh a = a.fresh
+end
 
 (* {1 Creation} *)
 

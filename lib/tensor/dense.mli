@@ -4,7 +4,11 @@
 
     The API has {e value semantics}: every operation returns a fresh tensor
     and never aliases the argument buffers, so distinct values access
-    logically disjoint data (§4). A small set of explicitly named
+    logically disjoint data (§4). The one exception is {!unbroadcast} to
+    the argument's own shape, which returns the argument itself. That is
+    harmless while neither value is mutated, but an executor that recycles
+    buffers must treat the result as an alias of the argument (their
+    {!unsafe_data} are physically equal). A small set of explicitly named
     [*_inplace] operations (plus {!blit}/{!fill}) mutate their first
     argument; they model Swift's [inout] unique borrow and must only be
     applied to values the caller uniquely owns (this is what the optimizer's
@@ -205,7 +209,9 @@ val flatten_to_2d : t -> t
 val broadcast_to : t -> Shape.t -> t
 
 (** [unbroadcast t shape] sums [t] back down to [shape] — the adjoint of
-    [broadcast_to], used by reverse-mode AD. *)
+    [broadcast_to], used by reverse-mode AD. When [shape] equals [t]'s
+    shape there is nothing to sum and the result is [t] itself, not a
+    copy: [unbroadcast t (shape t) == t]. *)
 val unbroadcast : t -> Shape.t -> t
 
 (** 2-D transpose. *)
@@ -241,6 +247,38 @@ val dot : t -> t -> float
 val softmax : t -> t
 
 val log_softmax : t -> t
+
+(** {1 Buffer arena}
+
+    Scoped buffer recycling for an executor that knows when each
+    intermediate dies ({!S4o_xla.Compiler.run}). While an arena is
+    installed on a domain, every allocation on that domain first takes a
+    released buffer with exactly the requested element count; results are
+    unchanged because every kernel writes each element of its output (or
+    starts from {!zeros}). Other domains, the pool workers among them,
+    keep allocating fresh. *)
+module Arena : sig
+  type tensor := t
+  type t
+
+  (** [scoped f] installs a fresh, empty arena on the calling domain for the
+      duration of [f arena], then restores the previous one (normally none)
+      whether [f] returns or raises. The arena and every buffer still in it
+      are dropped with it: nothing is kept across calls. *)
+  val scoped : (t -> 'a) -> 'a
+
+  (** [release arena v] hands [v]'s buffer back for reuse by a later
+      allocation. The caller guarantees that no live value reaches that
+      buffer any more — not [v], and no alias of it — and that it releases
+      each buffer at most once. *)
+  val release : t -> tensor -> unit
+
+  (** Allocations on the installing domain served from the arena. *)
+  val reused : t -> int
+
+  (** Allocations on the installing domain that found no buffer to reuse. *)
+  val fresh : t -> int
+end
 
 (** {1 Printing} *)
 

@@ -63,7 +63,11 @@ let test_lazy_matches_naive () =
    A random program is a list of steps over a growing pool of values, which
    starts as two [n x m] inputs and a [2x2x1x1] conv filter. A step is an op
    code, two operand selectors (taken modulo the number of values that fit
-   the op) and a constant for [scale]/[add_scalar]. Each case runs a program,
+   the op) and a constant for [scale]/[add_scalar]. Two codes exercise the
+   lazy executor's buffer aliasing: [unbroadcast] to the operand's own shape
+   (which returns its argument), and a cut, which materializes most values
+   so far in one trace — roots that share subexpressions and feed other
+   roots — before the program goes on. Each case runs a program,
    then the same program with every constant moved to a near-equal one
    ([c] to [Float.succ c], [1.0000001] to [1.0000004], [0.0] to [-0.0]) twice,
    then with different input dims. Naive, eager and lazy with the program
@@ -73,7 +77,15 @@ let test_lazy_matches_naive () =
 
 type program = { dims : int * int; seed : int; steps : (int * int * int * float) list }
 
-let run_program (type t) (module B : Backend_intf.S with type t = t) p =
+(* A backend plus the fuzzer's cut: one barrier over many values on lazy,
+   nothing on the backends that run each op as it comes. *)
+module type FUZZED = sig
+  include Backend_intf.S
+
+  val cut : t list -> unit
+end
+
+let run_program (type t) (module B : FUZZED with type t = t) p =
   let n, m = p.dims in
   let rng = Random.State.make [| p.seed |] in
   let input shape =
@@ -139,6 +151,12 @@ let run_program (type t) (module B : Backend_intf.S with type t = t) p =
         | 1 -> flat mx
         | 2 -> B.reshape (B.avg_pool2d_backward ~size ~stride ~input_shape:(B.shape x) avg) sa
         | _ -> B.reshape (B.max_pool2d_backward ~size ~stride x mx) sa)
+    | 19 -> B.unbroadcast a sa
+    | 20 ->
+        (* roughly a third of the values stay out of the cut, so the trace
+           has intermediates that die inside it next to roots *)
+        B.cut (List.filteri (fun i _ -> (i + s2) mod 3 <> 0) !vals);
+        B.unbroadcast a sa
     | _ -> B.neg a
   in
   List.iter (fun st -> vals := !vals @ [ step st ]) p.steps;
@@ -153,7 +171,7 @@ let near_equal c =
 let arb_program =
   let open QCheck.Gen in
   let const = oneof [ oneofl [ 0.0; -0.0; 1.0000001; 1.0000004 ]; float_range (-3.0) 3.0 ] in
-  let step = quad (int_bound 19) (int_bound 1000) (int_bound 1000) const in
+  let step = quad (int_bound 21) (int_bound 1000) (int_bound 1000) const in
   let print p =
     Printf.sprintf "dims %dx%d, seed %d: %s" (fst p.dims) (snd p.dims) p.seed
       (String.concat "; "
@@ -165,22 +183,41 @@ let arb_program =
        (int_range 1 4) (int_range 1 4)
        (pair (int_bound 100_000) (list_size (int_range 1 12) step)))
 
+let no_cut (module Bk : Backend_intf.S) =
+  (module struct
+    include Bk
+
+    let cut _ = ()
+  end : FUZZED)
+
+let lazy_fuzzed ?cache_enabled () =
+  let rt = S4o_lazy.Lazy_runtime.create ?cache_enabled (Engine.create Spec.gtx1080) in
+  let module Bk = S4o_lazy.Lazy_backend.Make (struct
+    let rt = rt
+  end) in
+  (module struct
+    include Bk
+
+    let cut = Bk.barrier
+  end : FUZZED)
+
 let qcheck_three_backends_agree =
-  let eager = with_eager (fun bk _ _ -> bk) in
-  let lazy_cached = with_lazy (fun bk _ _ -> bk) in
-  let lazy_uncached = with_lazy ~cache_enabled:false (fun bk _ _ -> bk) in
+  let naive = no_cut (module Naive_backend) in
+  let eager = with_eager (fun bk _ _ -> no_cut bk) in
+  let lazy_cached = lazy_fuzzed () in
+  let lazy_uncached = lazy_fuzzed ~cache_enabled:false () in
   Test_util.qtest ~count:300 "naive = eager = lazy on random programs" arb_program
     (fun p ->
       let nudged p =
         { p with steps = List.map (fun (o, a, b, c) -> (o, a, b, near_equal c)) p.steps }
       in
       let n, m = p.dims in
+      let run (module Bk : FUZZED) p = run_program (module Bk) p in
       List.for_all
         (fun p ->
-          let naive = run_program (module Naive_backend) p in
+          let expected = run naive p in
           List.for_all
-            (fun (module Bk : Backend_intf.S) ->
-              List.for_all2 Dense.bit_equal naive (run_program (module Bk) p))
+            (fun bk -> List.for_all2 Dense.bit_equal expected (run bk p))
             [ eager; lazy_cached; lazy_uncached ])
         [ p; nudged p; nudged (nudged p); { p with dims = (m + 1, n) } ])
 
@@ -331,6 +368,24 @@ let test_lazy_capture_is_free () =
   let st = S4o_lazy.Lazy_runtime.stats rt in
   Test_util.check_int "no trace consumed" 0 st.S4o_lazy.Lazy_runtime.traces_cut
 
+let test_lazy_reports_buffer_reuse () =
+  with_lazy (fun (module Bk) _ engine ->
+      (* neg^4: the third and fourth negs take the buffers of the first two *)
+      let x = Bk.of_dense (Dense.ones [| 64 |]) in
+      ignore (Bk.to_dense (Bk.neg (Bk.neg (Bk.neg (Bk.neg x)))));
+      let arg name =
+        List.find_map
+          (fun (s : S4o_obs.Recorder.span) ->
+            if s.name = "materialize" then List.assoc_opt name s.args else None)
+          (S4o_obs.Recorder.spans (Engine.recorder engine))
+      in
+      Test_util.check_true "span reuse arg" (arg "buffers_reused" = Some "2");
+      Test_util.check_true "span fresh arg" (arg "buffers_fresh" = Some "2");
+      let m = Engine.metrics engine in
+      let count name = S4o_obs.Metrics.counter_value (S4o_obs.Metrics.counter m name) in
+      Test_util.check_int "reuse counter" 2 (count "xla.buffers_reused");
+      Test_util.check_int "fresh counter" 2 (count "xla.buffers_fresh"))
+
 let suite =
   let tc = Alcotest.test_case in
   [
@@ -356,6 +411,7 @@ let suite =
         tc "barrier cuts the trace" `Quick test_lazy_barrier_cuts_trace;
         tc "timing-only placeholders" `Quick test_lazy_placeholder_timing_only;
         tc "capture charges nothing" `Quick test_lazy_capture_is_free;
+        tc "reports buffer reuse" `Quick test_lazy_reports_buffer_reuse;
       ] );
   ]
 

@@ -174,6 +174,46 @@ let test_dense_broadcast_to_unbroadcast () =
     (D.of_array [| 3 |] [| 4.; 8.; 12. |])
     (D.unbroadcast big [| 3 |])
 
+(* The one documented exception to "never aliases the argument": the
+   executor's buffer recycling treats this result as an alias. *)
+let test_dense_unbroadcast_same_shape_aliases () =
+  let t = D.of_array [| 2; 3 |] [| 1.; 2.; 3.; 4.; 5.; 6. |] in
+  Test_util.check_true "unbroadcast to own shape is the argument"
+    (D.unbroadcast t (D.shape t) == t);
+  Test_util.check_true "unbroadcast to a smaller shape is fresh"
+    (D.unsafe_data (D.unbroadcast t [| 3 |]) != D.unsafe_data t)
+
+let test_dense_arena_scoped_reuse () =
+  let fresh_after_scope released =
+    D.unsafe_data (D.zeros (D.shape released)) != D.unsafe_data released
+  in
+  let a = D.zeros [| 5 |] and ones = D.ones [| 5 |] in
+  let reused, fresh =
+    D.Arena.scoped (fun arena ->
+        D.Arena.release arena a;
+        let other_size = D.zeros [| 4 |] in
+        let b = D.ones [| 5 |] in
+        (* a worker domain sees no arena: its allocation is uncounted *)
+        Domain.join (Domain.spawn (fun () -> ignore (D.zeros [| 5 |])));
+        Test_util.check_true "same-size request served from the arena"
+          (D.unsafe_data b == D.unsafe_data a);
+        Test_util.check_true "other sizes allocate fresh"
+          (D.unsafe_data other_size != D.unsafe_data a);
+        Test_util.check_tensor "reused buffer rewritten" ones b;
+        (D.Arena.reused arena, D.Arena.fresh arena))
+  in
+  Test_util.check_int "one reuse" 1 reused;
+  Test_util.check_int "one fresh, on this domain only" 1 fresh;
+  let c = D.zeros [| 7 |] in
+  Test_util.check_raises_any "kernel failure propagates" (fun () ->
+      D.Arena.scoped (fun arena ->
+          D.Arena.release arena c;
+          failwith "kernel failed"));
+  Test_util.check_true "no arena after a raise" (fresh_after_scope c);
+  let d = D.zeros [| 6 |] in
+  D.Arena.scoped (fun arena -> D.Arena.release arena d);
+  Test_util.check_true "no arena after the scope" (fresh_after_scope d)
+
 let qcheck_unbroadcast_adjoint =
   (* <broadcast x, y> = <x, unbroadcast y> : the defining adjoint property *)
   Test_util.qtest ~count:100 "unbroadcast is the adjoint of broadcast_to"
@@ -465,6 +505,9 @@ let suite =
         tc "elementwise" `Quick test_dense_elementwise;
         tc "broadcasting binary ops" `Quick test_dense_broadcast_binary;
         tc "broadcast_to / unbroadcast" `Quick test_dense_broadcast_to_unbroadcast;
+        tc "unbroadcast to own shape aliases" `Quick
+          test_dense_unbroadcast_same_shape_aliases;
+        tc "arena reuses within its scope" `Quick test_dense_arena_scoped_reuse;
         tc "reductions" `Quick test_dense_reductions;
         tc "argmax rows" `Quick test_dense_argmax_rows;
         tc "reshape / transpose" `Quick test_dense_reshape_transpose;

@@ -286,6 +286,169 @@ let test_peak_memory_donation () =
   let donated = Compiler.peak_memory ~donated:[ 0 ] exe in
   Test_util.check_int "donation saves one buffer" (plain - 4096) donated
 
+let test_peak_memory_matches_plan () =
+  (* conv -> BatchNorm (batch statistics) -> relu: the plan's releases and
+     the estimate are one liveness analysis, so replaying the releases must
+     reproduce the estimate, and the bytes released must be every
+     intermediate except the outputs *)
+  let s = [| 2; 4; 4; 4 |] and axes = [ 0; 1; 2 ] in
+  let x = Hlo.param ~index:0 ~shape:[| 2; 4; 4; 3 |] in
+  let f = Hlo.param ~index:1 ~shape:[| 3; 3; 3; 4 |] in
+  let conv =
+    Hlo.op (C.conv2d ~padding:Convolution.Same [| 2; 4; 4; 3 |] [| 3; 3; 3; 4 |]) [ x; f ]
+  in
+  let mean_of t = Hlo.op (C.scale (1.0 /. 32.0) [| 4 |]) [ Hlo.op (C.sum_axes s axes) [ t ] ] in
+  let centered = Hlo.op (C.sub s [| 4 |]) [ conv; mean_of conv ] in
+  let var = mean_of (Hlo.op (C.mul s s) [ centered; centered ]) in
+  let std = Hlo.op (C.sqrt [| 4 |]) [ Hlo.op (C.add_scalar 1e-5 [| 4 |]) [ var ] ] in
+  let out = Hlo.op (C.relu s) [ Hlo.op (C.div s [| 4 |]) [ centered; std ] ] in
+  let exe = Compiler.compile (Hlo.graph_of_outputs [ out ]) in
+  let steps = Compiler.plan exe in
+  let bytes (st : Compiler.step) = S4o_device.Op_info.bytes_of_shape st.node.Hlo.shape in
+  let is_compute (st : Compiler.step) =
+    match st.node.Hlo.role with Hlo.Compute _ -> true | _ -> false
+  in
+  let released_at = Array.make (Array.length steps) [] in
+  Array.iteri
+    (fun k (st : Compiler.step) ->
+      Array.iter (fun j -> released_at.(j) <- k :: released_at.(j)) st.release)
+    steps;
+  Array.iteri
+    (fun k (st : Compiler.step) ->
+      Array.iter
+        (fun j ->
+          Test_util.check_true "operand computed earlier" (j < k);
+          Test_util.check_true "released after its last consumer"
+            (List.for_all (fun r -> r >= k) released_at.(j)))
+        st.operands;
+      let expected = if st.node.Hlo.id = out.Hlo.id then 0 else 1 in
+      Test_util.check_int "released once, outputs never" expected
+        (List.length released_at.(k)))
+    steps;
+  let resident = ref 0 and computed = ref 0 and released = ref 0 in
+  Array.iter
+    (fun (st : Compiler.step) ->
+      if is_compute st then computed := !computed + bytes st
+      else resident := !resident + bytes st)
+    steps;
+  let live = ref !resident and peak = ref !resident in
+  Array.iter
+    (fun (st : Compiler.step) ->
+      if is_compute st then begin
+        live := !live + bytes st;
+        peak := max !peak !live
+      end;
+      Array.iter
+        (fun j ->
+          if is_compute steps.(j) then begin
+            live := !live - bytes steps.(j);
+            released := !released + bytes steps.(j)
+          end)
+        st.release)
+    steps;
+  let out_bytes = S4o_device.Op_info.bytes_of_shape s in
+  Test_util.check_int "released bytes = intermediates" (!computed - out_bytes) !released;
+  Test_util.check_int "estimate = replayed releases" !peak (Compiler.peak_memory exe);
+  Test_util.check_true "intermediates die before the end"
+    (Compiler.peak_memory exe < !resident + !computed)
+
+(* {1 Buffer recycling inside [run]} *)
+
+(* Node-by-node evaluation with every buffer fresh: no plan, no arena. *)
+let eval_direct (g : Hlo.graph) feeds =
+  let values = Hashtbl.create 16 in
+  List.iter
+    (fun (node : Hlo.node) ->
+      let v =
+        match node.Hlo.role with
+        | Hlo.Param i -> feeds.(i)
+        | Hlo.Literal v -> v
+        | Hlo.Compute _ ->
+            node.Hlo.kernel
+              (Array.of_list
+                 (List.map (fun (i : Hlo.node) -> Hashtbl.find values i.Hlo.id) node.Hlo.inputs))
+      in
+      Hashtbl.replace values node.Hlo.id v)
+    g.Hlo.nodes;
+  List.map (fun (o : Hlo.node) -> Hashtbl.find values o.Hlo.id) g.Hlo.outputs
+
+let new_engine () = S4o_device.Engine.create S4o_device.Device_spec.desktop_cpu
+
+let check_bits name expected actual =
+  Test_util.check_int (name ^ ": output count") (List.length expected) (Array.length actual);
+  List.iteri
+    (fun i e ->
+      Test_util.check_true (Printf.sprintf "%s: output %d bit-identical" name i)
+        (Dense.bit_equal e actual.(i)))
+    expected
+
+(* Runs [g] on a fresh compile and checks it against direct evaluation. *)
+let check_run name g feeds =
+  check_bits name (eval_direct g feeds) (Compiler.run (Compiler.compile g) (new_engine ()) feeds)
+
+let sh = [| 3; 4 |]
+let param i = Hlo.param ~index:i ~shape:sh
+let feeds seed = Array.init 2 (fun i -> Dense.rand_normal (Prng.create ((10 * seed) + i)) sh)
+
+(* (a) An output that is [unbroadcast] of an intermediate to its own shape
+   shares that intermediate's buffer: the intermediate dies at once, and
+   the same-size nodes after it must not be handed the output's storage. *)
+let aliased_output_graph () =
+  let x = param 0 and y = param 1 in
+  let s = Hlo.op (C.add sh sh) [ x; y ] in
+  let u = Hlo.op (C.unbroadcast sh sh) [ s ] in
+  let t = Hlo.op (C.relu sh) [ Hlo.op (C.neg sh) [ Hlo.op (C.mul sh sh) [ u; y ] ] ] in
+  Hlo.graph_of_outputs [ u; Hlo.op (C.sub sh sh) [ t; x ] ]
+
+(* (b) An output that later nodes consume, next to intermediates that die. *)
+let output_consumed_graph () =
+  let x = param 0 and y = param 1 in
+  let r = Hlo.op (C.relu sh) [ Hlo.op (C.add sh sh) [ x; y ] ] in
+  let m = Hlo.op (C.mul sh sh) [ r; x ] in
+  let n = Hlo.op (C.neg sh) [ Hlo.op (C.tanh sh) [ m ] ] in
+  Hlo.graph_of_outputs [ r; n; Hlo.op (C.add sh sh) [ n; r ] ]
+
+let test_run_aliased_output () =
+  check_run "unbroadcast output" (aliased_output_graph ()) (feeds 1);
+  (* an output that merely aliases a feed *)
+  let x = param 0 in
+  let g = Hlo.graph_of_outputs [ Hlo.op (C.unbroadcast sh sh) [ x ]; Hlo.op (C.neg sh) [ x ] ] in
+  check_run "unbroadcast of a feed" g (feeds 2)
+
+let test_run_output_consumed () =
+  check_run "output consumed later" (output_consumed_graph ()) (feeds 3)
+
+(* (c) One executable, three runs: nothing a run returned may change under
+   a later run, and a repeated feed gives the same bits. *)
+let test_run_repeated_feeds () =
+  List.iter
+    (fun (name, g) ->
+      let exe = Compiler.compile g and engine = new_engine () in
+      let a = feeds 4 and b = feeds 5 in
+      let first = Compiler.run exe engine a in
+      let kept = Array.map Dense.copy first in
+      check_bits (name ^ ", second feeds") (eval_direct g b) (Compiler.run exe engine b);
+      let third = Compiler.run exe engine a in
+      check_bits (name ^ ", first run untouched") (Array.to_list kept) first;
+      check_bits (name ^ ", first feeds again") (Array.to_list kept) third;
+      check_bits (name ^ ", = fresh compile") (eval_direct g a) third)
+    [ ("aliased output", aliased_output_graph ()); ("consumed output", output_consumed_graph ()) ]
+
+let test_run_reuses_dead_buffers () =
+  (* neg^4 x: each neg's operand dies as it runs, so from the third neg on
+     every output takes the buffer freed two steps before *)
+  let x = Hlo.param ~index:0 ~shape:[| 64 |] in
+  let rec chain k n = if k = 0 then n else chain (k - 1) (Hlo.op (C.neg [| 64 |]) [ n ]) in
+  let exe = Compiler.compile (Hlo.graph_of_outputs [ chain 4 x ]) in
+  let engine = new_engine () in
+  let xv = Dense.rand_normal (Prng.create 7) [| 64 |] in
+  let out = (Compiler.run exe engine [| xv |]).(0) in
+  Test_util.check_true "value" (Dense.bit_equal xv out);
+  let m = S4o_device.Engine.metrics engine in
+  let count name = S4o_obs.Metrics.counter_value (S4o_obs.Metrics.counter m name) in
+  Test_util.check_int "reused" 2 (count "xla.buffers_reused");
+  Test_util.check_int "fresh" 2 (count "xla.buffers_fresh")
+
 let qcheck_compiled_equals_direct =
   (* random elementwise DAGs: the compiler pipeline must preserve semantics *)
   Test_util.qtest ~count:60 "compiled execution = reference evaluation"
@@ -314,25 +477,7 @@ let qcheck_compiled_equals_direct =
       let b = Dense.rand_normal rng [| n |] in
       let engine = S4o_device.Engine.create S4o_device.Device_spec.desktop_cpu in
       let compiled = (Compiler.run (Compiler.compile g) engine [| a; b |]).(0) in
-      (* direct reference evaluation over the same graph *)
-      let values = Hashtbl.create 16 in
-      List.iter
-        (fun (node : Hlo.node) ->
-          let v =
-            match node.Hlo.role with
-            | Hlo.Param 0 -> a
-            | Hlo.Param _ -> b
-            | Hlo.Literal v -> v
-            | Hlo.Compute _ ->
-                node.Hlo.kernel
-                  (Array.of_list
-                     (List.map
-                        (fun (i : Hlo.node) -> Hashtbl.find values i.Hlo.id)
-                        node.Hlo.inputs))
-          in
-          Hashtbl.replace values node.Hlo.id v)
-        g.Hlo.nodes;
-      Dense.equal compiled (Hashtbl.find values out.Hlo.id))
+      Dense.equal compiled (List.hd (eval_direct g [| a; b |])))
 
 let suite =
   let tc = Alcotest.test_case in
@@ -370,6 +515,11 @@ let suite =
         tc "estimated run time" `Quick test_estimated_run_time_positive;
         tc "feed arity checked" `Quick test_feed_arity_checked;
         tc "peak memory with donation" `Quick test_peak_memory_donation;
+        tc "peak memory replays the plan" `Quick test_peak_memory_matches_plan;
+        tc "run: unbroadcast output aliases" `Quick test_run_aliased_output;
+        tc "run: output consumed later" `Quick test_run_output_consumed;
+        tc "run: repeated feeds" `Quick test_run_repeated_feeds;
+        tc "run: reuses dead buffers" `Quick test_run_reuses_dead_buffers;
         qcheck_compiled_equals_direct;
       ] );
   ]
