@@ -1,10 +1,11 @@
 (** [bench kernels]: the repo's first {e real} (wall-clock, non-simulated)
     performance section. It measures the Bigarray kernel layer against the
     retained {!S4o_tensor.Reference} implementations — matmul GFLOP/s,
-    im2col conv2d vs the naive loop nest, fused elementwise vs the generic
-    stride walker, the channel-broadcast and leading-axis-sum plans that
-    BatchNorm runs, and matmul scaling over 1/2/4/8 domains — and with
-    [--json] writes [BENCH_kernels.json].
+    im2col conv2d vs the naive loop nest (one ResNet-block shape, plus the
+    LeNet conv1, resnet stem and backward-filter shapes models run), fused
+    elementwise vs the generic stride walker, the channel-broadcast and
+    leading-axis-sum plans that BatchNorm runs, and matmul scaling over
+    1/2/4/8 domains — and with [--json] writes [BENCH_kernels.json].
 
     Regression gating: [bench/kernels_baseline.json] stores the {e
     speedups} over the reference kernels measured at check-in time, not
@@ -166,6 +167,77 @@ let bench_conv ~quick ~min_time =
           ];
     };
   ]
+
+(* The conv kernels at shapes the shipped models run at batch 32: LeNet
+   conv1 (one input channel, 5-float patch spans), the resnet-tiny stem,
+   and backward-filter on a resnet-tiny 8->8 block conv. *)
+let bench_conv_shapes ~min_time =
+  let rng = S4o_tensor.Prng.create 47 in
+  let case ~key ~kernel ~ishape ~fshape ~padding =
+    let input = Dense.rand_normal rng ishape in
+    let filter = Dense.rand_normal rng fshape in
+    let grad =
+      Dense.rand_normal rng (Dense.shape (Convolution.conv2d ~padding input filter))
+    in
+    let ours, reference =
+      match kernel with
+      | `Forward ->
+          ( (fun () -> Convolution.conv2d ~domains:1 ~padding input filter),
+            fun () -> Reference.conv2d ~padding input filter )
+      | `Backward_filter ->
+          ( (fun () ->
+              Convolution.conv2d_backward_filter ~domains:1 ~padding
+                ~filter_shape:fshape input grad),
+            fun () ->
+              Reference.conv2d_backward_filter ~padding ~filter_shape:fshape input
+                grad )
+    in
+    let new_t = time_it ~min_time ~name:(key ^ "-im2col") ours in
+    let ref_t = time_it ~min_time ~name:(key ^ "-naive") reference in
+    let flops =
+      float_of_int (Convolution.conv2d_flops ~padding ~input:ishape fshape)
+    in
+    let dims d = String.concat ";" (Array.to_list (Array.map string_of_int d)) in
+    let shape_str = Printf.sprintf "[%s]x[%s]" (dims ishape) (dims fshape) in
+    let speedup = ref_t /. new_t in
+    ( [
+        key;
+        shape_str;
+        ms new_t;
+        ms ref_t;
+        Printf.sprintf "%.2f" (flops /. new_t /. 1e9);
+        Printf.sprintf "%.2fx" speedup;
+      ],
+      {
+        key;
+        speedup;
+        row =
+          Json.Obj
+            [
+              ("kernel", Json.Str key);
+              ("shape", Json.Str shape_str);
+              ("new_s", Json.Num new_t);
+              ("ref_s", Json.Num ref_t);
+              ("speedup", Json.Num speedup);
+            ];
+      } )
+  in
+  let rows =
+    [
+      case ~key:"conv2d_lenet_conv1" ~kernel:`Forward ~ishape:[| 32; 28; 28; 1 |]
+        ~fshape:[| 5; 5; 1; 6 |] ~padding:Convolution.Same;
+      case ~key:"conv2d_resnet_stem" ~kernel:`Forward ~ishape:[| 32; 32; 32; 3 |]
+        ~fshape:[| 3; 3; 3; 8 |] ~padding:Convolution.Same;
+      case ~key:"conv2d_backward_filter_resnet" ~kernel:`Backward_filter
+        ~ishape:[| 32; 32; 32; 8 |] ~fshape:[| 3; 3; 8; 8 |]
+        ~padding:Convolution.Same;
+    ]
+  in
+  Report.table
+    ~title:"Kernels 2b: conv kernels at model shapes (batch 32), vs naive loops"
+    ~headers:[ "kernel"; "shape"; "ours ms"; "naive ms"; "GFLOP/s"; "speedup" ]
+    ~rows:(List.map fst rows);
+  List.map snd rows
 
 (* -------------------------------------------------------- elementwise -- *)
 
@@ -366,7 +438,10 @@ let run ~quick ~json ~trace_out () =
   Printf.printf
     "\n== Kernel benchmarks (real wall-clock, not simulated time) ==\n%!";
   let matmul_results = bench_matmul ~quick ~min_time in
-  let conv_results = bench_conv ~quick ~min_time in
+  let conv_results =
+    let block = bench_conv ~quick ~min_time in
+    block @ bench_conv_shapes ~min_time
+  in
   let elt_results = bench_elementwise ~quick ~min_time in
   let broadcast_results = bench_broadcast ~min_time in
   let scaling_rows = bench_scaling ~quick ~min_time in

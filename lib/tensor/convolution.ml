@@ -63,66 +63,91 @@ let geom ~stride ~padding ~ishape ~kh ~kw =
 let is_pointwise g =
   g.kh = 1 && g.kw = 1 && g.sh = 1 && g.sw = 1 && g.ph = 0 && g.pw = 0
 
-(* Materialize the [n*oh*ow; kh*kw*cin] patch matrix. Rows are disjoint, so
-   the fill parallelizes over rows. The patch tensor starts uninitialized:
-   every element is written exactly once — image data as contiguous span
-   copies, out-of-image (padding) columns as explicit zero spans — which
-   saves a full pre-zeroing pass over the (large) patch matrix. *)
-let im2col ?domains g input =
-  let { n; h; w; cin; kh; kw; oh; ow; sh; sw; ph; pw } = g in
-  let rows = n * oh * ow in
+(* The output position [(b, oy, ox)] of patch row [r = (b*oh + oy)*ow + ox],
+   stepped row by row: one division per run of rows instead of four per
+   row, which for LeNet conv1 (25 floats a row) cost as much as the copy. *)
+type cursor = { mutable b : int; mutable oy : int; mutable ox : int }
+
+let cursor g r =
+  (* an empty output (oh*ow = 0) has no rows: only r = 0 can arrive *)
+  if r = 0 then { b = 0; oy = 0; ox = 0 }
+  else { b = r / (g.oh * g.ow); oy = r / g.ow mod g.oh; ox = r mod g.ow }
+
+let[@inline] advance g c =
+  c.ox <- c.ox + 1;
+  if c.ox = g.ow then begin
+    c.ox <- 0;
+    c.oy <- c.oy + 1;
+    if c.oy = g.oh then begin
+      c.oy <- 0;
+      c.b <- c.b + 1
+    end
+  end
+
+(* Span moves for im2col. A span is [kw*cin] floats or fewer (5 for LeNet
+   conv1), so a [Bigarray.Array1.sub] proxy per span would cost more than
+   the copy: these are plain loops. *)
+let[@inline] zero_span (pd : Dense.buffer) off len =
+  for i = off to off + len - 1 do
+    A.unsafe_set pd i 0.0
+  done
+
+let[@inline] copy_span (id : Dense.buffer) src (pd : Dense.buffer) dst len =
+  for i = 0 to len - 1 do
+    A.unsafe_set pd (dst + i) (A.unsafe_get id (src + i))
+  done
+
+(* Write patch rows [lo, hi) into [pd], row [r] at [(r - first) * cols].
+   Every element is written exactly once — image data as contiguous span
+   copies, out-of-image (padding) columns as explicit zero spans — so [pd]
+   may start uninitialized. *)
+let fill_patches g (id : Dense.buffer) (pd : Dense.buffer) ~first lo hi =
+  let { h; w; cin; kh; kw; sh; sw; ph; pw; _ } = g in
   let cols = kh * kw * cin in
+  let pos = cursor g lo in
+  for r = lo to hi - 1 do
+    let b = pos.b and oy = pos.oy and ox = pos.ox in
+    advance g pos;
+    let rbase = (r - first) * cols in
+    (* the in-image kx range: consecutive kx read consecutive input
+       columns at any stride, so it is one contiguous span of
+       (kx1-kx0)*cin floats on both sides, with zero fringes for the
+       padding columns *)
+    let ix0 = (ox * sw) - pw in
+    let kx0 = Int.min kw (Int.max 0 (-ix0)) in
+    let kx1 = Int.max kx0 (Int.min kw (w - ix0)) in
+    for ky = 0 to kh - 1 do
+      let iy = (oy * sh) + ky - ph in
+      let kbase = rbase + (ky * kw * cin) in
+      if iy < 0 || iy >= h then zero_span pd kbase (kw * cin)
+      else begin
+        zero_span pd kbase (kx0 * cin);
+        copy_span id
+          (((((b * h) + iy) * w) + ix0 + kx0) * cin)
+          pd
+          (kbase + (kx0 * cin))
+          ((kx1 - kx0) * cin);
+        zero_span pd (kbase + (kx1 * cin)) ((kw - kx1) * cin)
+      end
+    done
+  done
+
+(* Materialize the whole [n*oh*ow; kh*kw*cin] patch matrix (backward
+   filter reads it column-wise). Rows are disjoint, so the fill
+   parallelizes over rows. *)
+let im2col ?domains g input =
+  let rows = g.n * g.oh * g.ow in
+  let cols = g.kh * g.kw * g.cin in
   let patches =
     S4o_obs.Memory.with_tag S4o_obs.Memory.global "im2col" (fun () ->
         Dense.uninit [| rows; cols |])
   in
   let id = Dense.unsafe_data input and pd = Dense.unsafe_data patches in
-  let zero_span off len = if len > 0 then A.fill (A.sub pd off len) 0.0 in
-  let fill lo hi =
-    Sanitizer.note_write pd ~lo:(lo * cols) ~len:((hi - lo) * cols)
-      ~who:"im2col patch rows";
-    Sanitizer.note_read id ~lo:0 ~len:(A.dim id) ~who:"im2col input";
-    for r = lo to hi - 1 do
-      let ox = r mod ow in
-      let rest = r / ow in
-      let oy = rest mod oh in
-      let b = rest / oh in
-      let rbase = r * cols in
-      for ky = 0 to kh - 1 do
-        let iy = (oy * sh) + ky - ph in
-        let kbase = rbase + (ky * kw * cin) in
-        if iy < 0 || iy >= h then zero_span kbase (kw * cin)
-        else if sw = 1 then begin
-          (* Column stride 1: the in-bounds kx range reads a contiguous
-             input span and writes a contiguous patch span, so the whole
-             ky-row is one memcpy of up to kw*cin elements plus zero
-             fringes for the padding columns. *)
-          let kx0 = min kw (max 0 (pw - ox)) in
-          let kx1 = max kx0 (min kw (w + pw - ox)) in
-          zero_span kbase (kx0 * cin);
-          if kx1 > kx0 then begin
-            let len = (kx1 - kx0) * cin in
-            let src = ((((b * h) + iy) * w) + (ox + kx0 - pw)) * cin in
-            A.blit (A.sub id src len) (A.sub pd (kbase + (kx0 * cin)) len)
-          end;
-          zero_span (kbase + (kx1 * cin)) ((kw - kx1) * cin)
-        end
-        else
-          for kx = 0 to kw - 1 do
-            let ix = (ox * sw) + kx - pw in
-            let dst = kbase + (kx * cin) in
-            if ix >= 0 && ix < w then begin
-              let src = ((((b * h) + iy) * w) + ix) * cin in
-              for c = 0 to cin - 1 do
-                A.unsafe_set pd (dst + c) (A.unsafe_get id (src + c))
-              done
-            end
-            else zero_span dst cin
-          done
-      done
-    done
-  in
-  maybe_parallel ?domains ~work:(rows * cols) ~n:rows fill;
+  maybe_parallel ?domains ~work:(rows * cols) ~n:rows (fun lo hi ->
+      Sanitizer.note_write pd ~lo:(lo * cols) ~len:((hi - lo) * cols)
+        ~who:"im2col patch rows";
+      Sanitizer.note_read id ~lo:0 ~len:(A.dim id) ~who:"im2col input";
+      fill_patches g id pd ~first:0 lo hi);
   patches
 
 let conv2d ?domains ?(stride = (1, 1)) ~padding input filter =
@@ -135,17 +160,24 @@ let conv2d ?domains ?(stride = (1, 1)) ~padding input filter =
   let g = geom ~stride ~padding ~ishape ~kh ~kw in
   let rows = g.n * g.oh * g.ow in
   let cols = kh * kw * g.cin in
-  let patches =
-    if is_pointwise g then Dense.with_shape input [| rows; cols |]
-    else im2col ?domains g input
-  in
   let filter_mat = Dense.with_shape filter [| cols; cout |] in
-  let out = Dense.matmul ?domains patches filter_mat in
+  let out =
+    if is_pointwise g then
+      Dense.matmul ?domains (Dense.with_shape input [| rows; cols |]) filter_mat
+    else begin
+      (* im2col one cache-sized panel of patch rows at a time, straight
+         into the matmul: the patch matrix is never materialized *)
+      let id = Dense.unsafe_data input in
+      Dense.matmul_panels ?domains ~m:rows ~k:cols filter_mat
+        ~fill:(fun lo hi panel ->
+          Sanitizer.note_read id ~lo:0 ~len:(A.dim id) ~who:"im2col input";
+          fill_patches g id panel ~first:lo lo hi)
+    end
+  in
   Dense.with_shape out [| g.n; g.oh; g.ow; cout |]
 
-(* dL/dfilter = patches^T x grad: [cols; rows] x [rows; cout]. The explicit
-   transpose costs one pass but lets the blocked matmul kernel do the O(n^3)
-   part with good locality. *)
+(* dL/dfilter = patches^T x grad: [cols; rows] x [rows; cout], read
+   straight from [patches] by the transposed-operand matmul. *)
 let conv2d_backward_filter ?domains ?(stride = (1, 1)) ~padding ~filter_shape
     input grad =
   check_rank4 "conv2d_backward_filter input" input;
@@ -155,17 +187,25 @@ let conv2d_backward_filter ?domains ?(stride = (1, 1)) ~padding ~filter_shape
   let g = geom ~stride ~padding ~ishape ~kh ~kw in
   let rows = g.n * g.oh * g.ow in
   let cols = kh * kw * g.cin in
-  let patches =
-    if is_pointwise g then Dense.with_shape input [| rows; cols |]
-    else im2col ?domains g input
-  in
   let grad_mat = Dense.with_shape grad [| rows; cout |] in
-  let dfilter = Dense.matmul ?domains (Dense.transpose patches) grad_mat in
+  let dfilter =
+    if is_pointwise g then
+      Dense.matmul_tn ?domains (Dense.with_shape input [| rows; cols |]) grad_mat
+    else begin
+      let patches = im2col ?domains g input in
+      let d = Dense.matmul_tn ?domains patches grad_mat in
+      (* kernel scratch: back to the run's arena, if one is installed *)
+      Dense.Arena.recycle patches;
+      d
+    end
+  in
   Dense.with_shape dfilter filter_shape
 
 (* dL/dinput: dpatches = grad x filter^T, then col2im scatter-adds each
-   patch row back into the input image. Patch rows of one batch image
-   overlap in the input, so the scatter parallelizes over batches only. *)
+   patch row back into the input image. The dpatches rows arrive one
+   cache-sized panel at a time and are scattered at once, so the
+   [rows; cols] matrix is never materialized. Patch rows of one batch
+   image overlap in the input, so the work splits over batch images. *)
 let conv2d_backward_input ?domains ?(stride = (1, 1)) ~padding ~input_shape
     filter grad =
   check_rank4 "conv2d_backward_input grad" grad;
@@ -177,38 +217,38 @@ let conv2d_backward_input ?domains ?(stride = (1, 1)) ~padding ~input_shape
   let cols = kh * kw * cin in
   let grad_mat = Dense.with_shape grad [| rows; cout |] in
   let filter_t = Dense.transpose (Dense.with_shape filter [| cols; cout |]) in
-  let dpatches = Dense.matmul ?domains grad_mat filter_t in
   let dinput = Dense.zeros input_shape in
-  let dd = Dense.unsafe_data dinput and pd = Dense.unsafe_data dpatches in
-  let scatter blo bhi =
+  let dd = Dense.unsafe_data dinput in
+  let image = max 1 (oh * ow) in
+  let scatter lo hi (pd : Dense.buffer) =
+    let blo = lo / image and bhi = ((hi - 1) / image) + 1 in
     Sanitizer.note_write dd ~lo:(blo * h * w * cin)
       ~len:((bhi - blo) * h * w * cin) ~who:"col2im input batches";
-    Sanitizer.note_read pd ~lo:(blo * oh * ow * cols)
-      ~len:((bhi - blo) * oh * ow * cols) ~who:"col2im dpatches";
-    for b = blo to bhi - 1 do
-      for oy = 0 to oh - 1 do
-        for ox = 0 to ow - 1 do
-          let rbase = (((b * oh) + oy) * ow + ox) * cols in
-          for ky = 0 to kh - 1 do
-            let iy = (oy * sh) + ky - ph in
-            if iy >= 0 && iy < h then
-              for kx = 0 to kw - 1 do
-                let ix = (ox * sw) + kx - pw in
-                if ix >= 0 && ix < w then begin
-                  let dst = ((((b * h) + iy) * w) + ix) * cin in
-                  let src = rbase + (((ky * kw) + kx) * cin) in
-                  for c = 0 to cin - 1 do
-                    A.unsafe_set dd (dst + c)
-                      (A.unsafe_get dd (dst + c) +. A.unsafe_get pd (src + c))
-                  done
-                end
-              done
+    let pos = cursor g lo in
+    for r = lo to hi - 1 do
+      let b = pos.b and oy = pos.oy and ox = pos.ox in
+      advance g pos;
+      let rbase = (r - lo) * cols in
+      (* the same in-image kx span as im2col: within one patch row every
+         input element receives at most one addend, so adding the span in
+         one loop keeps each element's addition order *)
+      let ix0 = (ox * sw) - pw in
+      let kx0 = Int.min kw (Int.max 0 (-ix0)) in
+      let kx1 = Int.max kx0 (Int.min kw (w - ix0)) in
+      for ky = 0 to kh - 1 do
+        let iy = (oy * sh) + ky - ph in
+        if iy >= 0 && iy < h then begin
+          let dst = ((((b * h) + iy) * w) + ix0 + kx0) * cin in
+          let src = rbase + (((ky * kw) + kx0) * cin) in
+          for i = 0 to ((kx1 - kx0) * cin) - 1 do
+            A.unsafe_set dd (dst + i)
+              (A.unsafe_get dd (dst + i) +. A.unsafe_get pd (src + i))
           done
-        done
+        end
       done
     done
   in
-  maybe_parallel ?domains ~work:(rows * cols) ~n:n scatter;
+  Dense.matmul_consume ?domains ~grain:image ~consume:scatter grad_mat filter_t;
   dinput
 
 let pool_out_shape ishape (kh, kw) (sh, sw) =

@@ -54,6 +54,15 @@ let alloc n : buffer =
           a.fresh <- a.fresh + 1;
           alloc_fresh n)
 
+let release_buffer a (b : buffer) =
+  let n = A.dim b in
+  let rest = Option.value ~default:[] (Hashtbl.find_opt a.free n) in
+  Hashtbl.replace a.free n (b :: rest)
+
+(* Into this domain's arena, if one is installed. *)
+let recycle_buffer b =
+  match Domain.DLS.get arena_key with None -> () | Some a -> release_buffer a b
+
 module Arena = struct
   type t = arena
 
@@ -63,10 +72,8 @@ module Arena = struct
     Domain.DLS.set arena_key (Some a);
     Fun.protect ~finally:(fun () -> Domain.DLS.set arena_key prev) (fun () -> f a)
 
-  let release a t =
-    let n = A.dim t.data in
-    let rest = Option.value ~default:[] (Hashtbl.find_opt a.free n) in
-    Hashtbl.replace a.free n (t.data :: rest)
+  let release a t = release_buffer a t.data
+  let recycle t = recycle_buffer t.data
 
   let reused a = a.reused
   let fresh a = a.fresh
@@ -344,13 +351,22 @@ type binop =
   | Relu_grad
   | Fn of (float -> float -> float)
 
+(* [if x > 0.0 then y else 0.0] without a branch: the comparison compiles
+   to a [cmpsd] mask, which keeps or clears every bit of [y]. A cleared
+   [y] is +0.0, as the [if] form gives for [x] = -0.0, -inf or NaN. On
+   random-signed data the branch mispredicts half the time, which made
+   [relu] cost several times a [mul] over the same elements. *)
+let[@inline] where_pos x y =
+  let keep = Int64.neg (Int64.of_int (Bool.to_int (x > 0.0))) in
+  Int64.float_of_bits (Int64.logand (Int64.bits_of_float y) keep)
+
 let[@inline] eval op x y =
   match op with
   | Add -> x +. y
   | Sub -> x -. y
   | Mul -> x *. y
   | Div -> x /. y
-  | Relu_grad -> if x > 0.0 then y else 0.0
+  | Relu_grad -> where_pos x y
   | Fn f -> f x y
 
 (* For the walker, which takes a closure either way. *)
@@ -451,7 +467,7 @@ let relu t =
   let d = t.data in
   for i = 0 to n - 1 do
     let x = A.unsafe_get d i in
-    A.unsafe_set out i (if x > 0.0 then x else 0.0)
+    A.unsafe_set out i (where_pos x x)
   done;
   { shape = Array.copy t.shape; data = out }
 
@@ -688,14 +704,35 @@ let unbroadcast t target =
     reshape t target
   end
 
+(* Cache-tiled: a [transpose_tile]-square block of the source is read row
+   by row while its image in the output is written column by column, so
+   both sides stay within a few dozen cache lines per tile. A pure copy, so
+   bit-identical to the element-wise definition. *)
+let transpose_tile = 32
+
 let transpose t =
   if rank t <> 2 then
     fail "transpose: expected rank 2, got %s" (Shape.to_string t.shape);
   let m = t.shape.(0) and n = t.shape.(1) in
+  let out = alloc (m * n) in
   let d = t.data in
-  init_flat [| n; m |] (fun flat ->
-      let i = flat / m and j = flat mod m in
-      A.unsafe_get d ((j * n) + i))
+  let i0 = ref 0 in
+  while !i0 < m do
+    let i1 = min m (!i0 + transpose_tile) in
+    let j0 = ref 0 in
+    while !j0 < n do
+      let j1 = min n (!j0 + transpose_tile) in
+      for i = !i0 to i1 - 1 do
+        let src = i * n in
+        for j = !j0 to j1 - 1 do
+          A.unsafe_set out ((j * m) + i) (A.unsafe_get d (src + j))
+        done
+      done;
+      j0 := j1
+    done;
+    i0 := i1
+  done;
+  { shape = [| n; m |]; data = out }
 
 let permute t perm =
   let r = rank t in
@@ -766,16 +803,20 @@ let nc_block = 128
 
 (* Accumulate rows [lo, hi) of the product A[m,k] x B[k,n] into C.
    [ao]/[bo]/[co] are flat base offsets (batch_matmul reuses the kernel per
-   batch). C must be zeroed by the caller.
+   batch). A[i][p] is read at [ao + i*ars + p*acs]: [ars = k, acs = 1] for a
+   row-major A, [ars = 1, acs = m] to read the transpose of a row-major
+   [k; m] matrix in place ({!matmul_tn}). C must be zeroed by the caller.
 
    Determinism: for every output element the accumulation order is "kc
    blocks ascending, p ascending within the block" — a local accumulator
    per (element, block) is folded into C once per block. That order is the
    same in the 2x4 micro-kernel and in the edge loops, and is independent
-   of [lo]/[hi], so any row partition (any domain count) produces
-   bit-identical results. (B-panel packing below only rearranges where the
-   same values are read from; it does not touch that order.) *)
-let matmul_rows ~n ~k (da : buffer) ao (db : buffer) bo (dc : buffer) co lo hi =
+   of [lo]/[hi] and of A's strides, so any row partition (any domain count)
+   and either A layout produce bit-identical results. (B-panel packing
+   below only rearranges where the same values are read from; it does not
+   touch that order.) *)
+let[@inline] matmul_rows ~n ~k ~ars ~acs (da : buffer) ao (db : buffer) bo
+    (dc : buffer) co lo hi =
   (* Scratch for the packed B panel: full 4-column quads laid out so the
      micro-kernel reads 4 consecutive floats per p step (unit stride
      instead of a +n walk through B — each p then consumes half a cache
@@ -809,7 +850,8 @@ let matmul_rows ~n ~k (da : buffer) ao (db : buffer) bo (dc : buffer) co lo hi =
       let i = ref lo in
       (* 2x4 register micro-kernel *)
       while !i + 1 < hi do
-        let ia = ao + (!i * k) and ib = ao + ((!i + 1) * k) in
+        let ia = ao + (!i * ars) + (p0 * acs) in
+        let ib = ia + ars in
         let ca = co + (!i * n) and cb = co + ((!i + 1) * n) in
         let j = ref j0 in
         let q = ref 0 in
@@ -819,9 +861,9 @@ let matmul_rows ~n ~k (da : buffer) ao (db : buffer) bo (dc : buffer) co lo hi =
           let acc02 = ref 0.0 and acc03 = ref 0.0 in
           let acc10 = ref 0.0 and acc11 = ref 0.0 in
           let acc12 = ref 0.0 and acc13 = ref 0.0 in
-          (* strength-reduced cursors: +1 along the A rows, +4 through the
-             packed micro-panel *)
-          let ap = ref (ia + p0) and aq = ref (ib + p0) in
+          (* strength-reduced cursors: +acs along the A rows, +4 through
+             the packed micro-panel *)
+          let ap = ref ia and aq = ref ib in
           let bb = ref (!q * kl4) in
           for _p = p0 to p1 - 1 do
             let a0 = A.unsafe_get da !ap in
@@ -839,8 +881,8 @@ let matmul_rows ~n ~k (da : buffer) ao (db : buffer) bo (dc : buffer) co lo hi =
             acc11 := !acc11 +. (a1 *. b1);
             acc12 := !acc12 +. (a1 *. b2);
             acc13 := !acc13 +. (a1 *. b3);
-            incr ap;
-            incr aq;
+            ap := !ap + acs;
+            aq := !aq + acs;
             bb := bi + 4
           done;
           A.unsafe_set dc (ca + j') (A.unsafe_get dc (ca + j') +. !acc00);
@@ -860,8 +902,9 @@ let matmul_rows ~n ~k (da : buffer) ao (db : buffer) bo (dc : buffer) co lo hi =
           let acc0 = ref 0.0 and acc1 = ref 0.0 in
           for p = p0 to p1 - 1 do
             let b = A.unsafe_get db (bo + (p * n) + j') in
-            acc0 := !acc0 +. (A.unsafe_get da (ia + p) *. b);
-            acc1 := !acc1 +. (A.unsafe_get da (ib + p) *. b)
+            let o = (p - p0) * acs in
+            acc0 := !acc0 +. (A.unsafe_get da (ia + o) *. b);
+            acc1 := !acc1 +. (A.unsafe_get da (ib + o) *. b)
           done;
           A.unsafe_set dc (ca + j') (A.unsafe_get dc (ca + j') +. !acc0);
           A.unsafe_set dc (cb + j') (A.unsafe_get dc (cb + j') +. !acc1);
@@ -871,7 +914,7 @@ let matmul_rows ~n ~k (da : buffer) ao (db : buffer) bo (dc : buffer) co lo hi =
       done;
       (* row remainder *)
       if !i < hi then begin
-        let ia = ao + (!i * k) in
+        let ia = ao + (!i * ars) + (p0 * acs) in
         let ca = co + (!i * n) in
         let j = ref j0 in
         let q = ref 0 in
@@ -879,7 +922,7 @@ let matmul_rows ~n ~k (da : buffer) ao (db : buffer) bo (dc : buffer) co lo hi =
           let j' = !j in
           let acc0 = ref 0.0 and acc1 = ref 0.0 in
           let acc2 = ref 0.0 and acc3 = ref 0.0 in
-          let ap = ref (ia + p0) in
+          let ap = ref ia in
           let bb = ref (!q * kl4) in
           for _p = p0 to p1 - 1 do
             let a0 = A.unsafe_get da !ap in
@@ -888,7 +931,7 @@ let matmul_rows ~n ~k (da : buffer) ao (db : buffer) bo (dc : buffer) co lo hi =
             acc1 := !acc1 +. (a0 *. Array.unsafe_get pack (bi + 1));
             acc2 := !acc2 +. (a0 *. Array.unsafe_get pack (bi + 2));
             acc3 := !acc3 +. (a0 *. Array.unsafe_get pack (bi + 3));
-            incr ap;
+            ap := !ap + acs;
             bb := bi + 4
           done;
           A.unsafe_set dc (ca + j') (A.unsafe_get dc (ca + j') +. !acc0);
@@ -904,7 +947,8 @@ let matmul_rows ~n ~k (da : buffer) ao (db : buffer) bo (dc : buffer) co lo hi =
           for p = p0 to p1 - 1 do
             acc :=
               !acc
-              +. (A.unsafe_get da (ia + p) *. A.unsafe_get db (bo + (p * n) + j'))
+              +. A.unsafe_get da (ia + ((p - p0) * acs))
+                 *. A.unsafe_get db (bo + (p * n) + j')
           done;
           A.unsafe_set dc (ca + j') (A.unsafe_get dc (ca + j') +. !acc);
           incr j
@@ -915,28 +959,141 @@ let matmul_rows ~n ~k (da : buffer) ao (db : buffer) bo (dc : buffer) co lo hi =
     pp := p1
   done
 
-let matmul ?domains a b =
-  if rank a <> 2 || rank b <> 2 then
-    fail "matmul: expected rank-2 operands, got %s and %s"
-      (Shape.to_string a.shape) (Shape.to_string b.shape);
-  let m = a.shape.(0) and k = a.shape.(1) in
-  let k' = b.shape.(0) and n = b.shape.(1) in
-  if k <> k' then fail "matmul: inner dimensions %d and %d differ" k k';
-  let out =
-    S4o_obs.Memory.with_tag S4o_obs.Memory.global "matmul" (fun () ->
-        zeros [| m; n |])
-  in
-  let da = a.data and db = b.data and dc = out.data in
-  if m * n * k <= serial_cutoff then matmul_rows ~n ~k da 0 db 0 dc 0 0 m
+(* The row-major instance: with the literal [acs = 1] inlined, the A
+   cursors step by a constant, which keeps the micro-kernel's loop as tight
+   as a kernel without a column stride. *)
+let matmul_rows_nn ~n ~k da ao db bo dc co lo hi =
+  matmul_rows ~n ~k ~ars:k ~acs:1 da ao db bo dc co lo hi
+
+let product m n =
+  S4o_obs.Memory.with_tag S4o_obs.Memory.global "matmul" (fun () ->
+      zeros [| m; n |])
+
+(* Runs [rows lo hi] over [0, m): serially when [serial], else over the
+   pool, with [notes lo hi] declaring each job's accesses. *)
+let partition ?domains ~m ~serial ~notes rows =
+  if serial then rows 0 m
   else
     Pool.run ?domains ~n:m (fun lo hi ->
-        Sanitizer.note_write dc ~lo:(lo * n) ~len:((hi - lo) * n)
-          ~who:"matmul out rows";
-        Sanitizer.note_read da ~lo:(lo * k) ~len:((hi - lo) * k)
-          ~who:"matmul A rows";
-        Sanitizer.note_read db ~lo:0 ~len:(k * n) ~who:"matmul B";
-        matmul_rows ~n ~k da 0 db 0 dc 0 lo hi);
+        notes lo hi;
+        rows lo hi)
+
+(* C[m;n] = A[m;k] x B[k;n] with A read at [i*ars + p*acs]; the shared body
+   of {!matmul} and {!matmul_tn}. *)
+let matmul_strided ?domains ~m ~k ~ars ~acs a b =
+  let n = b.shape.(1) in
+  let out = product m n in
+  let da = a.data and db = b.data and dc = out.data in
+  let notes lo hi =
+    Sanitizer.note_write dc ~lo:(lo * n) ~len:((hi - lo) * n)
+      ~who:"matmul out rows";
+    (* A's rows [lo, hi) are a contiguous range only when row-major *)
+    if acs = 1 then
+      Sanitizer.note_read da ~lo:(lo * k) ~len:((hi - lo) * k)
+        ~who:"matmul A rows"
+    else Sanitizer.note_read da ~lo:0 ~len:(m * k) ~who:"matmul A columns";
+    Sanitizer.note_read db ~lo:0 ~len:(k * n) ~who:"matmul B"
+  in
+  let serial = m * n * k <= serial_cutoff in
+  partition ?domains ~m ~serial ~notes (fun lo hi ->
+      if acs = 1 then matmul_rows_nn ~n ~k da 0 db 0 dc 0 lo hi
+      else matmul_rows ~n ~k ~ars ~acs da 0 db 0 dc 0 lo hi);
   out
+
+(* Floats per A panel in {!matmul_panels}: 128 KB, so a panel stays in L2
+   while the micro-kernel sweeps it. One size for every [k] lets the
+   panels of a whole {!Arena.scoped} run share one buffer. *)
+let panel_floats = 16384
+
+(* Streamed products split over the pool only when every job gets at least
+   one whole panel. Below that a job is a few tens of microseconds of work,
+   and waiting for a second domain to be scheduled (a small LeNet conv at
+   batch 1 could stall for a millisecond on a loaded host) costs more than
+   the split saves. *)
+let panels_serial ~m ~panel_rows ~work =
+  work <= serial_cutoff || m < 2 * panel_rows
+
+let matmul_panels ?domains ~m ~k ~fill b =
+  if rank b <> 2 || b.shape.(0) <> k then
+    fail "matmul_panels: [%d; %d] x %s" m k (Shape.to_string b.shape);
+  let n = b.shape.(1) in
+  let out = product m n in
+  let db = b.data and dc = out.data in
+  let panel_rows = max 1 (panel_floats / max 1 k) in
+  let notes lo hi =
+    Sanitizer.note_write dc ~lo:(lo * n) ~len:((hi - lo) * n)
+      ~who:"matmul_panels out rows";
+    Sanitizer.note_read db ~lo:0 ~len:(k * n) ~who:"matmul_panels B"
+  in
+  (* Each job owns its panel; only a job on the calling domain can take it
+     from (and give it back to) an installed arena. Row [i] of the product
+     depends on row [i] of A alone, so the panel split leaves every output
+     bit-identical to [matmul] of the materialized A. *)
+  let serial = panels_serial ~m ~panel_rows ~work:(m * n * k) in
+  partition ?domains ~m ~serial ~notes (fun lo hi ->
+      let panel = alloc (max panel_floats k) in
+      let r = ref lo in
+      while !r < hi do
+        let r1 = min hi (!r + panel_rows) in
+        fill !r r1 panel;
+        matmul_rows_nn ~n ~k panel 0 db 0 dc (!r * n) 0 (r1 - !r);
+        r := r1
+      done;
+      recycle_buffer panel);
+  out
+
+let check_matmul name a b =
+  if rank a <> 2 || rank b <> 2 then
+    fail "%s: expected rank-2 operands, got %s and %s" name
+      (Shape.to_string a.shape) (Shape.to_string b.shape)
+
+let matmul ?domains a b =
+  check_matmul "matmul" a b;
+  let m = a.shape.(0) and k = a.shape.(1) in
+  if k <> b.shape.(0) then
+    fail "matmul: inner dimensions %d and %d differ" k b.shape.(0);
+  matmul_strided ?domains ~m ~k ~ars:k ~acs:1 a b
+
+let matmul_tn ?domains a b =
+  check_matmul "matmul_tn" a b;
+  let k = a.shape.(0) and m = a.shape.(1) in
+  if k <> b.shape.(0) then
+    fail "matmul_tn: leading dimensions %d and %d differ" k b.shape.(0);
+  matmul_strided ?domains ~m ~k ~ars:1 ~acs:m a b
+
+let matmul_consume ?domains ~grain ~consume a b =
+  check_matmul "matmul_consume" a b;
+  let m = a.shape.(0) and k = a.shape.(1) in
+  if k <> b.shape.(0) then
+    fail "matmul_consume: inner dimensions %d and %d differ" k b.shape.(0);
+  if grain < 1 || m mod grain <> 0 then
+    fail "matmul_consume: %d rows do not split into units of %d" m grain;
+  let n = b.shape.(1) in
+  let da = a.data and db = b.data in
+  let panel_rows = max 1 (panel_floats / max 1 n) in
+  let notes ulo uhi =
+    Sanitizer.note_read da ~lo:(ulo * grain * k)
+      ~len:((uhi - ulo) * grain * k) ~who:"matmul_consume A rows";
+    Sanitizer.note_read db ~lo:0 ~len:(k * n) ~who:"matmul_consume B"
+  in
+  (* Jobs own whole units; within a job, panels go to [consume] in
+     ascending row order. Each panel row starts from +0.0, as a row of
+     [matmul]'s zeroed output does, so its bits are [matmul]'s. *)
+  let serial = panels_serial ~m ~panel_rows ~work:(m * n * k) in
+  partition ?domains ~m:(m / grain) ~serial ~notes (fun ulo uhi ->
+      let lo = ulo * grain and hi = uhi * grain in
+      let panel = alloc (max panel_floats n) in
+      let r = ref lo in
+      while !r < hi do
+        let r1 = min hi (!r + panel_rows) in
+        for i = 0 to ((r1 - !r) * n) - 1 do
+          A.unsafe_set panel i 0.0
+        done;
+        matmul_rows_nn ~n ~k da (!r * k) db 0 panel 0 0 (r1 - !r);
+        consume !r r1 panel;
+        r := r1
+      done;
+      recycle_buffer panel)
 
 let dot a b =
   if rank a <> 1 || rank b <> 1 || numel a <> numel b then
@@ -1038,8 +1195,8 @@ let batch_matmul ?domains a b =
       let batch = !r / m in
       let rlo = !r mod m in
       let rhi = min m (rlo + (hi - !r)) in
-      matmul_rows ~n ~k da (batch * m * k) db (batch * k * n) dc (batch * m * n)
-        rlo rhi;
+      matmul_rows_nn ~n ~k da (batch * m * k) db (batch * k * n)
+        dc (batch * m * n) rlo rhi;
       r := !r + (rhi - rlo)
     done
   in

@@ -24,10 +24,11 @@
     have flat fast paths too. Every fast path performs the same float
     operations in the same order as the generic walker, so results are
     bit-identical to it.
-    [matmul]/[batch_matmul] are cache-blocked with a 2x4 register
-    micro-kernel and partition output rows across the domain pool above a
-    fixed work cutoff; the partition is contiguous, so results are
-    bit-identical for every domain count. *)
+    The matmul family ([matmul], [matmul_tn], [matmul_panels],
+    [matmul_consume], [batch_matmul]) shares one cache-blocked kernel with
+    a 2x4 register micro-kernel and partitions output rows across the
+    domain pool above a fixed work cutoff; the partition is contiguous, so
+    results are bit-identical for every domain count. *)
 
 type t
 
@@ -214,7 +215,7 @@ val broadcast_to : t -> Shape.t -> t
     copy: [unbroadcast t (shape t) == t]. *)
 val unbroadcast : t -> Shape.t -> t
 
-(** 2-D transpose. *)
+(** 2-D transpose, cache-tiled. *)
 val transpose : t -> t
 
 (** General axis permutation. *)
@@ -237,6 +238,39 @@ val one_hot : classes:int -> t -> t
     default width for this call (benchmarks use it to sweep scaling);
     results are bit-identical for every width. *)
 val matmul : ?domains:int -> t -> t -> t
+
+(** [matmul_tn a b] is [matmul (transpose a) b] for [a : \[k;m\]] and
+    [b : \[k;n\]], bit for bit, without materializing the transpose: the
+    same kernel reads [a] column-wise. Same partitioning and determinism as
+    {!matmul}. *)
+val matmul_tn : ?domains:int -> t -> t -> t
+
+(** [matmul_panels ~m ~k ~fill b] is [matmul a b] for an [a : \[m;k\]] that
+    is never materialized: [fill lo hi panel] writes rows [\[lo, hi)] of [a]
+    row-major from the start of [panel], and the kernel multiplies each
+    small panel while it is still in cache. Bit-identical to {!matmul}
+    for every domain count; the pool splits the rows only when each job
+    gets at least one whole panel. [fill] may run on any pool domain, for
+    disjoint row ranges. *)
+val matmul_panels :
+  ?domains:int -> m:int -> k:int -> fill:(int -> int -> buffer -> unit) -> t -> t
+
+(** [matmul_consume ~grain ~consume a b] computes [matmul a b] without
+    materializing it: each small panel of product rows goes to
+    [consume lo hi panel] (rows [\[lo, hi)], row-major from the start of
+    [panel]) while it is still in cache. Pool jobs (at least one whole
+    panel each, as in {!matmul_panels}) own whole units of [grain] rows
+    ([grain] must divide [a]'s row count) and hand their panels over in
+    ascending row order, so a [consume] that scatters the rows of one unit
+    into shared state needs no locking. The rows are bit-identical to
+    [matmul]'s. *)
+val matmul_consume :
+  ?domains:int ->
+  grain:int ->
+  consume:(int -> int -> buffer -> unit) ->
+  t ->
+  t ->
+  unit
 
 (** 1-D dot product. *)
 val dot : t -> t -> float
@@ -272,6 +306,13 @@ module Arena : sig
       buffer any more — not [v], and no alias of it — and that it releases
       each buffer at most once. *)
   val release : t -> tensor -> unit
+
+  (** [recycle v] releases [v] into the arena installed on the calling
+      domain, and does nothing when there is none. For a kernel's own
+      scratch (an im2col patch matrix) once the kernel has consumed it:
+      the same contract as {!release}, so [v] must be a buffer the kernel
+      allocated itself, never an operand or a view of one. *)
+  val recycle : tensor -> unit
 
   (** Allocations on the installing domain served from the arena. *)
   val reused : t -> int

@@ -475,6 +475,56 @@ let qcheck_conv_linear_in_input =
         (conv (D.add x1 x2))
         (D.add (conv x1) (conv x2)))
 
+(* Whole-buffer digests of the three conv kernels, recorded before the
+   kernels moved to span loops and the transposed-operand matmul: only the
+   data movement changed, so every result must keep its exact bits. Shapes:
+   the five resnet-tiny convs (stem, 8->8, 8->16 stride 2, 16->16, the 1x1
+   stride-2 shortcut) and both LeNet convs at batch 4, plus a pointwise
+   (im2col-free) conv and an odd Valid stride-2 one. *)
+let conv_golden =
+  [
+    ("resnet stem", [| 4; 32; 32; 3 |], [| 3; 3; 3; 8 |], 1, Convolution.Same,
+     (1164342219871927420, 52577629209237763, 3513489128175858538));
+    ("resnet 8->8", [| 4; 32; 32; 8 |], [| 3; 3; 8; 8 |], 1, Convolution.Same,
+     (30842552788021293, 2803256669063709959, 2422238498546087633));
+    ("resnet 8->16 s2", [| 4; 32; 32; 8 |], [| 3; 3; 8; 16 |], 2, Convolution.Same,
+     (3152653541732656766, 2661312337265570870, 353893527003976821));
+    ("resnet 16->16", [| 4; 16; 16; 16 |], [| 3; 3; 16; 16 |], 1, Convolution.Same,
+     (1380960867216201889, 1890781189296071494, 1301899135543354883));
+    ("resnet 1x1 s2 shortcut", [| 4; 32; 32; 8 |], [| 1; 1; 8; 16 |], 2,
+     Convolution.Same,
+     (1842855404980704514, 4280662581512579484, 4037476609635794841));
+    ("lenet conv1", [| 4; 28; 28; 1 |], [| 5; 5; 1; 6 |], 1, Convolution.Same,
+     (288845686603207453, 4524404701815618948, 2593355637369074418));
+    ("lenet conv2", [| 4; 14; 14; 6 |], [| 5; 5; 6; 16 |], 1, Convolution.Valid,
+     (1654443504932294405, 1128879364222502298, 1777006955469526687));
+    ("1x1 s1 pointwise", [| 3; 5; 7; 6 |], [| 1; 1; 6; 5 |], 1, Convolution.Valid,
+     (1617233886104422775, 2246089544854083673, 2694194193191880346));
+    ("odd valid s2", [| 3; 9; 11; 5 |], [| 3; 2; 5; 7 |], 2, Convolution.Valid,
+     (4346314481547494201, 207794988151041597, 2875860504561421528));
+  ]
+
+let test_conv_golden_digests () =
+  List.iteri
+    (fun i (name, ishape, fshape, s, padding, (fwd, bwd_filter, bwd_input)) ->
+      let g = Prng.create (1000 + i) in
+      let input = D.rand_normal g ishape in
+      let filter = D.rand_normal g fshape in
+      let stride = (s, s) in
+      let out = Convolution.conv2d ~stride ~padding input filter in
+      let grad = D.rand_normal g (D.shape out) in
+      let digest t = D.hash_contents ~prefix:max_int t in
+      Test_util.check_int (name ^ ": conv2d") fwd (digest out);
+      Test_util.check_int (name ^ ": backward filter") bwd_filter
+        (digest
+           (Convolution.conv2d_backward_filter ~stride ~padding
+              ~filter_shape:fshape input grad));
+      Test_util.check_int (name ^ ": backward input") bwd_input
+        (digest
+           (Convolution.conv2d_backward_input ~stride ~padding
+              ~input_shape:ishape filter grad)))
+    conv_golden
+
 let suite =
   let tc = Alcotest.test_case in
   [
@@ -533,6 +583,7 @@ let suite =
         tc "avg pool fwd/bwd" `Quick test_avg_pool;
         tc "max pool fwd/bwd" `Quick test_max_pool;
         tc "flop counting" `Quick test_conv2d_flops;
+        tc "kernels keep their golden digests" `Quick test_conv_golden_digests;
         qcheck_conv_linear_in_input;
       ] );
   ]
@@ -742,16 +793,31 @@ let test_parallel_conv2d_bit_identical () =
   let g = Prng.create 9 in
   let input = D.rand_normal g [| 4; 12; 12; 8 |] in
   let filter = D.rand_normal g [| 3; 3; 8; 8 |] in
-  let conv d =
-    Convolution.conv2d ~domains:d ~padding:Convolution.Same input filter
+  let padding = Convolution.Same in
+  let grad = D.rand_normal g [| 4; 12; 12; 8 |] in
+  let kernels =
+    [
+      ("conv2d", fun domains -> Convolution.conv2d ~domains ~padding input filter);
+      ( "conv2d_backward_filter",
+        fun domains ->
+          Convolution.conv2d_backward_filter ~domains ~padding
+            ~filter_shape:(D.shape filter) input grad );
+      ( "conv2d_backward_input",
+        fun domains ->
+          Convolution.conv2d_backward_input ~domains ~padding
+            ~input_shape:(D.shape input) filter grad );
+    ]
   in
-  let serial = conv 1 in
   List.iter
-    (fun d ->
-      Test_util.check_true
-        (Printf.sprintf "conv2d domains:%d bit-identical to serial" d)
-        (D.equal serial (conv d)))
-    [ 2; 4 ]
+    (fun (name, kernel) ->
+      let serial = kernel 1 in
+      List.iter
+        (fun d ->
+          Test_util.check_true
+            (Printf.sprintf "%s domains:%d bit-identical to serial" name d)
+            (D.bit_equal serial (kernel d)))
+        [ 2; 4 ])
+    kernels
 
 (* {1 Buffer primitives} *)
 
@@ -923,6 +989,121 @@ let qcheck_broadcast_plans_bit_identical =
       in
       binary_ok && broadcast_ok && sum_ok)
 
+(* {2 Transposed operands and ReLU} *)
+
+(* Odd m, k and n hit the row-pair and column-quad remainders; k up to 300
+   crosses the 128-wide kc block twice. *)
+let qcheck_matmul_tn_bit_identical =
+  Test_util.qtest ~count:80 "matmul_tn a b = matmul (transpose a) b, bit for bit"
+    QCheck.(triple (int_range 1 13) (int_range 1 300) (int_range 1 13))
+    (fun (m, k, n) ->
+      let g = Prng.create ((m * 7919) + (k * 31) + n) in
+      let a = special_normal g [| k; m |] in
+      let b = special_normal g [| k; n |] in
+      D.bit_equal (D.matmul_tn a b) (D.matmul (D.transpose a) b))
+
+let test_matmul_tn_parallel () =
+  (* 72x4096 by 4096x8 is well over the serial cutoff: the pool splits
+     the 72 output rows, i.e. columns of [a] *)
+  let g = Prng.create 12 in
+  let a = D.rand_normal g [| 4096; 72 |] in
+  let b = D.rand_normal g [| 4096; 8 |] in
+  let expected = D.matmul ~domains:1 (D.transpose a) b in
+  List.iter
+    (fun d ->
+      Test_util.check_true
+        (Printf.sprintf "matmul_tn domains:%d = matmul of the transpose" d)
+        (D.bit_equal expected (D.matmul_tn ~domains:d a b)))
+    [ 1; 2; 4 ];
+  Test_util.check_raises_any "leading dimensions differ" (fun () ->
+      D.matmul_tn (D.zeros [| 3; 2 |]) (D.zeros [| 2; 3 |]))
+
+(* The A operand arrives one panel of rows at a time. m up to 300 with k
+   up to 400 spans several panels (16384 floats each), and once m is two
+   panels or more the pool splits them between jobs. *)
+let qcheck_matmul_panels_bit_identical =
+  Test_util.qtest ~count:40 "matmul_panels = matmul of the materialized A"
+    QCheck.(triple (int_range 1 300) (int_range 1 400) (int_range 1 13))
+    (fun (m, k, n) ->
+      let g = Prng.create ((m * 7919) + (k * 31) + n) in
+      let a = special_normal g [| m; k |] in
+      let b = special_normal g [| k; n |] in
+      let da = D.unsafe_data a in
+      let fill lo hi panel =
+        Bigarray.Array1.blit
+          (Bigarray.Array1.sub da (lo * k) ((hi - lo) * k))
+          (Bigarray.Array1.sub panel 0 ((hi - lo) * k))
+      in
+      D.bit_equal (D.matmul_panels ~m ~k ~fill b) (D.matmul a b))
+
+(* The product leaves one panel of rows at a time. Units of [grain] rows
+   split over the pool once m is at least two panels (n = 100 makes a
+   panel 163 rows); each unit's rows must arrive contiguously, in
+   ascending order, and exactly once. *)
+let qcheck_matmul_consume_bit_identical =
+  Test_util.qtest ~count:40 "matmul_consume hands over matmul's rows"
+    QCheck.(quad (int_range 1 60) (int_range 1 20) (int_range 1 60) (int_range 1 100))
+    (fun (units, grain, k, n) ->
+      let m = units * grain in
+      let g = Prng.create ((m * 7919) + (k * 31) + n) in
+      let a = special_normal g [| m; k |] in
+      let b = special_normal g [| k; n |] in
+      let got = D.zeros [| m; n |] in
+      (* [upto.(u)]: the first row of unit [u] not handed over yet *)
+      let upto = Array.init units (fun u -> u * grain) in
+      let ordered = Atomic.make true in
+      let consume lo hi panel =
+        for u = lo / grain to (hi - 1) / grain do
+          if upto.(u) <> max lo (u * grain) then Atomic.set ordered false;
+          upto.(u) <- min hi ((u + 1) * grain)
+        done;
+        Bigarray.Array1.blit
+          (Bigarray.Array1.sub panel 0 ((hi - lo) * n))
+          (Bigarray.Array1.sub (D.unsafe_data got) (lo * n) ((hi - lo) * n))
+      in
+      D.matmul_consume ~grain ~consume a b;
+      Atomic.get ordered
+      && Array.for_all2 (fun r u -> r = (u + 1) * grain) upto (Array.init units Fun.id)
+      && D.bit_equal got (D.matmul a b))
+
+let test_transpose_matches_elementwise () =
+  (* the definition before tiling: one element per flat output index *)
+  let elementwise t =
+    let m = (D.shape t).(0) and n = (D.shape t).(1) in
+    D.init_flat [| n; m |] (fun flat -> D.get_flat t (((flat mod m) * n) + (flat / m)))
+  in
+  List.iter
+    (fun (m, n) ->
+      let t = special_normal (Prng.create ((m * 131) + n)) [| m; n |] in
+      Test_util.check_true
+        (Printf.sprintf "transpose %dx%d" m n)
+        (D.bit_equal (elementwise t) (D.transpose t)))
+    [ (1, 1); (1, 70); (70, 1); (3, 5); (31, 33); (33, 65); (64, 32); (100, 7); (0, 4) ]
+
+(* Both ReLU kernels against their branching definitions, on arrays full of
+   the values where a branch-free select could differ: signed zeros,
+   infinities, NaNs of either sign, subnormals. *)
+let relu_specials =
+  [| 0.0; -0.0; Float.infinity; Float.neg_infinity; Float.nan; -.Float.nan;
+     Int64.float_of_bits 0x7FF0_0000_0000_0001L; 5e-324; -5e-324;
+     Float.max_float; -.Float.max_float; 1.0; -1.0 |]
+
+let special_values g shape =
+  D.init_flat shape (fun _ ->
+      if Prng.int g 2 = 0 then relu_specials.(Prng.int g (Array.length relu_specials))
+      else Prng.normal g)
+
+let qcheck_relu_branch_free =
+  Test_util.qtest ~count:100 "relu and relu_grad keep the if-form's bits"
+    QCheck.(pair (int_range 0 200) (int_range 0 100_000))
+    (fun (len, seed) ->
+      let g = Prng.create seed in
+      let x = special_values g [| len |] and dy = special_values g [| len |] in
+      let relu v = if v > 0.0 then v else 0.0 in
+      let relu_grad v d = if v > 0.0 then d else 0.0 in
+      same_bits (D.relu x) (D.map relu x)
+      && same_bits (D.relu_grad x dy) (D.map2_strided relu_grad x dy))
+
 (* {1 Pool} *)
 
 let test_pool_covers_range () =
@@ -987,6 +1168,12 @@ let kernel_suite =
         tc "parallel conv2d bit-identical" `Quick test_parallel_conv2d_bit_identical;
         qcheck_map2_fast_paths_match_strided;
         qcheck_broadcast_plans_bit_identical;
+        qcheck_matmul_tn_bit_identical;
+        tc "matmul_tn across domains" `Quick test_matmul_tn_parallel;
+        qcheck_matmul_panels_bit_identical;
+        qcheck_matmul_consume_bit_identical;
+        tc "tiled transpose = element-wise" `Quick test_transpose_matches_elementwise;
+        qcheck_relu_branch_free;
       ] );
     ( "tensor.buffers",
       [

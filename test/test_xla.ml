@@ -449,6 +449,60 @@ let test_run_reuses_dead_buffers () =
   Test_util.check_int "reused" 2 (count "xla.buffers_reused");
   Test_util.check_int "fresh" 2 (count "xla.buffers_fresh")
 
+(* Conv kernels hand their own scratch (im2col panels, backward-filter's
+   patch matrix, backward-input's product panels) back to the run's arena. *)
+let conv_param i shape = Hlo.param ~index:i ~shape
+
+(* (d) A 1x1 stride-1 conv's patch matrix is a view of its input, not
+   scratch: the input, a feed in one graph and an intermediate in the other,
+   is read again after the forward and backward-filter convs by same-size
+   nodes that would be handed its buffer if a conv had released it. *)
+let test_run_pointwise_conv_input_live () =
+  let xs = [| 2; 4; 4; 3 |] and fs = [| 1; 1; 3; 5 |] and ys = [| 2; 4; 4; 5 |] in
+  let padding = Convolution.Valid in
+  let reread x =
+    let conv = Hlo.op (C.conv2d ~padding xs fs) [ x; conv_param 1 fs ] in
+    let dfilter =
+      Hlo.op (C.conv2d_backward_filter ~padding ~filter_shape:fs xs ys) [ x; conv_param 2 ys ]
+    in
+    let r = Hlo.op (C.relu xs) [ x ] in
+    Hlo.graph_of_outputs [ conv; dfilter; Hlo.op (C.mul xs xs) [ x; r ] ]
+  in
+  let feeds =
+    [|
+      Dense.rand_normal (Prng.create 21) xs;
+      Dense.rand_normal (Prng.create 22) fs;
+      Dense.rand_normal (Prng.create 23) ys;
+    |]
+  in
+  let x = conv_param 0 xs in
+  check_run "pointwise conv of a feed" (reread x) feeds;
+  check_run "pointwise conv of an intermediate" (reread (Hlo.op (C.neg xs) [ x ])) feeds
+
+(* (e) Two 3x3 convs in a row: the second conv's im2col panel takes the
+   buffer the first conv released. *)
+let test_run_conv_scratch_reused () =
+  let xs = [| 2; 6; 6; 4 |] and fs = [| 3; 3; 4; 4 |] in
+  let conv x f = Hlo.op (C.conv2d ~padding:Convolution.Same xs fs) [ x; f ] in
+  let g =
+    Hlo.graph_of_outputs
+      [ conv (conv (conv_param 0 xs) (conv_param 1 fs)) (conv_param 2 fs) ]
+  in
+  let feeds =
+    [|
+      Dense.rand_normal (Prng.create 31) xs;
+      Dense.rand_normal (Prng.create 32) fs;
+      Dense.rand_normal (Prng.create 33) fs;
+    |]
+  in
+  let engine = new_engine () in
+  check_bits "two 3x3 convs" (eval_direct g feeds) (Compiler.run (Compiler.compile g) engine feeds);
+  let m = S4o_device.Engine.metrics engine in
+  let count name = S4o_obs.Metrics.counter_value (S4o_obs.Metrics.counter m name) in
+  (* conv 1 output, panel 1, conv 2 output, panel 2 (reused) *)
+  Test_util.check_int "reused" 1 (count "xla.buffers_reused");
+  Test_util.check_int "fresh" 3 (count "xla.buffers_fresh")
+
 let qcheck_compiled_equals_direct =
   (* random elementwise DAGs: the compiler pipeline must preserve semantics *)
   Test_util.qtest ~count:60 "compiled execution = reference evaluation"
@@ -520,6 +574,8 @@ let suite =
         tc "run: output consumed later" `Quick test_run_output_consumed;
         tc "run: repeated feeds" `Quick test_run_repeated_feeds;
         tc "run: reuses dead buffers" `Quick test_run_reuses_dead_buffers;
+        tc "run: pointwise conv keeps its input" `Quick test_run_pointwise_conv_input_live;
+        tc "run: conv scratch is reused" `Quick test_run_conv_scratch_reused;
         qcheck_compiled_equals_direct;
       ] );
   ]
