@@ -25,18 +25,35 @@ type stats = S4o_obs.Stats.t = {
   tensor_frees : int;
 }
 
+(* A cached program. [exe] outputs the cut's roots, then the pending nodes
+   listed in [exported]; once [readback.wanted] has grown past [exported],
+   the next cut with this key compiles the program again to export them. *)
+type entry = {
+  readback : Trace.readback;
+  mutable exported : int list;
+  mutable exe : S4o_xla.Compiler.executable;
+  mutable last_used : int;
+}
+
+(* Above the at most 64 batch sizes a serving mix draws, so steady-state
+   inference never evicts. *)
+let cache_capacity = 256
+
 type t = {
   engine : Engine.t;
   trace_overhead_per_op : float;
   cache_enabled : bool;
   auto_cut_threshold : int option;
-  cache : S4o_xla.Compiler.executable S4o_xla.Hlo.Table.t;
+  cache : entry S4o_xla.Hlo.Table.t;
+  mutable clock : int;  (* lookups so far: the LRU order of [last_used] *)
   (* All counters live in the engine's shared metrics registry, so one
      snapshot of the registry sees the whole stack. *)
   c_cuts : Metrics.counter;
   c_auto_cuts : Metrics.counter;
   c_hits : Metrics.counter;
   c_misses : Metrics.counter;
+  c_evictions : Metrics.counter;
+  c_recomputed : Metrics.counter;
   c_reused : Metrics.counter;  (* bumped by [Compiler.run] *)
   c_fresh : Metrics.counter;
   trace_sizes : Metrics.histogram;  (* ops per cut trace *)
@@ -63,10 +80,13 @@ let create ?(trace_overhead_per_op = default_trace_overhead)
     cache_enabled;
     auto_cut_threshold;
     cache = S4o_xla.Hlo.Table.create 16;
+    clock = 0;
     c_cuts = Metrics.counter m "lazy.traces_cut";
     c_auto_cuts = Metrics.counter m "lazy.auto_cuts";
     c_hits = Metrics.counter m "lazy.cache_hits";
     c_misses = Metrics.counter m "lazy.cache_misses";
+    c_evictions = Metrics.counter m "lazy.cache_evictions";
+    c_recomputed = Metrics.counter m "lazy.recomputed_ops";
     c_reused = Metrics.counter m "xla.buffers_reused";
     c_fresh = Metrics.counter m "xla.buffers_fresh";
     trace_sizes = Metrics.histogram m "lazy.trace_ops";
@@ -102,6 +122,79 @@ let dedup_roots roots =
       end)
     roots
 
+(* Drop the least recently used entry to make room for one more. *)
+let evict_lru t =
+  let oldest =
+    S4o_xla.Hlo.Table.fold
+      (fun key e acc ->
+        match acc with
+        | Some (_, (o : entry)) when o.last_used <= e.last_used -> acc
+        | _ -> Some (key, e))
+      t.cache None
+  in
+  Option.iter
+    (fun (key, _) ->
+      S4o_xla.Hlo.Table.remove t.cache key;
+      Metrics.incr t.c_evictions)
+    oldest
+
+let compile t (cut : Trace.cut) exported =
+  let graph =
+    if exported = [] then cut.graph
+    else
+      S4o_xla.Hlo.graph_of_outputs
+        (cut.graph.outputs @ List.map (fun i -> cut.hlo.(i)) exported)
+  in
+  let exe = S4o_xla.Compiler.compile ~engine:t.engine graph in
+  Metrics.observe t.compile_times
+    (S4o_xla.Compiler.stats exe).S4o_xla.Compiler.compile_seconds;
+  exe
+
+(* The cached program for [cut], compiled again when it has learned to
+   export more nodes; a fresh one on a miss, kept only with the cache on. *)
+let lookup t (cut : Trace.cut) =
+  let rec_ = Engine.recorder t.engine in
+  let key = S4o_xla.Hlo.key cut.graph in
+  let event name =
+    Recorder.instant rec_ Recorder.Host ~cat:"lazy"
+      ~args:[ ("fingerprint", string_of_int (S4o_xla.Hlo.key_hash key)) ]
+      name ~at:(Engine.host_time t.engine)
+  in
+  t.clock <- t.clock + 1;
+  match
+    if t.cache_enabled then S4o_xla.Hlo.Table.find_opt t.cache key else None
+  with
+  | Some e ->
+      e.last_used <- t.clock;
+      let wanted = e.readback.Trace.wanted in
+      if List.compare_lengths e.exported wanted = 0 then begin
+        Metrics.incr t.c_hits;
+        event "cache-hit"
+      end
+      else begin
+        Metrics.incr t.c_misses;
+        event "cache-miss";
+        e.exe <- compile t cut wanted;
+        e.exported <- wanted
+      end;
+      e
+  | None ->
+      Metrics.incr t.c_misses;
+      event "cache-miss";
+      let e =
+        {
+          readback = { Trace.wanted = [] };
+          exported = [];
+          exe = compile t cut [];
+          last_used = t.clock;
+        }
+      in
+      if t.cache_enabled then begin
+        if S4o_xla.Hlo.Table.length t.cache >= cache_capacity then evict_lru t;
+        S4o_xla.Hlo.Table.replace t.cache key e
+      end;
+      e
+
 let materialize t roots =
   let roots =
     dedup_roots (List.filter (fun r -> Trace.is_pending r) roots)
@@ -109,13 +202,16 @@ let materialize t roots =
   t.ops_since_cut <- 0;
   t.recent <- [];
   if roots <> [] then begin
+    (* A root an earlier cut computed without exporting: that cut's program
+       learns to export it. *)
+    List.iter (fun (r : Trace.node) -> Option.iter Trace.want r.Trace.origin) roots;
     let rec_ = Engine.recorder t.engine in
     let outer =
       Recorder.begin_span rec_ Recorder.Host ~cat:"lazy" "materialize"
         ~at:(Engine.host_time t.engine)
     in
-    let graph, leaves, pending = Trace.to_hlo roots in
-    let n_ops = List.length pending in
+    let cut = Trace.cut roots in
+    let n_ops = Array.length cut.pending in
     Metrics.incr t.c_cuts;
     Metrics.observe t.trace_sizes (float_of_int n_ops);
     (* Re-tracing overhead: paid on every iteration even on cache hits. *)
@@ -125,31 +221,8 @@ let materialize t roots =
       (fun () ->
         Engine.spend_host t.engine
           (t.trace_overhead_per_op *. float_of_int n_ops));
-    let key = S4o_xla.Hlo.key graph in
-    let fp = S4o_xla.Hlo.key_hash key in
-    let exe =
-      match
-        if t.cache_enabled then S4o_xla.Hlo.Table.find_opt t.cache key else None
-      with
-      | Some exe ->
-          Metrics.incr t.c_hits;
-          Recorder.instant rec_ Recorder.Host ~cat:"lazy"
-            ~args:[ ("fingerprint", string_of_int fp) ]
-            "cache-hit"
-            ~at:(Engine.host_time t.engine);
-          exe
-      | None ->
-          Metrics.incr t.c_misses;
-          Recorder.instant rec_ Recorder.Host ~cat:"lazy"
-            ~args:[ ("fingerprint", string_of_int fp) ]
-            "cache-miss"
-            ~at:(Engine.host_time t.engine);
-          let exe = S4o_xla.Compiler.compile ~engine:t.engine graph in
-          Metrics.observe t.compile_times
-            (S4o_xla.Compiler.stats exe).S4o_xla.Compiler.compile_seconds;
-          if t.cache_enabled then S4o_xla.Hlo.Table.replace t.cache key exe;
-          exe
-    in
+    let e = lookup t cut in
+    let results = roots @ List.map (fun i -> cut.pending.(i)) e.exported in
     let feeds =
       List.map
         (fun (l : Trace.node) ->
@@ -157,24 +230,34 @@ let materialize t roots =
           | Trace.Materialized v -> Some v
           | Trace.Simulated -> None
           | Trace.Pending -> assert false)
-        leaves
+        cut.leaves
     in
     let reused0 = Metrics.counter_value t.c_reused
     and fresh0 = Metrics.counter_value t.c_fresh in
     if List.for_all Option.is_some feeds then begin
       let outputs =
-        S4o_xla.Compiler.run exe t.engine
+        S4o_xla.Compiler.run e.exe t.engine
           (Array.of_list (List.map Option.get feeds))
       in
       List.iteri
         (fun i (r : Trace.node) ->
           r.Trace.state <- Trace.Materialized outputs.(i))
-        roots
+        results
     end
     else begin
-      S4o_xla.Compiler.simulate exe t.engine;
-      List.iter (fun (r : Trace.node) -> r.Trace.state <- Trace.Simulated) roots
+      S4o_xla.Compiler.simulate e.exe t.engine;
+      List.iter (fun (r : Trace.node) -> r.Trace.state <- Trace.Simulated) results
     end;
+    (* A node that arrives with an origin was run by an earlier cut. What
+       this cut ran but did not export remembers where, so that reading it
+       back later teaches this program to export it. *)
+    Array.iteri
+      (fun index (n : Trace.node) ->
+        if n.Trace.origin <> None then Metrics.incr t.c_recomputed;
+        n.Trace.origin <-
+          (if Trace.is_pending n then Some { Trace.program = e.readback; index }
+           else None))
+      cut.pending;
     let delta c c0 = string_of_int (Metrics.counter_value c - c0) in
     Recorder.end_span rec_ outer
       ~args:

@@ -75,13 +75,43 @@ val reset_stats : t -> unit
 (** [materialize t roots] cuts the pending trace reachable from [roots],
     compiles it (or hits the program cache), and executes it. Roots become
     [Materialized] (compute mode, all leaves real) or [Simulated]. Does not
-    synchronize: kernels drain asynchronously. *)
+    synchronize: kernels drain asynchronously.
+
+    {b Read-back.} A cut exports its roots and nothing else of its region,
+    so a pending intermediate that later code reads (the training loop's
+    [logits], forced after the step barrier) would run a second time. A
+    cached program therefore learns what is read back. Each pending node
+    the cut ran but did not export records its origin: the program's entry
+    and the node's index in the cut's topological pending list, which
+    names the same node in every cut with an equal key. When a node with
+    an origin later becomes a root here (a [force] or a barrier root), that
+    index is marked wanted on the entry. The next cut with the same key
+    compiles the program once more, with outputs = roots followed by the
+    wanted nodes, and the wanted nodes come out [Materialized] too. The
+    feeds do not change; the recompile counts as a cache miss and its
+    compile time goes into [lazy.compile_seconds]. With
+    [cache_enabled:false] nothing is learned. The engine's
+    [lazy.recomputed_ops] counter counts pending nodes that enter a cut
+    already carrying an origin: ops an earlier cut already ran.
+
+    Why not materialize every {e live} pending node at a barrier, the
+    LazyTensor [LazyTensorBarrier] contract? Reachability cannot tell: every
+    pending ancestor of a live node is reachable through {!Trace.node}'s
+    [args], and a training step's [loss] keeps its whole tape reachable, so
+    the GC calls every intermediate live. Exact liveness through weak
+    references needs a [Gc.full_major] per barrier, 12.5 ms on average at
+    a resnet-tiny training heap (2-vCPU VM), and every serving batch's
+    barrier would pay it too. Learning from read-backs is deterministic and costs nothing
+    when nothing is read back. *)
 val materialize : t -> Trace.node list -> unit
 
 (** [LazyTensorBarrier()] (§3.4): explicitly cut and dispatch the trace at
     this program point. Identical to {!materialize}; the distinct name
     mirrors the user-facing API, and the training loop calls it after each
-    optimizer step on the user's behalf. *)
+    optimizer step on the user's behalf. From the second step with an equal
+    trace on, the barrier's program also exports whatever the previous
+    step read back after it (see {!materialize}), so a step that reads its
+    [logits] runs once. *)
 val barrier : t -> Trace.node list -> unit
 
 (** Called by the backend after recording each op; triggers an automatic cut
@@ -94,8 +124,16 @@ val note_recorded : t -> Trace.node -> unit
     not just its hash. A serving workload that buckets its batch shapes
     keeps this bounded by the bucket count (times distinct models), which is
     the point of shape bucketing: steady-state traffic hits the cache
-    instead of growing it. *)
+    instead of growing it. A training loop keeps it flat once its step
+    trace repeats, which needs step-varying scalars (Adam's bias
+    corrections, a scheduled learning rate) fed as tensors, not baked in
+    as [scale] constants. Never above {!cache_capacity}. *)
 val cache_size : t -> int
+
+(** The program cache holds at most this many entries (256); a miss on a
+    full cache evicts the least recently used one and bumps the engine's
+    [lazy.cache_evictions] counter. *)
+val cache_capacity : int
 
 (** Force a node's concrete contents: materializes if needed and blocks the
     simulated host until the device drains. Raises [Invalid_argument] for

@@ -19,13 +19,24 @@ type state =
   | Materialized of Dense.t
   | Simulated
 
+(* The part of a cached program its nodes point back to: which of the
+   program's pending nodes, by index, later code read back. *)
+type readback = { mutable wanted : int list }
+
+type origin = { program : readback; index : int }
+
 type node = {
   id : int;
   op : S4o_ops.Catalog.op option;  (** [None] for data leaves. *)
   args : node list;
   shape : Shape.t;
   mutable state : state;
+  mutable origin : origin option;
 }
+
+let want { program; index } =
+  if not (List.mem index program.wanted) then
+    program.wanted <- List.merge Int.compare [ index ] program.wanted
 
 let counter = ref 0
 
@@ -40,15 +51,23 @@ let leaf value =
     args = [];
     shape = Dense.shape value;
     state = Materialized value;
+    origin = None;
   }
 
 (** A shape-only leaf for timing-model runs: behaves like device data whose
     contents are never observed. *)
 let placeholder shape =
-  { id = next_id (); op = None; args = []; shape; state = Simulated }
+  { id = next_id (); op = None; args = []; shape; state = Simulated; origin = None }
 
 let record (op : S4o_ops.Catalog.op) args =
-  { id = next_id (); op = Some op; args; shape = op.out_shape; state = Pending }
+  {
+    id = next_id ();
+    op = Some op;
+    args;
+    shape = op.out_shape;
+    state = Pending;
+    origin = None;
+  }
 
 let is_pending n = n.state = Pending
 
@@ -71,32 +90,45 @@ let pending_region roots =
   List.iter visit roots;
   (List.rev !pending, List.rev !leaves)
 
-(** Convert the pending region rooted at [roots] to an HLO graph. Returns the
-    graph, the leaf nodes in parameter order, and the mapping from pending
-    trace nodes to HLO nodes. *)
 (* Checked mode installs the HLO checker here; called with every graph a
    trace cut produces. *)
 let post_cut_hook : (S4o_xla.Hlo.graph -> unit) ref = ref (fun _ -> ())
 
-let to_hlo roots =
+type cut = {
+  graph : S4o_xla.Hlo.graph;
+  leaves : node list;
+  pending : node array;
+  hlo : S4o_xla.Hlo.node array;
+}
+
+let cut roots =
   let pending, leaves = pending_region roots in
   let hlo_of : (int, S4o_xla.Hlo.node) Hashtbl.t = Hashtbl.create 64 in
   List.iteri
     (fun i l -> Hashtbl.add hlo_of l.id (S4o_xla.Hlo.param ~index:i ~shape:l.shape))
     leaves;
-  List.iter
-    (fun n ->
-      match n.op with
-      | None -> assert false
-      | Some op ->
-          let inputs = List.map (fun a -> Hashtbl.find hlo_of a.id) n.args in
-          Hashtbl.add hlo_of n.id (S4o_xla.Hlo.op op inputs))
-    pending;
+  let pending = Array.of_list pending in
+  let hlo =
+    Array.map
+      (fun n ->
+        match n.op with
+        | None -> assert false
+        | Some op ->
+            let inputs = List.map (fun a -> Hashtbl.find hlo_of a.id) n.args in
+            let h = S4o_xla.Hlo.op op inputs in
+            Hashtbl.add hlo_of n.id h;
+            h)
+      pending
+  in
   let outputs =
     List.filter_map
       (fun r -> if is_pending r then Some (Hashtbl.find hlo_of r.id) else None)
       roots
   in
-  let g = S4o_xla.Hlo.graph_of_outputs outputs in
-  !post_cut_hook g;
-  (g, leaves, pending)
+  let graph = S4o_xla.Hlo.graph_of_outputs outputs in
+  !post_cut_hook graph;
+  { graph; leaves; pending; hlo }
+
+let to_hlo roots =
+  let c = cut roots in
+  (c.graph, c.leaves, Array.to_list c.pending)

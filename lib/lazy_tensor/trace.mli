@@ -18,13 +18,29 @@ type state =
   | Materialized of Dense.t
   | Simulated
 
+(** The part of a cached program that its nodes point back to: the
+    indices, into the program's {!cut} [pending] array and in ascending
+    order, of the nodes that later code read back. The runtime compiles
+    the program again to export them. *)
+type readback = { mutable wanted : int list }
+
+(** Where a pending node was computed by an earlier cut that did not
+    export it: that cut's program and the node's index in its [pending]. *)
+type origin = { program : readback; index : int }
+
 type node = {
   id : int;
   op : S4o_ops.Catalog.op option;  (** [None] for data leaves. *)
   args : node list;
   shape : Shape.t;
   mutable state : state;
+  mutable origin : origin option;
+      (** Set by the runtime on the pending nodes a cut computed but did
+          not export; [None] otherwise. *)
 }
+
+(** [want o]: add [o.index] to [o.program.wanted]. *)
+val want : origin -> unit
 
 (** A concrete-data leaf ("device data"). *)
 val leaf : Dense.t -> node
@@ -48,6 +64,20 @@ val pending_region : node list -> node list * node list
     default is a no-op. *)
 val post_cut_hook : (S4o_xla.Hlo.graph -> unit) ref
 
-(** Convert the pending region to an HLO graph. Returns the graph, the
-    leaves in parameter order, and the pending nodes in topological order. *)
+(** A pending region converted to HLO. *)
+type cut = {
+  graph : S4o_xla.Hlo.graph;  (** Its outputs are the pending roots, in order. *)
+  leaves : node list;  (** In parameter order. *)
+  pending : node array;  (** In topological order. *)
+  hlo : S4o_xla.Hlo.node array;
+      (** [hlo.(i)] computes [pending.(i)]: the map is one to one, so an
+          index into [pending] names the same node in every cut with an
+          equal {!S4o_xla.Hlo.key}. *)
+}
+
+(** Convert the pending region reachable from the roots to HLO. *)
+val cut : node list -> cut
+
+(** [cut] as a triple: the graph, the leaves in parameter order, and the
+    pending nodes in topological order. *)
 val to_hlo : node list -> S4o_xla.Hlo.graph * node list * node list

@@ -30,6 +30,9 @@ module Make (Bk : Backend_intf.S) = struct
      skipped by every update rule. *)
   let wants_update slot = L.Slot.trainable slot
 
+  (** A step-varying scalar as a one-element tensor, for [Bk.mul]. *)
+  let scalar c = Bk.of_dense (Dense.scalar c)
+
   (** Plain SGD, optionally with classical momentum. *)
   let sgd ?(momentum = 0.0) ~lr layer =
     let slots = L.slots layer in
@@ -71,6 +74,11 @@ module Make (Bk : Backend_intf.S) = struct
       incr t;
       let tf = float_of_int !t in
       let bc1 = 1.0 -. (beta1 ** tf) and bc2 = 1.0 -. (beta2 ** tf) in
+      (* The bias corrections change every step, so they go in as
+         one-element tensors: as [scale] constants they would make every
+         lazy step a new program. [mul] by a one-element tensor computes
+         [c *. x], exactly what [scale c] does. *)
+      let inv_bc1 = scalar (1.0 /. bc1) and inv_bc2 = scalar (1.0 /. bc2) in
       List.iteri
         (fun i slot ->
           if wants_update slot then
@@ -92,8 +100,8 @@ module Make (Bk : Backend_intf.S) = struct
               in
               m.(i) <- Some mi;
               v.(i) <- Some vi;
-              let m_hat = Bk.scale (1.0 /. bc1) mi in
-              let v_hat = Bk.scale (1.0 /. bc2) vi in
+              let m_hat = Bk.mul inv_bc1 mi in
+              let v_hat = Bk.mul inv_bc2 vi in
               let denom = Bk.add_scalar epsilon (Bk.sqrt v_hat) in
               L.Slot.set_data slot
                 (Bk.sub (L.Slot.data slot) (Bk.scale lr (Bk.div m_hat denom))))

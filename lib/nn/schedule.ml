@@ -60,30 +60,33 @@ module Make (Bk : Backend_intf.S) = struct
 
   (** Scale every gradient so the global norm is at most [max_norm]. Returns
       the pre-clip norm. Must run after [backward] and before the optimizer
-      step; clipping rewrites each slot's adjoint. *)
+      step; clipping rewrites each slot's adjoint. The factor goes in as a
+      tensor ({!O.scalar}), as it changes from step to step. *)
   let clip_global_norm ~max_norm layer =
     let norm = global_grad_norm layer in
     if norm > max_norm && norm > 0.0 then begin
-      let factor = max_norm /. norm in
+      let factor = O.scalar (max_norm /. norm) in
       List.iter
         (fun slot ->
           match L.Slot.grad slot with
           | None -> ()
-          | Some g -> L.Slot.set_grad slot (Bk.scale factor g))
+          | Some g -> L.Slot.set_grad slot (Bk.mul factor g))
         (L.slots layer)
     end;
     norm
 
   (** Wrap an optimizer so each [step] consults the schedule: implemented by
       rebuilding the update with the scheduled rate via SGD semantics.
-      [scheduled_sgd ?momentum schedule layer] mirrors {!O.sgd}. *)
+      [scheduled_sgd ?momentum schedule layer] mirrors {!O.sgd}, bit for
+      bit. The rate changes from step to step, so it goes in as a tensor
+      ({!O.scalar}) and a lazy step's program repeats. *)
   let scheduled_sgd ?(momentum = 0.0) (schedule : t) layer =
     let slots = L.slots layer in
     let velocities = Array.make (List.length slots) None in
     let step_count = ref 0 in
     let step () =
       incr step_count;
-      let lr = schedule !step_count in
+      let lr = O.scalar (schedule !step_count) in
       List.iteri
         (fun i slot ->
           if L.Slot.trainable slot then
@@ -91,12 +94,12 @@ module Make (Bk : Backend_intf.S) = struct
           | None -> invalid_arg "scheduled_sgd: missing gradient"
           | Some g ->
               let update =
-                if momentum = 0.0 then Bk.scale lr g
+                if momentum = 0.0 then Bk.mul lr g
                 else begin
                   let v =
                     match velocities.(i) with
-                    | None -> Bk.scale lr g
-                    | Some v -> Bk.add (Bk.scale momentum v) (Bk.scale lr g)
+                    | None -> Bk.mul lr g
+                    | Some v -> Bk.add (Bk.scale momentum v) (Bk.mul lr g)
                   in
                   velocities.(i) <- Some v;
                   v

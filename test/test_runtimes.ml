@@ -73,7 +73,10 @@ let test_lazy_matches_naive () =
    then with different input dims. Naive, eager and lazy with the program
    cache on and off must agree bit for bit on every value; the eager and lazy
    runtimes are shared by every program of every case, so a cache hit on a
-   near-equal program is exactly what this looks for. *)
+   near-equal program is exactly what this looks for. The cached lazy
+   runtime runs each program twice: reading every value back after the
+   first run teaches its cut programs to export intermediates, which the
+   second run then executes. *)
 
 type program = { dims : int * int; seed : int; steps : (int * int * int * float) list }
 
@@ -218,7 +221,10 @@ let qcheck_three_backends_agree =
           let expected = run naive p in
           List.for_all
             (fun bk -> List.for_all2 Dense.bit_equal expected (run bk p))
-            [ eager; lazy_cached; lazy_uncached ])
+            (* twice in a row on the cached runtime: the second run's cuts
+               hit programs that learned to export what the first run
+               read back *)
+            [ eager; lazy_cached; lazy_cached; lazy_uncached ])
         [ p; nudged p; nudged (nudged p); { p with dims = (m + 1, n) } ])
 
 (* {1 Eager runtime behaviour} *)
@@ -484,4 +490,208 @@ let auto_cut_suite =
       ] );
   ]
 
-let suite = suite @ auto_cut_suite
+(* {1 Lazy training steps: read-back, step-varying scalars, bounded cache} *)
+
+let new_lazy ?cache_enabled () =
+  let engine = Engine.create Spec.gtx1080 in
+  (S4o_lazy.Lazy_runtime.create ?cache_enabled engine, engine)
+
+let counter engine name =
+  S4o_obs.Metrics.counter_value (S4o_obs.Metrics.counter (Engine.metrics engine) name)
+
+let lazy_stats rt = S4o_lazy.Lazy_runtime.stats rt
+
+(* Four steps of: record [h] and [y] from [h], barrier at [y], force [h].
+   Returns [lazy.recomputed_ops] and the runtime stats after each step. *)
+let read_back_steps ?cache_enabled () =
+  let rt, engine = new_lazy ?cache_enabled () in
+  let module Bk = S4o_lazy.Lazy_backend.Make (struct
+    let rt = rt
+  end) in
+  List.map
+    (fun seed ->
+      let a, b = sample_inputs seed in
+      let h = Bk.relu (Bk.mul (Bk.of_dense a) (Bk.of_dense b)) in
+      let y = Bk.sum_all (Bk.exp h) in
+      Bk.barrier [ y ];
+      Test_util.check_true "h = naive, bit for bit"
+        (Dense.bit_equal (Dense.relu (Dense.mul a b)) (Bk.to_dense h));
+      (counter engine "lazy.recomputed_ops", lazy_stats rt))
+    [ 1; 2; 3; 4 ]
+
+let test_lazy_read_back_exported () =
+  let steps = read_back_steps () in
+  let recomputed = List.map fst steps in
+  Test_util.check_true "step 1 recomputes h" (List.hd recomputed > 0);
+  Test_util.check_true "recomputed_ops stops growing after step 1"
+    (List.for_all (( = ) (List.hd recomputed)) recomputed);
+  let st = snd (List.nth steps 3) in
+  (* step 1 compiles the barrier's and the force's programs; step 2
+     compiles the barrier's program again, now exporting [h]; steps 3 and 4
+     hit it. From step 2 on, the force cuts nothing. *)
+  Test_util.check_int "cuts" 5 st.S4o_obs.Stats.traces_cut;
+  Test_util.check_int "misses" 3 st.S4o_obs.Stats.cache_misses;
+  Test_util.check_int "hits" 2 st.S4o_obs.Stats.cache_hits
+
+let test_lazy_read_back_needs_cache () =
+  let steps = read_back_steps ~cache_enabled:false () in
+  Test_util.check_true "every step recomputes h"
+    (List.map fst steps = [ 2; 4; 6; 8 ]);
+  Test_util.check_int "two cuts per step" 8
+    (snd (List.nth steps 3)).S4o_obs.Stats.traces_cut
+
+let test_lazy_cache_lru () =
+  let rt, engine = new_lazy () in
+  let module Bk = S4o_lazy.Lazy_backend.Make (struct
+    let rt = rt
+  end) in
+  (* one distinct program per length *)
+  let run n = ignore (Bk.to_dense (Bk.relu (Bk.of_dense (Dense.ones [| n |])))) in
+  let capacity = S4o_lazy.Lazy_runtime.cache_capacity in
+  for n = 1 to capacity do
+    run n
+  done;
+  run 1;
+  for n = capacity + 1 to capacity + 3 do
+    run n
+  done;
+  Test_util.check_int "size stays at capacity" capacity
+    (S4o_lazy.Lazy_runtime.cache_size rt);
+  Test_util.check_int "three evictions" 3 (counter engine "lazy.cache_evictions");
+  let hits () = (lazy_stats rt).S4o_obs.Stats.cache_hits in
+  let h0 = hits () in
+  run 1;
+  Test_util.check_int "the entry just hit survived" (h0 + 1) (hits ());
+  run 2;
+  Test_util.check_int "the least recently used went" (h0 + 1) (hits ())
+
+(* A tiny conv + BatchNorm classifier trained by [Train.fit] on fixed
+   batches, the same on every backend. *)
+module Tiny (Bk : Backend_intf.S) = struct
+  module L = S4o_nn.Layer.Make (Bk)
+  module O = S4o_nn.Optimizer.Make (Bk)
+  module S = S4o_nn.Schedule.Make (Bk)
+  module T = S4o_nn.Train.Make (Bk)
+
+  let model () =
+    let rng = Prng.create 5 in
+    L.sequential
+      [
+        L.conv2d rng ~filter:(3, 3, 2, 4) ();
+        L.batch_norm ~features:4 ();
+        L.relu;
+        L.flatten;
+        L.dense rng ~inputs:(4 * 4 * 4) ~outputs:3 ();
+      ]
+
+  let batches n =
+    let rng = Prng.create 9 in
+    List.init n (fun i ->
+        let labels = [| i mod 3; (i + 1) mod 3 |] in
+        ( Dense.rand_normal rng [| 2; 4; 4; 2 |],
+          Dense.one_hot ~classes:3 (Dense.of_array [| 2 |] (Array.map float_of_int labels)),
+          labels ))
+
+  (* [n] steps of [fit]; [after_step] is the backend's barrier. Returns
+     every loss, then the parameters and optimizer state. *)
+  let train ?(after_step = ignore) ~optimizer n =
+    let model = model () in
+    let opt =
+      match optimizer with
+      | `Adam -> O.adam ~lr:1e-2 model
+      | `Cosine ->
+          S.scheduled_sgd ~momentum:0.9
+            (S4o_nn.Schedule.cosine ~lr:0.1 ~lr_min:0.01 ~total:6)
+            model
+    in
+    let losses = ref [] in
+    ignore
+      (T.fit
+         ~after_step:(fun ts ->
+           after_step ts;
+           losses := List.hd ts :: !losses)
+         model opt (batches n));
+    List.rev_map Bk.to_dense !losses @ List.map Bk.to_dense (O.updated_params opt)
+end
+
+module Tiny_naive = Tiny (Naive_backend)
+
+let digest ts =
+  let b = Buffer.create 4096 in
+  List.iter
+    (fun t ->
+      Array.iter (fun x -> Buffer.add_int64_le b (Int64.bits_of_float x)) (Dense.to_array t))
+    ts;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* Trains on a fresh lazy runtime; [before_barrier] sees the runtime just
+   before each step's barrier. *)
+let train_lazy ?(before_barrier = ignore) ~optimizer n =
+  let rt, _ = new_lazy () in
+  let module Lz = S4o_lazy.Lazy_backend.Make (struct
+    let rt = rt
+  end) in
+  let module W = Tiny (Lz) in
+  let values =
+    W.train ~optimizer
+      ~after_step:(fun ts ->
+        before_barrier rt;
+        Lz.barrier ts)
+      n
+  in
+  (rt, values)
+
+(* Recorded at the commit before Adam fed its bias corrections as tensors:
+   [mul] by a one-element tensor must reproduce [scale]'s bits. *)
+let adam_golden = "c5336a78f96d1d19d0cff7651531c25b"
+
+let test_adam_golden_digest () =
+  Test_util.check_string "naive" adam_golden (digest (Tiny_naive.train ~optimizer:`Adam 3));
+  Test_util.check_string "lazy" adam_golden (digest (snd (train_lazy ~optimizer:`Adam 3)))
+
+(* [n] lazy steps: per step, the cuts from its barrier up to the next one
+   (the barrier and the loop's read-backs), and the cache size after it;
+   then the trained values. *)
+let step_profile ~optimizer n =
+  let marks = ref [] in
+  let mark rt =
+    marks :=
+      ((lazy_stats rt).S4o_obs.Stats.traces_cut, S4o_lazy.Lazy_runtime.cache_size rt)
+      :: !marks
+  in
+  let rt, values = train_lazy ~before_barrier:mark ~optimizer n in
+  mark rt;
+  let marks = Array.of_list (List.rev !marks) in
+  ( List.init n (fun k -> fst marks.(k + 1) - fst marks.(k)),
+    List.init n (fun k -> snd marks.(k + 1)),
+    values )
+
+let from_step_3 l = List.filteri (fun i _ -> i >= 2) l
+
+let check_steady name ~optimizer =
+  let cuts, sizes, values = step_profile ~optimizer 6 in
+  Test_util.check_true (name ^ ": one cut per step from step 3")
+    (List.for_all (( = ) 1) (from_step_3 cuts));
+  Test_util.check_true (name ^ ": cache size flat from step 3")
+    (List.for_all (( = ) (List.nth sizes 2)) (from_step_3 sizes));
+  Test_util.check_true (name ^ ": losses and state = naive, bit for bit")
+    (List.for_all2 Dense.bit_equal (Tiny_naive.train ~optimizer 6) values)
+
+let test_lazy_fit_adam_one_cut () = check_steady "adam" ~optimizer:`Adam
+let test_lazy_fit_cosine_one_cut () = check_steady "cosine sgd" ~optimizer:`Cosine
+
+let lazy_step_suite =
+  let tc = Alcotest.test_case in
+  [
+    ( "runtimes.lazy_step",
+      [
+        tc "read-back is exported" `Quick test_lazy_read_back_exported;
+        tc "no learning without the cache" `Quick test_lazy_read_back_needs_cache;
+        tc "program cache is LRU-bounded" `Quick test_lazy_cache_lru;
+        tc "adam golden digest" `Quick test_adam_golden_digest;
+        tc "fit with adam: one cut per step" `Quick test_lazy_fit_adam_one_cut;
+        tc "fit with cosine sgd: one cut per step" `Quick test_lazy_fit_cosine_one_cut;
+      ] );
+  ]
+
+let suite = suite @ auto_cut_suite @ lazy_step_suite
