@@ -357,7 +357,7 @@ let ablation_fusion () =
     List.fold_left
       (fun acc (n : S4o_xla.Hlo.node) ->
         match n.S4o_xla.Hlo.role with
-        | S4o_xla.Hlo.Compute _ -> acc +. time_of n.S4o_xla.Hlo.info
+        | S4o_xla.Hlo.Compute o -> acc +. time_of o.info
         | S4o_xla.Hlo.Param _ | S4o_xla.Hlo.Literal _ -> acc)
       0.0 optimized.S4o_xla.Hlo.nodes
   in

@@ -1,6 +1,6 @@
 (** HLO graph checker and linter.
 
-    The trace cut ({!S4o_lazy.Trace.to_hlo}) and every compiler pass
+    The trace cut ({!S4o_lazy.Trace.cut}) and every compiler pass
     ({!S4o_xla.Opt}) produce HLO graphs whose correctness the rest of the
     stack assumes: node shapes must agree with what the op would actually
     produce from its input shapes (the catalog computed them at record
@@ -55,9 +55,9 @@ let check_node (n : Hlo.node) : finding list =
         add Error "role" "%s node has %d inputs" (Hlo.name n)
           (List.length n.inputs)
       else []
-  | Hlo.Compute kind -> (
+  | Hlo.Compute o -> (
       let input_shapes = List.map (fun (i : Hlo.node) -> i.shape) n.inputs in
-      match (S4o_ops.Catalog.of_kind kind input_shapes).out_shape with
+      match (S4o_ops.Catalog.of_kind o.kind input_shapes).out_shape with
       | want when Shape.equal want n.shape -> []
       | want ->
           add Error "shape" "%s: inputs %s give %s but node declares %s"

@@ -73,7 +73,7 @@ let matmul ~m ~k ~n =
     bytes_out = 4 * m * n;
   }
 
-let conv2d ?(stride = (1, 1)) ~padding ~input ~filter ~output () =
+let conv2d ~stride ~padding ~input ~filter ~output =
   {
     name = "conv2d";
     kind = Contraction;

@@ -46,12 +46,11 @@ val data_movement : string -> input:S4o_tensor.Shape.t -> output:S4o_tensor.Shap
 val matmul : m:int -> k:int -> n:int -> t
 
 val conv2d :
-  ?stride:int * int ->
+  stride:int * int ->
   padding:S4o_tensor.Convolution.padding ->
   input:S4o_tensor.Shape.t ->
   filter:S4o_tensor.Shape.t ->
   output:S4o_tensor.Shape.t ->
-  unit ->
   t
 
 (** Cost of a fusion cluster: all member flops, but only the cluster's

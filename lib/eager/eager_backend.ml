@@ -11,9 +11,7 @@ module type RUNTIME = sig
   val rt : Runtime.t
 end
 
-module Make (R : RUNTIME) : Backend_intf.S = struct
-  module C = S4o_ops.Catalog
-
+module Make (R : RUNTIME) : Backend_intf.S = S4o_ops.Catalog.Backend (struct
   type t = Dense.t
 
   let name = "eager"
@@ -24,66 +22,5 @@ module Make (R : RUNTIME) : Backend_intf.S = struct
     t
 
   let shape = Dense.shape
-  let run1 op a = Runtime.dispatch R.rt op [| a |]
-  let run2 op a b = Runtime.dispatch R.rt op [| a; b |]
-  let add a b = run2 (C.add (shape a) (shape b)) a b
-  let sub a b = run2 (C.sub (shape a) (shape b)) a b
-  let mul a b = run2 (C.mul (shape a) (shape b)) a b
-  let div a b = run2 (C.div (shape a) (shape b)) a b
-  let neg a = run1 (C.neg (shape a)) a
-  let scale c a = run1 (C.scale c (shape a)) a
-  let add_scalar c a = run1 (C.add_scalar c (shape a)) a
-  let exp a = run1 (C.exp (shape a)) a
-  let log a = run1 (C.log (shape a)) a
-  let sqrt a = run1 (C.sqrt (shape a)) a
-  let relu a = run1 (C.relu (shape a)) a
-  let sigmoid a = run1 (C.sigmoid (shape a)) a
-  let tanh a = run1 (C.tanh (shape a)) a
-  let relu_grad x g = run2 (C.relu_grad (shape x) (shape g)) x g
-  let reshape a s = run1 (C.reshape (shape a) s) a
-  let transpose a = run1 (C.transpose (shape a)) a
-  let broadcast_to a s = run1 (C.broadcast_to (shape a) s) a
-  let unbroadcast a s = run1 (C.unbroadcast (shape a) s) a
-
-  let sum_axes ?keep_dims a axes =
-    run1 (C.sum_axes ?keep_dims (shape a) axes) a
-
-  let sum_all a = run1 (C.sum_all (shape a)) a
-  let mean_all a = run1 (C.mean_all (shape a)) a
-  let matmul a b = run2 (C.matmul (shape a) (shape b)) a b
-  let batch_matmul a b = run2 (C.batch_matmul (shape a) (shape b)) a b
-  let batch_transpose a = run1 (C.batch_transpose (shape a)) a
-
-  let conv2d ?(stride = Backend_intf.default_conv_stride) ~padding a f =
-    run2 (C.conv2d ~stride ~padding (shape a) (shape f)) a f
-
-  let conv2d_backward_input ?(stride = Backend_intf.default_conv_stride)
-      ~padding ~input_shape f g =
-    run2 (C.conv2d_backward_input ~stride ~padding ~input_shape (shape f) (shape g)) f g
-
-  let conv2d_backward_filter ?(stride = Backend_intf.default_conv_stride)
-      ~padding ~filter_shape x g =
-    run2 (C.conv2d_backward_filter ~stride ~padding ~filter_shape (shape x) (shape g)) x g
-
-  let pool_stride stride ~size =
-    Option.value stride ~default:(Backend_intf.default_pool_stride ~size)
-
-  let avg_pool2d ?stride ~size a =
-    let stride = pool_stride stride ~size in
-    run1 (C.avg_pool2d ~size ~stride (shape a)) a
-
-  let avg_pool2d_backward ?stride ~size ~input_shape g =
-    let stride = pool_stride stride ~size in
-    run1 (C.avg_pool2d_backward ~size ~stride ~input_shape (shape g)) g
-
-  let max_pool2d ?stride ~size a =
-    let stride = pool_stride stride ~size in
-    run1 (C.max_pool2d ~size ~stride (shape a)) a
-
-  let max_pool2d_backward ?stride ~size x g =
-    let stride = pool_stride stride ~size in
-    run2 (C.max_pool2d_backward ~size ~stride (shape x) (shape g)) x g
-
-  let softmax a = run1 (C.softmax (shape a)) a
-  let log_softmax a = run1 (C.log_softmax (shape a)) a
-end
+  let run op args = Runtime.dispatch R.rt op (Array.of_list args)
+end)

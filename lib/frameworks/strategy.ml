@@ -94,19 +94,18 @@ let step_time s ~device ~graph =
         List.length clusters )
     end
     else begin
-      let nodes =
-        List.filter
+      let infos =
+        List.filter_map
           (fun (n : S4o_xla.Hlo.node) ->
             match n.S4o_xla.Hlo.role with
-            | S4o_xla.Hlo.Compute _ -> true
-            | S4o_xla.Hlo.Param _ | S4o_xla.Hlo.Literal _ -> false)
+            | S4o_xla.Hlo.Compute o -> Some o.info
+            | S4o_xla.Hlo.Param _ | S4o_xla.Hlo.Literal _ -> None)
           graph.S4o_xla.Hlo.nodes
       in
       ( List.fold_left
-          (fun acc (n : S4o_xla.Hlo.node) ->
-            acc +. S4o_device.Device_spec.kernel_time device n.S4o_xla.Hlo.info)
-          0.0 nodes,
-        List.length nodes )
+          (fun acc info -> acc +. S4o_device.Device_spec.kernel_time device info)
+          0.0 infos,
+        List.length infos )
     end
   in
   let device_seconds = device_seconds *. s.kernel_efficiency in

@@ -59,7 +59,7 @@ val is_pending : node -> bool
     discovery order). *)
 val pending_region : node list -> node list * node list
 
-(** Called with every graph {!to_hlo} produces. Checked mode
+(** Called with every graph {!cut} produces. Checked mode
     ([S4o_analysis.Checked.enable]) installs the HLO checker here; the
     default is a no-op. *)
 val post_cut_hook : (S4o_xla.Hlo.graph -> unit) ref
@@ -79,5 +79,6 @@ type cut = {
 val cut : node list -> cut
 
 (** [cut] as a triple: the graph, the leaves in parameter order, and the
-    pending nodes in topological order. *)
+    pending nodes in topological order. The runtime cuts with {!cut}; this
+    wrapper is what perfbench's XLA replay calls. *)
 val to_hlo : node list -> S4o_xla.Hlo.graph * node list * node list

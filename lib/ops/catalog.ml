@@ -299,18 +299,18 @@ let check_grad ctx ~forward (grad : Shape.t) =
     fail "%s: forward gives %s but grad is %s" ctx (Shape.to_string forward)
       (Shape.to_string grad)
 
-let conv2d ?(stride = (1, 1)) ~padding (input : Shape.t) (filter : Shape.t) =
+let conv2d ~stride ~padding (input : Shape.t) (filter : Shape.t) =
   let out_shape = conv_out ~stride ~padding input filter in
   {
     kind = Conv2d { stride; padding };
     out_shape;
-    info = Op_info.conv2d ~stride ~padding ~input ~filter ~output:out_shape ();
+    info = Op_info.conv2d ~stride ~padding ~input ~filter ~output:out_shape;
     kernel = arg2 (Convolution.conv2d ~stride ~padding);
   }
 
 (* The two convolution backward kernels cost about one forward convolution
    each, which is how training lands near 3x forward flops. *)
-let conv2d_backward_input ?(stride = (1, 1)) ~padding ~input_shape
+let conv2d_backward_input ~stride ~padding ~input_shape
     (filter : Shape.t) (grad : Shape.t) =
   let kind = Conv2d_backward_input { stride; padding; input_shape } in
   check_grad (name kind) ~forward:(conv_out ~stride ~padding input_shape filter) grad;
@@ -319,14 +319,14 @@ let conv2d_backward_input ?(stride = (1, 1)) ~padding ~input_shape
     out_shape = input_shape;
     info =
       {
-        (Op_info.conv2d ~stride ~padding ~input:input_shape ~filter ~output:grad ())
+        (Op_info.conv2d ~stride ~padding ~input:input_shape ~filter ~output:grad)
         with
         Op_info.name = name kind;
       };
     kernel = arg2 (Convolution.conv2d_backward_input ~stride ~padding ~input_shape);
   }
 
-let conv2d_backward_filter ?(stride = (1, 1)) ~padding ~filter_shape
+let conv2d_backward_filter ~stride ~padding ~filter_shape
     (input : Shape.t) (grad : Shape.t) =
   let kind = Conv2d_backward_filter { stride; padding; filter_shape } in
   check_grad (name kind) ~forward:(conv_out ~stride ~padding input filter_shape) grad;
@@ -335,7 +335,7 @@ let conv2d_backward_filter ?(stride = (1, 1)) ~padding ~filter_shape
     out_shape = filter_shape;
     info =
       {
-        (Op_info.conv2d ~stride ~padding ~input ~filter:filter_shape ~output:grad ())
+        (Op_info.conv2d ~stride ~padding ~input ~filter:filter_shape ~output:grad)
         with
         Op_info.name = name kind;
       };
@@ -443,3 +443,87 @@ let of_kind kind (inputs : Shape.t list) =
       one (avg_pool2d_backward ~size ~stride ~input_shape)
   | Max_pool2d { size; stride } -> one (max_pool2d ~size ~stride)
   | Max_pool2d_backward { size; stride } -> two (max_pool2d_backward ~size ~stride)
+
+(** {1 The Tensor API over the catalog} *)
+
+(** What a catalog-dispatched backend supplies: its tensor type, transfers,
+    and what it does with each op ([Runtime.dispatch] on eager, a trace
+    record on lazy). *)
+module type DISPATCH = sig
+  type t
+
+  val name : string
+  val of_dense : Dense.t -> t
+  val to_dense : t -> Dense.t
+  val shape : t -> Shape.t
+
+  (** [run o args]: apply op [o], built from the shapes of [args]. *)
+  val run : op -> t list -> t
+end
+
+(** The Tensor API over a dispatcher. Each call builds its op from the
+    operands' shapes and hands it to [D.run]; the API's stride defaults are
+    applied here, once, for every such backend. *)
+module Backend (D : DISPATCH) : Backend_intf.S with type t = D.t = struct
+  include D
+
+  (* Each API function below shadows the catalog constructor of the same
+     name, which its body calls. *)
+  let run1 o a = run o [ a ]
+  let run2 o a b = run o [ a; b ]
+  let add a b = run2 (add (shape a) (shape b)) a b
+  let sub a b = run2 (sub (shape a) (shape b)) a b
+  let mul a b = run2 (mul (shape a) (shape b)) a b
+  let div a b = run2 (div (shape a) (shape b)) a b
+  let relu_grad x g = run2 (relu_grad (shape x) (shape g)) x g
+  let neg a = run1 (neg (shape a)) a
+  let exp a = run1 (exp (shape a)) a
+  let log a = run1 (log (shape a)) a
+  let sqrt a = run1 (sqrt (shape a)) a
+  let relu a = run1 (relu (shape a)) a
+  let sigmoid a = run1 (sigmoid (shape a)) a
+  let tanh a = run1 (tanh (shape a)) a
+  let softmax a = run1 (softmax (shape a)) a
+  let log_softmax a = run1 (log_softmax (shape a)) a
+  let scale c a = run1 (scale c (shape a)) a
+  let add_scalar c a = run1 (add_scalar c (shape a)) a
+  let reshape a s = run1 (reshape (shape a) s) a
+  let transpose a = run1 (transpose (shape a)) a
+  let broadcast_to a s = run1 (broadcast_to (shape a) s) a
+  let unbroadcast a s = run1 (unbroadcast (shape a) s) a
+  let sum_axes ?keep_dims a axes = run1 (sum_axes ?keep_dims (shape a) axes) a
+  let sum_all a = run1 (sum_all (shape a)) a
+  let mean_all a = run1 (mean_all (shape a)) a
+  let matmul a b = run2 (matmul (shape a) (shape b)) a b
+  let batch_matmul a b = run2 (batch_matmul (shape a) (shape b)) a b
+  let batch_transpose a = run1 (batch_transpose (shape a)) a
+  let conv_stride = Option.value ~default:Backend_intf.default_conv_stride
+
+  let conv2d ?stride ~padding x f =
+    run2 (conv2d ~stride:(conv_stride stride) ~padding (shape x) (shape f)) x f
+
+  let conv2d_backward_input ?stride ~padding ~input_shape f g =
+    let stride = conv_stride stride in
+    run2 (conv2d_backward_input ~stride ~padding ~input_shape (shape f) (shape g)) f g
+
+  let conv2d_backward_filter ?stride ~padding ~filter_shape x g =
+    let stride = conv_stride stride in
+    run2 (conv2d_backward_filter ~stride ~padding ~filter_shape (shape x) (shape g)) x g
+
+  let pool_stride stride ~size =
+    Option.value stride ~default:(Backend_intf.default_pool_stride ~size)
+
+  let avg_pool2d ?stride ~size a =
+    run1 (avg_pool2d ~size ~stride:(pool_stride stride ~size) (shape a)) a
+
+  let avg_pool2d_backward ?stride ~size ~input_shape g =
+    let stride = pool_stride stride ~size in
+    run1 (avg_pool2d_backward ~size ~stride ~input_shape (shape g)) g
+
+  let max_pool2d ?stride ~size a =
+    run1 (max_pool2d ~size ~stride:(pool_stride stride ~size) (shape a)) a
+
+  let max_pool2d_backward ?stride ~size x g =
+    let stride = pool_stride stride ~size in
+    run2 (max_pool2d_backward ~size ~stride (shape x) (shape g)) x g
+end

@@ -104,7 +104,7 @@ let make_replay_runner engine (s : Strategy.t) kind =
           List.filter_map
             (fun (n : S4o_xla.Hlo.node) ->
               match n.S4o_xla.Hlo.role with
-              | S4o_xla.Hlo.Compute _ -> Some (scale n.S4o_xla.Hlo.info)
+              | S4o_xla.Hlo.Compute o -> Some (scale o.info)
               | S4o_xla.Hlo.Param _ | S4o_xla.Hlo.Literal _ -> None)
             g.S4o_xla.Hlo.nodes
         in

@@ -141,9 +141,9 @@ let run exe engine feeds =
         (match st.node.role with
         | Hlo.Param i -> values.(k) <- feeds.(i)
         | Hlo.Literal v -> values.(k) <- v
-        | Hlo.Compute _ ->
+        | Hlo.Compute o ->
             let ops = st.operands in
-            let v = st.node.kernel (Array.map (fun j -> values.(j)) ops) in
+            let v = o.kernel (Array.map (fun j -> values.(j)) ops) in
             values.(k) <- v;
             (* A result aliases an operand when it is that operand's storage
                ([Dense.unbroadcast] to the operand's own shape). *)

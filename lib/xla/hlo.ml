@@ -1,27 +1,18 @@
 (** An HLO-like graph intermediate representation — the target of LazyTensor
     tracing (§3.3) and the input of the domain-specific compiler.
 
-    Nodes are immutable DAG vertices. A compute node carries its op's
-    {!S4o_ops.Catalog.kind} (the op and its parameters: what CSE and trace
-    keys compare), the output shape, cost metadata
-    ({!S4o_device.Op_info.t}), and a kernel closure giving the operation's
-    semantics on {!S4o_tensor.Dense} values. Parameters are fed at execution
-    time; literals are embedded constants. *)
+    Nodes are immutable DAG vertices. A compute node carries the
+    {!S4o_ops.Catalog.op} it applies: its kind (the op and its parameters:
+    what CSE and trace keys compare), cost metadata and kernel. Parameters
+    are fed at execution time; literals are embedded constants. *)
 
 open S4o_tensor
 module Catalog = S4o_ops.Catalog
 
-type node = {
-  id : int;
-  shape : Shape.t;
-  info : S4o_device.Op_info.t;
-  inputs : node list;
-  kernel : Dense.t array -> Dense.t;
-  role : role;
-}
+type node = { id : int; shape : Shape.t; inputs : node list; role : role }
 
 and role =
-  | Compute of Catalog.kind
+  | Compute of Catalog.op
   | Param of int  (** Fed at execution; the int is the parameter position. *)
   | Literal of Dense.t
 
@@ -31,49 +22,17 @@ let next_id () =
   incr counter;
   !counter
 
-let leaf_info name bytes_out =
-  {
-    S4o_device.Op_info.name;
-    kind = S4o_device.Op_info.Data_movement;
-    flops = 0;
-    bytes_in = 0;
-    bytes_out;
-  }
-
-let param ~index ~shape =
-  {
-    id = next_id ();
-    shape;
-    info = leaf_info "parameter" 0;
-    inputs = [];
-    kernel = (fun _ -> invalid_arg "parameter node has no kernel");
-    role = Param index;
-  }
+let param ~index ~shape = { id = next_id (); shape; inputs = []; role = Param index }
 
 let literal value =
-  let shape = Dense.shape value in
-  {
-    id = next_id ();
-    shape;
-    info = leaf_info "constant" (S4o_device.Op_info.bytes_of_shape shape);
-    inputs = [];
-    kernel = (fun _ -> value);
-    role = Literal value;
-  }
+  { id = next_id (); shape = Dense.shape value; inputs = []; role = Literal value }
 
 let op (o : Catalog.op) inputs =
-  {
-    id = next_id ();
-    shape = o.out_shape;
-    info = o.info;
-    inputs;
-    kernel = o.kernel;
-    role = Compute o.kind;
-  }
+  { id = next_id (); shape = o.out_shape; inputs; role = Compute o }
 
 let name n =
   match n.role with
-  | Compute kind -> Catalog.name kind
+  | Compute o -> Catalog.name o.kind
   | Param _ -> "parameter"
   | Literal _ -> "constant"
 
@@ -112,7 +71,7 @@ let node_key ~input n = (n.role, n.shape, List.map input n.inputs)
 
 let equal_role a b =
   match (a, b) with
-  | Compute x, Compute y -> Catalog.equal x y
+  | Compute x, Compute y -> Catalog.equal x.kind y.kind
   | Param i, Param j -> i = j
   | Literal u, Literal v -> Dense.bit_equal u v
   | (Compute _ | Param _ | Literal _), _ -> false
@@ -125,7 +84,7 @@ let mix h v = (h * 1000003) lxor v
 let hash_node_key (role, shape, inputs) =
   let h =
     match role with
-    | Compute kind -> Catalog.hash kind
+    | Compute o -> Catalog.hash o.kind
     | Param i -> i + 17
     | Literal v -> Dense.hash_contents v
   in
@@ -173,8 +132,8 @@ let pp_node ppf n =
   let ins = String.concat ", " (List.map (fun i -> Format.sprintf "%%%d" i.id) n.inputs) in
   let params =
     match n.role with
-    | Compute kind -> (
-        match Catalog.params_to_string kind with "" -> "" | p -> " {" ^ p ^ "}")
+    | Compute o -> (
+        match Catalog.params_to_string o.kind with "" -> "" | p -> " {" ^ p ^ "}")
     | Param i -> Format.sprintf " {%d}" i
     | Literal _ -> ""
   in
@@ -199,8 +158,8 @@ let to_dot ?name:(graph_name = "trace") g =
         match n.role with
         | Param _ -> "lightblue"
         | Literal _ -> "lightgray"
-        | Compute _ -> (
-            match n.info.S4o_device.Op_info.kind with
+        | Compute o -> (
+            match o.info.S4o_device.Op_info.kind with
             | S4o_device.Op_info.Contraction -> "lightsalmon"
             | _ -> "white")
       in

@@ -1,9 +1,9 @@
 (** An HLO-like graph intermediate representation — the target of LazyTensor
     tracing (§3.3) and the input of the domain-specific compiler.
 
-    Nodes are immutable DAG vertices. A compute node carries its op's
-    {!S4o_ops.Catalog.kind} (the op and its parameters), the output shape,
-    cost metadata, and a kernel closure giving the operation's semantics on
+    Nodes are immutable DAG vertices. A compute node carries the
+    {!S4o_ops.Catalog.op} it applies: its kind (the op and its parameters),
+    its cost metadata and a kernel giving the operation's semantics on
     {!S4o_tensor.Dense} values. Parameters are fed at execution time;
     literals are embedded constants. The record is exposed because the
     optimizer, fuser, and executor pattern-match on it throughout. *)
@@ -13,14 +13,14 @@ open S4o_tensor
 type node = {
   id : int;  (** Globally unique; not part of the structural key. *)
   shape : Shape.t;
-  info : S4o_device.Op_info.t;
   inputs : node list;
-  kernel : Dense.t array -> Dense.t;
   role : role;
 }
 
 and role =
-  | Compute of S4o_ops.Catalog.kind
+  | Compute of S4o_ops.Catalog.op
+      (** The op applied to [inputs]; the node's key compares only its
+          [kind]. *)
   | Param of int  (** Fed at execution; the int is the parameter position. *)
   | Literal of Dense.t
 

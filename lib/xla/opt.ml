@@ -46,10 +46,10 @@ let constant_fold g =
   @@ map_graph g (fun n inputs ->
       match n.role with
       | Param _ | Literal _ -> n
-      | Compute _ ->
+      | Compute o ->
           let values = List.map literal_value inputs in
           if inputs <> [] && List.for_all Option.is_some values then
-            Hlo.literal (n.kernel (Array.of_list (List.map Option.get values)))
+            Hlo.literal (o.kernel (Array.of_list (List.map Option.get values)))
           else n)
 
 let dead_code_elim g =
@@ -57,11 +57,14 @@ let dead_code_elim g =
 
 type cluster = { members : Hlo.node list; info : S4o_device.Op_info.t }
 
+let compute_info (n : Hlo.node) =
+  match n.role with Compute o -> Some o.info | Param _ | Literal _ -> None
+
 let fusible (n : Hlo.node) =
-  match (n.role, n.info.S4o_device.Op_info.kind) with
-  | (Param _ | Literal _), _ -> false
-  | Compute _, (S4o_device.Op_info.Elementwise | Reduction | Data_movement) -> true
-  | Compute _, (S4o_device.Op_info.Contraction | Fused _) -> false
+  match compute_info n with
+  | None -> false
+  | Some { kind = Elementwise | Reduction | Data_movement; _ } -> true
+  | Some { kind = Contraction | Fused _; _ } -> false
 
 let is_compute (n : Hlo.node) =
   match n.role with Compute _ -> true | Param _ | Literal _ -> false
@@ -157,12 +160,11 @@ let fuse (g : Hlo.graph) =
           0 ms
       in
       let info =
-        match ms with
-        | [ single ] -> single.Hlo.info
-        | _ ->
-            S4o_device.Op_info.fused
-              ~members:(List.map (fun (m : Hlo.node) -> m.Hlo.info) ms)
-              ~external_in_bytes:external_in ~external_out_bytes:external_out
+        match List.filter_map compute_info ms with
+        | [ single ] -> single
+        | members ->
+            S4o_device.Op_info.fused ~members ~external_in_bytes:external_in
+              ~external_out_bytes:external_out
       in
       { members = ms; info })
     cluster_list

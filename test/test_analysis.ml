@@ -314,7 +314,7 @@ let test_hlo_conv_backward_consistency () =
   let filter = Hlo.param ~index:0 ~shape:[| 3; 3; 3; 8 |] in
   let grad = Hlo.param ~index:1 ~shape:[| 1; 8; 8; 8 |] in
   let op =
-    C.conv2d_backward_input ~padding:Convolution.Same
+    C.conv2d_backward_input ~stride:(1, 1) ~padding:Convolution.Same
       ~input_shape:[| 1; 8; 8; 3 |] [| 3; 3; 3; 8 |] [| 1; 8; 8; 8 |]
   in
   let good = Hlo.op op [ filter; grad ] in

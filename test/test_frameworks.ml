@@ -13,7 +13,10 @@ let step_graph () =
   let f = Hlo.param ~index:1 ~shape:[| 3; 3; 3; 8 |] in
   let b = Hlo.param ~index:2 ~shape:[| 8 |] in
   let conv =
-    Hlo.op (C.conv2d ~padding:S4o_tensor.Convolution.Same [| 8; 16; 16; 3 |] [| 3; 3; 3; 8 |]) [ x; f ]
+    Hlo.op
+      (C.conv2d ~stride:(1, 1) ~padding:S4o_tensor.Convolution.Same [| 8; 16; 16; 3 |]
+         [| 3; 3; 3; 8 |])
+      [ x; f ]
   in
   let biased = Hlo.op (C.add [| 8; 16; 16; 8 |] [| 8 |]) [ conv; b ] in
   let act = Hlo.op (C.relu [| 8; 16; 16; 8 |]) [ biased ] in

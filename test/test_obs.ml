@@ -11,22 +11,6 @@ module Stats = S4o_obs.Stats
 module Engine = S4o_device.Engine
 module Spec = S4o_device.Device_spec
 
-let with_eager f =
-  let engine = Engine.create Spec.gtx1080 in
-  let rt = S4o_eager.Runtime.create engine in
-  let module Bk = S4o_eager.Eager_backend.Make (struct
-    let rt = rt
-  end) in
-  f (module Bk : Backend_intf.S) rt engine
-
-let with_lazy ?cache_enabled f =
-  let engine = Engine.create Spec.gtx1080 in
-  let rt = S4o_lazy.Lazy_runtime.create ?cache_enabled engine in
-  let module Bk = S4o_lazy.Lazy_backend.Make (struct
-    let rt = rt
-  end) in
-  f (module Bk : Backend_intf.S) rt engine
-
 let expr (type t) (module Bk : Backend_intf.S with type t = t) a b =
   let x = Bk.of_dense a and y = Bk.of_dense b in
   let z = Bk.relu (Bk.sub (Bk.mul x y) (Bk.add_scalar 0.5 x)) in
@@ -124,7 +108,7 @@ let test_clock_monotonicity () =
   (* Simulated timeline invariants after a real eager workload: every span
      is well-formed, device kernels execute serially (FIFO, no overlap),
      and successive host dispatch spans never run backwards. *)
-  with_eager (fun (module Bk) _ engine ->
+  Test_util.with_eager (fun (module Bk) _ engine ->
       let a, b = sample_inputs 1 in
       ignore (expr (module Bk) a b);
       let spans = Recorder.spans (Engine.recorder engine) in
@@ -150,7 +134,7 @@ let test_clock_monotonicity () =
       check_serial "host spans" (by_track Recorder.Host))
 
 let test_eager_dispatch_span_count () =
-  with_eager (fun (module Bk) rt engine ->
+  Test_util.with_eager (fun (module Bk) rt engine ->
       let a, b = sample_inputs 2 in
       ignore (expr (module Bk) a b);
       let st = S4o_eager.Runtime.stats rt in
@@ -175,13 +159,13 @@ let test_eager_dispatch_span_count () =
 
 let test_unified_stats_shape () =
   let eager_st =
-    with_eager (fun (module Bk) rt _ ->
+    Test_util.with_eager (fun (module Bk) rt _ ->
         let a, b = sample_inputs 3 in
         ignore (expr (module Bk) a b);
         S4o_eager.Runtime.stats rt)
   in
   let lazy_st =
-    with_lazy (fun (module Bk) rt _ ->
+    Test_util.with_lazy (fun (module Bk) rt _ ->
         let a, b = sample_inputs 3 in
         ignore (expr (module Bk) a b);
         S4o_lazy.Lazy_runtime.stats rt)
@@ -198,7 +182,7 @@ let test_unified_stats_shape () =
     (lazy_st.Stats.compile_seconds > 0.0)
 
 let test_reset_stats () =
-  with_eager (fun (module Bk) rt _ ->
+  Test_util.with_eager (fun (module Bk) rt _ ->
       let a, b = sample_inputs 4 in
       ignore (expr (module Bk) a b);
       Test_util.check_true "nonzero before reset"
@@ -209,7 +193,7 @@ let test_reset_stats () =
       Test_util.check_int "kernels zeroed" 0 st.Stats.kernels_launched;
       Test_util.check_close "host clock zeroed" 0.0 st.Stats.host_seconds;
       Test_util.check_int "timeline cleared" 0 st.Stats.spans_recorded);
-  with_lazy (fun (module Bk) rt _ ->
+  Test_util.with_lazy (fun (module Bk) rt _ ->
       let a, b = sample_inputs 4 in
       ignore (expr (module Bk) a b);
       S4o_lazy.Lazy_runtime.reset_stats rt;
@@ -228,12 +212,12 @@ let test_lazy_cache_hit_counter_vs_ablation () =
       [ 1; 2; 3; 4 ]
   in
   let st_on =
-    with_lazy ~cache_enabled:true (fun (module Bk) rt _ ->
+    Test_util.with_lazy ~cache_enabled:true (fun (module Bk) rt _ ->
         steps (module Bk);
         S4o_lazy.Lazy_runtime.stats rt)
   in
   let st_off =
-    with_lazy ~cache_enabled:false (fun (module Bk) rt _ ->
+    Test_util.with_lazy ~cache_enabled:false (fun (module Bk) rt _ ->
         steps (module Bk);
         S4o_lazy.Lazy_runtime.stats rt)
   in
@@ -249,7 +233,7 @@ let test_lazy_cache_hit_counter_vs_ablation () =
 
 let test_chrome_trace_round_trip () =
   let eager_rec, n_eager_events, host_spans, device_spans =
-    with_eager (fun (module Bk) _ engine ->
+    Test_util.with_eager (fun (module Bk) _ engine ->
         let a, b = sample_inputs 6 in
         ignore (expr (module Bk) a b);
         let r = Engine.recorder engine in
@@ -324,27 +308,41 @@ let test_stride_defaults_agree () =
   let rng = Prng.create 9 in
   let image = Dense.rand_normal rng [| 1; 8; 8; 2 |] in
   let filter = Dense.rand_normal rng [| 3; 3; 2; 4 |] in
+  let conv_grad = Dense.rand_normal rng [| 1; 8; 8; 4 |] in
+  let pool_grad = Dense.rand_normal rng [| 1; 4; 4; 2 |] in
+  let padding = Convolution.Same and size = (2, 2) in
+  let input_shape = Dense.shape image and filter_shape = Dense.shape filter in
+  (* Every op with a [?stride], run with the default and with the documented
+     default spelled out: (1, 1) for convolutions, the window for pooling. *)
   let run (type t) (module Bk : Backend_intf.S with type t = t) =
     let x = Bk.of_dense image and f = Bk.of_dense filter in
-    let conv_default = Bk.conv2d ~padding:Convolution.Same x f in
-    let conv_explicit =
-      Bk.conv2d ~stride:Backend_intf.default_conv_stride
-        ~padding:Convolution.Same x f
+    let gc = Bk.of_dense conv_grad and gp = Bk.of_dense pool_grad in
+    let case name explicit op =
+      (name, Bk.to_dense (op None), Bk.to_dense (op (Some explicit)))
     in
-    let pool_default = Bk.avg_pool2d ~size:(2, 2) x in
-    let pool_explicit = Bk.avg_pool2d ~stride:(2, 2) ~size:(2, 2) x in
-    ( Bk.to_dense conv_default,
-      Bk.to_dense conv_explicit,
-      Bk.to_dense pool_default,
-      Bk.to_dense pool_explicit )
+    [
+      case "conv2d" (1, 1) (fun stride -> Bk.conv2d ?stride ~padding x f);
+      case "conv2d_backward_input" (1, 1) (fun stride ->
+          Bk.conv2d_backward_input ?stride ~padding ~input_shape f gc);
+      case "conv2d_backward_filter" (1, 1) (fun stride ->
+          Bk.conv2d_backward_filter ?stride ~padding ~filter_shape x gc);
+      case "avg_pool2d" size (fun stride -> Bk.avg_pool2d ?stride ~size x);
+      case "max_pool2d" size (fun stride -> Bk.max_pool2d ?stride ~size x);
+      case "avg_pool2d_backward" size (fun stride ->
+          Bk.avg_pool2d_backward ?stride ~size ~input_shape gp);
+      case "max_pool2d_backward" size (fun stride ->
+          Bk.max_pool2d_backward ?stride ~size x gp);
+    ]
   in
-  let check name (cd, ce, pd, pe) =
-    Test_util.check_tensor (name ^ ": conv default = (1,1)") ce cd;
-    Test_util.check_tensor (name ^ ": pool default stride = size") pe pd
+  let check backend =
+    List.iter (fun (name, default, explicit) ->
+        Test_util.check_true
+          (Printf.sprintf "%s %s: default stride = explicit" backend name)
+          (Dense.bit_equal default explicit))
   in
   check "naive" (run (module Naive_backend));
-  check "eager" (with_eager (fun (module Bk) _ _ -> run (module Bk)));
-  check "lazy" (with_lazy (fun (module Bk) _ _ -> run (module Bk)))
+  check "eager" (Test_util.with_eager (fun (module Bk) _ _ -> run (module Bk)));
+  check "lazy" (Test_util.with_lazy (fun (module Bk) _ _ -> run (module Bk)))
 
 let suite =
   let tc = Alcotest.test_case in

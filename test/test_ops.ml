@@ -84,13 +84,14 @@ let test_malformed_shapes_raise () =
   in
   let padding = Convolution.Same in
   shape_error "conv2d channel mismatch" (fun () ->
-      C.conv2d ~padding [| 1; 8; 8; 3 |] [| 3; 3; 4; 8 |]);
-  shape_error "conv2d rank" (fun () -> C.conv2d ~padding [| 8; 8; 3 |] [| 3; 3; 3; 8 |]);
+      C.conv2d ~stride:(1, 1) ~padding [| 1; 8; 8; 3 |] [| 3; 3; 4; 8 |]);
+  shape_error "conv2d rank" (fun () ->
+      C.conv2d ~stride:(1, 1) ~padding [| 8; 8; 3 |] [| 3; 3; 3; 8 |]);
   shape_error "unbroadcast to a non-suffix" (fun () -> C.unbroadcast [| 4; 3 |] [| 5 |]);
   shape_error "broadcast_to a smaller shape" (fun () -> C.broadcast_to [| 2; 3 |] [| 3 |]);
   shape_error "backward input grad mismatch" (fun () ->
-      C.conv2d_backward_input ~padding ~input_shape:[| 1; 8; 8; 3 |] [| 3; 3; 3; 8 |]
-        [| 1; 9; 8; 8 |]);
+      C.conv2d_backward_input ~stride:(1, 1) ~padding ~input_shape:[| 1; 8; 8; 3 |]
+        [| 3; 3; 3; 8 |] [| 1; 9; 8; 8 |]);
   shape_error "pool rank" (fun () -> C.avg_pool2d ~size:(2, 2) ~stride:(2, 2) [| 8; 8 |]);
   shape_error "softmax rank" (fun () -> C.softmax [| 8 |]);
   (* The lazy backend raises when the op is recorded, not at the next cut. *)
@@ -128,18 +129,18 @@ let test_conv_op_and_backwards () =
   let x = Dense.rand_normal rng [| 1; 6; 6; 2 |] in
   let f = Dense.rand_normal rng [| 3; 3; 2; 4 |] in
   let padding = Convolution.Same in
-  let fwd = C.conv2d ~padding (Dense.shape x) (Dense.shape f) in
+  let fwd = C.conv2d ~stride:(1, 1) ~padding (Dense.shape x) (Dense.shape f) in
   let y = run fwd [| x; f |] in
   Test_util.check_tensor "conv forward" (Convolution.conv2d ~padding x f) y;
   let bwd_in =
-    C.conv2d_backward_input ~padding ~input_shape:(Dense.shape x)
+    C.conv2d_backward_input ~stride:(1, 1) ~padding ~input_shape:(Dense.shape x)
       (Dense.shape f) (Dense.shape y)
   in
   Test_util.check_tensor "conv backward input"
     (Convolution.conv2d_backward_input ~padding ~input_shape:(Dense.shape x) f y)
     (run bwd_in [| f; y |]);
   let bwd_f =
-    C.conv2d_backward_filter ~padding ~filter_shape:(Dense.shape f)
+    C.conv2d_backward_filter ~stride:(1, 1) ~padding ~filter_shape:(Dense.shape f)
       (Dense.shape x) (Dense.shape y)
   in
   Test_util.check_tensor "conv backward filter"
@@ -197,7 +198,8 @@ let test_cost_metadata_sane () =
       C.add [| 8 |] [| 8 |];
       C.relu [| 8 |];
       C.matmul [| 4; 4 |] [| 4; 4 |];
-      C.conv2d ~padding:Convolution.Same [| 1; 8; 8; 1 |] [| 3; 3; 1; 2 |];
+      C.conv2d ~stride:(1, 1) ~padding:Convolution.Same [| 1; 8; 8; 1 |]
+        [| 3; 3; 1; 2 |];
       C.sum_all [| 64 |];
       C.reshape [| 8 |] [| 2; 4 |];
       C.softmax [| 2; 4 |];

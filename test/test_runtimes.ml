@@ -6,23 +6,6 @@ open S4o_tensor
 module Engine = S4o_device.Engine
 module Spec = S4o_device.Device_spec
 
-(* fresh eager stack per test *)
-let with_eager f =
-  let engine = Engine.create Spec.gtx1080 in
-  let rt = S4o_eager.Runtime.create engine in
-  let module Bk = S4o_eager.Eager_backend.Make (struct
-    let rt = rt
-  end) in
-  f (module Bk : Backend_intf.S) rt engine
-
-let with_lazy ?cache_enabled f =
-  let engine = Engine.create Spec.gtx1080 in
-  let rt = S4o_lazy.Lazy_runtime.create ?cache_enabled engine in
-  let module Bk = S4o_lazy.Lazy_backend.Make (struct
-    let rt = rt
-  end) in
-  f (module Bk : Backend_intf.S) rt engine
-
 (* A composite expression exercised on every backend. *)
 let expr (type t) (module Bk : Backend_intf.S with type t = t) a b =
   let x = Bk.of_dense a and y = Bk.of_dense b in
@@ -41,7 +24,7 @@ let reference seed =
 (* {1 Backend agreement} *)
 
 let test_eager_matches_naive () =
-  with_eager (fun (module Bk) _ _ ->
+  Test_util.with_eager (fun (module Bk) _ _ ->
       List.iter
         (fun seed ->
           let a, b = sample_inputs seed in
@@ -50,7 +33,7 @@ let test_eager_matches_naive () =
         [ 1; 2; 3; 4; 5 ])
 
 let test_lazy_matches_naive () =
-  with_lazy (fun (module Bk) _ _ ->
+  Test_util.with_lazy (fun (module Bk) _ _ ->
       List.iter
         (fun seed ->
           let a, b = sample_inputs seed in
@@ -206,7 +189,7 @@ let lazy_fuzzed ?cache_enabled () =
 
 let qcheck_three_backends_agree =
   let naive = no_cut (module Naive_backend) in
-  let eager = with_eager (fun bk _ _ -> no_cut bk) in
+  let eager = Test_util.with_eager (fun bk _ _ -> no_cut bk) in
   let lazy_cached = lazy_fuzzed () in
   let lazy_uncached = lazy_fuzzed ~cache_enabled:false () in
   Test_util.qtest ~count:300 "naive = eager = lazy on random programs" arb_program
@@ -230,7 +213,7 @@ let qcheck_three_backends_agree =
 (* {1 Eager runtime behaviour} *)
 
 let test_eager_dispatch_costs_host_time () =
-  with_eager (fun (module Bk) rt _ ->
+  Test_util.with_eager (fun (module Bk) rt _ ->
       let a, b = sample_inputs 1 in
       let _ = expr (module Bk) a b in
       Test_util.check_true "ops dispatched"
@@ -239,7 +222,7 @@ let test_eager_dispatch_costs_host_time () =
         (S4o_eager.Runtime.host_time rt > 0.0))
 
 let test_eager_pipeline_until_observed () =
-  with_eager (fun (module Bk) _ engine ->
+  Test_util.with_eager (fun (module Bk) _ engine ->
       let a, _ = sample_inputs 1 in
       let x = Bk.of_dense a in
       let y = Bk.relu (Bk.exp x) in
@@ -261,7 +244,7 @@ let test_eager_overhead_configurable () =
 (* {1 Lazy runtime behaviour} *)
 
 let test_lazy_defers_execution () =
-  with_lazy (fun (module Bk) rt engine ->
+  Test_util.with_lazy (fun (module Bk) rt engine ->
       let a, _ = sample_inputs 2 in
       let x = Bk.of_dense a in
       let _y = Bk.relu (Bk.exp (Bk.sqrt (Bk.sigmoid x))) in
@@ -272,7 +255,7 @@ let test_lazy_defers_execution () =
       Test_util.check_int "no kernels yet" 0 (Engine.kernels_launched engine))
 
 let test_lazy_program_cache_hits () =
-  with_lazy (fun (module Bk) rt _ ->
+  Test_util.with_lazy (fun (module Bk) rt _ ->
       let step seed =
         let a, b = sample_inputs seed in
         ignore (expr (module Bk) a b)
@@ -285,7 +268,7 @@ let test_lazy_program_cache_hits () =
       Test_util.check_int "four hits" 4 st.S4o_lazy.Lazy_runtime.cache_hits)
 
 let test_lazy_shape_change_recompiles () =
-  with_lazy (fun (module Bk) rt _ ->
+  Test_util.with_lazy (fun (module Bk) rt _ ->
       let run n =
         let g = Prng.create n in
         let x = Bk.of_dense (Dense.rand_normal g [| n |]) in
@@ -303,7 +286,7 @@ let test_lazy_shape_change_recompiles () =
         st.S4o_lazy.Lazy_runtime.cache_hits)
 
 let test_lazy_cache_disabled_recompiles () =
-  with_lazy ~cache_enabled:false (fun (module Bk) rt _ ->
+  Test_util.with_lazy ~cache_enabled:false (fun (module Bk) rt _ ->
       let run () =
         let x = Bk.of_dense (Dense.ones [| 4 |]) in
         ignore (Bk.to_dense (Bk.relu x))
@@ -375,7 +358,7 @@ let test_lazy_capture_is_free () =
   Test_util.check_int "no trace consumed" 0 st.S4o_lazy.Lazy_runtime.traces_cut
 
 let test_lazy_reports_buffer_reuse () =
-  with_lazy (fun (module Bk) _ engine ->
+  Test_util.with_lazy (fun (module Bk) _ engine ->
       (* neg^4: the third and fourth negs take the buffers of the first two *)
       let x = Bk.of_dense (Dense.ones [| 64 |]) in
       ignore (Bk.to_dense (Bk.neg (Bk.neg (Bk.neg (Bk.neg x)))));

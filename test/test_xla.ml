@@ -126,7 +126,10 @@ let test_fusion_chains () =
   let f = Hlo.param ~index:1 ~shape:[| 3; 3; 3; 4 |] in
   let b = Hlo.param ~index:2 ~shape:[| 4 |] in
   let conv =
-    Hlo.op (C.conv2d ~padding:Convolution.Same [| 1; 8; 8; 3 |] [| 3; 3; 3; 4 |]) [ x; f ]
+    Hlo.op
+      (C.conv2d ~stride:(1, 1) ~padding:Convolution.Same [| 1; 8; 8; 3 |]
+         [| 3; 3; 3; 4 |])
+      [ x; f ]
   in
   let biased = Hlo.op (C.add [| 1; 8; 8; 4 |] [| 4 |]) [ conv; b ] in
   let act = Hlo.op (C.relu [| 1; 8; 8; 4 |]) [ biased ] in
@@ -295,7 +298,10 @@ let test_peak_memory_matches_plan () =
   let x = Hlo.param ~index:0 ~shape:[| 2; 4; 4; 3 |] in
   let f = Hlo.param ~index:1 ~shape:[| 3; 3; 3; 4 |] in
   let conv =
-    Hlo.op (C.conv2d ~padding:Convolution.Same [| 2; 4; 4; 3 |] [| 3; 3; 3; 4 |]) [ x; f ]
+    Hlo.op
+      (C.conv2d ~stride:(1, 1) ~padding:Convolution.Same [| 2; 4; 4; 3 |]
+         [| 3; 3; 3; 4 |])
+      [ x; f ]
   in
   let mean_of t = Hlo.op (C.scale (1.0 /. 32.0) [| 4 |]) [ Hlo.op (C.sum_axes s axes) [ t ] ] in
   let centered = Hlo.op (C.sub s [| 4 |]) [ conv; mean_of conv ] in
@@ -363,8 +369,8 @@ let eval_direct (g : Hlo.graph) feeds =
         match node.Hlo.role with
         | Hlo.Param i -> feeds.(i)
         | Hlo.Literal v -> v
-        | Hlo.Compute _ ->
-            node.Hlo.kernel
+        | Hlo.Compute o ->
+            o.kernel
               (Array.of_list
                  (List.map (fun (i : Hlo.node) -> Hashtbl.find values i.Hlo.id) node.Hlo.inputs))
       in
@@ -461,9 +467,11 @@ let test_run_pointwise_conv_input_live () =
   let xs = [| 2; 4; 4; 3 |] and fs = [| 1; 1; 3; 5 |] and ys = [| 2; 4; 4; 5 |] in
   let padding = Convolution.Valid in
   let reread x =
-    let conv = Hlo.op (C.conv2d ~padding xs fs) [ x; conv_param 1 fs ] in
+    let conv = Hlo.op (C.conv2d ~stride:(1, 1) ~padding xs fs) [ x; conv_param 1 fs ] in
     let dfilter =
-      Hlo.op (C.conv2d_backward_filter ~padding ~filter_shape:fs xs ys) [ x; conv_param 2 ys ]
+      Hlo.op
+        (C.conv2d_backward_filter ~stride:(1, 1) ~padding ~filter_shape:fs xs ys)
+        [ x; conv_param 2 ys ]
     in
     let r = Hlo.op (C.relu xs) [ x ] in
     Hlo.graph_of_outputs [ conv; dfilter; Hlo.op (C.mul xs xs) [ x; r ] ]
@@ -483,7 +491,9 @@ let test_run_pointwise_conv_input_live () =
    buffer the first conv released. *)
 let test_run_conv_scratch_reused () =
   let xs = [| 2; 6; 6; 4 |] and fs = [| 3; 3; 4; 4 |] in
-  let conv x f = Hlo.op (C.conv2d ~padding:Convolution.Same xs fs) [ x; f ] in
+  let conv x f =
+    Hlo.op (C.conv2d ~stride:(1, 1) ~padding:Convolution.Same xs fs) [ x; f ]
+  in
   let g =
     Hlo.graph_of_outputs
       [ conv (conv (conv_param 0 xs) (conv_param 1 fs)) (conv_param 2 fs) ]
