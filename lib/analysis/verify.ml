@@ -1,11 +1,12 @@
 (** The MSIL IR verifier.
 
-    {!S4o_sil.Ir.validate} raises on the first structural problem; the
-    verifier instead collects {e every} violation, classifies each as an
-    error (the function is malformed — interpreting it would be undefined)
-    or a warning (well-formed but suspicious — a missed-optimization or
-    density lint), and powers checked mode: after every optimization pass
-    and every AD code generation, {!run} re-verifies the output so a
+    The structural checks are {!S4o_sil.Ir.violations}, which
+    {!S4o_sil.Ir.validate} also uses: it raises on the first, while the
+    verifier reports {e every} one as an error (the function is malformed —
+    interpreting it would be undefined). It adds warnings (well-formed but
+    suspicious — a missed-optimization or density lint) computed with
+    {!S4o_sil.Dataflow}, and powers checked mode: after every optimization
+    pass and every AD code generation, {!run} re-verifies the output so a
     renumbering bug in a pass surfaces at the pass, not as a wrong number
     three layers later.
 
@@ -38,64 +39,10 @@ let pp_violation ppf v =
     v.func v.block v.site v.message
 
 let structural (f : Ir.func) =
-  let out = ref [] in
-  let add severity block site fmt =
-    Format.kasprintf
-      (fun message ->
-        out := { severity; func = f.Ir.name; block; site; message } :: !out)
-      fmt
-  in
-  let nblocks = Array.length f.Ir.blocks in
-  if nblocks = 0 then add Error 0 "func" "no blocks"
-  else begin
-    if f.Ir.blocks.(0).Ir.params <> f.Ir.n_args then
-      add Error 0 "entry"
-        "entry block has %d params for %d args" f.Ir.blocks.(0).Ir.params
-        f.Ir.n_args;
-    Array.iteri
-      (fun bi b ->
-        Array.iteri
-          (fun ii inst ->
-            let defined = b.Ir.params + ii in
-            List.iter
-              (fun v ->
-                if v < 0 then
-                  add Error bi (Printf.sprintf "inst %d" ii)
-                    "negative operand v%d" v
-                else if v >= defined then
-                  add Error bi (Printf.sprintf "inst %d" ii)
-                    "operand v%d used before definition (only v0..v%d defined)"
-                    v (defined - 1))
-              (Ir.inst_operands inst))
-          b.Ir.insts;
-        let total = Ir.block_values b in
-        let check_value site v =
-          if v < 0 || v >= total then
-            add Error bi site "value v%d out of range (block defines %d)" v
-              total
-        in
-        let check_target args target =
-          if target < 0 || target >= nblocks then
-            add Error bi "term" "branch to missing bb%d" target
-          else begin
-            let want = f.Ir.blocks.(target).Ir.params in
-            if Array.length args <> want then
-              add Error bi "term"
-                "%d branch args for bb%d which takes %d params"
-                (Array.length args) target want;
-            Array.iter (check_value "term") args
-          end
-        in
-        match b.Ir.term with
-        | Ir.Ret v -> check_value "term" v
-        | Ir.Br (t, args) -> check_target args t
-        | Ir.Cond_br (c, bt, at, bf, af) ->
-            check_value "term" c;
-            check_target at bt;
-            check_target af bf)
-      f.Ir.blocks
-  end;
-  List.rev !out
+  List.map
+    (fun (block, site, message) ->
+      { severity = Error; func = f.Ir.name; block; site; message })
+    (Ir.violations f)
 
 let lints (f : Ir.func) =
   let out = ref [] in

@@ -1,7 +1,8 @@
-(** MSIL IR verifier: collects every structural error and (optionally)
-    dataflow-powered lints, instead of failing on the first problem the way
-    {!S4o_sil.Ir.validate} does. Checked mode runs {!run} after every
-    optimization pass, AD synthesis, and derivative code generation. *)
+(** MSIL IR verifier: reports every {!S4o_sil.Ir.violations} entry as an
+    error (where {!S4o_sil.Ir.validate} raises on the first) and
+    (optionally) {!S4o_sil.Dataflow}-powered lints. Checked mode runs
+    {!run} after every optimization pass, AD synthesis, and derivative code
+    generation. *)
 
 open S4o_sil
 

@@ -12,8 +12,6 @@ type t = {
   mutable busy : float;
   mutable stalled : float;
   mutable max_depth : float;
-  mutable live : int;
-  mutable peak : int;
 }
 
 let create ?recorder spec =
@@ -32,8 +30,6 @@ let create ?recorder spec =
     busy = 0.0;
     stalled = 0.0;
     max_depth = 0.0;
-    live = 0;
-    peak = 0;
   }
 
 let spec t = t.spec
@@ -90,15 +86,6 @@ let kernels_launched t = t.kernels
 let device_busy_time t = t.busy
 let host_stall_time t = t.stalled
 let max_pipeline_depth t = t.max_depth
-let live_bytes t = t.live
-let peak_bytes t = t.peak
-
-let alloc t bytes =
-  t.live <- t.live + bytes;
-  if t.live > t.peak then t.peak <- t.live
-
-let free t bytes = t.live <- max 0 (t.live - bytes)
-
 let stats t =
   {
     S4o_obs.Stats.zero with
@@ -107,8 +94,6 @@ let stats t =
     device_busy_seconds = t.busy;
     host_stall_seconds = t.stalled;
     max_pipeline_depth = t.max_depth;
-    live_bytes = t.live;
-    peak_bytes = t.peak;
     spans_recorded = Recorder.span_count t.recorder;
     tensor_live_bytes = S4o_obs.Memory.live_bytes S4o_obs.Memory.global;
     tensor_peak_bytes = S4o_obs.Memory.peak_bytes S4o_obs.Memory.global;

@@ -73,14 +73,6 @@ val host_stall_time : t -> float
 (** Deepest the device queue ever ran ahead of the host, in seconds. *)
 val max_pipeline_depth : t -> float
 
-(** Bytes of device memory currently attributed to live allocations; tracked
-    explicitly by the runtimes via {!alloc} and {!free}. *)
-val live_bytes : t -> int
-
-val peak_bytes : t -> int
-val alloc : t -> int -> unit
-val free : t -> int -> unit
-
-(** Reset clocks, statistics, metrics, and the recorded timeline
-    (allocations persist). *)
+(** Reset clocks, statistics, metrics, and the recorded timeline. Tensor
+    memory is accounted in {!S4o_obs.Memory}, not here. *)
 val reset : t -> unit

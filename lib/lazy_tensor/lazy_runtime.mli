@@ -38,8 +38,6 @@ type stats = S4o_obs.Stats.t = {
   device_busy_seconds : float;
   host_stall_seconds : float;
   max_pipeline_depth : float;
-  live_bytes : int;
-  peak_bytes : int;
   spans_recorded : int;
   tensor_live_bytes : int;
   tensor_peak_bytes : int;

@@ -12,8 +12,6 @@ type t = {
   device_busy_seconds : float;
   host_stall_seconds : float;
   max_pipeline_depth : float;
-  live_bytes : int;
-  peak_bytes : int;
   spans_recorded : int;
   tensor_live_bytes : int;
   tensor_peak_bytes : int;
@@ -36,8 +34,6 @@ let zero =
     device_busy_seconds = 0.0;
     host_stall_seconds = 0.0;
     max_pipeline_depth = 0.0;
-    live_bytes = 0;
-    peak_bytes = 0;
     spans_recorded = 0;
     tensor_live_bytes = 0;
     tensor_peak_bytes = 0;
@@ -62,8 +58,6 @@ let rows t =
     ("device busy", ms t.device_busy_seconds);
     ("host stalled", ms t.host_stall_seconds);
     ("max pipeline depth", ms t.max_pipeline_depth);
-    ("live bytes", i t.live_bytes);
-    ("peak bytes", i t.peak_bytes);
     ("spans recorded", i t.spans_recorded);
     ("tensor live bytes", i t.tensor_live_bytes);
     ("tensor peak bytes", i t.tensor_peak_bytes);

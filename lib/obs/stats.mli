@@ -22,8 +22,6 @@ type t = {
   host_stall_seconds : float;  (** Host time spent blocked in syncs. *)
   max_pipeline_depth : float;
       (** Deepest the device queue ever ran ahead of the host (seconds). *)
-  live_bytes : int;  (** Device memory currently attributed. *)
-  peak_bytes : int;  (** Peak device memory. *)
   spans_recorded : int;  (** Events captured by the {!Recorder}. *)
   tensor_live_bytes : int;
       (** Off-heap tensor bytes currently live ({!Memory.global}); zero

@@ -15,93 +15,27 @@ let differentiable_operands (inst : Ir.inst) =
   | Call (_, args) -> Array.to_list args
 
 let analyze ?wrt (f : Ir.func) =
-  let n_blocks = Array.length f.blocks in
-  let fresh () = Array.map (fun b -> Array.make (Ir.block_values b) false) f.blocks in
-  let varied = fresh () and useful = fresh () in
   let wrt = match wrt with None -> List.init f.n_args Fun.id | Some l -> l in
   List.iter
     (fun i ->
-      if i < 0 || i >= f.n_args then Ir.fail "analyze: wrt arg %d out of range" i;
-      varied.(0).(i) <- true)
+      if i < 0 || i >= f.n_args then Ir.fail "analyze: wrt arg %d out of range" i)
     wrt;
-  (* Forward pass: propagate variedness within blocks and across branches
-     until no block-parameter changes. *)
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    for bi = 0 to n_blocks - 1 do
-      let b = f.blocks.(bi) in
-      Array.iteri
-        (fun ii inst ->
-          let vi = b.params + ii in
-          if not varied.(bi).(vi) then
-            let v =
-              List.exists (fun a -> varied.(bi).(a)) (differentiable_operands inst)
-            in
-            if v then begin
-              varied.(bi).(vi) <- true;
-              changed := true
-            end)
-        b.insts;
-      let flow args target =
-        Array.iteri
-          (fun pos a ->
-            if varied.(bi).(a) && not varied.(target).(pos) then begin
-              varied.(target).(pos) <- true;
-              changed := true
-            end)
-          args
-      in
-      match b.term with
-      | Ret _ -> ()
-      | Br (t, args) -> flow args t
-      | Cond_br (_, bt, at, bf, af) ->
-          flow at bt;
-          flow af bf
-    done
-  done;
-  (* Backward pass: usefulness from the return value, through instructions
-     in reverse, and from block parameters back to branch arguments. *)
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    for bi = n_blocks - 1 downto 0 do
-      let b = f.blocks.(bi) in
-      (match b.term with
-      | Ret v ->
-          if not useful.(bi).(v) then begin
-            useful.(bi).(v) <- true;
-            changed := true
-          end
-      | Br _ | Cond_br _ -> ());
-      (let flow_back target args =
-         Array.iteri
-           (fun pos a ->
-             if useful.(target).(pos) && not useful.(bi).(a) then begin
-               useful.(bi).(a) <- true;
-               changed := true
-             end)
-           args
-       in
-       match b.term with
-       | Ret _ -> ()
-       | Br (t, args) -> flow_back t args
-       | Cond_br (_, bt, at, bf, af) ->
-           flow_back bt at;
-           flow_back bf af);
-      for ii = Array.length b.insts - 1 downto 0 do
-        let vi = b.params + ii in
-        if useful.(bi).(vi) then
-          List.iter
-            (fun a ->
-              if not useful.(bi).(a) then begin
-                useful.(bi).(a) <- true;
-                changed := true
-              end)
-            (differentiable_operands b.insts.(ii))
-      done
-    done
-  done;
+  let varied =
+    Dataflow.Bools.forward f
+      ~entry:(fun p -> List.mem p wrt)
+      ~transfer:(fun ~bi:_ ~ii:_ inst get ->
+        List.exists get (differentiable_operands inst))
+  in
+  let useful =
+    Dataflow.Bools.backward f
+      ~term_seed:(fun ~bi:_ term ->
+        match (term : Ir.terminator) with
+        | Ret v -> [ (v, true) ]
+        | Br _ | Cond_br _ -> [])
+      ~transfer:(fun ~bi:_ ~ii:_ inst ~result ->
+        if result then List.map (fun a -> (a, true)) (differentiable_operands inst)
+        else [])
+  in
   let active =
     Array.mapi
       (fun bi v -> Array.mapi (fun vi x -> x && useful.(bi).(vi)) v)

@@ -10,7 +10,8 @@
     an otherwise-active path.
 
     Both properties require a fixed point across the CFG because values flow
-    between blocks through basic-block arguments. *)
+    between blocks through basic-block arguments: variedness is a forward
+    and usefulness a backward {!Dataflow.Bools} problem. *)
 
 type t = {
   varied : bool array array;  (** [varied.(block).(value)] *)

@@ -18,8 +18,6 @@
     deliberately dumb — CFGs in this codebase are a handful of blocks — and
     favors being obviously correct over being fast. *)
 
-open S4o_sil
-
 module type LATTICE = sig
   type t
 
@@ -122,21 +120,23 @@ module Make (L : LATTICE) = struct
     facts
 end
 
+module Bool_lattice = struct
+  type t = bool
+
+  let bottom = false
+  let equal = Bool.equal
+  let join = ( || )
+end
+
+module Bools = Make (Bool_lattice)
+
 (** {1 Instances} *)
 
 module Liveness = struct
-  module E = Make (struct
-    type t = bool
-
-    let bottom = false
-    let equal = Bool.equal
-    let join = ( || )
-  end)
-
   (** [live.(bi).(v)] — the value contributes to the function result.
       (MSIL calls are pure, so an unused call is dead.) *)
   let analyze (f : Ir.func) : bool array array =
-    E.backward f
+    Bools.backward f
       ~term_seed:(fun ~bi:_ term ->
         match (term : Ir.terminator) with
         | Ret v -> [ (v, true) ]
@@ -147,7 +147,7 @@ module Liveness = struct
         else [])
 
   (** Instructions whose result is dead, as [(block, inst index)] pairs.
-      Empty after {!S4o_sil.Passes.dead_code_elim} — the value-numbering
+      Empty after {!Passes.dead_code_elim} — the value-numbering
       density invariant. *)
   let dead_insts (f : Ir.func) =
     let live = analyze f in
@@ -231,32 +231,10 @@ module Const_prop = struct
     E.forward f
       ~entry:(fun _ -> Top)
       ~transfer:(fun ~bi:_ ~ii:_ inst get ->
-        let v u = match get u with Const c -> Some c | Bot | Top -> None in
-        match (inst : Ir.inst) with
-        | Const c -> Const c
-        | Unary (op, a) -> begin
-            match v a with
-            | Some x -> Const (Interp.apply_unary op x)
-            | None -> Top
-          end
-        | Binary (op, a, b) -> begin
-            match (v a, v b) with
-            | Some x, Some y -> Const (Interp.apply_binary op x y)
-            | _, _ -> Top
-          end
-        | Cmp (op, a, b) -> begin
-            match (v a, v b) with
-            | Some x, Some y -> Const (Interp.apply_cmp op x y)
-            | _, _ -> Top
-          end
-        | Select (c, a, b) -> begin
-            match v c with
-            | Some cv -> ( match v (if cv <> 0.0 then a else b) with
-                           | Some x -> Const x
-                           | None -> Top)
-            | None -> Top
-          end
-        | Call _ -> Top)
+        let known u = match get u with Const c -> Some c | Bot | Top -> None in
+        match Interp.fold_inst known inst with
+        | Some c -> Const c
+        | None -> Top)
 
   (** Reachable conditional branches whose condition is a known constant,
       as [(block, constant)] pairs — the branch always goes one way. *)

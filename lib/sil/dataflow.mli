@@ -1,10 +1,9 @@
 (** Generic dataflow fixpoint engine over MSIL CFGs, plus the standard
-    instances (liveness, reaching definitions, constant propagation).
+    instances (liveness, reaching definitions, constant propagation). The
+    verifier's lints and {!Activity} run on it.
 
     Inter-block flow in MSIL happens only through branch arguments; both
     solvers bake that coupling in. See {!Make.forward} / {!Make.backward}. *)
-
-open S4o_sil
 
 module type LATTICE = sig
   type t
@@ -49,14 +48,21 @@ module Make (L : LATTICE) : sig
     facts
 end
 
+(** Booleans with [false] at bottom and [||] as join: a value's fact is
+    [true] when some path makes it so. *)
+module Bool_lattice : LATTICE with type t = bool
+
+(** The boolean solver; liveness and {!Activity} use it. *)
+module Bools : module type of Make (Bool_lattice)
+
 module Liveness : sig
   (** [analyze f].(bi).(v): value [v] of block [bi] contributes to the
       result. *)
   val analyze : Ir.func -> bool array array
 
   (** Instructions with dead results, [(block, inst index)]. Empty after
-      {!S4o_sil.Passes.dead_code_elim} — the value-numbering density
-      invariant the verifier lints on. *)
+      {!Passes.dead_code_elim} — the value-numbering density invariant
+      the verifier lints on. *)
   val dead_insts : Ir.func -> (int * int) list
 end
 

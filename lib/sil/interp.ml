@@ -48,31 +48,53 @@ let apply_cmp op x y =
   in
   if b then 1.0 else 0.0
 
+let eval_inst get (inst : Ir.inst) =
+  match inst with
+  | Const c -> c
+  | Unary (op, a) -> apply_unary op (get a)
+  | Binary (op, a, b) -> apply_binary op (get a) (get b)
+  | Cmp (op, a, b) -> apply_cmp op (get a) (get b)
+  | Select (c, a, b) -> if get c <> 0.0 then get a else get b
+  | Call (name, _) -> invalid_arg ("Interp.eval_inst: call to @" ^ name)
+
+let fold_inst get (inst : Ir.inst) =
+  match inst with
+  | Call _ -> None
+  | Select (c, a, b) ->
+      Option.bind (get c) (fun cv -> get (if cv <> 0.0 then a else b))
+  | Const _ | Unary _ | Binary _ | Cmp _ ->
+      if List.exists (fun v -> Option.is_none (get v)) (Ir.inst_operands inst)
+      then None
+      else Some (eval_inst (fun v -> Option.get (get v)) inst)
+
 let rec eval_func m fuel (f : Ir.func) (args : float array) : float =
   if Array.length args <> f.n_args then
     fail "%s: got %d args, expected %d" f.name (Array.length args) f.n_args;
+  let burn () =
+    if !fuel <= 0 then fail "%s: out of fuel" f.name;
+    decr fuel
+  in
   let rec run_block bi (incoming : float array) =
+    (* Entering a block costs fuel too, so a loop through blocks with no
+       instructions still runs out. *)
+    burn ();
     let b = f.blocks.(bi) in
     let env = Array.make (Ir.block_values b) 0.0 in
     Array.blit incoming 0 env 0 b.params;
     Array.iteri
       (fun ii inst ->
-        if !fuel <= 0 then fail "%s: out of fuel" f.name;
-        decr fuel;
+        burn ();
         incr inst_counter;
         let v =
           match (inst : Ir.inst) with
-          | Const c -> c
-          | Unary (op, a) -> apply_unary op env.(a)
-          | Binary (op, a, b2) -> apply_binary op env.(a) env.(b2)
-          | Cmp (op, a, b2) -> apply_cmp op env.(a) env.(b2)
-          | Select (c, a, b2) -> if env.(c) <> 0.0 then env.(a) else env.(b2)
           | Call (name, cargs) -> begin
               match find m name with
               | None -> fail "%s: call to unknown function @%s" f.name name
               | Some callee ->
                   eval_func m fuel callee (Array.map (fun a -> env.(a)) cargs)
             end
+          | Const _ | Unary _ | Binary _ | Cmp _ | Select _ ->
+              eval_inst (Array.get env) inst
         in
         env.(b.params + ii) <- v)
       b.insts;

@@ -16,8 +16,9 @@ val find : modul -> string -> Ir.func option
 val functions : modul -> Ir.func list
 
 (** [eval m f args] executes [f]. [fuel] bounds the number of executed
-    instructions (default 1_000_000). Raises {!Runtime_error} on arity
-    mismatch, unknown callee, or fuel exhaustion. *)
+    instructions plus entered blocks (default 1_000_000). Raises
+    {!Runtime_error} on arity mismatch, unknown callee, or fuel
+    exhaustion. *)
 val eval : ?fuel:int -> modul -> Ir.func -> float array -> float
 
 val eval_name : ?fuel:int -> modul -> string -> float array -> float
@@ -27,11 +28,19 @@ val eval_name : ?fuel:int -> modul -> string -> float array -> float
     synthesized derivative code. *)
 val last_inst_count : unit -> int
 
-(** {1 Scalar semantics of individual operations}
+(** {1 Evaluating one instruction}
 
-    Shared with the AD transform so the derivative code agrees exactly with
-    the interpreter's primal semantics. *)
+    The only evaluator of a non-call instruction: the interpreter, the AD
+    transform's forward sweep, constant folding and constant propagation
+    all go through these two, so they agree exactly on primal values. *)
 
-val apply_unary : Ir.unary_op -> float -> float
-val apply_binary : Ir.binary_op -> float -> float -> float
-val apply_cmp : Ir.cmp_op -> float -> float -> float
+(** [eval_inst get inst] is the value of [inst] when operand [v] has value
+    [get v]. Raises [Invalid_argument] on [Call], whose evaluation needs a
+    module. *)
+val eval_inst : (int -> float) -> Ir.inst -> float
+
+(** [fold_inst get inst] is the value of [inst] when operand [v] is known
+    to be [c] exactly when [get v = Some c]. [None] for [Call] and for an
+    instruction that needs an unknown operand; a [Select] with a known
+    condition needs only the operand it picks. *)
+val fold_inst : (int -> float option) -> Ir.inst -> float option

@@ -72,44 +72,68 @@ let inst_operands = function
   | Select (c, a, b) -> [ c; a; b ]
   | Call (_, args) -> Array.to_list args
 
+(** Every structural error in [f], as [(block, site, message)] in program
+    order; [site] is ["func"], ["entry"], ["inst i"] or ["term"]. Empty
+    exactly when [f] is well formed: def-before-use, operand and terminator
+    ranges, branch targets and argument arity, entry arity. *)
+let violations (f : func) =
+  let out = ref [] in
+  let add block site fmt =
+    Format.kasprintf (fun message -> out := (block, site, message) :: !out) fmt
+  in
+  let nblocks = Array.length f.blocks in
+  if nblocks = 0 then add 0 "func" "no blocks"
+  else begin
+    if f.blocks.(0).params <> f.n_args then
+      add 0 "entry" "entry block has %d params for %d args" f.blocks.(0).params
+        f.n_args;
+    Array.iteri
+      (fun bi b ->
+        Array.iteri
+          (fun ii inst ->
+            let defined = b.params + ii in
+            let site () = Printf.sprintf "inst %d" ii in
+            List.iter
+              (fun v ->
+                if v < 0 then add bi (site ()) "negative operand v%d" v
+                else if v >= defined then
+                  add bi (site ())
+                    "operand v%d used before definition (only v0..v%d defined)"
+                    v (defined - 1))
+              (inst_operands inst))
+          b.insts;
+        let total = block_values b in
+        let check_value v =
+          if v < 0 || v >= total then
+            add bi "term" "value v%d out of range (block defines %d)" v total
+        in
+        let check_target args target =
+          if target < 0 || target >= nblocks then
+            add bi "term" "branch to missing bb%d" target
+          else begin
+            let want = f.blocks.(target).params in
+            if Array.length args <> want then
+              add bi "term" "%d branch args for bb%d which takes %d params"
+                (Array.length args) target want;
+            Array.iter check_value args
+          end
+        in
+        match b.term with
+        | Ret v -> check_value v
+        | Br (t, args) -> check_target args t
+        | Cond_br (c, bt, at, bf, af) ->
+            check_value c;
+            check_target at bt;
+            check_target af bf)
+      f.blocks
+  end;
+  List.rev !out
+
+(** Raises {!Invalid_ir} naming the first of {!violations}. *)
 let validate (f : func) =
-  if Array.length f.blocks = 0 then fail "%s: no blocks" f.name;
-  if f.blocks.(0).params <> f.n_args then
-    fail "%s: entry block has %d params for %d args" f.name f.blocks.(0).params
-      f.n_args;
-  Array.iteri
-    (fun bi b ->
-      Array.iteri
-        (fun ii inst ->
-          let defined = b.params + ii in
-          List.iter
-            (fun v ->
-              if v < 0 || v >= defined then
-                fail "%s bb%d inst %d: operand v%d not yet defined" f.name bi ii v)
-            (inst_operands inst))
-        b.insts;
-      let total = block_values b in
-      let check_target target args =
-        if target < 0 || target >= Array.length f.blocks then
-          fail "%s bb%d: branch to missing bb%d" f.name bi target;
-        if Array.length args <> f.blocks.(target).params then
-          fail "%s bb%d: %d args for bb%d which takes %d" f.name bi
-            (Array.length args) target f.blocks.(target).params;
-        Array.iter
-          (fun v ->
-            if v < 0 || v >= total then
-              fail "%s bb%d: branch arg v%d undefined" f.name bi v)
-          args
-      in
-      match b.term with
-      | Br (t, args) -> check_target t args
-      | Cond_br (c, bt, at, bf, af) ->
-          if c < 0 || c >= total then fail "%s bb%d: cond v%d undefined" f.name bi c;
-          check_target bt at;
-          check_target bf af
-      | Ret v ->
-          if v < 0 || v >= total then fail "%s bb%d: ret v%d undefined" f.name bi v)
-    f.blocks
+  match violations f with
+  | [] -> ()
+  | (block, site, message) :: _ -> fail "%s bb%d %s: %s" f.name block site message
 
 (** {1 Printing} *)
 

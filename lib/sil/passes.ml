@@ -11,31 +11,8 @@ let constant_fold (f : Ir.func) =
         let insts =
           Array.mapi
             (fun ii inst ->
-              let vi = b.Ir.params + ii in
-              let value_of v = known.(v) in
-              let folded =
-                match (inst : Ir.inst) with
-                | Const c -> Some c
-                | Unary (op, a) ->
-                    Option.map (Interp.apply_unary op) (value_of a)
-                | Binary (op, a, b2) -> begin
-                    match (value_of a, value_of b2) with
-                    | Some x, Some y -> Some (Interp.apply_binary op x y)
-                    | _, _ -> None
-                  end
-                | Cmp (op, a, b2) -> begin
-                    match (value_of a, value_of b2) with
-                    | Some x, Some y -> Some (Interp.apply_cmp op x y)
-                    | _, _ -> None
-                  end
-                | Select (c, a, b2) -> begin
-                    match value_of c with
-                    | Some cv -> value_of (if cv <> 0.0 then a else b2)
-                    | None -> None
-                  end
-                | Call _ -> None
-              in
-              known.(vi) <- folded;
+              let folded = Interp.fold_inst (Array.get known) inst in
+              known.(b.Ir.params + ii) <- folded;
               match folded with
               | Some c -> Ir.Const c
               | None -> inst)

@@ -74,11 +74,8 @@ let run_forward ~callee_derivs ~want_vjp ~want_jvp (f : Ir.func) args =
         let vi = b.params + ii in
         let v =
           match (inst : Ir.inst) with
-          | Const c -> c
-          | Unary (op, a) -> Interp.apply_unary op env.(a)
-          | Binary (op, a, b2) -> Interp.apply_binary op env.(a) env.(b2)
-          | Cmp (op, a, b2) -> Interp.apply_cmp op env.(a) env.(b2)
-          | Select (c, a, b2) -> if env.(c) <> 0.0 then env.(a) else env.(b2)
+          | Const _ | Unary _ | Binary _ | Cmp _ | Select _ ->
+              Interp.eval_inst (Array.get env) inst
           | Call (name, cargs) ->
               let d : derivative = Hashtbl.find callee_derivs name in
               let actuals = Array.map (fun a -> env.(a)) cargs in

@@ -5,7 +5,7 @@
 open S4o_sil
 module B = Builder
 module V = S4o_analysis.Verify
-module D = S4o_analysis.Dataflow
+module D = S4o_sil.Dataflow
 module HC = S4o_analysis.Hlo_check
 module Checked = S4o_analysis.Checked
 module San = S4o_tensor.Sanitizer
@@ -741,6 +741,91 @@ let qcheck_dce_restores_density =
       Ir.validate f;
       not (locally_dead (Passes.dead_code_elim f)))
 
+(* {1 Shared mechanisms on random MSIL} *)
+
+(* At most one structural corruption: an operand, a branch target, a branch
+   argument or a returned value becomes a random value or block number,
+   which may still be valid. Retargeting a [ret] turns it into a branch, so
+   loops through instruction-free blocks occur. *)
+let corrupt (f : Ir.func) st =
+  let open QCheck.Gen in
+  let blocks = Array.copy f.Ir.blocks in
+  let bi = int_range 0 (Array.length blocks - 1) st in
+  let b = blocks.(bi) in
+  let value st = int_range (-1) (Ir.block_values b) st in
+  let target st = int_range (-1) (Array.length blocks) st in
+  let set_one args st =
+    let args = Array.copy args in
+    if Array.length args > 0 then
+      args.(int_range 0 (Array.length args - 1) st) <- value st;
+    args
+  in
+  let term st =
+    match (int_range 0 2 st, b.Ir.term) with
+    | 0, Ir.Ret v -> Ir.Br (target st, [| v |])
+    | 0, Ir.Br (_, args) -> Ir.Br (target st, args)
+    | 0, Ir.Cond_br (c, _, at, bf, af) -> Ir.Cond_br (c, target st, at, bf, af)
+    | 1, Ir.Br (t, args) -> Ir.Br (t, set_one args st)
+    | 1, Ir.Cond_br (c, bt, at, bf, af) -> Ir.Cond_br (c, bt, set_one at st, bf, af)
+    | _, Ir.Ret _ -> Ir.Ret (value st)
+    | _, t -> t
+  in
+  (match int_range 0 2 st with
+  | 0 -> ()
+  | 1 when Array.length b.Ir.insts > 0 ->
+      let insts = Array.copy b.Ir.insts in
+      insts.(int_range 0 (Array.length insts - 1) st) <- Ir.Unary (Ir.Neg, value st);
+      blocks.(bi) <- { b with Ir.insts }
+  | _ -> blocks.(bi) <- { b with Ir.term = term st });
+  { f with Ir.blocks }
+
+let qcheck_validate_agrees_with_verifier =
+  QCheck.Test.make ~count:500
+    ~name:"validate accepts what the verifier passes, and it runs"
+    (QCheck.make QCheck.Gen.(gen_msil_func >>= corrupt) ~print:Ir.to_string)
+    (fun f ->
+      let accepted =
+        match Ir.validate f with () -> true | exception Ir.Invalid_ir _ -> false
+      in
+      if accepted <> (V.errors (V.func f) = []) then
+        QCheck.Test.fail_reportf "validate %s but the verifier disagrees"
+          (if accepted then "accepts" else "rejects")
+      else if accepted then begin
+        let m = Interp.create_module () in
+        Interp.add m f;
+        match Interp.eval ~fuel:10_000 m f [| 0.5; -1.5 |] with
+        | _ | (exception Interp.Runtime_error _) -> true
+      end
+      else true)
+
+(* Differentiates through [Activity]'s active mask (the runtime transform
+   skips inactive instructions) and checks it against generated VJP code,
+   which has no mask. *)
+let qcheck_transform_matches_vjp_codegen =
+  QCheck.Test.make ~count:300
+    ~name:"runtime gradient equals generated VJP gradient"
+    QCheck.(pair arb_msil (pair (float_range (-2.0) 2.0) (float_range (-2.0) 2.0)))
+    (fun (f, (x, y)) ->
+      QCheck.assume (Array.length f.Ir.blocks = 1);
+      let m = Interp.create_module () in
+      Interp.add m f;
+      let at = [| x; y |] in
+      let runtime = Transform.gradient (Transform.create_ctx m) f.Ir.name at in
+      let generated = Codegen.gradient_via_vjp_codegen m f at in
+      (* The generated VJP multiplies zero adjoints by NaN partials (say, of
+         a sqrt of a negative value on the untaken side of a max); the
+         runtime transform skips zero adjoints. *)
+      QCheck.assume
+        (Array.for_all Float.is_finite runtime
+        && Array.for_all Float.is_finite generated);
+      let close a b =
+        Float.abs (a -. b)
+        <= 1e-9 *. Float.max 1.0 (Float.max (Float.abs a) (Float.abs b))
+      in
+      Array.for_all2 close runtime generated
+      || QCheck.Test.fail_reportf "runtime [%g; %g], generated [%g; %g]"
+           runtime.(0) runtime.(1) generated.(0) generated.(1))
+
 let tc = Alcotest.test_case
 let q = QCheck_alcotest.to_alcotest
 
@@ -765,6 +850,8 @@ let suite =
         tc "unreachable block" `Quick test_verifier_unreachable_block;
         q qcheck_passes_preserve_and_verify;
         q qcheck_dce_restores_density;
+        q qcheck_validate_agrees_with_verifier;
+        q qcheck_transform_matches_vjp_codegen;
       ] );
     ( "analysis.checked",
       [

@@ -102,15 +102,6 @@ let test_engine_stats () =
   Engine.reset e;
   Test_util.check_int "reset clears" 0 (Engine.kernels_launched e)
 
-let test_engine_memory_tracking () =
-  let e = Engine.create tiny_spec in
-  Engine.alloc e 100;
-  Engine.alloc e 200;
-  Test_util.check_int "live" 300 (Engine.live_bytes e);
-  Engine.free e 250;
-  Test_util.check_int "after free" 50 (Engine.live_bytes e);
-  Test_util.check_int "peak" 300 (Engine.peak_bytes e)
-
 (* {1 Cluster} *)
 
 let test_cluster_single_core_no_allreduce () =
@@ -274,7 +265,6 @@ let suite =
         tc "sync stalls host" `Quick test_engine_sync_stalls_host;
         tc "host slower than device" `Quick test_engine_host_ahead_of_device;
         tc "statistics" `Quick test_engine_stats;
-        tc "memory tracking" `Quick test_engine_memory_tracking;
       ] );
     ( "device.cluster",
       [

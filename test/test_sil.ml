@@ -136,6 +136,22 @@ let test_interp_fuel () =
   Test_util.check_raises_any "fuel exhausts" (fun () ->
       Interp.eval ~fuel:1000 m f [| 0.0 |])
 
+(* A loop through a block with no instructions burns no instruction fuel;
+   entering the block must cost fuel too. *)
+let test_interp_fuel_empty_loop () =
+  let f =
+    {
+      Ir.name = "spin";
+      n_args = 1;
+      blocks = [| { Ir.params = 1; insts = [||]; term = Ir.Br (0, [| 0 |]) } |];
+    }
+  in
+  Ir.validate f;
+  let m = modul_of [ f ] in
+  match Interp.eval ~fuel:1000 m f [| 0.0 |] with
+  | v -> Alcotest.failf "empty-block loop returned %g" v
+  | exception Interp.Runtime_error _ -> ()
+
 let test_interp_arity () =
   let f = build_mul_sin () in
   let m = modul_of [ f ] in
@@ -520,6 +536,7 @@ let suite =
         tc "loop" `Quick test_interp_loop;
         tc "calls" `Quick test_interp_calls;
         tc "fuel bound" `Quick test_interp_fuel;
+        tc "fuel bounds empty-block loops" `Quick test_interp_fuel_empty_loop;
         tc "arity check" `Quick test_interp_arity;
         tc "validation rejects forward refs" `Quick test_validate_rejects_forward_ref;
         tc "pretty printer" `Quick test_pretty_print;
