@@ -654,13 +654,17 @@ let timeline () =
     let opt = O.sgd ~lr:0.05 model in
     ignore (T.fit ~epochs:1 ~after_step model opt batches)
   in
-  let eager_engine = S4o_device.Engine.create Spec.gtx1080 in
+  let eager_engine =
+    S4o_device.Engine.create ~recorder:(S4o_obs.Recorder.create ()) Spec.gtx1080
+  in
   let eager_rt = S4o_eager.Runtime.create eager_engine in
   let module Ebk = S4o_eager.Eager_backend.Make (struct
     let rt = eager_rt
   end) in
   train (module Ebk) ~after_step:(fun _ -> ());
-  let lazy_engine = S4o_device.Engine.create Spec.gtx1080 in
+  let lazy_engine =
+    S4o_device.Engine.create ~recorder:(S4o_obs.Recorder.create ()) Spec.gtx1080
+  in
   let lazy_rt = S4o_lazy.Lazy_runtime.create lazy_engine in
   let module Lbk = S4o_lazy.Lazy_backend.Make (struct
     let rt = lazy_rt
@@ -1024,7 +1028,9 @@ let profile () =
   Fun.protect
     ~finally:(fun () -> S4o_obs.Memory.set_enabled mem false)
     (fun () ->
-      let engine = S4o_device.Engine.create Spec.gtx1080 in
+      let engine =
+        S4o_device.Engine.create ~recorder:(S4o_obs.Recorder.create ()) Spec.gtx1080
+      in
       let rt = S4o_lazy.Lazy_runtime.create engine in
       let module Bk = S4o_lazy.Lazy_backend.Make (struct
         let rt = rt

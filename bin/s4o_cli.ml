@@ -75,6 +75,12 @@ let report_observability ~runtime_name ~engine ~stats trace_out =
                 n path
           | Error msg -> Printf.eprintf "internal error: bad trace export: %s\n" msg))
 
+(* The engine keeps a timeline only when one is to be exported. *)
+let traced_engine trace_out =
+  S4o_device.Engine.create
+    ~recorder:(S4o_obs.Recorder.create ~enabled:(trace_out <> None) ())
+    S4o_device.Device_spec.gtx1080
+
 let run_train backend model_name epochs batch_size n lr seed trace_out =
   match backend with
   | Naive ->
@@ -88,7 +94,7 @@ let run_train backend model_name epochs batch_size n lr seed trace_out =
               "note: --trace-out needs a simulated runtime; use --backend \
                eager or lazy")
   | Eager ->
-      let engine = S4o_device.Engine.create S4o_device.Device_spec.gtx1080 in
+      let engine = traced_engine trace_out in
       let rt = S4o_eager.Runtime.create engine in
       let module Bk = S4o_eager.Eager_backend.Make (struct
         let rt = rt
@@ -101,7 +107,7 @@ let run_train backend model_name epochs batch_size n lr seed trace_out =
           report_observability ~runtime_name:"eager" ~engine
             ~stats:(S4o_eager.Runtime.stats rt) trace_out)
   | Lazy ->
-      let engine = S4o_device.Engine.create S4o_device.Device_spec.gtx1080 in
+      let engine = traced_engine trace_out in
       let rt = S4o_lazy.Lazy_runtime.create engine in
       let module Bk = S4o_lazy.Lazy_backend.Make (struct
         let rt = rt
@@ -398,7 +404,11 @@ let run_profile backend model_name epochs batch_size n lr seed trace_out
   S4o_obs.Memory.reset mem;
   S4o_obs.Memory.set_enabled mem true;
   S4o_tensor.Pool.reset_stats ();
-  let engine = S4o_device.Engine.create S4o_device.Device_spec.gtx1080 in
+  (* The analysis and the tensor_live_bytes track read the timeline. *)
+  let engine =
+    S4o_device.Engine.create ~recorder:(S4o_obs.Recorder.create ())
+      S4o_device.Device_spec.gtx1080
+  in
   let finish ~runtime_name ~stats =
     let stats = stats () in
     let recorder = S4o_device.Engine.recorder engine in

@@ -1,21 +1,17 @@
 (** HLO graph checker and linter.
 
-    The trace cut ({!S4o_lazy.Trace.cut}) and every compiler pass
-    ({!S4o_xla.Opt}) produce HLO graphs whose correctness the rest of the
-    stack assumes: node shapes must agree with what the op would actually
-    produce from its input shapes (the catalog computed them at record
-    time, but a pass that rewires inputs can silently invalidate them), and
-    parameters must stay well-numbered. The checker has no shape rules of
-    its own: it rebuilds every compute node's op from its kind and input
-    shapes with {!S4o_ops.Catalog.of_kind} and reports a rejected input or a
-    disagreeing declared shape as an error.
+    The structural errors are {!S4o_xla.Hlo.violations}, which
+    {!S4o_xla.Hlo.validate} also uses: the compiler raises on the first,
+    while the checker reports {e every} one as an error. They are the
+    catalog's shape rules ({!S4o_ops.Catalog.of_kind} on the input shapes,
+    compared with the declared shape), leaf roles and parameter numbering.
 
-    Lints (advisory): dead nodes not reachable from the outputs (what
-    [dead_code_elim] would drop), duplicate literal contents (what [cse]
-    would merge), oversized pending regions, and — across a sequence of
-    cuts via {!Hazard} — recompile hazards: many fingerprints sharing one
-    op skeleton but differing in shapes, the §3.4 cache-miss pathology that
-    shape bucketing fixes. *)
+    Lints (advisory): sparse parameter numbering, dead nodes not reachable
+    from the outputs (what [dead_code_elim] would drop), duplicate literal
+    contents (what [cse] would merge), oversized pending regions, and —
+    across a sequence of cuts via {!Hazard} — recompile hazards: many
+    programs sharing one op skeleton but differing in shapes, the §3.4
+    cache-miss pathology that shape bucketing fixes. *)
 
 open S4o_tensor
 open S4o_xla
@@ -29,8 +25,6 @@ type finding = {
   message : string;
 }
 
-exception Check_error of string
-
 let errors fs = List.filter (fun f -> f.severity = Error) fs
 let warnings fs = List.filter (fun f -> f.severity = Warning) fs
 
@@ -41,31 +35,7 @@ let pp_finding ppf f =
     (match f.node with Some id -> Printf.sprintf " n%d" id | None -> "")
     f.message
 
-(** {1 Node and graph checks} *)
-
-let check_node (n : Hlo.node) : finding list =
-  let add sev rule fmt =
-    Format.kasprintf
-      (fun message -> [ { severity = sev; rule; node = Some n.id; message } ])
-      fmt
-  in
-  match n.role with
-  | Hlo.Param _ | Hlo.Literal _ ->
-      if n.inputs <> [] then
-        add Error "role" "%s node has %d inputs" (Hlo.name n)
-          (List.length n.inputs)
-      else []
-  | Hlo.Compute o -> (
-      let input_shapes = List.map (fun (i : Hlo.node) -> i.shape) n.inputs in
-      match (S4o_ops.Catalog.of_kind o.kind input_shapes).out_shape with
-      | want when Shape.equal want n.shape -> []
-      | want ->
-          add Error "shape" "%s: inputs %s give %s but node declares %s"
-            (Hlo.name n)
-            (String.concat ", " (List.map Shape.to_string input_shapes))
-            (Shape.to_string want) (Shape.to_string n.shape)
-      | exception Invalid_argument msg -> add Error "arity" "%s" msg
-      | exception Shape.Shape_error msg -> add Error "shape" "%s" msg)
+(** {1 Graph checks} *)
 
 let lint_graph ?pending_limit (g : Hlo.graph) : finding list =
   let out = ref [] in
@@ -74,6 +44,22 @@ let lint_graph ?pending_limit (g : Hlo.graph) : finding list =
       (fun message -> out := { severity = Warning; rule; node; message } :: !out)
       fmt
   in
+  (* Sparse parameter numbering: optimizers may drop an unused parameter,
+     and the executor binds by index, so a gap is only worth a lint.
+     Negative and duplicate indices are violations. *)
+  let params =
+    List.filter_map
+      (fun (n : Hlo.node) ->
+        match n.role with Hlo.Param i -> Some (i, n.id) | _ -> None)
+      g.nodes
+  in
+  let k = List.length params in
+  List.iter
+    (fun (i, id) ->
+      if i >= k then
+        add ~node:id "param" "parameter index %d outside dense range 0..%d" i
+          (k - 1))
+    params;
   (* Dead nodes: present in [nodes] but unreachable from the outputs —
      exactly what dead_code_elim would drop. *)
   let reachable = Hashtbl.create 64 in
@@ -117,145 +103,90 @@ let lint_graph ?pending_limit (g : Hlo.graph) : finding list =
   List.rev !out
 
 let check_graph ?pending_limit (g : Hlo.graph) : finding list =
-  let node_findings = List.concat_map check_node g.nodes in
-  (* Parameter numbering: distinct, and contiguous from 0. *)
-  let params =
-    List.filter_map
-      (fun (n : Hlo.node) ->
-        match n.role with Hlo.Param i -> Some (i, n.id) | _ -> None)
-      g.nodes
-  in
-  let param_findings =
-    let seen = Hashtbl.create 8 in
-    let dups =
-      List.filter_map
-        (fun (i, id) ->
-          if Hashtbl.mem seen i then
-            Some
-              {
-                severity = Error;
-                rule = "param";
-                node = Some id;
-                message = Printf.sprintf "duplicate parameter index %d" i;
-              }
-          else begin
-            Hashtbl.add seen i ();
-            None
-          end)
-        params
-    in
-    (* Optimizers may legitimately drop an unused parameter, leaving the
-       surviving indices sparse — the executor binds by index, so sparse
-       numbering is only worth a lint. Negative indices are always errors. *)
-    let k = List.length params in
-    let gaps =
-      List.filter_map
-        (fun (i, id) ->
-          if i < 0 || i >= k then
-            Some
-              {
-                severity = (if i < 0 then Error else Warning);
-                rule = "param";
-                node = Some id;
-                message =
-                  Printf.sprintf
-                    "parameter index %d outside dense range 0..%d" i (k - 1);
-              }
-          else None)
-        params
-    in
-    dups @ gaps
-  in
-  node_findings @ param_findings @ lint_graph ?pending_limit g
-
-let run ~stage (g : Hlo.graph) =
-  match errors (check_graph g) with
-  | [] -> ()
-  | errs ->
-      raise
-        (Check_error
-           (Format.asprintf "@[<v>HLO check failed after %s:@,%a@]" stage
-              (Format.pp_print_list pp_finding)
-              errs))
+  List.map
+    (fun (id, rule, message) -> { severity = Error; rule; node = Some id; message })
+    (Hlo.violations g)
+  @ lint_graph ?pending_limit g
 
 (** {1 Recompile-hazard detection}
 
-    The program cache keys on the full structural fingerprint, so a model
+    The program cache keys on the full structure ({!Hlo.key}), so a model
     re-traced with a different batch size is a compile-cache miss even
-    though the op skeleton is identical. The hazard detector buckets
-    fingerprints by a shape-free skeleton hash; one skeleton accumulating
-    many distinct fingerprints is the §3.4 pathology (fix: pad/bucket the
-    varying dimension). *)
+    though the op skeleton is identical. The hazard detector groups keys by
+    their skeleton, the key with shapes and op parameters erased; one
+    skeleton accumulating many distinct keys is the §3.4 pathology (fix:
+    pad/bucket the varying dimension). Both compare in full. *)
 
 module Hazard = struct
-  type t = {
-    threshold : int;
-    skeletons : (int, (int, unit) Hashtbl.t) Hashtbl.t;
-    mutable reported : int list;
-  }
+  (* Per node in topological order: its op name (["parameter"] and
+     ["constant"] for leaves), its parameter position (-1 for other nodes)
+     and its operands' positions; then the outputs' positions. *)
+  type skeleton = (string * int * int list) list * int list
 
-  let create ?(threshold = 4) () =
-    { threshold; skeletons = Hashtbl.create 16; reported = [] }
+  module Skeletons = Hashtbl.Make (struct
+    type t = skeleton
 
-  let reset t =
-    Hashtbl.reset t.skeletons;
-    t.reported <- []
+    let equal : t -> t -> bool = ( = )
 
-  (* Shape-free structural hash: op names, roles, and topology. Op
-     parameters are excluded too — reshape/broadcast carry shapes. *)
-  let skeleton (g : Hlo.graph) =
-    let index = Hashtbl.create 64 in
-    List.iteri (fun i (n : Hlo.node) -> Hashtbl.add index n.id i) g.nodes;
-    let node_key (n : Hlo.node) =
-      let role =
-        match n.role with
-        | Hlo.Compute _ -> "c"
-        | Hlo.Param i -> Printf.sprintf "p%d" i
-        | Hlo.Literal _ -> "l"
-      in
-      Printf.sprintf "%s/%s/%s" (Hlo.name n) role
-        (String.concat ","
-           (List.map
-              (fun (i : Hlo.node) -> string_of_int (Hashtbl.find index i.id))
-              n.inputs))
-    in
-    Hashtbl.hash
-      ( List.map node_key g.nodes,
-        List.map (fun (o : Hlo.node) -> Hashtbl.find index o.id) g.outputs )
+    let hash ((nodes, outputs) : t) =
+      let mix h v = (h * 1000003) lxor v in
+      List.fold_left
+        (fun h (name, param, inputs) ->
+          List.fold_left mix (mix (mix h (Hashtbl.hash name)) param) inputs)
+        (List.fold_left mix 0 outputs)
+        nodes
+  end)
+
+  type t = { threshold : int; skeletons : unit Hlo.Table.t Skeletons.t }
+
+  let create ?(threshold = 4) () = { threshold; skeletons = Skeletons.create 16 }
+
+  let skeleton (g : Hlo.graph) : skeleton =
+    let position = Hashtbl.create 64 in
+    List.iteri (fun i (n : Hlo.node) -> Hashtbl.add position n.id i) g.nodes;
+    let pos (n : Hlo.node) = Hashtbl.find position n.id in
+    ( List.map
+        (fun (n : Hlo.node) ->
+          ( Hlo.name n,
+            (match n.role with Hlo.Param i -> i | Hlo.Compute _ | Hlo.Literal _ -> -1),
+            List.map pos n.inputs ))
+        g.nodes,
+      List.map pos g.outputs )
 
   let observe t (g : Hlo.graph) : finding list =
     let sk = skeleton g in
-    let fps =
-      match Hashtbl.find_opt t.skeletons sk with
-      | Some fps -> fps
+    let keys =
+      match Skeletons.find_opt t.skeletons sk with
+      | Some keys -> keys
       | None ->
-          let fps = Hashtbl.create 4 in
-          Hashtbl.add t.skeletons sk fps;
-          fps
+          let keys = Hlo.Table.create 4 in
+          Skeletons.add t.skeletons sk keys;
+          keys
     in
-    Hashtbl.replace fps (Hlo.fingerprint g) ();
-    let n = Hashtbl.length fps in
-    if n >= t.threshold && not (List.mem sk t.reported) then begin
-      t.reported <- sk :: t.reported;
-      [
-        {
-          severity = Warning;
-          rule = "recompile-hazard";
-          node = None;
-          message =
-            Printf.sprintf
-              "%d distinct fingerprints share one op skeleton: each is a \
-               compile-cache miss; bucket the varying dimension (pad \
-               batch/sequence sizes) to reuse programs"
-              n;
-        };
-      ]
+    let key = Hlo.key g in
+    if Hlo.Table.mem keys key then []
+    else begin
+      Hlo.Table.add keys key ();
+      (* Keys arrive one at a time, so each skeleton is reported once. *)
+      if Hlo.Table.length keys <> t.threshold then []
+      else
+        [
+          {
+            severity = Warning;
+            rule = "recompile-hazard";
+            node = None;
+            message =
+              Printf.sprintf
+                "%d distinct fingerprints share one op skeleton: each is a \
+                 compile-cache miss; bucket the varying dimension (pad \
+                 batch/sequence sizes) to reuse programs"
+                t.threshold;
+          };
+        ]
     end
-    else []
 
-  (** Distinct fingerprints seen per skeleton, largest first. *)
   let skeleton_counts t =
-    Hashtbl.fold (fun _ fps acc -> Hashtbl.length fps :: acc) t.skeletons []
+    Skeletons.fold (fun _ keys acc -> Hlo.Table.length keys :: acc) t.skeletons []
     |> List.sort (fun a b -> compare b a)
 end
 

@@ -5,10 +5,10 @@
     verifier reports {e every} one as an error (the function is malformed —
     interpreting it would be undefined). It adds warnings (well-formed but
     suspicious — a missed-optimization or density lint) computed with
-    {!S4o_sil.Dataflow}, and powers checked mode: after every optimization
-    pass and every AD code generation, {!run} re-verifies the output so a
-    renumbering bug in a pass surfaces at the pass, not as a wrong number
-    three layers later.
+    {!S4o_sil.Dataflow}. The passes, the AD transform and the builder call
+    {!S4o_sil.Ir.validate} themselves, so a renumbering bug in a pass
+    surfaces at the pass, not as a wrong number three layers later; the
+    verifier is the reporting side, for [s4o_cli analyze].
 
     Errors: def-before-use, operand/terminator ranges, branch-argument
     arity, entry arity. Warnings (dataflow-powered): unreachable blocks,
@@ -27,8 +27,6 @@ type violation = {
   site : string;  (** e.g. ["inst 3"], ["term"], ["param 1"]. *)
   message : string;
 }
-
-exception Verify_error of string
 
 let errors vs = List.filter (fun v -> v.severity = Error) vs
 let warnings vs = List.filter (fun v -> v.severity = Warning) vs
@@ -76,19 +74,8 @@ let lints (f : Ir.func) =
     (Dataflow.Const_prop.constant_branches f);
   List.rev !out
 
-let func ?(lint = true) (f : Ir.func) =
+let func (f : Ir.func) =
   let errs = structural f in
   (* Dataflow over malformed IR would index out of range — lint only when
      structurally clean. *)
-  if lint && errors errs = [] then errs @ lints f else errs
-
-let run ~stage (f : Ir.func) =
-  match errors (func ~lint:false f) with
-  | [] -> ()
-  | errs ->
-      raise
-        (Verify_error
-           (Format.asprintf "@[<v>IR verification failed after %s:@,%a@]"
-              stage
-              (Format.pp_print_list pp_violation)
-              errs))
+  if errors errs = [] then errs @ lints f else errs

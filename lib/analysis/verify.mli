@@ -1,8 +1,7 @@
 (** MSIL IR verifier: reports every {!S4o_sil.Ir.violations} entry as an
-    error (where {!S4o_sil.Ir.validate} raises on the first) and
-    (optionally) {!S4o_sil.Dataflow}-powered lints. Checked mode runs
-    {!run} after every optimization pass, AD synthesis, and derivative code
-    generation. *)
+    error (where {!S4o_sil.Ir.validate}, which the passes, the AD transform
+    and the builder call on what they make, raises on the first) and
+    {!S4o_sil.Dataflow}-powered lints. *)
 
 open S4o_sil
 
@@ -16,19 +15,13 @@ type violation = {
   message : string;
 }
 
-exception Verify_error of string
-
 val errors : violation list -> violation list
 val warnings : violation list -> violation list
 val pp_violation : Format.formatter -> violation -> unit
 
 (** [func f] verifies [f]. Errors: def-before-use, operand and terminator
-    ranges, branch-argument arity, entry arity. When [lint] (default) and
-    the function is structurally clean, adds warnings: unreachable blocks,
-    dead instruction results, single-definition block parameters, constant
-    branch conditions. *)
-val func : ?lint:bool -> Ir.func -> violation list
-
-(** [run ~stage f] raises {!Verify_error} naming [stage] and every error if
-    [f] is malformed; lints are not computed. The checked-mode hook body. *)
-val run : stage:string -> Ir.func -> unit
+    ranges, branch-argument arity, entry arity. When the function is
+    structurally clean, adds warnings: unreachable blocks, dead instruction
+    results, single-definition block parameters, constant branch
+    conditions. *)
+val func : Ir.func -> violation list

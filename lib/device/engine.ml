@@ -16,7 +16,7 @@ type t = {
 
 let create ?recorder spec =
   let recorder =
-    match recorder with Some r -> r | None -> Recorder.create ()
+    match recorder with Some r -> r | None -> Recorder.create ~enabled:false ()
   in
   let metrics = Metrics.create () in
   {
@@ -54,23 +54,25 @@ let dispatch t (op : Op_info.t) =
   let depth = t.device_ready -. t.host in
   if depth > t.max_depth then t.max_depth <- depth;
   Metrics.observe t.depth_hist depth;
-  Recorder.span t.recorder Recorder.Device ~cat:"kernel"
-    ~args:
-      [
-        ("kind", Op_info.kind_name op.kind);
-        ("flops", string_of_int op.flops);
-        ("bytes_in", string_of_int op.bytes_in);
-        ("bytes_out", string_of_int op.bytes_out);
-      ]
-    op.name ~start ~finish:t.device_ready;
-  Recorder.counter t.recorder Recorder.Device "pipeline_depth" ~at:t.host depth;
-  (* When off-heap tensor tracking is on, sample it alongside every
-     dispatch so the exported trace carries a live-memory counter track
-     aligned with the kernel timeline. *)
-  let mem = S4o_obs.Memory.global in
-  if S4o_obs.Memory.enabled mem then
-    Recorder.counter t.recorder Recorder.Host "tensor_live_bytes" ~at:t.host
-      (float_of_int (S4o_obs.Memory.live_bytes mem));
+  if Recorder.enabled t.recorder then begin
+    Recorder.span t.recorder Recorder.Device ~cat:"kernel"
+      ~args:
+        [
+          ("kind", Op_info.kind_name op.kind);
+          ("flops", string_of_int op.flops);
+          ("bytes_in", string_of_int op.bytes_in);
+          ("bytes_out", string_of_int op.bytes_out);
+        ]
+      op.name ~start ~finish:t.device_ready;
+    Recorder.counter t.recorder Recorder.Device "pipeline_depth" ~at:t.host depth;
+    (* When off-heap tensor tracking is on, sample it alongside every
+       dispatch so the exported trace carries a live-memory counter track
+       aligned with the kernel timeline. *)
+    let mem = S4o_obs.Memory.global in
+    if S4o_obs.Memory.enabled mem then
+      Recorder.counter t.recorder Recorder.Host "tensor_live_bytes" ~at:t.host
+        (float_of_int (S4o_obs.Memory.live_bytes mem))
+  end;
   t.device_ready
 
 let sync t =

@@ -19,8 +19,10 @@
 
 type t
 
-(** [create ?recorder spec] — pass [recorder] to share one timeline across
-    several engines; by default each engine records into its own. *)
+(** [create ?recorder spec] — pass an enabled [recorder] to keep a timeline
+    (to export or read it, or to share one across several engines). By
+    default the engine's recorder is disabled, so a long run keeps no events
+    and builds no span arguments. *)
 val create : ?recorder:S4o_obs.Recorder.t -> Device_spec.t -> t
 
 val spec : t -> Device_spec.t

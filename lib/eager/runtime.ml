@@ -25,13 +25,16 @@ let dispatch t (op : S4o_ops.Catalog.op) args =
   let start = Engine.host_time t.engine in
   Engine.spend_host t.engine t.dispatch_overhead;
   ignore (Engine.dispatch t.engine op.info);
-  let params = S4o_ops.Catalog.params_to_string op.kind in
-  Recorder.span (Engine.recorder t.engine) Recorder.Host ~cat:"dispatch"
-    ~args:
-      (("flops", string_of_int op.info.S4o_device.Op_info.flops)
-      :: (if params = "" then [] else [ ("attrs", params) ]))
-    (S4o_ops.Catalog.name op.kind) ~start
-    ~finish:(Engine.host_time t.engine);
+  let r = Engine.recorder t.engine in
+  if Recorder.enabled r then begin
+    let params = S4o_ops.Catalog.params_to_string op.kind in
+    Recorder.span r Recorder.Host ~cat:"dispatch"
+      ~args:
+        (("flops", string_of_int op.info.S4o_device.Op_info.flops)
+        :: (if params = "" then [] else [ ("attrs", params) ]))
+      (S4o_ops.Catalog.name op.kind) ~start
+      ~finish:(Engine.host_time t.engine)
+  end;
   Metrics.incr t.ops;
   op.kernel args
 

@@ -154,9 +154,10 @@ let lookup t (cut : Trace.cut) =
   let rec_ = Engine.recorder t.engine in
   let key = S4o_xla.Hlo.key cut.graph in
   let event name =
-    Recorder.instant rec_ Recorder.Host ~cat:"lazy"
-      ~args:[ ("fingerprint", string_of_int (S4o_xla.Hlo.key_hash key)) ]
-      name ~at:(Engine.host_time t.engine)
+    if Recorder.enabled rec_ then
+      Recorder.instant rec_ Recorder.Host ~cat:"lazy"
+        ~args:[ ("fingerprint", string_of_int (S4o_xla.Hlo.key_hash key)) ]
+        name ~at:(Engine.host_time t.engine)
   in
   t.clock <- t.clock + 1;
   match
@@ -214,7 +215,7 @@ let materialize t roots =
     Metrics.observe t.trace_sizes (float_of_int n_ops);
     (* Re-tracing overhead: paid on every iteration even on cache hits. *)
     Engine.with_host_span t.engine ~cat:"lazy"
-      ~args:[ ("ops", string_of_int n_ops) ]
+      ~args:(if Recorder.enabled rec_ then [ ("ops", string_of_int n_ops) ] else [])
       "trace-record"
       (fun () ->
         Engine.spend_host t.engine
@@ -256,15 +257,17 @@ let materialize t roots =
           (if Trace.is_pending n then Some { Trace.program = e.readback; index }
            else None))
       cut.pending;
-    let delta c c0 = string_of_int (Metrics.counter_value c - c0) in
-    Recorder.end_span rec_ outer
-      ~args:
-        [
-          ("ops", string_of_int n_ops);
-          ("buffers_reused", delta t.c_reused reused0);
-          ("buffers_fresh", delta t.c_fresh fresh0);
-        ]
-      ~at:(Engine.host_time t.engine)
+    if Recorder.enabled rec_ then begin
+      let delta c c0 = string_of_int (Metrics.counter_value c - c0) in
+      Recorder.end_span rec_ outer
+        ~args:
+          [
+            ("ops", string_of_int n_ops);
+            ("buffers_reused", delta t.c_reused reused0);
+            ("buffers_fresh", delta t.c_fresh fresh0);
+          ]
+        ~at:(Engine.host_time t.engine)
+    end
   end
 
 let barrier = materialize

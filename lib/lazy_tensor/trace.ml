@@ -90,10 +90,6 @@ let pending_region roots =
   List.iter visit roots;
   (List.rev !pending, List.rev !leaves)
 
-(* Checked mode installs the HLO checker here; called with every graph a
-   trace cut produces. *)
-let post_cut_hook : (S4o_xla.Hlo.graph -> unit) ref = ref (fun _ -> ())
-
 type cut = {
   graph : S4o_xla.Hlo.graph;
   leaves : node list;
@@ -125,9 +121,7 @@ let cut roots =
       (fun r -> if is_pending r then Some (Hashtbl.find hlo_of r.id) else None)
       roots
   in
-  let graph = S4o_xla.Hlo.graph_of_outputs outputs in
-  !post_cut_hook graph;
-  { graph; leaves; pending; hlo }
+  { graph = S4o_xla.Hlo.graph_of_outputs outputs; leaves; pending; hlo }
 
 let to_hlo roots =
   let c = cut roots in

@@ -59,11 +59,6 @@ val is_pending : node -> bool
     discovery order). *)
 val pending_region : node list -> node list * node list
 
-(** Called with every graph {!cut} produces. Checked mode
-    ([S4o_analysis.Checked.enable]) installs the HLO checker here; the
-    default is a no-op. *)
-val post_cut_hook : (S4o_xla.Hlo.graph -> unit) ref
-
 (** A pending region converted to HLO. *)
 type cut = {
   graph : S4o_xla.Hlo.graph;  (** Its outputs are the pending roots, in order. *)
@@ -75,7 +70,9 @@ type cut = {
           equal {!S4o_xla.Hlo.key}. *)
 }
 
-(** Convert the pending region reachable from the roots to HLO. *)
+(** Convert the pending region reachable from the roots to HLO. The graph
+    is not validated here: a program runs only after
+    {!S4o_xla.Compiler.compile} has validated a graph with an equal key. *)
 val cut : node list -> cut
 
 (** [cut] as a triple: the graph, the leaves in parameter order, and the

@@ -64,8 +64,9 @@ let begin_span t track ?(cat = "") ?(args = []) name ~at =
   { o_name = name; o_cat = cat; o_track = track; o_start = at; o_args = args }
 
 let end_span t ?(args = []) o ~at =
-  span t o.o_track ~cat:o.o_cat ~args:(o.o_args @ args) o.o_name
-    ~start:o.o_start ~finish:at
+  if t.enabled then
+    span t o.o_track ~cat:o.o_cat ~args:(o.o_args @ args) o.o_name
+      ~start:o.o_start ~finish:at
 
 let events t = List.rev t.events
 let spans t = List.filter_map (function Span s -> Some s | _ -> None) (events t)

@@ -10,7 +10,8 @@
     An op's identity is its {!kind}: the operation together with every
     parameter that affects its result. Trace keys, CSE and printing are all
     derived from it, and {!of_kind} re-derives the rest of the record from
-    it, so the HLO checker needs no shape rules of its own. *)
+    it, so HLO validation ([S4o_xla.Hlo.violations]) needs no shape rules
+    of its own. *)
 
 open S4o_tensor
 module Op_info = S4o_device.Op_info

@@ -4,10 +4,6 @@ let fail fmt = Format.kasprintf (fun s -> raise (Unsupported s)) fmt
 
 let jvp_name name = name ^ "_jvp"
 
-(* Checked mode installs the IR verifier here: every generated derivative
-   function passes through it before being registered. *)
-let post_codegen_hook : (Ir.func -> unit) ref = ref (fun _ -> ())
-
 (* Generation walks the single block, emitting for each original value both
    its primal recomputation and its tangent. [primal] and [tangent] map
    original value ids to value ids in the generated function. *)
@@ -156,7 +152,6 @@ let rec generate_jvp m (f : Ir.func) : Ir.func =
       | Ir.Br _ | Ir.Cond_br _ ->
           fail "@%s: unexpected branch in a single-block function" f.Ir.name);
       let generated = Builder.finish b in
-      !post_codegen_hook generated;
       Interp.add m generated;
       generated
 
@@ -326,7 +321,6 @@ let generate_vjp m (f : Ir.func) ~wrt =
           (* argument does not differentiably influence the result *)
           Builder.ret b (zero ()));
       let generated = Builder.finish b in
-      !post_codegen_hook generated;
       Interp.add m generated;
       generated
 

@@ -22,15 +22,12 @@ exception Unsupported of string
 (** [jvp_name f] is the name the generated JVP carries ("<f>_jvp"). *)
 val jvp_name : string -> string
 
-(** Called with every generated derivative function before it is added to
-    the module. Checked mode ([S4o_analysis.Checked.enable]) installs the
-    IR verifier here; the default is a no-op. *)
-val post_codegen_hook : (Ir.func -> unit) ref
-
 (** [generate_jvp m f] builds the JVP of [f]: a function of [2n] arguments
     ([x1..xn, dx1..dxn]) returning the directional derivative. Generated
     callee JVPs are added to [m] (memoized by name), as is the result.
-    Raises {!Unsupported} on control flow or recursive call cycles. *)
+    Raises {!Unsupported} on control flow or recursive call cycles. Like
+    every generated function, the result is validated by {!Builder.finish},
+    whose {!Ir.Invalid_ir} names it. *)
 val generate_jvp : Interp.modul -> Ir.func -> Ir.func
 
 (** Gradient via [n] evaluations of the generated JVP (one per basis

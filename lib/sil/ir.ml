@@ -129,11 +129,15 @@ let violations (f : func) =
   end;
   List.rev !out
 
-(** Raises {!Invalid_ir} naming the first of {!violations}. *)
-let validate (f : func) =
+(** Raises {!Invalid_ir} naming the first of {!violations}, prefixed by
+    [stage] (the pass or transform that made or takes [f]) when given. *)
+let validate ?stage (f : func) =
   match violations f with
   | [] -> ()
-  | (block, site, message) :: _ -> fail "%s bb%d %s: %s" f.name block site message
+  | (block, site, message) :: _ ->
+      fail "%s%s bb%d %s: %s"
+        (match stage with Some s -> s ^ ": " | None -> "")
+        f.name block site message
 
 (** {1 Printing} *)
 

@@ -1,8 +1,3 @@
-(* Checked mode (S4o_analysis.Checked) installs a verifier here; the
-   indirection avoids a dependency cycle between the analysis library and
-   the IR it verifies. Called with the pass name and its output. *)
-let post_pass_hook : (string -> Ir.func -> unit) ref = ref (fun _ _ -> ())
-
 let constant_fold (f : Ir.func) =
   let blocks =
     Array.map
@@ -22,7 +17,7 @@ let constant_fold (f : Ir.func) =
       f.blocks
   in
   let f' = { f with Ir.blocks = blocks } in
-  !post_pass_hook "constant_fold" f';
+  Ir.validate ~stage:"pass:constant_fold" f';
   f'
 
 let dead_code_elim (f : Ir.func) =
@@ -95,8 +90,7 @@ let dead_code_elim (f : Ir.func) =
       f.blocks
   in
   let f' = { f with Ir.blocks = blocks } in
-  Ir.validate f';
-  !post_pass_hook "dead_code_elim" f';
+  Ir.validate ~stage:"pass:dead_code_elim" f';
   f'
 
 let inst_count (f : Ir.func) =
@@ -107,6 +101,4 @@ let simplify f =
     let f' = dead_code_elim (constant_fold f) in
     if budget = 0 || inst_count f' = inst_count f then f' else go f' (budget - 1)
   in
-  let f' = go f 8 in
-  !post_pass_hook "simplify" f';
-  f'
+  go f 8

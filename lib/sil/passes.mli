@@ -4,12 +4,10 @@
     demonstration: they run equally on hand-written and on AD-related code.
 
     All passes are purely functional: they return a new function. MSIL calls
-    are pure, so unused calls are dead code. *)
-
-(** Called with the pass name and its output function after every pass.
-    Checked mode ([S4o_analysis.Checked.enable]) installs the IR verifier
-    here; the default is a no-op. *)
-val post_pass_hook : (string -> Ir.func -> unit) ref
+    are pure, so unused calls are dead code. Each pass validates its output
+    with {!Ir.validate}, raising {!Ir.Invalid_ir} with a stage such as
+    ["pass:constant_fold"]; {!simplify}'s result is its last
+    {!dead_code_elim}'s. *)
 
 (** Fold instructions whose operands are all constants (including selects
     with a constant condition). Comparisons fold too. Calls never fold. *)

@@ -219,11 +219,6 @@ let run_tangent (f : Ir.func) records ret_var direction =
   done;
   tans.(n - 1).(ret_var)
 
-(* Checked mode installs the IR verifier here: every function the AD
-   transform accepts gets verified. Indirection avoids a dependency cycle
-   with the analysis library. *)
-let post_synthesis_hook : (Ir.func -> unit) ref = ref (fun _ -> ())
-
 let rec derivative_of ctx name =
   match Hashtbl.find_opt ctx.memo name with
   | Some d -> d
@@ -257,6 +252,7 @@ let rec derivative_of ctx name =
     end
 
 and synthesize ctx (f : Ir.func) =
+  Ir.validate ~stage:"transform" f;
   let has_derivative callee =
     Hashtbl.mem ctx.memo callee || Interp.find ctx.modul callee <> None
   in
@@ -281,7 +277,6 @@ and synthesize ctx (f : Ir.func) =
     f.blocks;
   let analysis = Activity.analyze f in
   ctx.synthesized <- ctx.synthesized + 1;
-  !post_synthesis_hook f;
   let vjp args =
     let ret_var, value, records =
       run_forward ~callee_derivs ~want_vjp:true ~want_jvp:false f args

@@ -41,14 +41,9 @@ val diagnostics : ctx -> Diagnostics.diagnostic list
 (** Number of functions synthesized so far (excludes custom registrations). *)
 val synthesized_count : ctx -> int
 
-(** Called with every function the AD transform synthesizes a derivative
-    for, after differentiability diagnostics pass. Checked mode
-    ([S4o_analysis.Checked.enable]) installs the IR verifier here; the
-    default is a no-op. *)
-val post_synthesis_hook : (Ir.func -> unit) ref
-
 (** [derivative_of ctx name] synthesizes (or returns the memoized) derivative
-    of the named function. *)
+    of the named function. Each function it differentiates is validated
+    first ({!Ir.validate}, stage ["transform"]). *)
 val derivative_of : ctx -> string -> derivative
 
 (** Convenience operators mirroring Figure 2. *)

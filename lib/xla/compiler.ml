@@ -74,6 +74,7 @@ let schedule (g : Hlo.graph) clusters =
   (steps, List.length leaves, outputs)
 
 let compile ?engine g =
+  Hlo.validate ~stage:"compile" g;
   let input_nodes = Hlo.size g in
   let optimized, _ = Opt.optimize g in
   let clusters = Opt.fuse optimized in

@@ -27,8 +27,10 @@ type compile_stats = {
   compile_seconds : float;  (** Simulated compile cost charged to the host. *)
 }
 
-(** [compile ?engine g] optimizes, fuses, and packages [g]. When [engine] is
-    given, the simulated compile time is charged to its host clock. *)
+(** [compile ?engine g] validates [g] ({!Hlo.validate}, raising
+    {!Hlo.Invalid_hlo}), then optimizes, fuses, and packages it. When
+    [engine] is given, the simulated compile time is charged to its host
+    clock. *)
 val compile : ?engine:S4o_device.Engine.t -> Hlo.graph -> executable
 
 val stats : executable -> compile_stats

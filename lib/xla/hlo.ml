@@ -63,6 +63,70 @@ let params g =
   |> List.sort (fun (a, _) (b, _) -> compare a b)
   |> List.map snd
 
+(** {1 Validation} *)
+
+exception Invalid_hlo of string
+
+(* A compute node's declared shape must be what its op gives on its inputs'
+   shapes; the catalog's constructors are the only shape rules. *)
+let node_violations n =
+  let bad rule message = [ (n.id, rule, message) ] in
+  match n.role with
+  | Param _ | Literal _ ->
+      if n.inputs = [] then []
+      else bad "role" (Printf.sprintf "%s node has %d inputs" (name n) (List.length n.inputs))
+  | Compute o -> (
+      let input_shapes = List.map (fun i -> i.shape) n.inputs in
+      match (Catalog.of_kind o.kind input_shapes).out_shape with
+      | want when Shape.equal want n.shape -> []
+      | want ->
+          bad "shape"
+            (Printf.sprintf "%s: inputs %s give %s but node declares %s" (name n)
+               (String.concat ", " (List.map Shape.to_string input_shapes))
+               (Shape.to_string want) (Shape.to_string n.shape))
+      | exception Invalid_argument msg -> bad "arity" msg
+      | exception Shape.Shape_error msg -> bad "shape" msg)
+
+let violations g =
+  let params =
+    List.filter_map
+      (fun n -> match n.role with Param i -> Some (i, n.id) | Compute _ | Literal _ -> None)
+      g.nodes
+  in
+  let k = List.length params in
+  let seen = Hashtbl.create 8 in
+  let duplicates =
+    List.filter_map
+      (fun (i, id) ->
+        if Hashtbl.mem seen i then
+          Some (id, "param", Printf.sprintf "duplicate parameter index %d" i)
+        else begin
+          Hashtbl.add seen i ();
+          None
+        end)
+      params
+  in
+  let negatives =
+    List.filter_map
+      (fun (i, id) ->
+        if i >= 0 then None
+        else
+          let msg = Printf.sprintf "parameter index %d outside dense range 0..%d" i (k - 1) in
+          Some (id, "param", msg))
+      params
+  in
+  List.concat_map node_violations g.nodes @ duplicates @ negatives
+
+let validate ?stage g =
+  match violations g with
+  | [] -> ()
+  | (id, rule, message) :: _ ->
+      raise
+        (Invalid_hlo
+           (Printf.sprintf "%sn%d %s: %s"
+              (match stage with Some s -> s ^ ": " | None -> "")
+              id rule message))
+
 (** {1 Structural keys} *)
 
 type node_key = role * Shape.t * int list

@@ -46,6 +46,23 @@ val size : graph -> int
 (** Parameter nodes, sorted by parameter position. *)
 val params : graph -> node list
 
+(** {1 Validation} *)
+
+exception Invalid_hlo of string
+
+(** Every structural error in a graph, in node order, as (node id, rule,
+    message). Rules: ["role"] (a parameter or literal with inputs),
+    ["arity"] and ["shape"] (a compute node's op, rebuilt with
+    {!S4o_ops.Catalog.of_kind} from its inputs' shapes, rejects them or
+    gives another shape than the node declares), and ["param"] (a duplicate
+    or negative parameter index). *)
+val violations : graph -> (int * string * string) list
+
+(** Raises {!Invalid_hlo} naming the first of {!violations}, prefixed by
+    [stage] when given. {!Compiler.compile} validates its input (stage
+    ["compile"]) and every {!Opt} pass its output (["opt:cse"], ...). *)
+val validate : ?stage:string -> graph -> unit
+
 (** {1 Structural keys}
 
     A node's key is its role (for a compute node, the op kind with its

@@ -18,12 +18,9 @@ let map_graph (g : Hlo.graph) (rewrite : Hlo.node -> Hlo.node list -> Hlo.node) 
 let literal_value (n : Hlo.node) =
   match n.role with Literal v -> Some v | Compute _ | Param _ -> None
 
-(* Checked mode installs the HLO checker here; called with the pass name
-   and its output graph after every pass. *)
-let post_pass_hook : (string -> Hlo.graph -> unit) ref = ref (fun _ _ -> ())
-
+(* Every pass validates what it makes, naming itself. *)
 let checked name g =
-  !post_pass_hook name g;
+  Hlo.validate ~stage:("opt:" ^ name) g;
   g
 
 let cse g =

@@ -3,13 +3,10 @@
     paper leans on for §3.3's performance claims — operation fusion.
 
     All passes are graph → graph; nodes are immutable so rewrites substitute
-    bottom-up. *)
-
-(** Called with the pass name and its output graph after every pass
-    ([cse]/[constant_fold]/[dead_code_elim], and hence after each pass
-    inside {!optimize}). Checked mode ([S4o_analysis.Checked.enable])
-    installs the HLO checker here; the default is a no-op. *)
-val post_pass_hook : (string -> Hlo.graph -> unit) ref
+    bottom-up. Each pass ([cse], [constant_fold], [dead_code_elim], and so
+    each pass inside {!optimize}) validates its output graph with
+    {!Hlo.validate}, raising {!Hlo.Invalid_hlo} with a stage such as
+    ["opt:cse"]. *)
 
 (** Merge nodes with equal {!Hlo.node_key}s (same op kind and parameters,
     shape and operands). *)

@@ -1,13 +1,12 @@
 (** Tests for the cross-layer static analysis: the dataflow engine and its
-    instances, the MSIL verifier, the HLO checker and lints, checked-mode
-    hook wiring, and the pool write-race sanitizer. *)
+    instances, the MSIL verifier, the HLO checker and lints, the producers'
+    own validation, and the pool write-race sanitizer. *)
 
 open S4o_sil
 module B = Builder
 module V = S4o_analysis.Verify
 module D = S4o_sil.Dataflow
 module HC = S4o_analysis.Hlo_check
-module Checked = S4o_analysis.Checked
 module San = S4o_tensor.Sanitizer
 module Hlo = S4o_xla.Hlo
 module C = S4o_ops.Catalog
@@ -145,11 +144,7 @@ let test_verifier_use_before_def () =
   in
   let errs = V.errors (V.func f) in
   Test_util.check_true "use-before-def caught" (List.length errs >= 1);
-  Alcotest.check_raises "run raises"
-    (V.Verify_error "")
-    (fun () ->
-      try V.run ~stage:"test" f
-      with V.Verify_error _ -> raise (V.Verify_error ""))
+  Test_util.check_raises_any "validate raises" (fun () -> Ir.validate f)
 
 let test_verifier_branch_arity () =
   let f =
@@ -209,76 +204,52 @@ let test_verifier_unreachable_block () =
     (V.func f
     |> List.exists (fun (v : V.violation) -> v.block = 1))
 
-(* {1 Checked mode wiring} *)
+(* {1 Producers validate what they make} *)
 
-let test_checked_counts_sil () =
-  Checked.enable ();
-  Checked.reset_stats ();
-  let f = build_with_dead () in
-  ignore (Passes.simplify f);
-  let m = Interp.create_module () in
-  Interp.add m f;
-  ignore (Codegen.generate_jvp m f);
-  let s = Checked.stats () in
-  Test_util.check_true "passes and codegen verified"
-    (s.Checked.sil_verified >= 3)
+(* [f] raises its IR's validation error, naming [stage]. *)
+let raises_at ~stage msg f =
+  match f () with
+  | _ -> Alcotest.failf "%s: expected an invalid-IR error" msg
+  | exception (Ir.Invalid_ir m | Hlo.Invalid_hlo m) ->
+      Test_util.check_true
+        (Printf.sprintf "%s names %s: %s" msg stage m)
+        (String.starts_with ~prefix:(stage ^ ": ") m)
 
-let test_checked_counts_transform () =
-  Checked.enable ();
-  Checked.reset_stats ();
-  let f = build_diamond_same_arg () in
-  let m = Interp.create_module () in
-  Interp.add m f;
-  let ctx = Transform.create_ctx m in
-  ignore (Transform.gradient ctx "diamond" [| 2.0 |]);
-  Test_util.check_true "synthesis verified"
-    ((Checked.stats ()).Checked.sil_verified >= 1)
-
-let test_checked_hook_catches_corrupt_ir () =
-  Checked.enable ();
+let test_producers_catch_corrupt_ir () =
+  (* A branch to a missing block passes through constant folding untouched,
+     so the pass's own output validation is what catches it. *)
   let corrupt =
     {
       Ir.name = "corrupt";
       n_args = 1;
       blocks =
-        [| { Ir.params = 1; insts = [| Ir.Unary (Ir.Sin, 4) |]; term = Ir.Ret 1 } |];
+        [|
+          { Ir.params = 1; insts = [| Ir.Unary (Ir.Sin, 0) |]; term = Ir.Br (7, [||]) };
+        |];
     }
   in
-  Test_util.check_raises_any "pass hook raises" (fun () ->
-      !Passes.post_pass_hook "test" corrupt);
-  Test_util.check_raises_any "codegen hook raises" (fun () ->
-      !Codegen.post_codegen_hook corrupt)
+  raises_at ~stage:"pass:constant_fold" "simplify" (fun () ->
+      Passes.simplify corrupt);
+  raises_at ~stage:"pass:dead_code_elim" "dead_code_elim" (fun () ->
+      Passes.dead_code_elim corrupt);
+  let m = Interp.create_module () in
+  Interp.add m corrupt;
+  raises_at ~stage:"transform" "derivative_of" (fun () ->
+      Transform.derivative_of (Transform.create_ctx m) "corrupt")
 
-let test_checked_hook_catches_corrupt_hlo () =
-  Checked.enable ();
+let test_producers_catch_corrupt_hlo () =
   let p = Hlo.param ~index:0 ~shape:[| 4 |] in
   let bad =
     (* declares [8] but add of [4],[4] gives [4] *)
     { (Hlo.op (C.add [| 4 |] [| 4 |]) [ p; p ]) with Hlo.shape = [| 8 |] }
   in
   let g = Hlo.graph_of_outputs [ bad ] in
-  Test_util.check_raises_any "cut hook raises" (fun () ->
-      !S4o_lazy.Trace.post_cut_hook g);
-  Test_util.check_raises_any "opt hook raises" (fun () ->
-      !S4o_xla.Opt.post_pass_hook "test" g)
-
-let test_checked_counts_hlo_passes () =
-  Checked.enable ();
-  Checked.reset_stats ();
-  let p0 = Hlo.param ~index:0 ~shape:[| 4 |] in
-  let r = Hlo.op (C.relu [| 4 |]) [ p0 ] in
-  ignore (S4o_xla.Opt.optimize (Hlo.graph_of_outputs [ r ]));
-  Test_util.check_true "each pass checked"
-    ((Checked.stats ()).Checked.hlo_checked >= 3)
-
-let test_checked_metrics_attached () =
-  let reg = S4o_obs.Metrics.create () in
-  Checked.enable ();
-  Checked.attach_metrics reg;
-  ignore (Passes.simplify (build_with_dead ()));
-  Checked.detach_metrics ();
-  let c = S4o_obs.Metrics.counter reg "analysis.sil_verified" in
-  Test_util.check_true "metrics counted" (S4o_obs.Metrics.counter_value c >= 1)
+  raises_at ~stage:"opt:cse" "optimize" (fun () -> S4o_xla.Opt.optimize g);
+  raises_at ~stage:"opt:constant_fold" "constant_fold" (fun () ->
+      S4o_xla.Opt.constant_fold g);
+  raises_at ~stage:"opt:dead_code_elim" "dead_code_elim" (fun () ->
+      S4o_xla.Opt.dead_code_elim g);
+  raises_at ~stage:"compile" "compile" (fun () -> S4o_xla.Compiler.compile g)
 
 (* {1 HLO checker} *)
 
@@ -394,16 +365,41 @@ let test_hazard_detector () =
     (List.length (HC.Hazard.observe hz (graph_at 8)));
   Alcotest.(check (list int)) "counts" [ 4 ] (HC.Hazard.skeleton_counts hz)
 
+(* Six programs on one LeNet trace at one batch size: the logits, then five
+   different one-op tails. They differ only near the end of a long graph,
+   so a skeleton that stops looking after the first nodes would lump them
+   together and report a varying dimension where none varies. *)
+let test_hazard_compares_whole_skeletons () =
+  let engine = S4o_device.Engine.create S4o_device.Device_spec.desktop_cpu in
+  let rt = S4o_lazy.Lazy_runtime.create engine in
+  let module Bk = S4o_lazy.Lazy_backend.Make (struct
+    let rt = rt
+  end) in
+  let module M = S4o_nn.Models.Make (Bk) in
+  let model = M.lenet (Prng.create 1) in
+  let input = Bk.placeholder [| 2; 28; 28; 1 |] in
+  let logits =
+    M.L.D.value (M.L.apply model (M.L.D.new_ctx ()) (M.L.D.const input))
+  in
+  let hz = HC.Hazard.create () in
+  let findings =
+    List.concat_map
+      (fun tail -> HC.Hazard.observe hz (Bk.capture [ tail logits ]))
+      [ Fun.id; Bk.relu; Bk.softmax; Bk.sum_all; Bk.neg; Bk.exp ]
+  in
+  Test_util.check_int "no hazard" 0 (List.length findings);
+  Alcotest.(check (list int)) "one key per skeleton" [ 1; 1; 1; 1; 1; 1 ]
+    (HC.Hazard.skeleton_counts hz)
+
 let test_trace_cut_checked () =
-  (* A real trace cut passes through the hook with zero errors. *)
-  Checked.enable ();
-  Checked.reset_stats ();
+  (* A real trace cut is valid, and compiles. *)
   let a = S4o_lazy.Trace.leaf (Dense.of_array [| 2 |] [| 1.0; 2.0 |]) in
   let b = S4o_lazy.Trace.leaf (Dense.of_array [| 2 |] [| 3.0; 4.0 |]) in
   let t = S4o_lazy.Trace.record (C.add [| 2 |] [| 2 |]) [ a; b ] in
   let g, leaves, _ = S4o_lazy.Trace.to_hlo [ t ] in
   Test_util.check_int "two leaves" 2 (List.length leaves);
-  Test_util.check_int "cut checked" 1 ((Checked.stats ()).Checked.hlo_checked);
+  Hlo.validate g;
+  ignore (S4o_xla.Compiler.compile g);
   Test_util.check_int "cut clean" 0 (List.length (HC.errors (HC.check_graph g)))
 
 let test_report_json_roundtrip () =
@@ -798,6 +794,99 @@ let qcheck_validate_agrees_with_verifier =
       end
       else true)
 
+(* {1 HLO validation on random catalog graphs} *)
+
+(* A random catalog graph over three parameters, with at most one
+   corruption applied to a node as it is made, so its consumers are built
+   on what it declares: its shape, its parameter index or its operand count
+   changes. The new value may still be valid. *)
+let build_hlo (steps, (target, kind, v)) =
+  let nodes = ref [] in
+  let made = ref 0 in
+  let add (n : Hlo.node) =
+    let n =
+      if !made <> target then n
+      else
+        match (kind, n.role, n.inputs) with
+        | 0, _, _ ->
+            let shapes = [| [| 2; 3 |]; [| 3; 2 |]; [| 6 |]; [||] |] in
+            { n with shape = shapes.(v mod Array.length shapes) }
+        | 1, Hlo.Param _, _ -> { n with role = Hlo.Param ((v mod 4) - 1) }
+        | _, Hlo.Compute _, i :: rest ->
+            { n with inputs = (if v mod 2 = 0 then rest else i :: i :: rest) }
+        | _ -> n
+    in
+    incr made;
+    nodes := n :: !nodes;
+    n
+  in
+  List.iteri
+    (fun i shape -> ignore (add (Hlo.param ~index:i ~shape)))
+    [ [| 2; 3 |]; [| 2; 3 |]; [| 3; 2 |] ];
+  let pick sel ok =
+    let fits = List.filter (fun (n : Hlo.node) -> ok n.shape) !nodes in
+    List.nth fits (sel mod List.length fits)
+  in
+  List.iter
+    (fun (code, s1, s2) ->
+      let a = pick s1 (fun _ -> true) in
+      let sa = a.shape in
+      let rank = Shape.rank sa in
+      let op o inputs = ignore (add (Hlo.op o inputs)) in
+      (* A step with no fitting operand, or whose shapes its op rejects, is
+         skipped. *)
+      try
+        match code with
+        | 0 -> op (C.add sa sa) [ a; pick s2 (Shape.equal sa) ]
+        | 1 -> op (C.relu sa) [ a ]
+        | 2 -> op (C.scale 0.5 sa) [ a ]
+        | 3 when rank = 2 -> op (C.transpose sa) [ a ]
+        | 4 when rank = 2 ->
+            let b = pick s2 (fun sb -> Shape.rank sb = 2 && sb.(0) = sa.(1)) in
+            op (C.matmul sa b.shape) [ a; b ]
+        | 5 when rank >= 1 -> op (C.sum_axes sa [ 0 ]) [ a ]
+        | 6 -> op (C.reshape sa [| Shape.numel sa |]) [ a ]
+        | _ -> op (C.sum_all sa) [ a ]
+      with Shape.Shape_error _ | Invalid_argument _ | Division_by_zero -> ())
+    steps;
+  Hlo.graph_of_outputs (List.filteri (fun i _ -> i < 2) !nodes)
+
+let arb_hlo =
+  let open QCheck.Gen in
+  QCheck.make
+    ~print:(fun g -> Hlo.to_string g)
+    (map build_hlo
+       (pair
+          (list_size (int_range 1 8) (triple (int_bound 7) (int_bound 100) (int_bound 100)))
+          (triple (int_bound 12) (int_bound 2) (int_bound 100))))
+
+let qcheck_hlo_validate_agrees_with_checker =
+  QCheck.Test.make ~count:500
+    ~name:"HLO validate accepts what the checker passes, and it runs"
+    arb_hlo
+    (fun g ->
+      let accepted =
+        match Hlo.validate g with () -> true | exception Hlo.Invalid_hlo _ -> false
+      in
+      if accepted <> (HC.errors (HC.check_graph g) = []) then
+        QCheck.Test.fail_reportf "validate %s but the checker disagrees"
+          (if accepted then "accepts" else "rejects")
+      else if accepted then begin
+        (* The executor binds parameters by index, gaps included. *)
+        let params = Hlo.params g in
+        let feeds = Array.make (List.length params + 4) (Dense.scalar 0.0) in
+        List.iter
+          (fun (p : Hlo.node) ->
+            match p.role with
+            | Hlo.Param i -> feeds.(i) <- Dense.ones p.shape
+            | Hlo.Compute _ | Hlo.Literal _ -> ())
+          params;
+        let engine = S4o_device.Engine.create S4o_device.Device_spec.desktop_cpu in
+        ignore (S4o_xla.Compiler.run (S4o_xla.Compiler.compile g) engine feeds);
+        true
+      end
+      else true)
+
 (* Differentiates through [Activity]'s active mask (the runtime transform
    skips inactive instructions) and checks it against generated VJP code,
    which has no mask. *)
@@ -855,12 +944,8 @@ let suite =
       ] );
     ( "analysis.checked",
       [
-        tc "counts sil passes" `Quick test_checked_counts_sil;
-        tc "counts transform" `Quick test_checked_counts_transform;
-        tc "catches corrupt IR" `Quick test_checked_hook_catches_corrupt_ir;
-        tc "catches corrupt HLO" `Quick test_checked_hook_catches_corrupt_hlo;
-        tc "counts hlo passes" `Quick test_checked_counts_hlo_passes;
-        tc "metrics attach" `Quick test_checked_metrics_attached;
+        tc "catches corrupt IR" `Quick test_producers_catch_corrupt_ir;
+        tc "catches corrupt HLO" `Quick test_producers_catch_corrupt_hlo;
       ] );
     ( "analysis.hlo",
       [
@@ -873,7 +958,9 @@ let suite =
         tc "param density" `Quick test_hlo_param_density;
         tc "pending limit" `Quick test_hlo_pending_limit;
         tc "recompile hazard" `Quick test_hazard_detector;
+        tc "hazard whole skeletons" `Quick test_hazard_compares_whole_skeletons;
         tc "trace cut checked" `Quick test_trace_cut_checked;
+        q qcheck_hlo_validate_agrees_with_checker;
         tc "report json" `Quick test_report_json_roundtrip;
       ] );
     ( "analysis.sanitizer",

@@ -205,7 +205,7 @@ let apply_engine_action engine = function
   | Sync -> Engine.sync engine
 
 let prop_engine_invariants actions =
-  let engine = Engine.create Spec.gtx1080 in
+  let engine = Engine.create ~recorder:(S4o_obs.Recorder.create ()) Spec.gtx1080 in
   let ok = ref true in
   let last_host = ref 0.0 in
   List.iter

@@ -1,7 +1,4 @@
 let () =
-  (* Run the whole suite in checked mode: every pass output, synthesized
-     derivative, and cut HLO graph is verified as it is produced. *)
-  S4o_analysis.Checked.enable ();
   Alcotest.run "s4o"
     (Test_tensor.suite @ Test_ops.suite @ Test_core.suite @ Test_sil.suite @ Test_device.suite
    @ Test_xla.suite @ Test_obs.suite @ Test_profiling.suite

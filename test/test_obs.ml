@@ -108,7 +108,7 @@ let test_clock_monotonicity () =
   (* Simulated timeline invariants after a real eager workload: every span
      is well-formed, device kernels execute serially (FIFO, no overlap),
      and successive host dispatch spans never run backwards. *)
-  Test_util.with_eager (fun (module Bk) _ engine ->
+  Test_util.with_eager ~recorder:(Recorder.create ()) (fun (module Bk) _ engine ->
       let a, b = sample_inputs 1 in
       ignore (expr (module Bk) a b);
       let spans = Recorder.spans (Engine.recorder engine) in
@@ -134,7 +134,7 @@ let test_clock_monotonicity () =
       check_serial "host spans" (by_track Recorder.Host))
 
 let test_eager_dispatch_span_count () =
-  Test_util.with_eager (fun (module Bk) rt engine ->
+  Test_util.with_eager ~recorder:(Recorder.create ()) (fun (module Bk) rt engine ->
       let a, b = sample_inputs 2 in
       ignore (expr (module Bk) a b);
       let st = S4o_eager.Runtime.stats rt in
@@ -182,7 +182,7 @@ let test_unified_stats_shape () =
     (lazy_st.Stats.compile_seconds > 0.0)
 
 let test_reset_stats () =
-  Test_util.with_eager (fun (module Bk) rt _ ->
+  Test_util.with_eager ~recorder:(Recorder.create ()) (fun (module Bk) rt _ ->
       let a, b = sample_inputs 4 in
       ignore (expr (module Bk) a b);
       Test_util.check_true "nonzero before reset"
@@ -233,7 +233,7 @@ let test_lazy_cache_hit_counter_vs_ablation () =
 
 let test_chrome_trace_round_trip () =
   let eager_rec, n_eager_events, host_spans, device_spans =
-    Test_util.with_eager (fun (module Bk) _ engine ->
+    Test_util.with_eager ~recorder:(Recorder.create ()) (fun (module Bk) _ engine ->
         let a, b = sample_inputs 6 in
         ignore (expr (module Bk) a b);
         let r = Engine.recorder engine in

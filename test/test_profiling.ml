@@ -207,8 +207,41 @@ let test_analysis_synthetic () =
   Test_util.check_close "host self sums to host busy" 12.0 host_self;
   Test_util.check_close "device self sums to device busy" 7.0 dev_self
 
-let run_lenet_step () =
+(* Minor-heap words per [Engine.dispatch] of a small kernel. *)
+let dispatch_words engine =
+  let op =
+    {
+      S4o_device.Op_info.name = "k";
+      kind = Elementwise;
+      flops = 1000;
+      bytes_in = 64;
+      bytes_out = 64;
+    }
+  in
+  let n = 10_000 in
+  ignore (Engine.dispatch engine op);
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    ignore (Engine.dispatch engine op)
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int n
+
+let test_default_engine_records_nothing () =
+  (* A default engine keeps no timeline, so a long-lived runtime's memory
+     stays flat, and its dispatches skip the span arguments that an enabled
+     recorder's dispatch formats. *)
   let engine = Engine.create Spec.gtx1080 in
+  let off = dispatch_words engine in
+  Test_util.check_int "default engine recorded nothing" 0
+    (Recorder.event_count (Engine.recorder engine));
+  let on = dispatch_words (Engine.create ~recorder:(Recorder.create ()) Spec.gtx1080) in
+  (* The four kernel-span arguments alone take about 30 words. *)
+  Test_util.check_true
+    (Printf.sprintf "%.1f words per dispatch off, %.1f on" off on)
+    (off +. 30.0 <= on)
+
+let run_lenet_step () =
+  let engine = Engine.create ~recorder:(Recorder.create ()) Spec.gtx1080 in
   let rt = S4o_lazy.Lazy_runtime.create engine in
   let module Bk = S4o_lazy.Lazy_backend.Make (struct
     let rt = rt
@@ -380,7 +413,7 @@ let test_validate_rejects_bad_traces () =
   | Error _ -> ()
 
 let test_validate_accepts_real_export () =
-  let engine = Engine.create Spec.gtx1080 in
+  let engine = Engine.create ~recorder:(Recorder.create ()) Spec.gtx1080 in
   let rt = S4o_eager.Runtime.create engine in
   let module Bk = S4o_eager.Eager_backend.Make (struct
     let rt = rt
@@ -392,7 +425,7 @@ let test_validate_accepts_real_export () =
     S4o_obs.Chrome_trace.validate
       (S4o_obs.Chrome_trace.to_string (Engine.recorder engine))
   with
-  | Ok n -> Test_util.check_true "events present" (n > 0)
+  | Ok n -> Test_util.check_true "events beyond the 3 metadata records" (n > 3)
   | Error e -> Alcotest.failf "real export rejected: %s" e
 
 (* {1 Stats/engine integration} *)
@@ -481,6 +514,7 @@ let suite =
         tc "2M tracked allocations survive and balance" `Quick
           test_memory_survives_sustained_allocation;
         tc "disabled profiling is near-free" `Slow test_disabled_profiling_is_cheap;
+        tc "default engine records nothing" `Quick test_default_engine_records_nothing;
       ] );
     ( "profiling.analysis",
       [

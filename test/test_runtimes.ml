@@ -358,7 +358,7 @@ let test_lazy_capture_is_free () =
   Test_util.check_int "no trace consumed" 0 st.S4o_lazy.Lazy_runtime.traces_cut
 
 let test_lazy_reports_buffer_reuse () =
-  Test_util.with_lazy (fun (module Bk) _ engine ->
+  Test_util.with_lazy ~recorder:(S4o_obs.Recorder.create ()) (fun (module Bk) _ engine ->
       (* neg^4: the third and fourth negs take the buffers of the first two *)
       let x = Bk.of_dense (Dense.ones [| 64 |]) in
       ignore (Bk.to_dense (Bk.neg (Bk.neg (Bk.neg (Bk.neg x)))));

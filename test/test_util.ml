@@ -40,9 +40,9 @@ let qtest ?(count = 200) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name gen prop)
 
 (** [with_eager f]: [f] on a fresh eager stack — the backend, its runtime
-    and its engine. *)
-let with_eager f =
-  let engine = S4o_device.Engine.create S4o_device.Device_spec.gtx1080 in
+    and its engine. Pass an enabled [recorder] to read the timeline. *)
+let with_eager ?recorder f =
+  let engine = S4o_device.Engine.create ?recorder S4o_device.Device_spec.gtx1080 in
   let rt = S4o_eager.Runtime.create engine in
   let module Bk = S4o_eager.Eager_backend.Make (struct
     let rt = rt
@@ -50,8 +50,8 @@ let with_eager f =
   f (module Bk : S4o_tensor.Backend_intf.S) rt engine
 
 (** [with_lazy f]: [f] on a fresh lazy stack, as {!with_eager}. *)
-let with_lazy ?cache_enabled f =
-  let engine = S4o_device.Engine.create S4o_device.Device_spec.gtx1080 in
+let with_lazy ?cache_enabled ?recorder f =
+  let engine = S4o_device.Engine.create ?recorder S4o_device.Device_spec.gtx1080 in
   let rt = S4o_lazy.Lazy_runtime.create ?cache_enabled engine in
   let module Bk = S4o_lazy.Lazy_backend.Make (struct
     let rt = rt
