@@ -59,16 +59,18 @@ module Make (B : S4o_tensor.Backend_intf.S) = struct
     | (Some _ as s), None | None, (Some _ as s) -> s
     | None, None -> None
 
-  (* Constants (no tape) receive no adjoint: skipping them both keeps
-     semantics tidy and avoids real work — e.g. the conv backward-input
-     kernel is never run for a constant input batch. *)
+  (* Constants (no tape) receive no adjoint. The contribution is a thunk
+     that runs only for a tracked value, so a constant's pullback does no
+     work — e.g. the conv backward-input kernel is never run for a constant
+     input batch. *)
   let accumulate v contrib =
     match v.ctx with
     | None -> ()
     | Some _ -> (
+        let c = contrib () in
         match v.adj with
-        | None -> v.adj <- Some contrib
-        | Some a -> v.adj <- Some (B.add a contrib))
+        | None -> v.adj <- Some c
+        | Some a -> v.adj <- Some (B.add a c))
 
   (* Record a result with a pullback that receives the result's adjoint. *)
   let record ctx value pull =
@@ -87,133 +89,136 @@ module Make (B : S4o_tensor.Backend_intf.S) = struct
 
   let add a b =
     binary a b (B.add a.value b.value) (fun g ->
-        accumulate a (B.unbroadcast g (shape a));
-        accumulate b (B.unbroadcast g (shape b)))
+        accumulate a (fun () -> B.unbroadcast g (shape a));
+        accumulate b (fun () -> B.unbroadcast g (shape b)))
 
   let sub a b =
     binary a b (B.sub a.value b.value) (fun g ->
-        accumulate a (B.unbroadcast g (shape a));
-        accumulate b (B.unbroadcast (B.neg g) (shape b)))
+        accumulate a (fun () -> B.unbroadcast g (shape a));
+        accumulate b (fun () -> B.unbroadcast (B.neg g) (shape b)))
 
   let mul a b =
     binary a b (B.mul a.value b.value) (fun g ->
-        accumulate a (B.unbroadcast (B.mul g b.value) (shape a));
-        accumulate b (B.unbroadcast (B.mul g a.value) (shape b)))
+        accumulate a (fun () -> B.unbroadcast (B.mul g b.value) (shape a));
+        accumulate b (fun () -> B.unbroadcast (B.mul g a.value) (shape b)))
 
   let div a b =
     binary a b (B.div a.value b.value) (fun g ->
-        accumulate a (B.unbroadcast (B.div g b.value) (shape a));
-        let gb = B.neg (B.div (B.mul g a.value) (B.mul b.value b.value)) in
-        accumulate b (B.unbroadcast gb (shape b)))
+        accumulate a (fun () -> B.unbroadcast (B.div g b.value) (shape a));
+        accumulate b (fun () ->
+            let gb = B.neg (B.div (B.mul g a.value) (B.mul b.value b.value)) in
+            B.unbroadcast gb (shape b)))
 
-  let neg a = unary a (B.neg a.value) (fun g -> accumulate a (B.neg g))
+  let neg a = unary a (B.neg a.value) (fun g -> accumulate a (fun () -> B.neg g))
 
   let scale c a =
-    unary a (B.scale c a.value) (fun g -> accumulate a (B.scale c g))
+    unary a (B.scale c a.value) (fun g -> accumulate a (fun () -> B.scale c g))
 
   let add_scalar c a =
-    unary a (B.add_scalar c a.value) (fun g -> accumulate a g)
+    unary a (B.add_scalar c a.value) (fun g -> accumulate a (fun () -> g))
 
   (** {1 Nonlinearities} *)
 
   let relu a =
-    unary a (B.relu a.value) (fun g -> accumulate a (B.relu_grad a.value g))
+    unary a (B.relu a.value) (fun g -> accumulate a (fun () -> B.relu_grad a.value g))
 
   let sigmoid a =
     let s = B.sigmoid a.value in
     unary a s (fun g ->
         (* s * (1 - s) * g *)
-        let one_minus = B.add_scalar 1.0 (B.neg s) in
-        accumulate a (B.mul g (B.mul s one_minus)))
+        accumulate a (fun () ->
+            let one_minus = B.add_scalar 1.0 (B.neg s) in
+            B.mul g (B.mul s one_minus)))
 
   let tanh a =
     let th = B.tanh a.value in
     unary a th (fun g ->
-        let one_minus_sq = B.add_scalar 1.0 (B.neg (B.mul th th)) in
-        accumulate a (B.mul g one_minus_sq))
+        accumulate a (fun () ->
+            let one_minus_sq = B.add_scalar 1.0 (B.neg (B.mul th th)) in
+            B.mul g one_minus_sq))
 
   let exp a =
     let e = B.exp a.value in
-    unary a e (fun g -> accumulate a (B.mul g e))
+    unary a e (fun g -> accumulate a (fun () -> B.mul g e))
 
   let log a =
-    unary a (B.log a.value) (fun g -> accumulate a (B.div g a.value))
+    unary a (B.log a.value) (fun g -> accumulate a (fun () -> B.div g a.value))
 
   let sqrt a =
     let r = B.sqrt a.value in
-    unary a r (fun g -> accumulate a (B.div g (B.scale 2.0 r)))
+    unary a r (fun g -> accumulate a (fun () -> B.div g (B.scale 2.0 r)))
 
   (** {1 Shape} *)
 
   let reshape a s =
     let orig = shape a in
-    unary a (B.reshape a.value s) (fun g -> accumulate a (B.reshape g orig))
+    unary a (B.reshape a.value s) (fun g -> accumulate a (fun () -> B.reshape g orig))
 
   let transpose a =
-    unary a (B.transpose a.value) (fun g -> accumulate a (B.transpose g))
+    unary a (B.transpose a.value) (fun g -> accumulate a (fun () -> B.transpose g))
 
   let broadcast_to a s =
     unary a (B.broadcast_to a.value s) (fun g ->
-        accumulate a (B.unbroadcast g (shape a)))
+        accumulate a (fun () -> B.unbroadcast g (shape a)))
 
   (** {1 Reductions} *)
 
   let sum_all a =
     unary a (B.sum_all a.value) (fun g ->
-        accumulate a (B.broadcast_to g (shape a)))
+        accumulate a (fun () -> B.broadcast_to g (shape a)))
 
   let mean_all a =
     let n = float_of_int (S4o_tensor.Shape.numel (shape a)) in
     unary a (B.mean_all a.value) (fun g ->
-        accumulate a (B.scale (1.0 /. n) (B.broadcast_to g (shape a))))
+        accumulate a (fun () -> B.scale (1.0 /. n) (B.broadcast_to g (shape a))))
 
   let sum_axes ?keep_dims a axes =
     let orig = shape a in
     unary a (B.sum_axes ?keep_dims a.value axes) (fun g ->
         (* adjoint of a sum: broadcast back, via the keep-dims shape *)
         let kept = S4o_tensor.Shape.reduce_axes ~keep_dims:true orig axes in
-        accumulate a (B.broadcast_to (B.reshape g kept) orig))
+        accumulate a (fun () -> B.broadcast_to (B.reshape g kept) orig))
 
   (** {1 Linear algebra and NN ops} *)
 
   let matmul a b =
     binary a b (B.matmul a.value b.value) (fun g ->
-        accumulate a (B.matmul g (B.transpose b.value));
-        accumulate b (B.matmul (B.transpose a.value) g))
+        accumulate a (fun () -> B.matmul g (B.transpose b.value));
+        accumulate b (fun () -> B.matmul (B.transpose a.value) g))
 
   let batch_matmul a b =
     binary a b
       (B.batch_matmul a.value b.value)
       (fun g ->
-        accumulate a (B.batch_matmul g (B.batch_transpose b.value));
-        accumulate b (B.batch_matmul (B.batch_transpose a.value) g))
+        accumulate a (fun () -> B.batch_matmul g (B.batch_transpose b.value));
+        accumulate b (fun () -> B.batch_matmul (B.batch_transpose a.value) g))
 
   let batch_transpose a =
     unary a (B.batch_transpose a.value) (fun g ->
-        accumulate a (B.batch_transpose g))
+        accumulate a (fun () -> B.batch_transpose g))
 
   let conv2d ?stride ~padding x f =
     binary x f
       (B.conv2d ?stride ~padding x.value f.value)
       (fun g ->
-        accumulate x
-          (B.conv2d_backward_input ?stride ~padding ~input_shape:(shape x)
-             f.value g);
-        accumulate f
-          (B.conv2d_backward_filter ?stride ~padding ~filter_shape:(shape f)
-             x.value g))
+        accumulate x (fun () ->
+            B.conv2d_backward_input ?stride ~padding ~input_shape:(shape x)
+              f.value g);
+        accumulate f (fun () ->
+            B.conv2d_backward_filter ?stride ~padding ~filter_shape:(shape f)
+              x.value g))
 
   let avg_pool2d ~size ~stride a =
     unary a
       (B.avg_pool2d ~size ~stride a.value)
       (fun g ->
-        accumulate a
-          (B.avg_pool2d_backward ~size ~stride ~input_shape:(shape a) g))
+        accumulate a (fun () ->
+            B.avg_pool2d_backward ~size ~stride ~input_shape:(shape a) g))
 
   let max_pool2d ~size ~stride a =
     unary a
       (B.max_pool2d ~size ~stride a.value)
-      (fun g -> accumulate a (B.max_pool2d_backward ~size ~stride a.value g))
+      (fun g -> accumulate a (fun () -> B.max_pool2d_backward ~size ~stride a.value g))
 
   (** Fused numerically-stable softmax cross-entropy against one-hot labels:
       the gradient is the classic [(softmax(z) - y)/n] — one kernel, no
@@ -225,9 +230,10 @@ module Make (B : S4o_tensor.Backend_intf.S) = struct
       B.scale (-1.0 /. n) (B.sum_all (B.mul labels log_probs))
     in
     unary logits nll (fun g ->
-        let probs = B.softmax logits.value in
-        let diff = B.scale (1.0 /. n) (B.sub probs labels) in
-        accumulate logits (B.mul (B.broadcast_to g (shape logits)) diff))
+        accumulate logits (fun () ->
+            let probs = B.softmax logits.value in
+            let diff = B.scale (1.0 /. n) (B.sub probs labels) in
+            B.mul (B.broadcast_to g (shape logits)) diff))
 
   (** Mean-squared-error loss against a constant target. *)
   let mse ~target pred =
@@ -236,8 +242,8 @@ module Make (B : S4o_tensor.Backend_intf.S) = struct
     unary pred
       (B.scale (1.0 /. n) (B.sum_all (B.mul d d)))
       (fun g ->
-        let gp = B.scale (2.0 /. n) (B.mul (B.broadcast_to g (shape pred)) d) in
-        accumulate pred gp)
+        accumulate pred (fun () ->
+            B.scale (2.0 /. n) (B.mul (B.broadcast_to g (shape pred)) d)))
 
   (** {1 Backward} *)
 

@@ -239,13 +239,12 @@ let materialize t roots =
           (Array.of_list (List.map Option.get feeds))
       in
       List.iteri
-        (fun i (r : Trace.node) ->
-          r.Trace.state <- Trace.Materialized outputs.(i))
+        (fun i r -> Trace.settle r (Trace.Materialized outputs.(i)))
         results
     end
     else begin
       S4o_xla.Compiler.simulate e.exe t.engine;
-      List.iter (fun (r : Trace.node) -> r.Trace.state <- Trace.Simulated) results
+      List.iter (fun r -> Trace.settle r Trace.Simulated) results
     end;
     (* A node that arrives with an origin was run by an earlier cut. What
        this cut ran but did not export remembers where, so that reading it

@@ -28,7 +28,7 @@ type origin = { program : readback; index : int }
 type node = {
   id : int;
   op : S4o_ops.Catalog.op option;  (** [None] for data leaves. *)
-  args : node list;
+  mutable args : node list;
   shape : Shape.t;
   mutable state : state;
   mutable origin : origin option;
@@ -70,6 +70,10 @@ let record (op : S4o_ops.Catalog.op) args =
   }
 
 let is_pending n = n.state = Pending
+
+let settle n state =
+  n.state <- state;
+  n.args <- []
 
 (** The pending region reachable from [roots], in topological order, stopping
     at non-pending nodes (the future graph parameters, in discovery order). *)

@@ -31,7 +31,7 @@ type origin = { program : readback; index : int }
 type node = {
   id : int;
   op : S4o_ops.Catalog.op option;  (** [None] for data leaves. *)
-  args : node list;
+  mutable args : node list;  (** Emptied once the node is no longer pending. *)
   shape : Shape.t;
   mutable state : state;
   mutable origin : origin option;
@@ -53,6 +53,12 @@ val placeholder : Shape.t -> node
 val record : S4o_ops.Catalog.op -> node list -> node
 
 val is_pending : node -> bool
+
+(** [settle n state] gives a pending node its computed [state] and drops
+    its [args]: a node that is no longer pending is a leaf of every later
+    trace, and a result the caller keeps must not keep the whole trace that
+    computed it alive. *)
+val settle : node -> state -> unit
 
 (** The pending region reachable from the roots, in topological order, plus
     the non-pending leaves it stops at (the future graph parameters, in

@@ -8,8 +8,10 @@ type histogram = {
   mutable max_v : float;
   buckets : float array;  (* upper bounds, ascending; +inf implicit *)
   bucket_counts : int array;  (* length = Array.length buckets + 1 *)
-  mutable sample_buf : float array;  (* every observation, for exact quantiles *)
-  mutable n_samples : int;  (* used prefix of [samples] *)
+  mutable sample_buf : float array;
+      (* every observation up to [reservoir_size], then a uniform sample *)
+  mutable n_samples : int;  (* used prefix of [sample_buf] *)
+  mutable draw : int;  (* LCG state choosing reservoir slots *)
 }
 
 type metric =
@@ -42,6 +44,12 @@ let gauge t name =
   | Gauge g -> g
   | _ -> invalid_arg (name ^ " is already registered with another type")
 
+(* Quantiles are exact up to this many observations; past it, they come
+   from a uniform sample of this size, so a histogram stays this small
+   however long it observes. *)
+let reservoir_size = 4096
+let draw_seed = 0x2545F491
+
 let default_buckets =
   [| 1e-6; 1e-5; 1e-4; 1e-3; 1e-2; 1e-1; 1.0; 10.0 |]
 
@@ -57,6 +65,7 @@ let histogram ?(buckets = default_buckets) t name =
         bucket_counts = Array.make (Array.length buckets + 1) 0;
         sample_buf = Array.make 64 0.0;
         n_samples = 0;
+        draw = draw_seed;
       }
   in
   match register t name h with
@@ -79,13 +88,23 @@ let observe h v =
   h.sum <- h.sum +. v;
   if v < h.min_v then h.min_v <- v;
   if v > h.max_v then h.max_v <- v;
-  if h.n_samples = Array.length h.sample_buf then begin
-    let bigger = Array.make (2 * Array.length h.sample_buf) 0.0 in
-    Array.blit h.sample_buf 0 bigger 0 h.n_samples;
-    h.sample_buf <- bigger
+  if h.n_samples < reservoir_size then begin
+    if h.n_samples = Array.length h.sample_buf then begin
+      let bigger = Array.make (min reservoir_size (2 * h.n_samples)) 0.0 in
+      Array.blit h.sample_buf 0 bigger 0 h.n_samples;
+      h.sample_buf <- bigger
+    end;
+    h.sample_buf.(h.n_samples) <- v;
+    h.n_samples <- h.n_samples + 1
+  end
+  else begin
+    (* reservoir sampling: the [n]th observation replaces a uniformly
+       chosen slot with probability [reservoir_size / n] *)
+    h.draw <- (h.draw * 3935559000370003845) + 1;
+    (* the high bits of a power-of-two LCG are the well-mixed ones *)
+    let j = (h.draw lsr 20) mod h.n in
+    if j < reservoir_size then h.sample_buf.(j) <- v
   end;
-  h.sample_buf.(h.n_samples) <- v;
-  h.n_samples <- h.n_samples + 1;
   let rec place i =
     if i >= Array.length h.buckets then Array.length h.buckets
     else if v <= h.buckets.(i) then i
@@ -227,6 +246,7 @@ let reset t =
           h.min_v <- infinity;
           h.max_v <- neg_infinity;
           h.n_samples <- 0;
+          h.draw <- draw_seed;
           Array.fill h.bucket_counts 0 (Array.length h.bucket_counts) 0)
     t.tbl
 

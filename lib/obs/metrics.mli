@@ -49,11 +49,15 @@ val hist_mean : histogram -> float
 val hist_max : histogram -> float
 val hist_min : histogram -> float
 
-(** [quantile h q] is the exact [q]-quantile ([0 ≤ q ≤ 1]) of every sample
+(** [quantile h q] is the [q]-quantile ([0 ≤ q ≤ 1]) of the samples
     observed so far, with linear interpolation between closest ranks; [0] if
     the histogram is empty. Raises [Invalid_argument] outside [\[0, 1\]].
-    (Histograms retain all samples — simulation-scale cardinalities — so
-    quantiles are exact, not bucket-interpolated.) *)
+    A histogram keeps its first 4096 samples, so up to that count quantiles
+    are exact, not bucket-interpolated. Past it, each new sample replaces a
+    kept one with the probability that keeps them a uniform sample of all
+    observed (reservoir sampling, with a fixed seed, so equal sequences give
+    equal quantiles): its memory stays flat, and quantiles become
+    estimates. Counts, sums, extremes and buckets stay exact. *)
 val quantile : histogram -> float -> float
 
 type hist_summary = {

@@ -100,7 +100,8 @@ let[@inline] copy_span (id : Dense.buffer) src (pd : Dense.buffer) dst len =
 (* Write patch rows [lo, hi) into [pd], row [r] at [(r - first) * cols].
    Every element is written exactly once — image data as contiguous span
    copies, out-of-image (padding) columns as explicit zero spans — so [pd]
-   may start uninitialized. *)
+   may start uninitialized. This is [fill_patch_strip] over every column,
+   without its clipping, which costs the LeNet forward convs 3–5%. *)
 let fill_patches g (id : Dense.buffer) (pd : Dense.buffer) ~first lo hi =
   let { h; w; cin; kh; kw; sh; sw; ph; pw; _ } = g in
   let cols = kh * kw * cin in
@@ -132,23 +133,51 @@ let fill_patches g (id : Dense.buffer) (pd : Dense.buffer) ~first lo hi =
     done
   done
 
-(* Materialize the whole [n*oh*ow; kh*kw*cin] patch matrix (backward
-   filter reads it column-wise). Rows are disjoint, so the fill
-   parallelizes over rows. *)
-let im2col ?domains g input =
-  let rows = g.n * g.oh * g.ow in
-  let cols = g.kh * g.kw * g.cin in
-  let patches =
-    S4o_obs.Memory.with_tag S4o_obs.Memory.global "im2col" (fun () ->
-        Dense.uninit [| rows; cols |])
-  in
-  let id = Dense.unsafe_data input and pd = Dense.unsafe_data patches in
-  maybe_parallel ?domains ~work:(rows * cols) ~n:rows (fun lo hi ->
-      Sanitizer.note_write pd ~lo:(lo * cols) ~len:((hi - lo) * cols)
-        ~who:"im2col patch rows";
-      Sanitizer.note_read id ~lo:0 ~len:(A.dim id) ~who:"im2col input";
-      fill_patches g id pd ~first:0 lo hi);
-  patches
+(* Zero the columns [a, b) of a patch row that fall in the window
+   [c0, c1); column [c] is at [base + c] in [pd]. *)
+let[@inline] zero_clipped (pd : Dense.buffer) base ~c0 ~c1 a b =
+  let a = Int.max a c0 and b = Int.min b c1 in
+  if b > a then zero_span pd (base + a) (b - a)
+
+(* Write columns [c0, c1) of patch rows [lo, hi) into [pd], element
+   [(r, c)] at [(r - first) * (c1 - c0) + c - c0]. Every element is written
+   exactly once — image data as contiguous span copies, out-of-image
+   (padding) columns as explicit zero spans — so [pd] may start
+   uninitialized. *)
+let fill_patch_strip g (id : Dense.buffer) (pd : Dense.buffer) ~first ~c0 ~c1 lo hi =
+  let { h; w; cin; kh; kw; sh; sw; ph; pw; _ } = g in
+  let span = kw * cin in
+  (* the ky rows of the window: each is [span] consecutive columns *)
+  let ky0 = c0 / span and ky1 = Int.min kh (((c1 - 1) / span) + 1) in
+  let pos = cursor g lo in
+  for r = lo to hi - 1 do
+    let b = pos.b and oy = pos.oy and ox = pos.ox in
+    advance g pos;
+    (* column [c] of the row lands at [base + c] *)
+    let base = ((r - first) * (c1 - c0)) - c0 in
+    (* the in-image kx range: consecutive kx read consecutive input
+       columns at any stride, so it is one contiguous span of
+       (kx1-kx0)*cin floats on both sides, with zero fringes for the
+       padding columns *)
+    let ix0 = (ox * sw) - pw in
+    let kx0 = Int.min kw (Int.max 0 (-ix0)) in
+    let kx1 = Int.max kx0 (Int.min kw (w - ix0)) in
+    for ky = ky0 to ky1 - 1 do
+      let iy = (oy * sh) + ky - ph in
+      let k0 = ky * span in
+      if iy < 0 || iy >= h then zero_clipped pd base ~c0 ~c1 k0 (k0 + span)
+      else begin
+        let a = k0 + (kx0 * cin) and z = k0 + (kx1 * cin) in
+        zero_clipped pd base ~c0 ~c1 k0 a;
+        let a' = Int.max a c0 and z' = Int.min z c1 in
+        if z' > a' then
+          copy_span id
+            (((((b * h) + iy) * w) + ix0 + kx0) * cin + a' - a)
+            pd (base + a') (z' - a');
+        zero_clipped pd base ~c0 ~c1 z (k0 + span)
+      end
+    done
+  done
 
 let conv2d ?domains ?(stride = (1, 1)) ~padding input filter =
   check_rank4 "conv2d input" input;
@@ -176,8 +205,12 @@ let conv2d ?domains ?(stride = (1, 1)) ~padding input filter =
   in
   Dense.with_shape out [| g.n; g.oh; g.ow; cout |]
 
-(* dL/dfilter = patches^T x grad: [cols; rows] x [rows; cout], read
-   straight from [patches] by the transposed-operand matmul. *)
+(* dL/dfilter = patches^T x grad: [cols; rows] x [rows; cout]. The patch
+   matrix is never materialized: each pool job fills a strip of its columns
+   one panel of 128-row reduction blocks at a time, and the transposed-
+   operand matmul folds each panel into [dfilter] while it is in cache.
+   The blocks arrive in ascending order, so every element keeps
+   [Dense.matmul_tn]'s accumulation order for any domain count. *)
 let conv2d_backward_filter ?domains ?(stride = (1, 1)) ~padding ~filter_shape
     input grad =
   check_rank4 "conv2d_backward_filter input" input;
@@ -192,11 +225,11 @@ let conv2d_backward_filter ?domains ?(stride = (1, 1)) ~padding ~filter_shape
     if is_pointwise g then
       Dense.matmul_tn ?domains (Dense.with_shape input [| rows; cols |]) grad_mat
     else begin
-      let patches = im2col ?domains g input in
-      let d = Dense.matmul_tn ?domains patches grad_mat in
-      (* kernel scratch: back to the run's arena, if one is installed *)
-      Dense.Arena.recycle patches;
-      d
+      let id = Dense.unsafe_data input in
+      Dense.matmul_tn_panels ?domains ~k:rows ~m:cols grad_mat
+        ~fill:(fun lo hi c0 c1 panel ->
+          Sanitizer.note_read id ~lo:0 ~len:(A.dim id) ~who:"im2col input";
+          fill_patch_strip g id panel ~first:lo ~c0 ~c1 lo hi)
     end
   in
   Dense.with_shape dfilter filter_shape
@@ -249,6 +282,7 @@ let conv2d_backward_input ?domains ?(stride = (1, 1)) ~padding ~input_shape
     done
   in
   Dense.matmul_consume ?domains ~grain:image ~consume:scatter grad_mat filter_t;
+  Dense.Arena.recycle filter_t;
   dinput
 
 let pool_out_shape ishape (kh, kw) (sh, sw) =

@@ -1,11 +1,15 @@
 (** 2-D convolution and pooling kernels over {!Dense} tensors in NHWC layout,
     together with the backward kernels reverse-mode AD needs.
 
-    The convolutions are im2col + blocked matmul: the patch matrix
-    [\[n*oh*ow; kh*kw*cin\]] is materialized once (in parallel over patch
-    rows) and the O(n^3) work runs through {!Dense.matmul}'s cache-blocked,
-    {!Pool}-parallel kernel. 1x1 stride-1 unpadded convolutions skip the
-    patch copy entirely. Pooling parallelizes over the batch dimension.
+    The convolutions are im2col + blocked matmul, with the patch matrix
+    [\[n*oh*ow; kh*kw*cin\]] never materialized: the forward pass fills
+    panels of patch rows for {!Dense.matmul_panels}, the backward-filter
+    pass panels of 128-row blocks of patch columns for
+    {!Dense.matmul_tn_panels}, and the backward-input pass scatters panels
+    of the product as {!Dense.matmul_consume} hands them over. The O(n^3)
+    work runs through the cache-blocked, {!Pool}-parallel matmul kernel,
+    and each result is bit-identical to the materialized form. 1x1 stride-1
+    unpadded convolutions skip the patch copy entirely. Pooling parallelizes over the batch dimension.
     Small problems (under the matmul serial cutoff) stay on the calling
     domain, and all partitions are bit-deterministic per the {!Pool}
     contract. The original direct-loop kernels live on in {!Reference} as

@@ -26,54 +26,95 @@ let alloc_fresh n : buffer =
   end;
   data
 
-(* Released buffers by element count, installed on one domain for one
-   scope ({!Arena.scoped}). Pool workers never see one: the key defaults
-   to [None]. *)
+(* Released buffers by element count: one pool per domain, kept from one
+   scope ({!Arena.scoped}) to the next. It serves allocations only while a
+   scope is active on its domain; pool workers never open one. [held] is
+   the bytes in [free]; [outside] the fresh bytes this domain allocated
+   outside a scope since the last one ended. *)
 type arena = {
   free : (int, buffer list) Hashtbl.t;
+  mutable held : int;
+  mutable outside : int;
+  mutable owner : int;
+  mutable active : bool;
   mutable reused : int;
   mutable fresh : int;
 }
 
-let arena_key : arena option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
+let arena_key : arena Domain.DLS.key =
+  Domain.DLS.new_key (fun () ->
+      {
+        free = Hashtbl.create 16;
+        held = 0;
+        outside = 0;
+        owner = -1;
+        active = false;
+        reused = 0;
+        fresh = 0;
+      })
 
-(* The single allocation hook: an exact-size buffer from this domain's
-   arena if one is installed and holds one, else a fresh buffer. A reused
-   buffer was charged to the tracker when first allocated, and its
+let empty a =
+  Hashtbl.reset a.free;
+  a.held <- 0
+
+(* The single allocation hook: inside a scope, an exact-size buffer from
+   this domain's pool if it holds one, else a fresh buffer. Outside, fresh
+   allocations are counted against what the pool holds, and the pool empties
+   once they exceed it: the code between two scopes has moved on to other
+   work, so the pool would only keep memory the process no longer runs on. A
+   reused buffer was charged to the tracker when first allocated, and its
    finaliser credits the free when it finally dies. *)
 let alloc n : buffer =
-  match Domain.DLS.get arena_key with
-  | None -> alloc_fresh n
-  | Some a -> (
-      match Hashtbl.find_opt a.free n with
-      | Some (b :: rest) ->
-          Hashtbl.replace a.free n rest;
-          a.reused <- a.reused + 1;
-          b
-      | Some [] | None ->
-          a.fresh <- a.fresh + 1;
-          alloc_fresh n)
+  let a = Domain.DLS.get arena_key in
+  if a.active then (
+    match Hashtbl.find_opt a.free n with
+    | Some (b :: rest) ->
+        Hashtbl.replace a.free n rest;
+        a.held <- a.held - (8 * n);
+        a.reused <- a.reused + 1;
+        b
+    | Some [] | None ->
+        a.fresh <- a.fresh + 1;
+        alloc_fresh n)
+  else begin
+    if a.held > 0 then begin
+      a.outside <- a.outside + (8 * n);
+      if a.outside > a.held then empty a
+    end;
+    alloc_fresh n
+  end
 
+(* With the sanitizer armed, a released buffer is poisoned with NaN, so a
+   value read after its release shows up as a wrong number. *)
 let release_buffer a (b : buffer) =
   let n = A.dim b in
+  if Sanitizer.armed () then A.fill b Float.nan;
   let rest = Option.value ~default:[] (Hashtbl.find_opt a.free n) in
-  Hashtbl.replace a.free n (b :: rest)
+  Hashtbl.replace a.free n (b :: rest);
+  a.held <- a.held + (8 * n)
 
-(* Into this domain's arena, if one is installed. *)
+(* Into this domain's pool, if a scope is active. *)
 let recycle_buffer b =
-  match Domain.DLS.get arena_key with None -> () | Some a -> release_buffer a b
+  let a = Domain.DLS.get arena_key in
+  if a.active then release_buffer a b
 
 module Arena = struct
   type t = arena
 
-  let scoped f =
-    let a = { free = Hashtbl.create 16; reused = 0; fresh = 0 } in
-    let prev = Domain.DLS.get arena_key in
-    Domain.DLS.set arena_key (Some a);
-    Fun.protect ~finally:(fun () -> Domain.DLS.set arena_key prev) (fun () -> f a)
+  let scoped ~owner f =
+    let a = Domain.DLS.get arena_key in
+    if a.owner <> owner then begin
+      empty a;
+      a.owner <- owner
+    end;
+    a.outside <- 0;
+    let was_active = a.active in
+    a.active <- true;
+    Fun.protect ~finally:(fun () -> a.active <- was_active) (fun () -> f a)
 
   let release a t = release_buffer a t.data
   let recycle t = recycle_buffer t.data
+  let held_bytes () = (Domain.DLS.get arena_key).held
 
   let reused a = a.reused
   let fresh a = a.fresh
@@ -694,14 +735,18 @@ let unbroadcast t target =
     let r = rank t and rt = Shape.rank target in
     (* sum away leading extra dimensions *)
     let lead = List.init (r - rt) (fun i -> i) in
-    let t = if lead = [] then t else sum_axes t lead in
+    let led = if lead = [] then t else sum_axes t lead in
     (* sum over stretched (size-1) dimensions, keeping dims *)
     let axes = ref [] in
     Array.iteri
-      (fun i d -> if d = 1 && (shape t).(i) <> 1 then axes := i :: !axes)
+      (fun i d -> if d = 1 && (shape led).(i) <> 1 then axes := i :: !axes)
       target;
-    let t = if !axes = [] then t else sum_axes ~keep_dims:true t !axes in
-    reshape t target
+    let summed = if !axes = [] then led else sum_axes ~keep_dims:true led !axes in
+    (* Once read, the leading sum is this kernel's scratch. A sum made here
+       takes the target shape without a copy. *)
+    if summed != led && led != t then recycle_buffer led.data;
+    if summed == t then reshape t target
+    else { summed with shape = Array.copy target }
   end
 
 (* Cache-tiled: a [transpose_tile]-square block of the source is read row
@@ -801,6 +846,15 @@ let serial_cutoff = 1 lsl 16
 let kc_block = 128
 let nc_block = 128
 
+(* Scratch for {!matmul_rows}'s packed B panel, made once per job and
+   shared by every call it makes with a [k] and [n] no larger: full
+   4-column quads laid out so the micro-kernel reads 4 consecutive floats
+   per p step (unit stride instead of a +n walk through B — each p then
+   consumes half a cache line sequentially and the hardware prefetcher
+   keeps up). Quad q of a panel lives at [q*kl*4 + (p-p0)*4 + t]. A plain
+   float array keeps the reads unboxed. *)
+let new_pack ~k ~n = Array.make (min kc_block k * min nc_block n) 0.0
+
 (* Accumulate rows [lo, hi) of the product A[m,k] x B[k,n] into C.
    [ao]/[bo]/[co] are flat base offsets (batch_matmul reuses the kernel per
    batch). A[i][p] is read at [ao + i*ars + p*acs]: [ars = k, acs = 1] for a
@@ -815,15 +869,8 @@ let nc_block = 128
    and either A layout produce bit-identical results. (B-panel packing
    below only rearranges where the same values are read from; it does not
    touch that order.) *)
-let[@inline] matmul_rows ~n ~k ~ars ~acs (da : buffer) ao (db : buffer) bo
-    (dc : buffer) co lo hi =
-  (* Scratch for the packed B panel: full 4-column quads laid out so the
-     micro-kernel reads 4 consecutive floats per p step (unit stride
-     instead of a +n walk through B — each p then consumes half a cache
-     line sequentially and the hardware prefetcher keeps up). Quad q of a
-     panel lives at [q*kl*4 + (p-p0)*4 + t]. A plain float array keeps
-     the reads unboxed. *)
-  let pack = Array.make (min kc_block k * min nc_block n) 0.0 in
+let[@inline] matmul_rows ~pack ~n ~k ~ars ~acs (da : buffer) ao (db : buffer)
+    bo (dc : buffer) co lo hi =
   let pp = ref 0 in
   while !pp < k do
     let p0 = !pp in
@@ -962,8 +1009,8 @@ let[@inline] matmul_rows ~n ~k ~ars ~acs (da : buffer) ao (db : buffer) bo
 (* The row-major instance: with the literal [acs = 1] inlined, the A
    cursors step by a constant, which keeps the micro-kernel's loop as tight
    as a kernel without a column stride. *)
-let matmul_rows_nn ~n ~k da ao db bo dc co lo hi =
-  matmul_rows ~n ~k ~ars:k ~acs:1 da ao db bo dc co lo hi
+let matmul_rows_nn ~pack ~n ~k da ao db bo dc co lo hi =
+  matmul_rows ~pack ~n ~k ~ars:k ~acs:1 da ao db bo dc co lo hi
 
 let product m n =
   S4o_obs.Memory.with_tag S4o_obs.Memory.global "matmul" (fun () ->
@@ -996,8 +1043,9 @@ let matmul_strided ?domains ~m ~k ~ars ~acs a b =
   in
   let serial = m * n * k <= serial_cutoff in
   partition ?domains ~m ~serial ~notes (fun lo hi ->
-      if acs = 1 then matmul_rows_nn ~n ~k da 0 db 0 dc 0 lo hi
-      else matmul_rows ~n ~k ~ars ~acs da 0 db 0 dc 0 lo hi);
+      let pack = new_pack ~k ~n in
+      if acs = 1 then matmul_rows_nn ~pack ~n ~k da 0 db 0 dc 0 lo hi
+      else matmul_rows ~pack ~n ~k ~ars ~acs da 0 db 0 dc 0 lo hi);
   out
 
 (* Floats per A panel in {!matmul_panels}: 128 KB, so a panel stays in L2
@@ -1031,13 +1079,55 @@ let matmul_panels ?domains ~m ~k ~fill b =
      bit-identical to [matmul] of the materialized A. *)
   let serial = panels_serial ~m ~panel_rows ~work:(m * n * k) in
   partition ?domains ~m ~serial ~notes (fun lo hi ->
-      let panel = alloc (max panel_floats k) in
+      let panel = alloc (max panel_floats k) and pack = new_pack ~k ~n in
       let r = ref lo in
       while !r < hi do
         let r1 = min hi (!r + panel_rows) in
         fill !r r1 panel;
-        matmul_rows_nn ~n ~k panel 0 db 0 dc (!r * n) 0 (r1 - !r);
+        matmul_rows_nn ~pack ~n ~k panel 0 db 0 dc (!r * n) 0 (r1 - !r);
         r := r1
+      done;
+      recycle_buffer panel);
+  out
+
+(* Columns of A per {!matmul_tn_panels} panel: one [kc_block] of rows by
+   this many columns fills [panel_floats]. *)
+let panel_cols = panel_floats / kc_block
+
+let matmul_tn_panels ?domains ~k ~m ~fill b =
+  if rank b <> 2 || b.shape.(0) <> k then
+    fail "matmul_tn_panels: [%d; %d]^T x %s" k m (Shape.to_string b.shape);
+  let n = b.shape.(1) in
+  let out = product m n in
+  let db = b.data and dc = out.data in
+  let notes lo hi =
+    Sanitizer.note_write dc ~lo:(lo * n) ~len:((hi - lo) * n)
+      ~who:"matmul_tn_panels out rows";
+    Sanitizer.note_read db ~lo:0 ~len:(k * n) ~who:"matmul_tn_panels B"
+  in
+  (* A job owns output rows [lo, hi), which are columns of A. It walks them
+     [panel_cols] at a time, and for each such strip streams A's rows in
+     panels of whole [kc_block]s, ascending from row 0. [matmul_rows] folds
+     each block's accumulator into C once, as it does over the whole [k]
+     in [matmul_tn], so every element is bit-identical to it. *)
+  let serial = m * n * k <= serial_cutoff in
+  partition ?domains ~m ~serial ~notes (fun lo hi ->
+      let panel = alloc panel_floats and pack = new_pack ~k ~n in
+      let c0 = ref lo in
+      while !c0 < hi do
+        let c1 = min hi (!c0 + panel_cols) in
+        let width = c1 - !c0 in
+        let rows = kc_block * max 1 (panel_floats / width / kc_block) in
+        let r = ref 0 in
+        while !r < k do
+          let r1 = min k (!r + rows) in
+          fill !r r1 !c0 c1 panel;
+          (* A[i][p] of the strip is panel[(p - r)*width + (i - c0)] *)
+          matmul_rows ~pack ~n ~k:(r1 - !r) ~ars:1 ~acs:width panel (- !c0) db
+            (!r * n) dc 0 !c0 c1;
+          r := r1
+        done;
+        c0 := c1
       done;
       recycle_buffer panel);
   out
@@ -1082,14 +1172,14 @@ let matmul_consume ?domains ~grain ~consume a b =
   let serial = panels_serial ~m ~panel_rows ~work:(m * n * k) in
   partition ?domains ~m:(m / grain) ~serial ~notes (fun ulo uhi ->
       let lo = ulo * grain and hi = uhi * grain in
-      let panel = alloc (max panel_floats n) in
+      let panel = alloc (max panel_floats n) and pack = new_pack ~k ~n in
       let r = ref lo in
       while !r < hi do
         let r1 = min hi (!r + panel_rows) in
         for i = 0 to ((r1 - !r) * n) - 1 do
           A.unsafe_set panel i 0.0
         done;
-        matmul_rows_nn ~n ~k da (!r * k) db 0 panel 0 0 (r1 - !r);
+        matmul_rows_nn ~pack ~n ~k da (!r * k) db 0 panel 0 0 (r1 - !r);
         consume !r r1 panel;
         r := r1
       done;
@@ -1190,12 +1280,13 @@ let batch_matmul ?domains a b =
     Sanitizer.note_read da ~lo:(lo * k) ~len:((hi - lo) * k)
       ~who:"batch_matmul A rows";
     Sanitizer.note_read db ~lo:0 ~len:(bs * k * n) ~who:"batch_matmul B";
+    let pack = new_pack ~k ~n in
     let r = ref lo in
     while !r < hi do
       let batch = !r / m in
       let rlo = !r mod m in
       let rhi = min m (rlo + (hi - !r)) in
-      matmul_rows_nn ~n ~k da (batch * m * k) db (batch * k * n)
+      matmul_rows_nn ~pack ~n ~k da (batch * m * k) db (batch * k * n)
         dc (batch * m * n) rlo rhi;
       r := !r + (rhi - rlo)
     done

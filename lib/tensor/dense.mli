@@ -255,6 +255,23 @@ val matmul_tn : ?domains:int -> t -> t -> t
 val matmul_panels :
   ?domains:int -> m:int -> k:int -> fill:(int -> int -> buffer -> unit) -> t -> t
 
+(** [matmul_tn_panels ~k ~m ~fill b] is [matmul_tn a b] for an
+    [a : \[k;m\]] that is never materialized: [fill lo hi c0 c1 panel]
+    writes rows [\[lo, hi)] of [a], columns [\[c0, c1)] only, row-major
+    with rows [c1 - c0] floats long from the start of [panel]. A panel is
+    at most 128 KB: [lo] is a multiple of the kernel's 128-row reduction
+    block, and each output element folds the blocks in ascending order, so
+    the result is bit-identical to {!matmul_tn} for every domain count. The
+    pool splits the columns of [a]; [fill] may run on any pool domain, for
+    disjoint column ranges. *)
+val matmul_tn_panels :
+  ?domains:int ->
+  k:int ->
+  m:int ->
+  fill:(int -> int -> int -> int -> buffer -> unit) ->
+  t ->
+  t
+
 (** [matmul_consume ~grain ~consume a b] computes [matmul a b] without
     materializing it: each small panel of product rows goes to
     [consume lo hi panel] (rows [\[lo, hi)], row-major from the start of
@@ -284,22 +301,34 @@ val log_softmax : t -> t
 
 (** {1 Buffer arena}
 
-    Scoped buffer recycling for an executor that knows when each
-    intermediate dies ({!S4o_xla.Compiler.run}). While an arena is
-    installed on a domain, every allocation on that domain first takes a
-    released buffer with exactly the requested element count; results are
-    unchanged because every kernel writes each element of its output (or
-    starts from {!zeros}). Other domains, the pool workers among them,
-    keep allocating fresh. *)
+    Buffer recycling for an executor that knows when each intermediate dies
+    ({!S4o_xla.Compiler.run}). Each domain has one pool of released
+    buffers, kept from one {!Arena.scoped} call to the next, so a program
+    run again takes its buffers from what its previous run released. While
+    a scope is active on a domain, every allocation on that domain first
+    takes a pooled buffer with exactly the requested element count; results
+    are unchanged because every kernel writes each element of its output
+    (or starts from {!zeros}). Other domains, the pool workers among them,
+    keep allocating fresh.
+
+    Two rules bound what a pool keeps:
+    - it belongs to the scope owner that ran last: a scope with another
+      owner empties it first;
+    - it empties once its domain, outside any scope, allocates more fresh
+      bytes than the pool holds.
+
+    With the sanitizer armed ({!Sanitizer.armed}), every buffer is filled
+    with NaN as it enters the pool, so a read after release gives a wrong
+    number instead of a stale one. *)
 module Arena : sig
   type tensor := t
   type t
 
-  (** [scoped f] installs a fresh, empty arena on the calling domain for the
-      duration of [f arena], then restores the previous one (normally none)
-      whether [f] returns or raises. The arena and every buffer still in it
-      are dropped with it: nothing is kept across calls. *)
-  val scoped : (t -> 'a) -> 'a
+  (** [scoped ~owner f] activates the calling domain's pool for the
+      duration of [f arena], whether [f] returns or raises. If the pool was
+      last filled under another [owner], it is emptied first. Buffers
+      still in the pool when [f] returns stay there for the next scope. *)
+  val scoped : owner:int -> (t -> 'a) -> 'a
 
   (** [release arena v] hands [v]'s buffer back for reuse by a later
       allocation. The caller guarantees that no live value reaches that
@@ -307,17 +336,22 @@ module Arena : sig
       each buffer at most once. *)
   val release : t -> tensor -> unit
 
-  (** [recycle v] releases [v] into the arena installed on the calling
-      domain, and does nothing when there is none. For a kernel's own
-      scratch (an im2col patch matrix) once the kernel has consumed it:
-      the same contract as {!release}, so [v] must be a buffer the kernel
-      allocated itself, never an operand or a view of one. *)
+  (** [recycle v] releases [v] into the calling domain's pool when a scope
+      is active there, and does nothing otherwise. For a kernel's own
+      scratch once the kernel has consumed it: the same contract as
+      {!release}, so [v] must be a buffer the kernel allocated itself,
+      never an operand or a view of one. *)
   val recycle : tensor -> unit
 
-  (** Allocations on the installing domain served from the arena. *)
+  (** Bytes held by the calling domain's pool. *)
+  val held_bytes : unit -> int
+
+  (** Allocations on the pool's domain served from it, over its lifetime
+      (take differences for a count per scope). *)
   val reused : t -> int
 
-  (** Allocations on the installing domain that found no buffer to reuse. *)
+  (** Allocations on the pool's domain, inside a scope, that found no
+      buffer to reuse, over its lifetime. *)
   val fresh : t -> int
 end
 

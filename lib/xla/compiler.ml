@@ -18,6 +18,7 @@ type step = {
 }
 
 type executable = {
+  id : int;  (* unique per compile: the owner of its runs' buffer pool *)
   n_params : int;
   steps : step array;  (* parameters and literals, then clusters in order *)
   n_leaves : int;  (* the parameter and literal steps *)
@@ -73,6 +74,8 @@ let schedule (g : Hlo.graph) clusters =
   in
   (steps, List.length leaves, outputs)
 
+let next_id = Atomic.make 0
+
 let compile ?engine g =
   Hlo.validate ~stage:"compile" g;
   let input_nodes = Hlo.size g in
@@ -95,6 +98,7 @@ let compile ?engine g =
     engine;
   let n_params = List.length (Hlo.params optimized) in
   {
+    id = Atomic.fetch_and_add next_id 1;
     n_params;
     steps;
     n_leaves;
@@ -129,14 +133,15 @@ let run exe engine feeds =
          (Array.length feeds) exe.n_params);
   let n = Array.length exe.steps in
   let values = Array.make n placeholder in
-  (* [owner.(s)] is the slot that first held [s]'s buffer, fresh from a
-     kernel in this run, or -1 for a buffer the run must not recycle (a
-     feed, a literal, or an alias of one). [refs.(o)] counts the live slots
-     sharing [o]'s buffer; outputs are never released, so an output's
-     buffer never goes back to the arena. *)
+  (* [owner.(s)] is the slot that first held [s]'s buffer, made by a kernel
+     in this run, or -1 for a buffer the run must not recycle (a feed, a
+     literal, or an alias of one). [refs.(o)] counts the live slots sharing
+     [o]'s buffer; outputs are never released, so an output's buffer never
+     goes back to the pool. *)
   let owner = Array.make n (-1) in
   let refs = Array.make n 0 in
-  Dense.Arena.scoped (fun arena ->
+  Dense.Arena.scoped ~owner:exe.id (fun arena ->
+      let reused0 = Dense.Arena.reused arena and fresh0 = Dense.Arena.fresh arena in
       for k = 0 to n - 1 do
         let st = exe.steps.(k) in
         (match st.node.role with
@@ -169,9 +174,9 @@ let run exe engine feeds =
         Option.iter (fun info -> ignore (S4o_device.Engine.dispatch engine info)) st.dispatch
       done;
       let m = S4o_device.Engine.metrics engine in
-      S4o_obs.Metrics.incr ~by:(Dense.Arena.reused arena)
+      S4o_obs.Metrics.incr ~by:(Dense.Arena.reused arena - reused0)
         (S4o_obs.Metrics.counter m "xla.buffers_reused");
-      S4o_obs.Metrics.incr ~by:(Dense.Arena.fresh arena)
+      S4o_obs.Metrics.incr ~by:(Dense.Arena.fresh arena - fresh0)
         (S4o_obs.Metrics.counter m "xla.buffers_fresh");
       Array.map (fun s -> values.(s)) exe.outputs)
 

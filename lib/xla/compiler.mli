@@ -14,7 +14,8 @@
     Execution has two modes:
     - {!run}: computes real tensor values with the naive kernels while
       advancing the simulated device clock kernel by kernel, recycling each
-      dead intermediate's buffer within the run;
+      dead intermediate's buffer for later allocations of this run and of
+      the executable's next runs;
     - {!simulate}: advances the clock only, for benchmarks that measure the
       timing model on workloads too large to execute for real. *)
 
@@ -43,16 +44,20 @@ val estimated_run_time : S4o_device.Device_spec.t -> executable -> float
     when to {!S4o_device.Engine.sync}.
 
     The run walks the plan once. After each step it releases the slots that
-    step consumed for the last time; a released buffer goes back to a
-    per-run {!S4o_tensor.Dense.Arena}, which serves later allocations of the
-    same size, once no live slot shares it. A slot shares an operand's
-    buffer when the kernel returned that storage itself ([unbroadcast] to
-    the same shape). Only buffers a kernel allocated in this run are
-    recycled: feeds, literals, outputs and anything aliasing them never
-    are, and the arena is dropped when the run returns. Results are
-    bit-identical to allocating every buffer fresh. The engine's metrics
-    count [xla.buffers_reused] (allocations served from the arena) and
-    [xla.buffers_fresh] (the rest made on the calling domain). *)
+    step consumed for the last time; a released buffer goes back to the
+    calling domain's {!S4o_tensor.Dense.Arena}, which serves later
+    allocations of the same size, once no live slot shares it. A slot
+    shares an operand's buffer when the kernel returned that storage itself
+    ([unbroadcast] to the same shape). Only buffers a kernel allocated in
+    this run are recycled: feeds, literals, outputs and anything aliasing
+    them never are. The pool outlives the run, so the next run of the same
+    executable takes its intermediates and kernel scratch from what this
+    one released, and from its second run on allocates fresh only the
+    buffers its outputs keep. A run of another executable empties the pool
+    first. Results are bit-identical to allocating every buffer fresh. The
+    engine's metrics count, per run, [xla.buffers_reused] (allocations
+    served from the pool) and [xla.buffers_fresh] (the rest made on the
+    calling domain). *)
 val run :
   executable -> S4o_device.Engine.t -> S4o_tensor.Dense.t array -> S4o_tensor.Dense.t array
 

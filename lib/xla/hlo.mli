@@ -60,7 +60,8 @@ val violations : graph -> (int * string * string) list
 
 (** Raises {!Invalid_hlo} naming the first of {!violations}, prefixed by
     [stage] when given. {!Compiler.compile} validates its input (stage
-    ["compile"]) and every {!Opt} pass its output (["opt:cse"], ...). *)
+    ["compile"]) and {!Opt.constant_fold} its output
+    (["opt:constant_fold"]). *)
 val validate : ?stage:string -> graph -> unit
 
 (** {1 Structural keys}

@@ -18,15 +18,13 @@ let map_graph (g : Hlo.graph) (rewrite : Hlo.node -> Hlo.node list -> Hlo.node) 
 let literal_value (n : Hlo.node) =
   match n.role with Literal v -> Some v | Compute _ | Param _ -> None
 
-(* Every pass validates what it makes, naming itself. *)
-let checked name g =
-  Hlo.validate ~stage:("opt:" ^ name) g;
-  g
-
+(* CSE merges nodes with equal keys and DCE only drops nodes, so neither
+   can turn a valid graph into an invalid one (a qcheck property holds them
+   to it). Constant folding can: a kernel's literal result stands in for a
+   declared shape. So only it validates what it makes. *)
 let cse g =
   let seen = Hlo.Node_table.create 64 in
-  checked "cse"
-  @@ map_graph g (fun n _ ->
+  map_graph g (fun n _ ->
       match n.role with
       | Param _ -> n
       | Compute _ | Literal _ -> (
@@ -39,18 +37,20 @@ let cse g =
               n))
 
 let constant_fold g =
-  checked "constant_fold"
-  @@ map_graph g (fun n inputs ->
-      match n.role with
-      | Param _ | Literal _ -> n
-      | Compute o ->
-          let values = List.map literal_value inputs in
-          if inputs <> [] && List.for_all Option.is_some values then
-            Hlo.literal (o.kernel (Array.of_list (List.map Option.get values)))
-          else n)
+  let folded =
+    map_graph g (fun n inputs ->
+        match n.role with
+        | Param _ | Literal _ -> n
+        | Compute o ->
+            let values = List.map literal_value inputs in
+            if inputs <> [] && List.for_all Option.is_some values then
+              Hlo.literal (o.kernel (Array.of_list (List.map Option.get values)))
+            else n)
+  in
+  Hlo.validate ~stage:"opt:constant_fold" folded;
+  folded
 
-let dead_code_elim g =
-  checked "dead_code_elim" (Hlo.graph_of_outputs g.Hlo.outputs)
+let dead_code_elim g = Hlo.graph_of_outputs g.Hlo.outputs
 
 type cluster = { members : Hlo.node list; info : S4o_device.Op_info.t }
 

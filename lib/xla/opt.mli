@@ -3,10 +3,11 @@
     paper leans on for §3.3's performance claims — operation fusion.
 
     All passes are graph → graph; nodes are immutable so rewrites substitute
-    bottom-up. Each pass ([cse], [constant_fold], [dead_code_elim], and so
-    each pass inside {!optimize}) validates its output graph with
-    {!Hlo.validate}, raising {!Hlo.Invalid_hlo} with a stage such as
-    ["opt:cse"]. *)
+    bottom-up. [constant_fold], the one pass whose output can break a rule
+    its input kept (a kernel's literal result replaces a declared shape),
+    validates its output graph with {!Hlo.validate}, raising
+    {!Hlo.Invalid_hlo} with the stage ["opt:constant_fold"]. [cse] and
+    [dead_code_elim] keep a valid graph valid and check nothing. *)
 
 (** Merge nodes with equal {!Hlo.node_key}s (same op kind and parameters,
     shape and operands). *)

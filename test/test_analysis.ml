@@ -244,11 +244,9 @@ let test_producers_catch_corrupt_hlo () =
     { (Hlo.op (C.add [| 4 |] [| 4 |]) [ p; p ]) with Hlo.shape = [| 8 |] }
   in
   let g = Hlo.graph_of_outputs [ bad ] in
-  raises_at ~stage:"opt:cse" "optimize" (fun () -> S4o_xla.Opt.optimize g);
+  raises_at ~stage:"opt:constant_fold" "optimize" (fun () -> S4o_xla.Opt.optimize g);
   raises_at ~stage:"opt:constant_fold" "constant_fold" (fun () ->
       S4o_xla.Opt.constant_fold g);
-  raises_at ~stage:"opt:dead_code_elim" "dead_code_elim" (fun () ->
-      S4o_xla.Opt.dead_code_elim g);
   raises_at ~stage:"compile" "compile" (fun () -> S4o_xla.Compiler.compile g)
 
 (* {1 HLO checker} *)
@@ -887,6 +885,18 @@ let qcheck_hlo_validate_agrees_with_checker =
       end
       else true)
 
+(* Why [Opt] validates only after constant folding: CSE and DCE never make
+   a valid graph invalid. *)
+let qcheck_cse_dce_keep_graphs_valid =
+  QCheck.Test.make ~count:500 ~name:"cse and dead_code_elim keep a graph valid"
+    arb_hlo
+    (fun g ->
+      QCheck.assume (Hlo.violations g = []);
+      let open S4o_xla.Opt in
+      List.for_all
+        (fun g' -> Hlo.violations g' = [])
+        [ cse g; dead_code_elim g; dead_code_elim (cse g) ])
+
 (* Differentiates through [Activity]'s active mask (the runtime transform
    skips inactive instructions) and checks it against generated VJP code,
    which has no mask. *)
@@ -961,6 +971,7 @@ let suite =
         tc "hazard whole skeletons" `Quick test_hazard_compares_whole_skeletons;
         tc "trace cut checked" `Quick test_trace_cut_checked;
         q qcheck_hlo_validate_agrees_with_checker;
+        q qcheck_cse_dce_keep_graphs_valid;
         tc "report json" `Quick test_report_json_roundtrip;
       ] );
     ( "analysis.sanitizer",

@@ -311,6 +311,46 @@ let qcheck_grad_of_random_mlp =
       let grad = ad_grad ad w1 in
       Dense.allclose ~rtol:1e-3 ~atol:1e-6 fd grad)
 
+(* Naive, counting its conv backward-input calls. *)
+module Counting = struct
+  include Naive_backend
+
+  let backward_input_calls = ref 0
+
+  let conv2d_backward_input ?stride ~padding ~input_shape f g =
+    incr backward_input_calls;
+    Naive_backend.conv2d_backward_input ?stride ~padding ~input_shape f g
+end
+
+(* Two convs on a constant image batch: only the second conv's input is
+   tracked, so only its pullback computes an input gradient. The filter
+   gradients are the kernels' own results, bit for bit. *)
+let test_constant_input_pullback_skipped () =
+  let module Dc = S4o_diff_tensor.Diff_tensor.Make (Counting) in
+  let g = Prng.create 41 in
+  let x = Dense.rand_normal g [| 2; 6; 6; 3 |] in
+  let f1 = Dense.rand_normal g [| 3; 3; 3; 4 |] and f2 = Dense.rand_normal g [| 3; 3; 4; 2 |] in
+  let padding = Convolution.Same in
+  let ctx = Dc.new_ctx () in
+  let p1 = Dc.param ctx f1 and p2 = Dc.param ctx f2 in
+  let y1 = Dc.conv2d ~padding (Dc.const x) p1 in
+  let loss = Dc.sum_all (Dc.conv2d ~padding y1 p2) in
+  Counting.backward_input_calls := 0;
+  Dc.backward ctx loss;
+  Test_util.check_int "one backward-input call" 1 !Counting.backward_input_calls;
+  let y1v = Convolution.conv2d ~padding x f1 in
+  let g2 = Dense.ones [| 2; 6; 6; 2 |] in
+  let g1 =
+    Convolution.conv2d_backward_input ~padding ~input_shape:[| 2; 6; 6; 4 |] f2 g2
+  in
+  let grad p = Option.get (Dc.adjoint p) in
+  Test_util.check_true "second filter gradient"
+    (Dense.bit_equal (grad p2)
+       (Convolution.conv2d_backward_filter ~padding ~filter_shape:[| 3; 3; 4; 2 |] y1v g2));
+  Test_util.check_true "first filter gradient"
+    (Dense.bit_equal (grad p1)
+       (Convolution.conv2d_backward_filter ~padding ~filter_shape:[| 3; 3; 3; 4 |] x g1))
+
 let suite =
   let tc = Alcotest.test_case in
   [
@@ -334,6 +374,7 @@ let suite =
       [
         tc "fan-out accumulates" `Quick test_params_accumulate_via_fanout;
         tc "constants ignored" `Quick test_constants_get_no_adjoint;
+        tc "constant input pullback skipped" `Quick test_constant_input_pullback_skipped;
         tc "mixed tapes rejected" `Quick test_mixed_tapes_rejected;
         tc "backward checks tape" `Quick test_backward_requires_own_tape;
         tc "tape length" `Quick test_tape_length;

@@ -240,6 +240,35 @@ let test_default_engine_records_nothing () =
     (Printf.sprintf "%.1f words per dispatch off, %.1f on" off on)
     (off +. 30.0 <= on)
 
+(* A long-lived default engine's memory is flat: [Engine.dispatch]
+   observes one histogram sample per kernel, and a histogram keeps at most
+   a fixed reservoir of them. What the engine reaches after N and after 2N
+   dispatches differs by less than the N samples' one word each. *)
+let test_dispatch_soak_flat () =
+  let engine = Engine.create Spec.gtx1080 in
+  let op =
+    {
+      S4o_device.Op_info.name = "k";
+      kind = Elementwise;
+      flops = 1000;
+      bytes_in = 64;
+      bytes_out = 64;
+    }
+  in
+  let n = 50_000 in
+  let words_after k =
+    for _ = 1 to k do
+      ignore (Engine.dispatch engine op)
+    done;
+    Gc.full_major ();
+    Obj.reachable_words (Obj.repr engine)
+  in
+  let at_n = words_after n in
+  let at_2n = words_after n in
+  Test_util.check_true
+    (Printf.sprintf "engine reaches %d words after N, %d after 2N" at_n at_2n)
+    (at_2n - at_n < n / 10)
+
 let run_lenet_step () =
   let engine = Engine.create ~recorder:(Recorder.create ()) Spec.gtx1080 in
   let rt = S4o_lazy.Lazy_runtime.create engine in
@@ -515,6 +544,7 @@ let suite =
           test_memory_survives_sustained_allocation;
         tc "disabled profiling is near-free" `Slow test_disabled_profiling_is_cheap;
         tc "default engine records nothing" `Quick test_default_engine_records_nothing;
+        tc "dispatch soak keeps memory flat" `Quick test_dispatch_soak_flat;
       ] );
     ( "profiling.analysis",
       [

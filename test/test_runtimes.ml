@@ -375,6 +375,99 @@ let test_lazy_reports_buffer_reuse () =
       Test_util.check_int "reuse counter" 2 (count "xla.buffers_reused");
       Test_util.check_int "fresh counter" 2 (count "xla.buffers_fresh"))
 
+(* A result the caller keeps does not keep alive the trace that computed
+   it: once materialized, a node is a leaf and holds only its value. *)
+let test_lazy_result_drops_its_trace () =
+  Test_util.with_lazy (fun (module Bk) _ _ ->
+      let words n =
+        let rec chain k y = if k = 0 then y else chain (k - 1) (Bk.neg y) in
+        let y = chain n (Bk.of_dense (Dense.ones [| 4 |])) in
+        ignore (Bk.to_dense y);
+        Obj.reachable_words (Obj.repr y)
+      in
+      Test_util.check_int "as small after 100 ops as after 10" (words 10) (words 100))
+
+(* {1 The buffer pool across runs of one program} *)
+
+(* One Adam step of a conv + BatchNorm model, on [Bk]: the loss, then the
+   updated parameters and optimizer state. *)
+let adam_step (type t) (module Bk : Backend_intf.S with type t = t) =
+  let module M = S4o_nn.Models.Make (Bk) in
+  let module T = S4o_nn.Train.Make (Bk) in
+  let module O = S4o_nn.Optimizer.Make (Bk) in
+  let rng = Prng.create 17 in
+  let data = S4o_data.Dataset.synthetic_cifar10 rng ~n:4 in
+  let images, labels, _ = List.hd (S4o_data.Dataset.batches data ~batch_size:4) in
+  let model =
+    M.resnet rng ~in_channels:3
+      {
+        M.stem_channels = 4;
+        stem_kernel = 3;
+        stem_stride = 1;
+        stem_pool = false;
+        stage_blocks = [ 1 ];
+        stage_channels = [ 4 ];
+        bottleneck = false;
+        classes = 10;
+      }
+  in
+  let opt = O.adam ~lr:1e-3 model in
+  let r = T.step model opt ~images ~labels in
+  M.L.D.value r.T.loss :: O.updated_params opt
+
+let buffer_counts engine =
+  let m = Engine.metrics engine in
+  let count name = S4o_obs.Metrics.counter_value (S4o_obs.Metrics.counter m name) in
+  (count "xla.buffers_reused", count "xla.buffers_fresh")
+
+(* The step traced on lazy and compiled once. [run ()] runs it on its
+   feeds and gives the outputs with the run's fresh allocations. *)
+let step_program () =
+  let engine = Engine.create Spec.gtx1080 in
+  let rt = S4o_lazy.Lazy_runtime.create engine in
+  let module Bk = S4o_lazy.Lazy_backend.Make (struct
+    let rt = rt
+  end) in
+  let cut = S4o_lazy.Trace.cut (adam_step (module Bk)) in
+  let feeds =
+    Array.of_list
+      (List.map
+         (fun (l : S4o_lazy.Trace.node) ->
+           match l.S4o_lazy.Trace.state with
+           | S4o_lazy.Trace.Materialized v -> v
+           | Simulated | Pending -> Alcotest.fail "step leaf without a value")
+         cut.leaves)
+  in
+  let exe = S4o_xla.Compiler.compile cut.graph in
+  let run () =
+    let _, fresh0 = buffer_counts engine in
+    let outputs = S4o_xla.Compiler.run exe engine feeds in
+    (outputs, snd (buffer_counts engine) - fresh0)
+  in
+  (run, List.length cut.graph.outputs)
+
+let test_step_program_reuses_its_buffers () =
+  let naive = adam_step (module Naive_backend) in
+  let run, n_outputs = step_program () in
+  let first_fresh = ref 0 in
+  for i = 1 to 3 do
+    let outputs, fresh = run () in
+    Test_util.check_true
+      (Printf.sprintf "run %d = naive" i)
+      (List.for_all2 Dense.bit_equal naive (Array.to_list outputs));
+    if i = 1 then first_fresh := fresh
+    else Test_util.check_int (Printf.sprintf "run %d allocates its outputs" i) n_outputs fresh
+  done;
+  Test_util.check_true "the first run allocates more" (!first_fresh > n_outputs);
+  (* another program's run takes the pool over *)
+  let other, _ = step_program () in
+  ignore (other ());
+  Test_util.check_int "after another program" !first_fresh (snd (run ()));
+  Test_util.check_int "steady again" n_outputs (snd (run ()));
+  (* and allocating past what it holds outside a run drops it *)
+  ignore (Dense.zeros [| (S4o_tensor.Dense.Arena.held_bytes () / 8) + 1 |]);
+  Test_util.check_int "after outside allocation" !first_fresh (snd (run ()))
+
 let suite =
   let tc = Alcotest.test_case in
   [
@@ -400,6 +493,8 @@ let suite =
         tc "barrier cuts the trace" `Quick test_lazy_barrier_cuts_trace;
         tc "timing-only placeholders" `Quick test_lazy_placeholder_timing_only;
         tc "capture charges nothing" `Quick test_lazy_capture_is_free;
+        tc "step program reuses its buffers" `Quick test_step_program_reuses_its_buffers;
+        tc "result drops its trace" `Quick test_lazy_result_drops_its_trace;
         tc "reports buffer reuse" `Quick test_lazy_reports_buffer_reuse;
       ] );
   ]

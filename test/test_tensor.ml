@@ -183,13 +183,16 @@ let test_dense_unbroadcast_same_shape_aliases () =
   Test_util.check_true "unbroadcast to a smaller shape is fresh"
     (D.unsafe_data (D.unbroadcast t [| 3 |]) != D.unsafe_data t)
 
+(* Scope owners for these tests: negative, so no compiled executable
+   (numbered from 0) shares one. *)
 let test_dense_arena_scoped_reuse () =
   let fresh_after_scope released =
     D.unsafe_data (D.zeros (D.shape released)) != D.unsafe_data released
   in
   let a = D.zeros [| 5 |] and ones = D.ones [| 5 |] in
   let reused, fresh =
-    D.Arena.scoped (fun arena ->
+    D.Arena.scoped ~owner:(-10) (fun arena ->
+        let reused0 = D.Arena.reused arena and fresh0 = D.Arena.fresh arena in
         D.Arena.release arena a;
         let other_size = D.zeros [| 4 |] in
         let b = D.ones [| 5 |] in
@@ -200,19 +203,64 @@ let test_dense_arena_scoped_reuse () =
         Test_util.check_true "other sizes allocate fresh"
           (D.unsafe_data other_size != D.unsafe_data a);
         Test_util.check_tensor "reused buffer rewritten" ones b;
-        (D.Arena.reused arena, D.Arena.fresh arena))
+        (D.Arena.reused arena - reused0, D.Arena.fresh arena - fresh0))
   in
   Test_util.check_int "one reuse" 1 reused;
   Test_util.check_int "one fresh, on this domain only" 1 fresh;
   let c = D.zeros [| 7 |] in
   Test_util.check_raises_any "kernel failure propagates" (fun () ->
-      D.Arena.scoped (fun arena ->
+      D.Arena.scoped ~owner:(-11) (fun arena ->
           D.Arena.release arena c;
           failwith "kernel failed"));
   Test_util.check_true "no arena after a raise" (fresh_after_scope c);
   let d = D.zeros [| 6 |] in
-  D.Arena.scoped (fun arena -> D.Arena.release arena d);
+  D.Arena.scoped ~owner:(-12) (fun arena -> D.Arena.release arena d);
   Test_util.check_true "no arena after the scope" (fresh_after_scope d)
+
+(* The pool outlives its scope, for the next scope of the same owner only,
+   and until allocations outside any scope exceed what it holds. *)
+let test_dense_arena_pool_rules () =
+  let in_scope owner f =
+    D.Arena.scoped ~owner (fun arena ->
+        let fresh0 = D.Arena.fresh arena in
+        let r = f arena in
+        (r, D.Arena.fresh arena - fresh0))
+  in
+  let released () =
+    let x = D.zeros [| 1000 |] in
+    fst (in_scope (-20) (fun arena -> D.Arena.release arena x; x))
+  in
+  let x = released () in
+  Test_util.check_int "the pool holds the buffer" 8000 (D.Arena.held_bytes ());
+  let y, fresh = in_scope (-20) (fun _ -> D.zeros [| 1000 |]) in
+  Test_util.check_true "the next scope of its owner reuses it"
+    (D.unsafe_data y == D.unsafe_data x);
+  Test_util.check_int "nothing fresh" 0 fresh;
+  let x = released () in
+  let y, fresh = in_scope (-21) (fun _ -> D.zeros [| 1000 |]) in
+  Test_util.check_true "another owner empties it"
+    (D.unsafe_data y != D.unsafe_data x);
+  Test_util.check_int "one fresh" 1 fresh;
+  let x = released () in
+  ignore (D.zeros [| 500 |]);
+  Test_util.check_int "outside allocation below the held bytes keeps it" 8000
+    (D.Arena.held_bytes ());
+  ignore (D.zeros [| 501 |]);
+  Test_util.check_int "past them empties it" 0 (D.Arena.held_bytes ());
+  let y, _ = in_scope (-20) (fun _ -> D.zeros [| 1000 |]) in
+  Test_util.check_true "so the owner's next scope allocates fresh"
+    (D.unsafe_data y != D.unsafe_data x)
+
+(* With the sanitizer armed, a buffer is poisoned as it enters the pool. *)
+let test_dense_arena_poison () =
+  let x = D.ones [| 4 |] in
+  let was = Sanitizer.armed () in
+  Sanitizer.set_armed true;
+  Fun.protect
+    ~finally:(fun () -> Sanitizer.set_armed was)
+    (fun () -> D.Arena.scoped ~owner:(-30) (fun arena -> D.Arena.release arena x));
+  Test_util.check_true "released buffer reads NaN"
+    (Array.for_all Float.is_nan (D.to_array x))
 
 let qcheck_unbroadcast_adjoint =
   (* <broadcast x, y> = <x, unbroadcast y> : the defining adjoint property *)
@@ -525,6 +573,79 @@ let test_conv_golden_digests () =
               ~input_shape:ishape filter grad)))
     conv_golden
 
+(* The patch matrix of a conv, built from its definition: row
+   [(b*oh + oy)*ow + ox], column [(ky*kw + kx)*cin + c], zero outside the
+   image. *)
+let patch_matrix ~stride:(sh, sw) ~padding ~kh ~kw x =
+  let s = D.shape x in
+  let h = s.(1) and w = s.(2) and cin = s.(3) in
+  let oh = Convolution.out_dim padding ~size:h ~kernel:kh ~stride:sh in
+  let ow = Convolution.out_dim padding ~size:w ~kernel:kw ~stride:sw in
+  let ph, _ = Convolution.pad_amounts padding ~size:h ~kernel:kh ~stride:sh in
+  let pw, _ = Convolution.pad_amounts padding ~size:w ~kernel:kw ~stride:sw in
+  D.init
+    [| s.(0) * oh * ow; kh * kw * cin |]
+    (fun idx ->
+      let r = idx.(0) and c = idx.(1) in
+      let b = r / (oh * ow) and oy = r / ow mod oh and ox = r mod ow in
+      let ky = c / (kw * cin) and kx = c / cin mod kw and ch = c mod cin in
+      let iy = (oy * sh) + ky - ph and ix = (ox * sw) + kx - pw in
+      if iy < 0 || iy >= h || ix < 0 || ix >= w then 0.0 else D.get x [| b; iy; ix; ch |])
+
+(* The streamed backward-filter kernel against the materialized patch
+   matrix and [matmul_tn], at every golden shape, with batch sizes whose
+   patch rows are not a whole number of 128-row blocks. *)
+let test_backward_filter_streams_matmul_tn () =
+  List.iteri
+    (fun i (name, ishape, fshape, s, padding, _) ->
+      let g = Prng.create (2000 + i) in
+      let ishape = Array.copy ishape in
+      ishape.(0) <- 3;
+      let input = D.rand_normal g ishape in
+      let stride = (s, s) in
+      let oshape =
+        D.shape (Convolution.conv2d ~stride ~padding input (D.zeros fshape))
+      in
+      let grad = D.rand_normal g oshape in
+      let rows = Shape.numel oshape / fshape.(3) in
+      let expected =
+        D.reshape
+          (D.matmul_tn
+             (patch_matrix ~stride ~padding ~kh:fshape.(0) ~kw:fshape.(1) input)
+             (D.reshape grad [| rows; fshape.(3) |]))
+          fshape
+      in
+      List.iter
+        (fun domains ->
+          Test_util.check_true
+            (Printf.sprintf "%s at %d domains" name domains)
+            (D.bit_equal expected
+               (Convolution.conv2d_backward_filter ~domains ~stride ~padding
+                  ~filter_shape:fshape input grad)))
+        [ 1; 2; 4 ])
+    conv_golden
+
+(* The patch matrix of a 16->16 resnet conv is 144 columns wide: the kernel
+   holds its result and one panel of at most 128 KB, never the matrix. *)
+let test_backward_filter_panel_bound () =
+  let mem = S4o_obs.Memory.global in
+  let was = S4o_obs.Memory.enabled mem in
+  let g = Prng.create 5 in
+  let input = D.rand_normal g [| 4; 16; 16; 16 |] in
+  let grad = D.rand_normal g [| 4; 16; 16; 16 |] in
+  S4o_obs.Memory.reset mem;
+  S4o_obs.Memory.set_enabled mem true;
+  Fun.protect
+    ~finally:(fun () ->
+      S4o_obs.Memory.set_enabled mem was;
+      S4o_obs.Memory.reset mem)
+    (fun () ->
+      ignore
+        (Convolution.conv2d_backward_filter ~domains:1 ~padding:Convolution.Same
+           ~filter_shape:[| 3; 3; 16; 16 |] input grad);
+      Test_util.check_true "peak is the result plus one panel"
+        (S4o_obs.Memory.peak_bytes mem <= 8 * ((144 * 16) + 16384)))
+
 let suite =
   let tc = Alcotest.test_case in
   [
@@ -558,6 +679,8 @@ let suite =
         tc "unbroadcast to own shape aliases" `Quick
           test_dense_unbroadcast_same_shape_aliases;
         tc "arena reuses within its scope" `Quick test_dense_arena_scoped_reuse;
+        tc "arena pool kept for its owner" `Quick test_dense_arena_pool_rules;
+        tc "arena poisons released buffers" `Quick test_dense_arena_poison;
         tc "reductions" `Quick test_dense_reductions;
         tc "argmax rows" `Quick test_dense_argmax_rows;
         tc "reshape / transpose" `Quick test_dense_reshape_transpose;
@@ -584,6 +707,9 @@ let suite =
         tc "max pool fwd/bwd" `Quick test_max_pool;
         tc "flop counting" `Quick test_conv2d_flops;
         tc "kernels keep their golden digests" `Quick test_conv_golden_digests;
+        tc "backward filter streams = im2col + matmul_tn" `Quick
+          test_backward_filter_streams_matmul_tn;
+        tc "backward filter holds one panel" `Quick test_backward_filter_panel_bound;
         qcheck_conv_linear_in_input;
       ] );
   ]

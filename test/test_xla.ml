@@ -456,7 +456,7 @@ let test_run_reuses_dead_buffers () =
   Test_util.check_int "fresh" 2 (count "xla.buffers_fresh")
 
 (* Conv kernels hand their own scratch (im2col panels, backward-filter's
-   patch matrix, backward-input's product panels) back to the run's arena. *)
+   patch panels, backward-input's product panels) back to the pool. *)
 let conv_param i shape = Hlo.param ~index:i ~shape
 
 (* (d) A 1x1 stride-1 conv's patch matrix is a view of its input, not
