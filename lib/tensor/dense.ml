@@ -108,13 +108,14 @@ module Arena = struct
       a.owner <- owner
     end;
     a.outside <- 0;
+    a.reused <- 0;
+    a.fresh <- 0;
     let was_active = a.active in
     a.active <- true;
     Fun.protect ~finally:(fun () -> a.active <- was_active) (fun () -> f a)
 
   let release a t = release_buffer a t.data
   let recycle t = recycle_buffer t.data
-  let held_bytes () = (Domain.DLS.get arena_key).held
 
   let reused a = a.reused
   let fresh a = a.fresh
@@ -743,10 +744,10 @@ let unbroadcast t target =
       target;
     let summed = if !axes = [] then led else sum_axes ~keep_dims:true led !axes in
     (* Once read, the leading sum is this kernel's scratch. A sum made here
-       takes the target shape without a copy. *)
+       takes the target shape without a copy; [with_shape] still rejects a
+       target whose element count differs. *)
     if summed != led && led != t then recycle_buffer led.data;
-    if summed == t then reshape t target
-    else { summed with shape = Array.copy target }
+    if summed == t then reshape t target else with_shape summed target
   end
 
 (* Cache-tiled: a [transpose_tile]-square block of the source is read row

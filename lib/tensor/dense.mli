@@ -343,15 +343,12 @@ module Arena : sig
       never an operand or a view of one. *)
   val recycle : tensor -> unit
 
-  (** Bytes held by the calling domain's pool. *)
-  val held_bytes : unit -> int
-
-  (** Allocations on the pool's domain served from it, over its lifetime
-      (take differences for a count per scope). *)
+  (** Allocations on the pool's domain served from it since the latest
+      {!scoped} call on that domain began. *)
   val reused : t -> int
 
-  (** Allocations on the pool's domain, inside a scope, that found no
-      buffer to reuse, over its lifetime. *)
+  (** Allocations on the pool's domain that found no buffer to reuse, since
+      the latest {!scoped} call on that domain began. *)
   val fresh : t -> int
 end
 

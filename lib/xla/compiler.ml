@@ -141,7 +141,6 @@ let run exe engine feeds =
   let owner = Array.make n (-1) in
   let refs = Array.make n 0 in
   Dense.Arena.scoped ~owner:exe.id (fun arena ->
-      let reused0 = Dense.Arena.reused arena and fresh0 = Dense.Arena.fresh arena in
       for k = 0 to n - 1 do
         let st = exe.steps.(k) in
         (match st.node.role with
@@ -174,9 +173,9 @@ let run exe engine feeds =
         Option.iter (fun info -> ignore (S4o_device.Engine.dispatch engine info)) st.dispatch
       done;
       let m = S4o_device.Engine.metrics engine in
-      S4o_obs.Metrics.incr ~by:(Dense.Arena.reused arena - reused0)
+      S4o_obs.Metrics.incr ~by:(Dense.Arena.reused arena)
         (S4o_obs.Metrics.counter m "xla.buffers_reused");
-      S4o_obs.Metrics.incr ~by:(Dense.Arena.fresh arena - fresh0)
+      S4o_obs.Metrics.incr ~by:(Dense.Arena.fresh arena)
         (S4o_obs.Metrics.counter m "xla.buffers_fresh");
       Array.map (fun s -> values.(s)) exe.outputs)
 

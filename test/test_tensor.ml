@@ -181,7 +181,11 @@ let test_dense_unbroadcast_same_shape_aliases () =
   Test_util.check_true "unbroadcast to own shape is the argument"
     (D.unbroadcast t (D.shape t) == t);
   Test_util.check_true "unbroadcast to a smaller shape is fresh"
-    (D.unsafe_data (D.unbroadcast t [| 3 |]) != D.unsafe_data t)
+    (D.unsafe_data (D.unbroadcast t [| 3 |]) != D.unsafe_data t);
+  Test_util.check_true "a target with another element count raises"
+    (match D.unbroadcast t [| 1; 4 |] with
+    | _ -> false
+    | exception Shape.Shape_error _ -> true)
 
 (* Scope owners for these tests: negative, so no compiled executable
    (numbered from 0) shares one. *)
@@ -192,7 +196,6 @@ let test_dense_arena_scoped_reuse () =
   let a = D.zeros [| 5 |] and ones = D.ones [| 5 |] in
   let reused, fresh =
     D.Arena.scoped ~owner:(-10) (fun arena ->
-        let reused0 = D.Arena.reused arena and fresh0 = D.Arena.fresh arena in
         D.Arena.release arena a;
         let other_size = D.zeros [| 4 |] in
         let b = D.ones [| 5 |] in
@@ -203,7 +206,7 @@ let test_dense_arena_scoped_reuse () =
         Test_util.check_true "other sizes allocate fresh"
           (D.unsafe_data other_size != D.unsafe_data a);
         Test_util.check_tensor "reused buffer rewritten" ones b;
-        (D.Arena.reused arena - reused0, D.Arena.fresh arena - fresh0))
+        (D.Arena.reused arena, D.Arena.fresh arena))
   in
   Test_util.check_int "one reuse" 1 reused;
   Test_util.check_int "one fresh, on this domain only" 1 fresh;
@@ -222,16 +225,15 @@ let test_dense_arena_scoped_reuse () =
 let test_dense_arena_pool_rules () =
   let in_scope owner f =
     D.Arena.scoped ~owner (fun arena ->
-        let fresh0 = D.Arena.fresh arena in
         let r = f arena in
-        (r, D.Arena.fresh arena - fresh0))
+        (r, D.Arena.fresh arena))
   in
+  (* the pool then holds exactly [x]: 8000 bytes *)
   let released () =
     let x = D.zeros [| 1000 |] in
     fst (in_scope (-20) (fun arena -> D.Arena.release arena x; x))
   in
   let x = released () in
-  Test_util.check_int "the pool holds the buffer" 8000 (D.Arena.held_bytes ());
   let y, fresh = in_scope (-20) (fun _ -> D.zeros [| 1000 |]) in
   Test_util.check_true "the next scope of its owner reuses it"
     (D.unsafe_data y == D.unsafe_data x);
@@ -242,13 +244,15 @@ let test_dense_arena_pool_rules () =
     (D.unsafe_data y != D.unsafe_data x);
   Test_util.check_int "one fresh" 1 fresh;
   let x = released () in
-  ignore (D.zeros [| 500 |]);
-  Test_util.check_int "outside allocation below the held bytes keeps it" 8000
-    (D.Arena.held_bytes ());
-  ignore (D.zeros [| 501 |]);
-  Test_util.check_int "past them empties it" 0 (D.Arena.held_bytes ());
+  ignore (D.zeros [| 1000 |]);
   let y, _ = in_scope (-20) (fun _ -> D.zeros [| 1000 |]) in
-  Test_util.check_true "so the owner's next scope allocates fresh"
+  Test_util.check_true "outside allocation up to the held bytes keeps it"
+    (D.unsafe_data y == D.unsafe_data x);
+  let x = released () in
+  ignore (D.zeros [| 500 |]);
+  ignore (D.zeros [| 501 |]);
+  let y, _ = in_scope (-20) (fun _ -> D.zeros [| 1000 |]) in
+  Test_util.check_true "past them empties it"
     (D.unsafe_data y != D.unsafe_data x)
 
 (* With the sanitizer armed, a buffer is poisoned as it enters the pool. *)
