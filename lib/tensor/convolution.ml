@@ -213,7 +213,6 @@ let conv2d_backward_input ?domains ?(stride = (1, 1)) ~padding ~input_shape
   let rows = n * oh * ow in
   let cols = kh * kw * cin in
   let grad_mat = Dense.with_shape grad [| rows; cout |] in
-  let filter_t = Dense.transpose (Dense.with_shape filter [| cols; cout |]) in
   let dinput = Dense.zeros input_shape in
   let dd = Dense.unsafe_data dinput in
   let image = max 1 (oh * ow) in
@@ -245,8 +244,10 @@ let conv2d_backward_input ?domains ?(stride = (1, 1)) ~padding ~input_shape
       done
     done
   in
-  Dense.matmul_consume ?domains ~grain:image ~consume:scatter grad_mat filter_t;
-  Dense.Arena.recycle filter_t;
+  (* the transposed filter is kernel scratch *)
+  Dense.with_scratch [| cout; cols |] (fun filter_t ->
+      Dense.transpose_into (Dense.with_shape filter [| cols; cout |]) filter_t;
+      Dense.matmul_consume ?domains ~grain:image ~consume:scatter grad_mat filter_t);
   dinput
 
 let pool_out_shape ishape (kh, kw) (sh, sw) =

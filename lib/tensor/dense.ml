@@ -1,7 +1,11 @@
 module A = Bigarray.Array1
 
 type buffer = (float, Bigarray.float64_elt, Bigarray.c_layout) A.t
-type t = { shape : Shape.t; data : buffer }
+
+(* [data] is exactly [numel] long. [store] is the buffer that backs it: the
+   same value, or a larger pooled buffer of which [data] is a leading
+   [A.sub] view. Releasing a tensor gives its [store] back. *)
+type t = { shape : Shape.t; data : buffer; store : buffer }
 
 exception Shape_error = Shape.Shape_error
 
@@ -10,72 +14,183 @@ let fail fmt = Format.kasprintf (fun s -> raise (Shape_error s)) fmt
 (* Every tensor buffer in the library is allocated here, so this is the
    single hook for off-heap memory accounting. When the global tracker is
    off (the default) the cost is one load and branch; when on, the buffer
-   is charged to the current attribution tag and a GC finaliser credits
-   the free. The finaliser captures the tracker generation so a buffer
-   that dies after [Memory.reset] is dropped instead of corrupting the
-   next measurement's balance. *)
-let alloc_fresh n : buffer =
+   is charged to [tag] (by default the current attribution tag) and a GC
+   finaliser credits the free. The finaliser captures the tracker
+   generation so a buffer that dies after [Memory.reset] is dropped instead
+   of corrupting the next measurement's balance. *)
+let alloc_fresh ?tag n : buffer =
   let data = A.create Bigarray.float64 Bigarray.c_layout n in
   let mem = S4o_obs.Memory.global in
   if S4o_obs.Memory.enabled mem then begin
     let bytes = 8 * n in
-    let tag = S4o_obs.Memory.current_tag mem in
+    let tag =
+      match tag with Some t -> t | None -> S4o_obs.Memory.current_tag mem
+    in
     let gen = S4o_obs.Memory.generation mem in
     S4o_obs.Memory.alloc mem ~tag bytes;
     Gc.finalise (fun _ -> S4o_obs.Memory.free_gen mem ~gen ~tag bytes) data
   end;
   data
 
-(* Released buffers by element count: one pool per domain, kept from one
-   scope ({!Arena.scoped}) to the next. It serves allocations only while a
-   scope is active on its domain; pool workers never open one. [held] is
-   the bytes in [free]; [outside] the fresh bytes this domain allocated
-   outside a scope since the last one ended. *)
+(* {2 Capacity classes}
+
+   Pooled buffers come in classes of four per octave: the sizes 0..8, then
+   [m lsl s] for [m] in 5..8 and [s >= 1] (10, 12, 14, 16, 20, ...). A
+   request takes the class at or above it, so a class wastes under a
+   quarter of its buffer, and requests a little apart in size share
+   buffers. Class [c] above 8 is [4s + m]. *)
+
+let n_classes = 9 + (4 * Sys.int_size)
+
+let bit_length n =
+  let rec go n b = if n = 0 then b else go (n lsr 1) (b + 1) in
+  go n 0
+
+(* The smallest class of at least [n] elements. *)
+let class_index n =
+  if n <= 8 then n
+  else
+    let s = bit_length (n - 1) - 3 in
+    (4 * s) + ((n - 1) lsr s) + 1
+
+let class_size c =
+  if c <= 8 then c
+  else
+    let s = (c - 5) / 4 in
+    (c - (4 * s)) lsl s
+
+(* The largest class of at most [cap] elements: where a buffer of [cap]
+   elements goes back, so every request its class serves fits in it. *)
+let class_floor cap =
+  let c = class_index cap in
+  if class_size c = cap then c else c - 1
+
+(* {2 The pool}
+
+   One pool of released buffers per domain, shared by every scope
+   ({!Arena.scoped}) that runs on it. It serves allocations only while a
+   scope is active on its domain; pool workers never open one.
+
+   [free.(c)] holds the buffers of class [c], and [stamp.(c)] the [clock]
+   value of its latest take or release. [held] is the bytes in [free];
+   [live] the bytes the current scope has taken and not given back; [high]
+   the most any scope has had live. The pool keeps [held + live <= high]:
+   it never holds more than one scope at its peak needed. [escaping] is
+   set while a scope allocates what outlives it ({!Arena.escaping}).
+   [outside] is the fresh bytes this domain allocated outside a scope since
+   the last one ended.
+
+   [scratch] is the domain's kernel scratch: buffers a kernel takes and
+   gives back within one call ({!with_scratch_buffer}), on every domain and
+   whether or not a scope is active. *)
 type arena = {
-  free : (int, buffer list) Hashtbl.t;
+  free : buffer list array;
+  stamp : int array;
+  mutable clock : int;
+  mutable top : int;  (* no class above holds a buffer *)
   mutable held : int;
+  mutable live : int;
+  mutable high : int;
   mutable outside : int;
-  mutable owner : int;
   mutable active : bool;
+  mutable escaping : bool;
   mutable reused : int;
   mutable fresh : int;
+  mutable scratch : buffer list;
 }
 
 let arena_key : arena Domain.DLS.key =
   Domain.DLS.new_key (fun () ->
       {
-        free = Hashtbl.create 16;
+        free = Array.make n_classes [];
+        stamp = Array.make n_classes 0;
+        clock = 0;
+        top = -1;
         held = 0;
+        live = 0;
+        high = 0;
         outside = 0;
-        owner = -1;
         active = false;
+        escaping = false;
         reused = 0;
         fresh = 0;
+        scratch = [];
       })
 
 let empty a =
-  Hashtbl.reset a.free;
+  Array.fill a.free 0 n_classes [];
+  a.top <- -1;
   a.held <- 0
 
-(* The single allocation hook: inside a scope, an exact-size buffer from
-   this domain's pool if it holds one, else a fresh buffer. Outside, fresh
-   allocations are counted against what the pool holds, and the pool empties
-   once they exceed it: the code between two scopes has moved on to other
-   work, so the pool would only keep memory the process no longer runs on. A
-   reused buffer was charged to the tracker when first allocated, and its
-   finaliser credits the free when it finally dies. *)
+let touch a c =
+  a.clock <- a.clock + 1;
+  a.stamp.(c) <- a.clock
+
+(* Drops buffers of the least recently used classes until the pool holds
+   at most [limit] bytes. The pool forgets them; the GC frees each once no
+   view of it is left. *)
+let evict_to a limit =
+  let limit = Int.max 0 limit in
+  while a.held > limit do
+    let lru = ref (-1) in
+    for c = 0 to a.top do
+      if a.free.(c) <> [] && (!lru < 0 || a.stamp.(c) < a.stamp.(!lru)) then lru := c
+    done;
+    let rec drop = function
+      | b :: rest when a.held > limit ->
+          a.held <- a.held - (8 * A.dim b);
+          drop rest
+      | rest -> rest
+    in
+    a.free.(!lru) <- drop a.free.(!lru)
+  done
+
+(* The smallest held class from [c] up, or -1. *)
+let rec best_fit a c =
+  if c > a.top then -1 else if a.free.(c) <> [] then c else best_fit a (c + 1)
+
+(* Inside a scope: the smallest pooled buffer of [n]'s class or above; else
+   a fresh buffer of the class, after evicting least recently used classes
+   until it fits under the bound. *)
+let take a n =
+  let c = class_index n in
+  match best_fit a c with
+  | -1 ->
+      let size = class_size c in
+      let bytes = 8 * size in
+      evict_to a (a.high - a.live - bytes);
+      a.live <- a.live + bytes;
+      if a.held + a.live > a.high then a.high <- a.held + a.live;
+      a.fresh <- a.fresh + 1;
+      alloc_fresh size
+  | f -> (
+      match a.free.(f) with
+      | b :: rest ->
+          a.free.(f) <- rest;
+          touch a f;
+          let bytes = 8 * A.dim b in
+          a.held <- a.held - bytes;
+          a.live <- a.live + bytes;
+          a.reused <- a.reused + 1;
+          b
+      | [] -> assert false)
+
+(* The single allocation hook: a pooled buffer of at least [n] elements
+   inside a scope, else a fresh one of exactly [n]. What escapes a scope
+   ({!Arena.escaping}) is fresh too, and the pool's bound does not count it.
+   Outside, fresh bytes are counted against what the pool holds, and the
+   pool empties once they exceed it: the code between two scopes has moved
+   on to other work, so the pool would only keep memory the process no
+   longer runs on. A reused buffer was charged to the tracker when first
+   allocated, and its finaliser credits the free when it finally dies. *)
 let alloc n : buffer =
   let a = Domain.DLS.get arena_key in
-  if a.active then (
-    match Hashtbl.find_opt a.free n with
-    | Some (b :: rest) ->
-        Hashtbl.replace a.free n rest;
-        a.held <- a.held - (8 * n);
-        a.reused <- a.reused + 1;
-        b
-    | Some [] | None ->
-        a.fresh <- a.fresh + 1;
-        alloc_fresh n)
+  if a.active then
+    if a.escaping then begin
+      a.fresh <- a.fresh + 1;
+      alloc_fresh n
+    end
+    else take a n
   else begin
     if a.held > 0 then begin
       a.outside <- a.outside + (8 * n);
@@ -84,50 +199,113 @@ let alloc n : buffer =
     alloc_fresh n
   end
 
-(* With the sanitizer armed, a released buffer is poisoned with NaN, so a
-   value read after its release shows up as a wrong number. *)
-let release_buffer a (b : buffer) =
-  let n = A.dim b in
-  if Sanitizer.armed () then A.fill b Float.nan;
-  let rest = Option.value ~default:[] (Hashtbl.find_opt a.free n) in
-  Hashtbl.replace a.free n (b :: rest);
-  a.held <- a.held + (8 * n)
+(* A tensor labelled [shape] (not copied) over the first [n] elements of
+   [store]. *)
+let over shape n store =
+  { shape; data = (if A.dim store = n then store else A.sub store 0 n); store }
 
-(* Into this domain's pool, if a scope is active. *)
-let recycle_buffer b =
+(* A tensor labelled [shape] (not copied) over [n] uninitialised elements. *)
+let blank shape n = over shape n (alloc n)
+
+(* With the sanitizer armed, a buffer is poisoned with NaN as it enters the
+   pool or the scratch cache, so a value read after its release shows up
+   as a wrong number. A store released while nothing counted it live (it
+   was allocated before the scope) still was live in the scope, so the
+   bound grows to cover it. *)
+let release_store a (b : buffer) =
+  if Sanitizer.armed () then A.fill b Float.nan;
+  let bytes = 8 * A.dim b in
+  let c = class_floor (A.dim b) in
+  a.free.(c) <- b :: a.free.(c);
+  touch a c;
+  if c > a.top then a.top <- c;
+  a.held <- a.held + bytes;
+  a.live <- Int.max 0 (a.live - bytes);
+  if a.held + a.live > a.high then a.high <- a.held + a.live
+
+(* Into this domain's pool, if a scope is active and [t] was counted live
+   in it. *)
+let recycle t =
   let a = Domain.DLS.get arena_key in
-  if a.active then release_buffer a b
+  if a.active && not a.escaping then release_store a t.store
 
 module Arena = struct
   type t = arena
 
-  let scoped ~owner f =
+  let scoped f =
     let a = Domain.DLS.get arena_key in
-    if a.owner <> owner then begin
-      empty a;
-      a.owner <- owner
+    let was_active = a.active in
+    if not was_active then begin
+      a.outside <- 0;
+      a.live <- 0
     end;
-    a.outside <- 0;
     a.reused <- 0;
     a.fresh <- 0;
-    let was_active = a.active in
     a.active <- true;
-    Fun.protect ~finally:(fun () -> a.active <- was_active) (fun () -> f a)
+    Fun.protect
+      ~finally:(fun () ->
+        a.active <- was_active;
+        (* what the scope still holds (its outputs) leaves the pool's count *)
+        if not was_active then a.live <- 0)
+      (fun () -> f a)
 
-  let release a t = release_buffer a t.data
-  let recycle t = recycle_buffer t.data
+  let escaping a f =
+    let was = a.escaping in
+    a.escaping <- true;
+    Fun.protect ~finally:(fun () -> a.escaping <- was) f
 
+  let release a t = release_store a t.store
   let reused a = a.reused
   let fresh a = a.fresh
+  let held_bytes () = (Domain.DLS.get arena_key).held
+  let high_water () = (Domain.DLS.get arena_key).high
 end
+
+(* {2 Kernel scratch}
+
+   A buffer of at least [n] elements from this domain's scratch cache, for
+   the duration of [f]: the best fit among the cached buffers, else a fresh
+   one, which replaces the largest cached buffer too small to have served.
+   A domain caches as many buffers as its kernels hold at once, so after
+   the first call at a size nothing here reaches the GC. *)
+let with_scratch_buffer n f =
+  let a = Domain.DLS.get arena_key in
+  (* the smallest cached buffer that fits, and the largest that does not *)
+  let fit = ref None and short = ref None in
+  List.iter
+    (fun b ->
+      if A.dim b >= n then (
+        match !fit with Some c when A.dim c <= A.dim b -> () | _ -> fit := Some b)
+      else
+        match !short with Some c when A.dim c >= A.dim b -> () | _ -> short := Some b)
+    a.scratch;
+  let drop x = a.scratch <- List.filter (fun y -> y != x) a.scratch in
+  let b =
+    match (!fit, !short) with
+    | Some b, _ ->
+        drop b;
+        b
+    | None, short ->
+        Option.iter drop short;
+        alloc_fresh ~tag:"scratch" n
+  in
+  let r = f b in
+  if Sanitizer.armed () then A.fill b Float.nan;
+  a.scratch <- b :: a.scratch;
+  r
+
+let with_scratch shape f =
+  Shape.check_valid shape;
+  let n = Shape.numel shape in
+  with_scratch_buffer n (fun b -> f (over (Array.copy shape) n b))
 
 (* {1 Creation} *)
 
 let create shape v =
   Shape.check_valid shape;
-  let data = alloc (Shape.numel shape) in
-  A.fill data v;
-  { shape = Array.copy shape; data }
+  let t = blank (Array.copy shape) (Shape.numel shape) in
+  A.fill t.data v;
+  t
 
 let zeros shape = create shape 0.0
 let ones shape = create shape 1.0
@@ -137,34 +315,36 @@ let ones shape = create shape 1.0
    explicitly instead of paying a full pre-fill pass). *)
 let uninit shape =
   Shape.check_valid shape;
-  { shape = Array.copy shape; data = alloc (Shape.numel shape) }
+  blank (Array.copy shape) (Shape.numel shape)
 
 let scalar v =
-  let data = alloc 1 in
-  A.unsafe_set data 0 v;
-  { shape = [||]; data }
+  let t = blank [||] 1 in
+  A.unsafe_set t.data 0 v;
+  t
 
 let of_array shape src =
   Shape.check_valid shape;
   if Array.length src <> Shape.numel shape then
     fail "of_array: %d elements for shape %s" (Array.length src)
       (Shape.to_string shape);
-  let data = alloc (Array.length src) in
+  let t = blank (Array.copy shape) (Array.length src) in
+  let data = t.data in
   for i = 0 to Array.length src - 1 do
     A.unsafe_set data i (Array.unsafe_get src i)
   done;
-  { shape = Array.copy shape; data }
+  t
 
 (* Fills in increasing flat order: PRNG-fed initializers consume their
    stream element-by-element and rely on it. *)
 let init_flat shape f =
   Shape.check_valid shape;
   let n = Shape.numel shape in
-  let data = alloc n in
+  let t = blank (Array.copy shape) n in
+  let data = t.data in
   for i = 0 to n - 1 do
     A.unsafe_set data i (f i)
   done;
-  { shape = Array.copy shape; data }
+  t
 
 let init shape f = init_flat shape (fun i -> f (Shape.unravel shape i))
 
@@ -203,10 +383,9 @@ let to_array t = Array.init (numel t) (fun i -> A.unsafe_get t.data i)
 let unsafe_data t = t.data
 
 let copy t =
-  let n = numel t in
-  let data = alloc n in
-  A.blit t.data data;
-  { shape = Array.copy t.shape; data }
+  let out = blank (Array.copy t.shape) (numel t) in
+  A.blit t.data out.data;
+  out
 
 let with_shape t new_shape =
   Shape.check_valid new_shape;
@@ -214,7 +393,7 @@ let with_shape t new_shape =
     fail "with_shape: %s has %d elements, tensor has %d"
       (Shape.to_string new_shape) (Shape.numel new_shape) (numel t);
   S4o_obs.Memory.note_view S4o_obs.Memory.global;
-  { shape = Array.copy new_shape; data = t.data }
+  { t with shape = Array.copy new_shape }
 
 (* {1 Functional update} *)
 
@@ -286,12 +465,13 @@ let add_at_inplace t idx v =
 
 let map f t =
   let n = numel t in
-  let out = alloc n in
+  let res = blank (Array.copy t.shape) n in
+  let out = res.data in
   let d = t.data in
   for i = 0 to n - 1 do
     A.unsafe_set out i (f (A.unsafe_get d i))
   done;
-  { shape = Array.copy t.shape; data = out }
+  res
 
 (* Advance the row-major multi-index [idx] over [shape] by one element,
    rightmost axis fastest (past the last element it wraps to zeros). *)
@@ -324,7 +504,8 @@ let map2_strided f a b =
   let out_shape = Shape.broadcast a.shape b.shape in
   let r = Shape.rank out_shape in
   let sa = aligned_strides a.shape r and sb = aligned_strides b.shape r in
-  let out = alloc (Shape.numel out_shape) in
+  let res = blank out_shape (Shape.numel out_shape) in
+  let out = res.data in
   let da = a.data and db = b.data in
   let idx = Array.make r 0 in
   let n = Shape.numel out_shape in
@@ -334,7 +515,7 @@ let map2_strided f a b =
          (A.unsafe_get db (Shape.offset sb idx)));
     next_index idx out_shape
   done;
-  { shape = out_shape; data = out }
+  res
 
 (* {2 Broadcast plans}
 
@@ -343,31 +524,44 @@ let map2_strided f a b =
 
 type side = Left | Right
 
+(* A big shape seen as [outer; mid; inner] in row-major order, onto which a
+   small shape [outer; 1; inner] broadcasts: big element
+   [(o*mid + m)*inner + i] pairs with small element [o*inner + i]. *)
+type blocks = { outer : int; mid : int; inner : int }
+
 type plan =
   | Same  (** equal shapes *)
   | Scalar of side  (** one element, no more axes than the other side *)
-  | Rows of side * int
-      (** the small side, leading 1s dropped, is a trailing suffix of the
-          other side's shape: output element [i] reads [small.(i mod m)] *)
+  | Blocks of side * blocks
+      (** the small side stretches one run of the big side's axes: a
+          channel broadcast [[N;H;W;C] op [C]] (outer = 1), a pooled
+          [[N;1;1;C]] or a column [[N;1]] *)
   | Strided  (** anything else: the generic walker *)
 
-(* [small] has no more axes than [big] and, with its leading 1s dropped,
-   equals the trailing axes of [big]. Then [Shape.broadcast big small] is
-   [big] and [small]'s flat index at output element [i] is [i mod numel
-   small]. *)
-let is_row_suffix ~small ~big =
+(* [small] has no more axes than [big] and, aligned to its right, equals
+   [big] on a leading run of axes and a trailing one and is 1 in between;
+   axes of extent 1 in [big] do not count. Then [Shape.broadcast big small]
+   is [big], split as {!blocks}. *)
+let blocks ~small ~big =
   let rs = Shape.rank small and rb = Shape.rank big in
-  rs <= rb
-  &&
-  let lead = ref 0 in
-  while !lead < rs && small.(!lead) = 1 do
-    incr lead
+  let ok = ref (rs <= rb) in
+  (* 0: in the leading run, 1: in the stretched run, 2: in the trailing run *)
+  let phase = ref 0 and outer = ref 1 and mid = ref 1 and inner = ref 1 in
+  for i = 0 to rb - 1 do
+    let d = big.(i) and j = i - (rb - rs) in
+    let s = if j < 0 then 1 else small.(j) in
+    if d = 1 then (if s <> 1 then ok := false)
+    else if s = d then begin
+      if !phase = 1 then phase := 2;
+      if !phase = 0 then outer := !outer * d else inner := !inner * d
+    end
+    else if s = 1 && !phase < 2 then begin
+      phase := 1;
+      mid := !mid * d
+    end
+    else ok := false
   done;
-  let ok = ref true in
-  for j = !lead to rs - 1 do
-    if small.(j) <> big.(rb - rs + j) then ok := false
-  done;
-  !ok
+  if !ok then Some { outer = !outer; mid = !mid; inner = !inner } else None
 
 (* [b] broadcasts onto [a.shape] as a single constant *)
 let scalar_onto a b = numel b = 1 && Shape.rank b.shape <= Shape.rank a.shape
@@ -376,9 +570,13 @@ let plan a b =
   if Shape.equal a.shape b.shape then Same
   else if scalar_onto a b then Scalar Right
   else if scalar_onto b a then Scalar Left
-  else if is_row_suffix ~small:b.shape ~big:a.shape then Rows (Right, numel b)
-  else if is_row_suffix ~small:a.shape ~big:b.shape then Rows (Left, numel a)
-  else Strided
+  else
+    match blocks ~small:b.shape ~big:a.shape with
+    | Some bl -> Blocks (Right, bl)
+    | None -> (
+        match blocks ~small:a.shape ~big:b.shape with
+        | Some bl -> Blocks (Left, bl)
+        | None -> Strided)
 
 (* The op a plan loop applies. Without flambda, inlining a loop that takes
    a closure still leaves an indirect call (and boxed floats) per element,
@@ -420,6 +618,24 @@ let closure = function
   | Relu_grad -> fun x y -> eval Relu_grad x y
   | Fn f -> f
 
+(* [big op small] under {!Blocks}, or [small op big] when [swap]. *)
+let[@inline] apply_blocks op ~swap big small { outer; mid; inner } =
+  let n = numel big in
+  let res = blank (Array.copy big.shape) n in
+  let out = res.data in
+  let dg = big.data and ds = small.data in
+  for o = 0 to outer - 1 do
+    let so = o * inner in
+    for m = 0 to mid - 1 do
+      let base = ((o * mid) + m) * inner in
+      for i = 0 to inner - 1 do
+        let x = A.unsafe_get dg (base + i) and y = A.unsafe_get ds (so + i) in
+        A.unsafe_set out (base + i) (if swap then eval op y x else eval op x y)
+      done
+    done
+  done;
+  res
+
 (* Runs [op] under [plan a b]. Every path applies [op] to the same operands,
    in the same order, as {!map2_strided}, so results are bit-identical to
    the walker. Operand buffers are bound after [alloc] so they are not
@@ -428,54 +644,35 @@ let[@inline] apply2 op a b =
   match plan a b with
   | Same ->
       let n = numel a in
-      let out = alloc n in
+      let res = blank (Array.copy a.shape) n in
+      let out = res.data in
       let da = a.data and db = b.data in
       for i = 0 to n - 1 do
         A.unsafe_set out i (eval op (A.unsafe_get da i) (A.unsafe_get db i))
       done;
-      { shape = Array.copy a.shape; data = out }
+      res
   | Scalar Right ->
       let c = A.unsafe_get b.data 0 in
       let n = numel a in
-      let out = alloc n in
+      let res = blank (Array.copy a.shape) n in
+      let out = res.data in
       let da = a.data in
       for i = 0 to n - 1 do
         A.unsafe_set out i (eval op (A.unsafe_get da i) c)
       done;
-      { shape = Array.copy a.shape; data = out }
+      res
   | Scalar Left ->
       let c = A.unsafe_get a.data 0 in
       let n = numel b in
-      let out = alloc n in
+      let res = blank (Array.copy b.shape) n in
+      let out = res.data in
       let db = b.data in
       for i = 0 to n - 1 do
         A.unsafe_set out i (eval op c (A.unsafe_get db i))
       done;
-      { shape = Array.copy b.shape; data = out }
-  | Rows (Right, m) ->
-      let n = numel a in
-      let out = alloc n in
-      let da = a.data and db = b.data in
-      for r = 0 to (if m = 0 then 0 else n / m) - 1 do
-        let base = r * m in
-        for j = 0 to m - 1 do
-          A.unsafe_set out (base + j)
-            (eval op (A.unsafe_get da (base + j)) (A.unsafe_get db j))
-        done
-      done;
-      { shape = Array.copy a.shape; data = out }
-  | Rows (Left, m) ->
-      let n = numel b in
-      let out = alloc n in
-      let da = a.data and db = b.data in
-      for r = 0 to (if m = 0 then 0 else n / m) - 1 do
-        let base = r * m in
-        for j = 0 to m - 1 do
-          A.unsafe_set out (base + j)
-            (eval op (A.unsafe_get da j) (A.unsafe_get db (base + j)))
-        done
-      done;
-      { shape = Array.copy b.shape; data = out }
+      res
+  | Blocks (Right, bl) -> apply_blocks op ~swap:false a b bl
+  | Blocks (Left, bl) -> apply_blocks op ~swap:true b a bl
   | Strided -> map2_strided (closure op) a b
 
 let map2 f a b = apply2 (Fn f) a b
@@ -487,31 +684,34 @@ let relu_grad x g = apply2 Relu_grad x g
 
 let neg t =
   let n = numel t in
-  let out = alloc n in
+  let res = blank (Array.copy t.shape) n in
+  let out = res.data in
   let d = t.data in
   for i = 0 to n - 1 do
     A.unsafe_set out i (-.A.unsafe_get d i)
   done;
-  { shape = Array.copy t.shape; data = out }
+  res
 
 let scale alpha t =
   let n = numel t in
-  let out = alloc n in
+  let res = blank (Array.copy t.shape) n in
+  let out = res.data in
   let d = t.data in
   for i = 0 to n - 1 do
     A.unsafe_set out i (alpha *. A.unsafe_get d i)
   done;
-  { shape = Array.copy t.shape; data = out }
+  res
 
 let relu t =
   let n = numel t in
-  let out = alloc n in
+  let res = blank (Array.copy t.shape) n in
+  let out = res.data in
   let d = t.data in
   for i = 0 to n - 1 do
     let x = A.unsafe_get d i in
     A.unsafe_set out i (where_pos x x)
   done;
-  { shape = Array.copy t.shape; data = out }
+  res
 
 let add_scalar c = map (fun x -> c +. x)
 let pow_scalar t p = map (fun x -> Float.pow x p) t
@@ -607,51 +807,56 @@ let min_value t =
   done;
   !acc
 
-(* Every reduced axis of extent <> 1 comes before every kept axis of
-   extent <> 1 (size-1 axes do not move the flat index). Then input element
-   [i] lands in output element [i mod numel out]: the shape of every
-   [unbroadcast] of a rows broadcast, and of BatchNorm's statistics. *)
-let leading_reduction shape axes =
-  let kept_seen = ref false and ok = ref true in
-  Array.iteri
-    (fun i d ->
-      if d <> 1 then
-        if not (List.mem i axes) then kept_seen := true
-        else if !kept_seen then ok := false)
-    shape;
-  !ok
-
 let sum_axes ?(keep_dims = false) t axes =
   let out_shape_kept = Shape.reduce_axes ~keep_dims:true t.shape axes in
   let out = zeros out_shape_kept in
-  let n = numel t in
   let d = t.data and od = out.data in
-  if leading_reduction t.shape axes then begin
-    (* Row-accumulate: each output element still receives its inputs in
-       increasing flat order, onto the same 0.0 start, as in the walk
-       below — so the sums are bit-identical to it. *)
-    let m = numel out in
-    for r = 0 to (if m = 0 then 0 else n / m) - 1 do
-      let base = r * m in
-      for j = 0 to m - 1 do
-        A.unsafe_set od j (A.unsafe_get od j +. A.unsafe_get d (base + j))
+  (match blocks ~small:out_shape_kept ~big:t.shape with
+  | Some { outer; mid; inner } ->
+      (* The reduced axes are one run: output element [o*inner + j] sums
+         rows [m] of [inner] elements. It still receives its inputs in
+         increasing flat order, onto the same +0.0 start, as in the walk
+         below. Four rows go in per pass, added left to right, so the sums
+         are bit-identical to it. *)
+      for o = 0 to outer - 1 do
+        let ob = o * inner and ib = o * mid * inner in
+        let r = ref 0 in
+        while !r + 4 <= mid do
+          let b0 = ib + (!r * inner) in
+          let b1 = b0 + inner in
+          let b2 = b1 + inner in
+          let b3 = b2 + inner in
+          for j = 0 to inner - 1 do
+            A.unsafe_set od (ob + j)
+              (A.unsafe_get od (ob + j)
+              +. A.unsafe_get d (b0 + j)
+              +. A.unsafe_get d (b1 + j)
+              +. A.unsafe_get d (b2 + j)
+              +. A.unsafe_get d (b3 + j))
+          done;
+          r := !r + 4
+        done;
+        while !r < mid do
+          let b0 = ib + (!r * inner) in
+          for j = 0 to inner - 1 do
+            A.unsafe_set od (ob + j) (A.unsafe_get od (ob + j) +. A.unsafe_get d (b0 + j))
+          done;
+          incr r
+        done
       done
-    done
-  end
-  else begin
-    let st_out = Shape.strides out_shape_kept in
-    let r = rank t in
-    let idx = Array.make r 0 in
-    for flat = 0 to n - 1 do
-      (* the output offset ignores reduced axes because their kept size is 1 *)
-      let off = ref 0 in
-      for i = 0 to r - 1 do
-        if out_shape_kept.(i) <> 1 then off := !off + (st_out.(i) * idx.(i))
-      done;
-      A.unsafe_set od !off (A.unsafe_get od !off +. A.unsafe_get d flat);
-      next_index idx t.shape
-    done
-  end;
+  | None ->
+      let st_out = Shape.strides out_shape_kept in
+      let r = rank t in
+      let idx = Array.make r 0 in
+      for flat = 0 to numel t - 1 do
+        (* the output offset ignores reduced axes because their kept size is 1 *)
+        let off = ref 0 in
+        for i = 0 to r - 1 do
+          if out_shape_kept.(i) <> 1 then off := !off + (st_out.(i) * idx.(i))
+        done;
+        A.unsafe_set od !off (A.unsafe_get od !off +. A.unsafe_get d flat);
+        next_index idx t.shape
+      done);
   if keep_dims then out
   else { out with shape = Shape.reduce_axes ~keep_dims:false t.shape axes }
 
@@ -695,14 +900,15 @@ let broadcast_strided t target =
   let r = Shape.rank target in
   let st = aligned_strides t.shape r in
   let n = Shape.numel target in
-  let out = alloc n in
+  let res = blank (Array.copy target) n in
+  let out = res.data in
   let d = t.data in
   let idx = Array.make r 0 in
   for flat = 0 to n - 1 do
     A.unsafe_set out flat (A.unsafe_get d (Shape.offset st idx));
     next_index idx target
   done;
-  { shape = Array.copy target; data = out }
+  res
 
 let broadcast_to t target =
   let out = Shape.broadcast t.shape target in
@@ -711,24 +917,39 @@ let broadcast_to t target =
       (Shape.to_string target);
   if Shape.equal t.shape target then copy t
   else if numel t = 1 then create target (A.unsafe_get t.data 0)
-  else if is_row_suffix ~small:t.shape ~big:target then begin
-    (* Tile: copy [t] into the first row, then keep doubling the filled
-       prefix with [blit] — log2(rows) memcpys instead of a per-row or
-       per-element loop. *)
-    let m = numel t and n = Shape.numel target in
-    let out = alloc n in
-    if n > 0 then begin
-      A.blit t.data (A.sub out 0 m);
-      let filled = ref m in
-      while !filled < n do
-        let len = min !filled (n - !filled) in
-        A.blit (A.sub out 0 len) (A.sub out !filled len);
-        filled := !filled + len
-      done
-    end;
-    { shape = Array.copy target; data = out }
-  end
-  else broadcast_strided t target
+  else
+    match blocks ~small:t.shape ~big:target with
+    | Some { outer = 1; _ } ->
+        (* Tile: copy [t] into the first row, then keep doubling the filled
+           prefix with [blit] — log2(rows) memcpys instead of a per-row or
+           per-element loop. *)
+        let m = numel t and n = Shape.numel target in
+        let res = blank (Array.copy target) n in
+        let out = res.data in
+        if n > 0 then begin
+          A.blit t.data (A.sub out 0 m);
+          let filled = ref m in
+          while !filled < n do
+            let len = min !filled (n - !filled) in
+            A.blit (A.sub out 0 len) (A.sub out !filled len);
+            filled := !filled + len
+          done
+        end;
+        res
+    | Some { outer; mid; inner } ->
+        let res = blank (Array.copy target) (Shape.numel target) in
+        let out = res.data and d = t.data in
+        for o = 0 to outer - 1 do
+          let so = o * inner in
+          for m = 0 to mid - 1 do
+            let base = ((o * mid) + m) * inner in
+            for i = 0 to inner - 1 do
+              A.unsafe_set out (base + i) (A.unsafe_get d (so + i))
+            done
+          done
+        done;
+        res
+    | None -> broadcast_strided t target
 
 let unbroadcast t target =
   if Shape.equal t.shape target then t
@@ -746,7 +967,7 @@ let unbroadcast t target =
     (* Once read, the leading sum is this kernel's scratch. A sum made here
        takes the target shape without a copy; [with_shape] still rejects a
        target whose element count differs. *)
-    if summed != led && led != t then recycle_buffer led.data;
+    if summed != led && led != t then recycle led;
     if summed == t then reshape t target else with_shape summed target
   end
 
@@ -756,12 +977,14 @@ let unbroadcast t target =
    bit-identical to the element-wise definition. *)
 let transpose_tile = 32
 
-let transpose t =
+let transpose_into t dst =
   if rank t <> 2 then
     fail "transpose: expected rank 2, got %s" (Shape.to_string t.shape);
   let m = t.shape.(0) and n = t.shape.(1) in
-  let out = alloc (m * n) in
-  let d = t.data in
+  if not (Shape.equal dst.shape [| n; m |]) then
+    fail "transpose_into: %s into %s" (Shape.to_string t.shape)
+      (Shape.to_string dst.shape);
+  let d = t.data and out = dst.data in
   let i0 = ref 0 in
   while !i0 < m do
     let i1 = min m (!i0 + transpose_tile) in
@@ -777,8 +1000,14 @@ let transpose t =
       j0 := j1
     done;
     i0 := i1
-  done;
-  { shape = [| n; m |]; data = out }
+  done
+
+let transpose t =
+  if rank t <> 2 then
+    fail "transpose: expected rank 2, got %s" (Shape.to_string t.shape);
+  let out = blank [| t.shape.(1); t.shape.(0) |] (numel t) in
+  transpose_into t out;
+  out
 
 let permute t perm =
   let r = rank t in
@@ -847,14 +1076,16 @@ let serial_cutoff = 1 lsl 16
 let kc_block = 128
 let nc_block = 128
 
-(* Scratch for {!matmul_rows}'s packed B panel, made once per job and
-   shared by every call it makes with a [k] and [n] no larger: full
-   4-column quads laid out so the micro-kernel reads 4 consecutive floats
-   per p step (unit stride instead of a +n walk through B — each p then
-   consumes half a cache line sequentially and the hardware prefetcher
-   keeps up). Quad q of a panel lives at [q*kl*4 + (p-p0)*4 + t]. A plain
-   float array keeps the reads unboxed. *)
-let new_pack ~k ~n = Array.make (min kc_block k * min nc_block n) 0.0
+(* Scratch for {!matmul_rows}'s packed B panel, one per domain, large
+   enough for any block: full 4-column quads laid out so the micro-kernel
+   reads 4 consecutive floats per p step (unit stride instead of a +n walk
+   through B — each p then consumes half a cache line sequentially and the
+   hardware prefetcher keeps up). Quad q of a panel lives at
+   [q*kl*4 + (p-p0)*4 + t]. A plain float array keeps the reads unboxed.
+   [matmul_rows] packs a block and reads it back without calling out, so
+   every call on a domain can share that domain's array, and the GC only
+   ever sees one allocation per domain. *)
+let pack_key = Domain.DLS.new_key (fun () -> Array.make (kc_block * nc_block) 0.0)
 
 (* Accumulate rows [lo, hi) of the product A[m,k] x B[k,n] into C.
    [ao]/[bo]/[co] are flat base offsets (batch_matmul reuses the kernel per
@@ -870,8 +1101,9 @@ let new_pack ~k ~n = Array.make (min kc_block k * min nc_block n) 0.0
    and either A layout produce bit-identical results. (B-panel packing
    below only rearranges where the same values are read from; it does not
    touch that order.) *)
-let[@inline] matmul_rows ~pack ~n ~k ~ars ~acs (da : buffer) ao (db : buffer)
-    bo (dc : buffer) co lo hi =
+let[@inline] matmul_rows ~n ~k ~ars ~acs (da : buffer) ao (db : buffer) bo
+    (dc : buffer) co lo hi =
+  let pack = Domain.DLS.get pack_key in
   let pp = ref 0 in
   while !pp < k do
     let p0 = !pp in
@@ -1010,8 +1242,8 @@ let[@inline] matmul_rows ~pack ~n ~k ~ars ~acs (da : buffer) ao (db : buffer)
 (* The row-major instance: with the literal [acs = 1] inlined, the A
    cursors step by a constant, which keeps the micro-kernel's loop as tight
    as a kernel without a column stride. *)
-let matmul_rows_nn ~pack ~n ~k da ao db bo dc co lo hi =
-  matmul_rows ~pack ~n ~k ~ars:k ~acs:1 da ao db bo dc co lo hi
+let matmul_rows_nn ~n ~k da ao db bo dc co lo hi =
+  matmul_rows ~n ~k ~ars:k ~acs:1 da ao db bo dc co lo hi
 
 let product m n =
   S4o_obs.Memory.with_tag S4o_obs.Memory.global "matmul" (fun () ->
@@ -1044,14 +1276,13 @@ let matmul_strided ?domains ~m ~k ~ars ~acs a b =
   in
   let serial = m * n * k <= serial_cutoff in
   partition ?domains ~m ~serial ~notes (fun lo hi ->
-      let pack = new_pack ~k ~n in
-      if acs = 1 then matmul_rows_nn ~pack ~n ~k da 0 db 0 dc 0 lo hi
-      else matmul_rows ~pack ~n ~k ~ars ~acs da 0 db 0 dc 0 lo hi);
+      if acs = 1 then matmul_rows_nn ~n ~k da 0 db 0 dc 0 lo hi
+      else matmul_rows ~n ~k ~ars ~acs da 0 db 0 dc 0 lo hi);
   out
 
 (* Floats per A panel in {!matmul_panels}: 128 KB, so a panel stays in L2
-   while the micro-kernel sweeps it. One size for every [k] lets the
-   panels of a whole {!Arena.scoped} run share one buffer. *)
+   while the micro-kernel sweeps it. One size for every [k] lets every
+   streamed product on a domain share one scratch buffer. *)
 let panel_floats = 16384
 
 (* Streamed products split over the pool only when every job gets at least
@@ -1074,21 +1305,19 @@ let matmul_panels ?domains ~m ~k ~fill b =
       ~who:"matmul_panels out rows";
     Sanitizer.note_read db ~lo:0 ~len:(k * n) ~who:"matmul_panels B"
   in
-  (* Each job owns its panel; only a job on the calling domain can take it
-     from (and give it back to) an installed arena. Row [i] of the product
-     depends on row [i] of A alone, so the panel split leaves every output
-     bit-identical to [matmul] of the materialized A. *)
+  (* Each job takes its panel from its domain's scratch. Row [i] of the
+     product depends on row [i] of A alone, so the panel split leaves every
+     output bit-identical to [matmul] of the materialized A. *)
   let serial = panels_serial ~m ~panel_rows ~work:(m * n * k) in
   partition ?domains ~m ~serial ~notes (fun lo hi ->
-      let panel = alloc (max panel_floats k) and pack = new_pack ~k ~n in
-      let r = ref lo in
-      while !r < hi do
-        let r1 = min hi (!r + panel_rows) in
-        fill !r r1 panel;
-        matmul_rows_nn ~pack ~n ~k panel 0 db 0 dc (!r * n) 0 (r1 - !r);
-        r := r1
-      done;
-      recycle_buffer panel);
+      with_scratch_buffer (max panel_floats k) (fun panel ->
+          let r = ref lo in
+          while !r < hi do
+            let r1 = min hi (!r + panel_rows) in
+            fill !r r1 panel;
+            matmul_rows_nn ~n ~k panel 0 db 0 dc (!r * n) 0 (r1 - !r);
+            r := r1
+          done));
   out
 
 (* Columns of A per {!matmul_tn_panels} panel: one [kc_block] of rows by
@@ -1113,24 +1342,23 @@ let matmul_tn_panels ?domains ~k ~m ~fill b =
      in [matmul_tn], so every element is bit-identical to it. *)
   let serial = m * n * k <= serial_cutoff in
   partition ?domains ~m ~serial ~notes (fun lo hi ->
-      let panel = alloc panel_floats and pack = new_pack ~k ~n in
-      let c0 = ref lo in
-      while !c0 < hi do
-        let c1 = min hi (!c0 + panel_cols) in
-        let width = c1 - !c0 in
-        let rows = kc_block * max 1 (panel_floats / width / kc_block) in
-        let r = ref 0 in
-        while !r < k do
-          let r1 = min k (!r + rows) in
-          fill !r r1 !c0 c1 panel;
-          (* A[i][p] of the strip is panel[(p - r)*width + (i - c0)] *)
-          matmul_rows ~pack ~n ~k:(r1 - !r) ~ars:1 ~acs:width panel (- !c0) db
-            (!r * n) dc 0 !c0 c1;
-          r := r1
-        done;
-        c0 := c1
-      done;
-      recycle_buffer panel);
+      with_scratch_buffer panel_floats (fun panel ->
+          let c0 = ref lo in
+          while !c0 < hi do
+            let c1 = min hi (!c0 + panel_cols) in
+            let width = c1 - !c0 in
+            let rows = kc_block * max 1 (panel_floats / width / kc_block) in
+            let r = ref 0 in
+            while !r < k do
+              let r1 = min k (!r + rows) in
+              fill !r r1 !c0 c1 panel;
+              (* A[i][p] of the strip is panel[(p - r)*width + (i - c0)] *)
+              matmul_rows ~n ~k:(r1 - !r) ~ars:1 ~acs:width panel (- !c0)
+                db (!r * n) dc 0 !c0 c1;
+              r := r1
+            done;
+            c0 := c1
+          done));
   out
 
 let check_matmul name a b =
@@ -1173,18 +1401,17 @@ let matmul_consume ?domains ~grain ~consume a b =
   let serial = panels_serial ~m ~panel_rows ~work:(m * n * k) in
   partition ?domains ~m:(m / grain) ~serial ~notes (fun ulo uhi ->
       let lo = ulo * grain and hi = uhi * grain in
-      let panel = alloc (max panel_floats n) and pack = new_pack ~k ~n in
-      let r = ref lo in
-      while !r < hi do
-        let r1 = min hi (!r + panel_rows) in
-        for i = 0 to ((r1 - !r) * n) - 1 do
-          A.unsafe_set panel i 0.0
-        done;
-        matmul_rows_nn ~pack ~n ~k da (!r * k) db 0 panel 0 0 (r1 - !r);
-        consume !r r1 panel;
-        r := r1
-      done;
-      recycle_buffer panel)
+      with_scratch_buffer (max panel_floats n) (fun panel ->
+          let r = ref lo in
+          while !r < hi do
+            let r1 = min hi (!r + panel_rows) in
+            for i = 0 to ((r1 - !r) * n) - 1 do
+              A.unsafe_set panel i 0.0
+            done;
+            matmul_rows_nn ~n ~k da (!r * k) db 0 panel 0 0 (r1 - !r);
+            consume !r r1 panel;
+            r := r1
+          done))
 
 let dot a b =
   if rank a <> 1 || rank b <> 1 || numel a <> numel b then
@@ -1281,13 +1508,12 @@ let batch_matmul ?domains a b =
     Sanitizer.note_read da ~lo:(lo * k) ~len:((hi - lo) * k)
       ~who:"batch_matmul A rows";
     Sanitizer.note_read db ~lo:0 ~len:(bs * k * n) ~who:"batch_matmul B";
-    let pack = new_pack ~k ~n in
     let r = ref lo in
     while !r < hi do
       let batch = !r / m in
       let rlo = !r mod m in
       let rhi = min m (rlo + (hi - !r)) in
-      matmul_rows_nn ~pack ~n ~k da (batch * m * k) db (batch * k * n)
+      matmul_rows_nn ~n ~k da (batch * m * k) db (batch * k * n)
         dc (batch * m * n) rlo rhi;
       r := !r + (rhi - rlo)
     done

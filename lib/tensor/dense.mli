@@ -15,15 +15,15 @@
     in-place update path uses).
 
     Elementwise binary operations classify their operands once into a
-    broadcast plan — same shape, scalar on either side, or {e rows} (the
-    smaller operand, leading 1s dropped, is a trailing suffix of the
-    output shape, as in a [[N;H;W;C] op [C]] channel broadcast) — and run
-    one flat loop per plan; any other shape pair (e.g. a [[N;1]] column
-    broadcast) falls back to the generic strided walker ({!map2_strided}).
-    [sum_axes] over leading axes and [broadcast_to] onto a rows target
-    have flat fast paths too. Every fast path performs the same float
-    operations in the same order as the generic walker, so results are
-    bit-identical to it.
+    broadcast plan — same shape, scalar on either side, or {e blocks}: the
+    smaller operand stretches one contiguous run of the output's axes, as
+    in a [[N;H;W;C] op [C]] channel broadcast, a [[N;1;1;C]] pooled
+    operand or a [[N;1]] column — and run one flat loop per plan; any other
+    shape pair (two separate stretched runs, or both operands stretched)
+    falls back to the generic strided walker ({!map2_strided}). [sum_axes]
+    over one run of axes and [broadcast_to] onto a blocks target have flat
+    paths too. Every fast path performs the same float operations in the
+    same order as the generic walker, so results are bit-identical to it.
     The matmul family ([matmul], [matmul_tn], [matmul_panels],
     [matmul_consume], [batch_matmul]) shares one cache-blocked kernel with
     a 2x4 register micro-kernel and partitions output rows across the
@@ -218,6 +218,10 @@ val unbroadcast : t -> Shape.t -> t
 (** 2-D transpose, cache-tiled. *)
 val transpose : t -> t
 
+(** [transpose_into t dst] writes [transpose t] into [dst], whose shape
+    must be [t]'s reversed. *)
+val transpose_into : t -> t -> unit
+
 (** General axis permutation. *)
 val permute : t -> int array -> t
 
@@ -303,17 +307,20 @@ val log_softmax : t -> t
 
     Buffer recycling for an executor that knows when each intermediate dies
     ({!S4o_xla.Compiler.run}). Each domain has one pool of released
-    buffers, kept from one {!Arena.scoped} call to the next, so a program
-    run again takes its buffers from what its previous run released. While
-    a scope is active on a domain, every allocation on that domain first
-    takes a pooled buffer with exactly the requested element count; results
-    are unchanged because every kernel writes each element of its output
-    (or starts from {!zeros}). Other domains, the pool workers among them,
-    keep allocating fresh.
+    buffers, shared by every {!Arena.scoped} call on it, so a program takes
+    its buffers from what earlier runs released, its own or another
+    program's. While a scope is active on a domain, every allocation on
+    that domain takes a pooled buffer; results are unchanged because every
+    kernel writes each element of its output (or starts from {!zeros}).
+    Other domains, the pool workers among them, keep allocating fresh.
 
-    Two rules bound what a pool keeps:
-    - it belongs to the scope owner that ran last: a scope with another
-      owner empties it first;
+    Buffers are pooled by capacity class, four classes per octave, and a
+    request takes the smallest pooled buffer of its class or above as an
+    exact-length view. A fresh buffer has its class's capacity. Two rules
+    bound what a pool keeps:
+    - the bytes it holds plus those the current scope has live never exceed
+      the most that any scope has had live; before a fresh allocation it
+      evicts buffers of the least recently used classes until they fit;
     - it empties once its domain, outside any scope, allocates more fresh
       bytes than the pool holds.
 
@@ -324,24 +331,22 @@ module Arena : sig
   type tensor := t
   type t
 
-  (** [scoped ~owner f] activates the calling domain's pool for the
-      duration of [f arena], whether [f] returns or raises. If the pool was
-      last filled under another [owner], it is emptied first. Buffers
-      still in the pool when [f] returns stay there for the next scope. *)
-  val scoped : owner:int -> (t -> 'a) -> 'a
+  (** [scoped f] activates the calling domain's pool for the duration of
+      [f arena], whether [f] returns or raises. Buffers still in the pool
+      when [f] returns stay there for the next scope. *)
+  val scoped : (t -> 'a) -> 'a
+
+  (** [escaping arena f] runs [f] with the pool bypassed: its allocations
+      are fresh and exactly sized, as a result that outlives the scope
+      should be, so it takes no buffer a later run needs. They count in
+      {!fresh}, not against the pool's bound. *)
+  val escaping : t -> (unit -> 'a) -> 'a
 
   (** [release arena v] hands [v]'s buffer back for reuse by a later
       allocation. The caller guarantees that no live value reaches that
       buffer any more — not [v], and no alias of it — and that it releases
       each buffer at most once. *)
   val release : t -> tensor -> unit
-
-  (** [recycle v] releases [v] into the calling domain's pool when a scope
-      is active there, and does nothing otherwise. For a kernel's own
-      scratch once the kernel has consumed it: the same contract as
-      {!release}, so [v] must be a buffer the kernel allocated itself,
-      never an operand or a view of one. *)
-  val recycle : tensor -> unit
 
   (** Allocations on the pool's domain served from it since the latest
       {!scoped} call on that domain began. *)
@@ -350,7 +355,23 @@ module Arena : sig
   (** Allocations on the pool's domain that found no buffer to reuse, since
       the latest {!scoped} call on that domain began. *)
   val fresh : t -> int
+
+  (** Bytes the calling domain's pool holds. *)
+  val held_bytes : unit -> int
+
+  (** The most bytes any scope on the calling domain has had live: the
+      bound on {!held_bytes}. *)
+  val high_water : unit -> int
 end
+
+(** {1 Kernel scratch} *)
+
+(** [with_scratch shape f] runs [f] on an uninitialised tensor of [shape]
+    whose buffer comes from the calling domain's scratch cache and goes
+    back to it when [f] returns, on every domain and in or out of a scope.
+    Neither the tensor nor a view of it may outlive [f]. With the sanitizer
+    armed the buffer is filled with NaN as it goes back. *)
+val with_scratch : Shape.t -> (t -> 'a) -> 'a
 
 (** {1 Printing} *)
 

@@ -15,10 +15,10 @@ type step = {
   operands : int array;
   release : int array;
   dispatch : S4o_device.Op_info.t option;  (* on the last member of a cluster *)
+  output : bool;
 }
 
 type executable = {
-  id : int;  (* unique per compile: the owner of its runs' buffer pool *)
   n_params : int;
   steps : step array;  (* parameters and literals, then clusters in order *)
   n_leaves : int;  (* the parameter and literal steps *)
@@ -69,12 +69,16 @@ let schedule (g : Hlo.graph) clusters =
   let steps =
     Array.mapi
       (fun k (node, dispatch) ->
-        { node; operands = operands.(k); release = Array.of_list release.(k); dispatch })
+        {
+          node;
+          operands = operands.(k);
+          release = Array.of_list release.(k);
+          dispatch;
+          output = is_output.(k);
+        })
       order
   in
   (steps, List.length leaves, outputs)
-
-let next_id = Atomic.make 0
 
 let compile ?engine g =
   Hlo.validate ~stage:"compile" g;
@@ -98,7 +102,6 @@ let compile ?engine g =
     engine;
   let n_params = List.length (Hlo.params optimized) in
   {
-    id = Atomic.fetch_and_add next_id 1;
     n_params;
     steps;
     n_leaves;
@@ -140,7 +143,7 @@ let run exe engine feeds =
      goes back to the pool. *)
   let owner = Array.make n (-1) in
   let refs = Array.make n 0 in
-  Dense.Arena.scoped ~owner:exe.id (fun arena ->
+  Dense.Arena.scoped (fun arena ->
       for k = 0 to n - 1 do
         let st = exe.steps.(k) in
         (match st.node.role with
@@ -148,7 +151,11 @@ let run exe engine feeds =
         | Hlo.Literal v -> values.(k) <- v
         | Hlo.Compute o ->
             let ops = st.operands in
-            let v = o.kernel (Array.map (fun j -> values.(j)) ops) in
+            let args = Array.map (fun j -> values.(j)) ops in
+            let v =
+              if st.output then Dense.Arena.escaping arena (fun () -> o.kernel args)
+              else o.kernel args
+            in
             values.(k) <- v;
             (* A result aliases an operand when it is that operand's storage
                ([Dense.unbroadcast] to the operand's own shape). *)

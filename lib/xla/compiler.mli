@@ -46,18 +46,19 @@ val estimated_run_time : S4o_device.Device_spec.t -> executable -> float
     The run walks the plan once. After each step it releases the slots that
     step consumed for the last time; a released buffer goes back to the
     calling domain's {!S4o_tensor.Dense.Arena}, which serves later
-    allocations of the same size, once no live slot shares it. A slot
+    allocations of its class or below, once no live slot shares it. A slot
     shares an operand's buffer when the kernel returned that storage itself
     ([unbroadcast] to the same shape). Only buffers a kernel allocated in
     this run are recycled: feeds, literals, outputs and anything aliasing
-    them never are. The pool outlives the run, so the next run of the same
-    executable takes its intermediates and kernel scratch from what this
-    one released, and from its second run on allocates fresh only the
-    buffers its outputs keep. A run of another executable empties the pool
-    first. Results are bit-identical to allocating every buffer fresh. The
-    engine's metrics count, per run, [xla.buffers_reused] (allocations
-    served from the pool) and [xla.buffers_fresh] (the rest made on the
-    calling domain). *)
+    them never are. An output's kernel allocates fresh
+    ({!S4o_tensor.Dense.Arena.escaping}), since its result leaves the run.
+    The pool is shared by every executable, so a run takes its
+    intermediates from what earlier runs released, its own or another
+    program's, and a program run again allocates fresh only its outputs.
+    Kernel scratch comes from each domain's own cache. Results are
+    bit-identical to allocating every buffer fresh. The engine's metrics
+    count, per run, [xla.buffers_reused] (allocations served from the pool)
+    and [xla.buffers_fresh] (the rest made on the calling domain). *)
 val run :
   executable -> S4o_device.Engine.t -> S4o_tensor.Dense.t array -> S4o_tensor.Dense.t array
 
@@ -83,6 +84,7 @@ type step = private {
   dispatch : S4o_device.Op_info.t option;
       (** On the last member of each fused cluster: the kernel dispatched to
           the engine once the cluster's members have run. *)
+  output : bool;  (** The step's value is a graph output. *)
 }
 
 (** The steps in execution order; slot [k] holds step [k]'s value. *)

@@ -359,7 +359,9 @@ let test_lazy_capture_is_free () =
 
 let test_lazy_reports_buffer_reuse () =
   Test_util.with_lazy ~recorder:(S4o_obs.Recorder.create ()) (fun (module Bk) _ engine ->
-      (* neg^4: the third and fourth negs take the buffers of the first two *)
+      (* neg^4: the third neg takes the first's buffer; the fourth is the
+         output, which the pool never serves *)
+      Test_util.drain_pool ();
       let x = Bk.of_dense (Dense.ones [| 64 |]) in
       ignore (Bk.to_dense (Bk.neg (Bk.neg (Bk.neg (Bk.neg x)))));
       let arg name =
@@ -368,22 +370,23 @@ let test_lazy_reports_buffer_reuse () =
             if s.name = "materialize" then List.assoc_opt name s.args else None)
           (S4o_obs.Recorder.spans (Engine.recorder engine))
       in
-      Test_util.check_true "span reuse arg" (arg "buffers_reused" = Some "2");
-      Test_util.check_true "span fresh arg" (arg "buffers_fresh" = Some "2");
+      Test_util.check_true "span reuse arg" (arg "buffers_reused" = Some "1");
+      Test_util.check_true "span fresh arg" (arg "buffers_fresh" = Some "3");
       let m = Engine.metrics engine in
       let count name = S4o_obs.Metrics.counter_value (S4o_obs.Metrics.counter m name) in
-      Test_util.check_int "reuse counter" 2 (count "xla.buffers_reused");
-      Test_util.check_int "fresh counter" 2 (count "xla.buffers_fresh"))
+      Test_util.check_int "reuse counter" 1 (count "xla.buffers_reused");
+      Test_util.check_int "fresh counter" 3 (count "xla.buffers_fresh"))
 
 (* A result the caller keeps does not keep alive the trace that computed
-   it: once materialized, a node is a leaf and holds only its value. *)
+   it: once materialized, a node is a leaf and holds only its value. The
+   count leaves the value out, whose size does not depend on the trace. *)
 let test_lazy_result_drops_its_trace () =
   Test_util.with_lazy (fun (module Bk) _ _ ->
       let words n =
         let rec chain k y = if k = 0 then y else chain (k - 1) (Bk.neg y) in
         let y = chain n (Bk.of_dense (Dense.ones [| 4 |])) in
-        ignore (Bk.to_dense y);
-        Obj.reachable_words (Obj.repr y)
+        let v = Bk.to_dense y in
+        Obj.reachable_words (Obj.repr y) - Obj.reachable_words (Obj.repr v)
       in
       Test_util.check_int "as small after 100 ops as after 10" (words 10) (words 100))
 
@@ -446,42 +449,114 @@ let step_program () =
   in
   (run, List.length cut.graph.outputs)
 
+(* The pool's bound can evict, in the first runs, buffers a later run
+   needs, so a few runs pass before one takes every intermediate from the
+   pool. From then on each run allocates fresh only its outputs: they
+   escape the pool, so the runs leave it as they found it. *)
 let test_step_program_reuses_its_buffers () =
   let naive = adam_step (module Naive_backend) in
   let run, n_outputs = step_program () in
-  let first_fresh = ref 0 in
-  for i = 1 to 3 do
+  Test_util.drain_pool ();
+  let first_fresh = ref 0 and settled = ref 0 in
+  for i = 1 to 10 do
     let outputs, fresh = run () in
     Test_util.check_true
       (Printf.sprintf "run %d = naive" i)
       (List.for_all2 Dense.bit_equal naive (Array.to_list outputs));
-    if i = 1 then first_fresh := fresh
-    else Test_util.check_int (Printf.sprintf "run %d allocates its outputs" i) n_outputs fresh
+    Test_util.check_true "held within the high-water mark"
+      (Dense.Arena.held_bytes () <= Dense.Arena.high_water ());
+    if i = 1 then first_fresh := fresh;
+    if !settled > 0 then
+      Test_util.check_int (Printf.sprintf "run %d allocates its outputs" i) n_outputs fresh
+    else if fresh = n_outputs then settled := i
   done;
   Test_util.check_true "the first run allocates more" (!first_fresh > n_outputs);
-  (* another program's run takes the pool over *)
+  Test_util.check_true "settles within six runs" (!settled > 0 && !settled <= 6);
+  (* another program of the same step shares the pool: no warm-up *)
   let other, _ = step_program () in
-  ignore (other ());
-  (* This run starts from an empty pool, so the bytes it leaves live bound
-     what the pool holds after it or any later run of the program. *)
-  let mem = S4o_obs.Memory.global in
-  let was = S4o_obs.Memory.enabled mem in
-  S4o_obs.Memory.reset mem;
-  S4o_obs.Memory.set_enabled mem true;
-  let fresh, pool_bound =
-    Fun.protect
-      ~finally:(fun () ->
-        S4o_obs.Memory.set_enabled mem was;
-        S4o_obs.Memory.reset mem)
-      (fun () ->
-        let fresh = snd (run ()) in
-        (fresh, S4o_obs.Memory.live_bytes mem))
+  Test_util.check_int "another program allocates its outputs" n_outputs (snd (other ()));
+  Test_util.check_int "and so does this one after it" n_outputs (snd (run ()));
+  (* allocating past what the pool holds outside a run drops it *)
+  Test_util.drain_pool ();
+  Test_util.check_true "after outside allocation" (snd (run ()) > n_outputs)
+
+(* {1 One pool for every program} *)
+
+(* LeNet inference on lazy, one program per batch size, as a server runs
+   it. [request b] answers [b] examples and gives the answer with the fresh
+   allocations its run made; [naive b] is the same answer on naive. *)
+let lenet_server () =
+  let engine = Engine.create Spec.gtx1080 in
+  let rt = S4o_lazy.Lazy_runtime.create engine in
+  let module Bk = S4o_lazy.Lazy_backend.Make (struct
+    let rt = rt
+  end) in
+  let module M = S4o_nn.Models.Make (Bk) in
+  let module T = S4o_nn.Train.Make (Bk) in
+  let module Mn = S4o_nn.Models.Make (Naive_backend) in
+  let module Tn = S4o_nn.Train.Make (Naive_backend) in
+  let model = M.lenet (Prng.create 5) and reference = Mn.lenet (Prng.create 5) in
+  let images = (S4o_data.Dataset.synthetic_mnist (Prng.create 6) ~n:16).S4o_data.Dataset.images in
+  let input b = Dense.init_flat [| b; 28; 28; 1 |] (Dense.get_flat images) in
+  let request b =
+    let x = input b in
+    let _, fresh0 = buffer_counts engine in
+    let y = Bk.to_dense (T.predict model (Bk.of_dense x)) in
+    (y, snd (buffer_counts engine) - fresh0)
   in
-  Test_util.check_int "after another program" !first_fresh fresh;
-  Test_util.check_int "steady again" n_outputs (snd (run ()));
-  (* and allocating past what it holds outside a run drops it *)
-  ignore (Dense.zeros [| (pool_bound / 8) + 1 |]);
-  Test_util.check_int "after outside allocation" !first_fresh (snd (run ()))
+  let naive b = Tn.predict reference (input b) in
+  (* what the server keeps, less its metrics registry, whose histograms
+     grow to a fixed reservoir of samples by design *)
+  let reach () =
+    Obj.reachable_words (Obj.repr (rt, model))
+    - Obj.reachable_words (Obj.repr (Engine.metrics engine))
+  in
+  (request, naive, reach)
+
+(* Programs at batch sizes 1, 2, 4 and 8 alternate, with one size seen
+   once among them. Every answer is naive's, bit for bit; the pool never
+   holds more than its high-water mark; and once warm, a recurring size
+   takes every intermediate from buffers the other programs released, so
+   it allocates fresh only its output. *)
+let test_alternating_programs_share_the_pool () =
+  let request, naive, _ = lenet_server () in
+  let sizes = [ 1; 2; 4; 8; 1; 2; 4; 8; 13; 1; 2; 4; 8; 4; 1; 8; 2 ] in
+  (* naive answers first: allocating between requests, outside any run,
+     would count against the pool *)
+  let expected = List.map naive sizes in
+  Test_util.drain_pool ();
+  List.iteri
+    (fun i b ->
+      let y, fresh = request b in
+      Test_util.check_true (Printf.sprintf "request %d (batch %d) = naive" i b)
+        (Dense.bit_equal (List.nth expected i) y);
+      Test_util.check_true "held within the high-water mark"
+        (Dense.Arena.held_bytes () <= Dense.Arena.high_water ());
+      if i >= 8 && b <> 13 then
+        Test_util.check_int (Printf.sprintf "request %d (batch %d) allocates its output" i b) 1
+          fresh)
+    sizes
+
+(* A long-lived server's memory is flat over a cycling mix of batch sizes:
+   what the runtime and model reach beyond their metrics, and what the pool
+   holds, are the same after 2N requests as after N. *)
+let test_cycling_mix_soak_flat () =
+  let request, _, reach = lenet_server () in
+  let sizes = [| 1; 2; 4; 8; 3 |] in
+  let n = 200 in
+  let after k =
+    for i = 1 to k do
+      ignore (request sizes.(i mod Array.length sizes))
+    done;
+    Gc.full_major ();
+    (reach (), Dense.Arena.held_bytes ())
+  in
+  let words_n, held_n = after n in
+  let words_2n, held_2n = after n in
+  Test_util.check_true
+    (Printf.sprintf "runtime reaches %d words after N, %d after 2N" words_n words_2n)
+    (words_2n <= words_n);
+  Test_util.check_int "held bytes" held_n held_2n
 
 let suite =
   let tc = Alcotest.test_case in
@@ -511,6 +586,11 @@ let suite =
         tc "step program reuses its buffers" `Quick test_step_program_reuses_its_buffers;
         tc "result drops its trace" `Quick test_lazy_result_drops_its_trace;
         tc "reports buffer reuse" `Quick test_lazy_reports_buffer_reuse;
+      ] );
+    ( "runtimes.pool",
+      [
+        tc "alternating programs share the pool" `Quick test_alternating_programs_share_the_pool;
+        tc "cycling batch sizes stay flat" `Quick test_cycling_mix_soak_flat;
       ] );
   ]
 

@@ -187,84 +187,125 @@ let test_dense_unbroadcast_same_shape_aliases () =
     | _ -> false
     | exception Shape.Shape_error _ -> true)
 
-(* Scope owners for these tests: negative, so no compiled executable
-   (numbered from 0) shares one. *)
+(* [t]'s elements are the leading elements of [released]'s buffer: a write
+   to [t] shows through [released]. *)
+let views_buffer_of ~released t =
+  D.numel t <= D.numel released
+  && begin
+       D.fill t 7.0;
+       Array.for_all (fun v -> v = 7.0) (Array.sub (D.to_array released) 0 (D.numel t))
+     end
+
 let test_dense_arena_scoped_reuse () =
-  let fresh_after_scope released =
-    D.unsafe_data (D.zeros (D.shape released)) != D.unsafe_data released
-  in
-  let a = D.zeros [| 5 |] and ones = D.ones [| 5 |] in
+  Test_util.drain_pool ();
+  let a = D.zeros [| 5 |] and ones = D.ones [| 4 |] in
   let reused, fresh =
-    D.Arena.scoped ~owner:(-10) (fun arena ->
+    D.Arena.scoped (fun arena ->
         D.Arena.release arena a;
-        let other_size = D.zeros [| 4 |] in
-        let b = D.ones [| 5 |] in
+        let b = D.ones [| 4 |] in
+        (* a larger class allocates fresh *)
+        ignore (D.zeros [| 6 |]);
         (* a worker domain sees no arena: its allocation is uncounted *)
-        Domain.join (Domain.spawn (fun () -> ignore (D.zeros [| 5 |])));
-        Test_util.check_true "same-size request served from the arena"
-          (D.unsafe_data b == D.unsafe_data a);
-        Test_util.check_true "other sizes allocate fresh"
-          (D.unsafe_data other_size != D.unsafe_data a);
+        Domain.join (Domain.spawn (fun () -> ignore (D.zeros [| 4 |])));
         Test_util.check_tensor "reused buffer rewritten" ones b;
+        Test_util.check_true "a smaller request is an exact-length view of it"
+          (D.numel b = 4 && views_buffer_of ~released:a b);
         (D.Arena.reused arena, D.Arena.fresh arena))
   in
   Test_util.check_int "one reuse" 1 reused;
   Test_util.check_int "one fresh, on this domain only" 1 fresh;
   let c = D.zeros [| 7 |] in
   Test_util.check_raises_any "kernel failure propagates" (fun () ->
-      D.Arena.scoped ~owner:(-11) (fun arena ->
+      D.Arena.scoped (fun arena ->
           D.Arena.release arena c;
           failwith "kernel failed"));
-  Test_util.check_true "no arena after a raise" (fresh_after_scope c);
+  Test_util.check_true "no arena after a raise"
+    (not (views_buffer_of ~released:c (D.zeros [| 7 |])));
   let d = D.zeros [| 6 |] in
-  D.Arena.scoped ~owner:(-12) (fun arena -> D.Arena.release arena d);
-  Test_util.check_true "no arena after the scope" (fresh_after_scope d)
+  D.Arena.scoped (fun arena -> D.Arena.release arena d);
+  Test_util.check_true "no arena after the scope"
+    (not (views_buffer_of ~released:d (D.zeros [| 6 |])));
+  Test_util.check_true "held bytes within the high-water mark"
+    (D.Arena.held_bytes () <= D.Arena.high_water ())
 
-(* The pool outlives its scope, for the next scope of the same owner only,
-   and until allocations outside any scope exceed what it holds. *)
+(* One pool per domain, shared by every scope and bounded by the most any
+   scope had live. Run on a fresh domain, whose pool starts empty with a
+   zero high-water mark, so the byte counts below are exact: requests of
+   100, 400 and 500 elements take classes of 112, 448 and 512. *)
 let test_dense_arena_pool_rules () =
-  let in_scope owner f =
-    D.Arena.scoped ~owner (fun arena ->
-        let r = f arena in
-        (r, D.Arena.fresh arena))
-  in
-  (* the pool then holds exactly [x]: 8000 bytes *)
-  let released () =
-    let x = D.zeros [| 1000 |] in
-    fst (in_scope (-20) (fun arena -> D.Arena.release arena x; x))
-  in
-  let x = released () in
-  let y, fresh = in_scope (-20) (fun _ -> D.zeros [| 1000 |]) in
-  Test_util.check_true "the next scope of its owner reuses it"
-    (D.unsafe_data y == D.unsafe_data x);
-  Test_util.check_int "nothing fresh" 0 fresh;
-  let x = released () in
-  let y, fresh = in_scope (-21) (fun _ -> D.zeros [| 1000 |]) in
-  Test_util.check_true "another owner empties it"
-    (D.unsafe_data y != D.unsafe_data x);
-  Test_util.check_int "one fresh" 1 fresh;
-  let x = released () in
-  ignore (D.zeros [| 1000 |]);
-  let y, _ = in_scope (-20) (fun _ -> D.zeros [| 1000 |]) in
-  Test_util.check_true "outside allocation up to the held bytes keeps it"
-    (D.unsafe_data y == D.unsafe_data x);
-  let x = released () in
-  ignore (D.zeros [| 500 |]);
-  ignore (D.zeros [| 501 |]);
-  let y, _ = in_scope (-20) (fun _ -> D.zeros [| 1000 |]) in
-  Test_util.check_true "past them empties it"
-    (D.unsafe_data y != D.unsafe_data x)
+  Domain.join
+    (Domain.spawn (fun () ->
+         let bounded () =
+           Test_util.check_true "held within the high-water mark"
+             (D.Arena.held_bytes () <= D.Arena.high_water ())
+         in
+         let c =
+           D.Arena.scoped (fun arena ->
+               let a = D.zeros [| 100 |] and c = D.zeros [| 400 |] in
+               (* escapes the scope, as a program's output does *)
+               ignore (D.zeros [| 400 |]);
+               D.Arena.release arena a;
+               D.Arena.release arena c;
+               c)
+         in
+         Test_util.check_int "high water: all three live at once"
+           (8 * (112 + 448 + 448)) (D.Arena.high_water ());
+         Test_util.check_int "held: the two released" (8 * (112 + 448))
+           (D.Arena.held_bytes ());
+         bounded ();
+         D.Arena.scoped (fun _ ->
+             (* no held buffer fits: fresh, once the least recently used
+                class, the first released, is evicted to stay under the mark *)
+             ignore (D.zeros [| 500 |]);
+             Test_util.check_int "only the LRU class evicted" (8 * 448)
+               (D.Arena.held_bytes ());
+             bounded ();
+             Test_util.check_true "another scope takes the recent class"
+               (views_buffer_of ~released:c (D.zeros [| 400 |])));
+         let x =
+           D.Arena.scoped (fun arena ->
+               let x = D.zeros [| 1000 |] in
+               D.Arena.release arena x;
+               x)
+         in
+         let held = D.Arena.held_bytes () in
+         ignore (D.zeros [| held / 8 |]);
+         D.Arena.scoped (fun _ ->
+             Test_util.check_true "outside allocation up to the held bytes keeps it"
+               (views_buffer_of ~released:x (D.zeros [| 1000 |])));
+         let x =
+           D.Arena.scoped (fun arena ->
+               let x = D.zeros [| 1000 |] in
+               D.Arena.release arena x;
+               x)
+         in
+         ignore (D.zeros [| D.Arena.held_bytes () / 16 |]);
+         ignore (D.zeros [| (D.Arena.held_bytes () / 16) + 1 |]);
+         Test_util.check_int "past them empties it" 0 (D.Arena.held_bytes ());
+         D.Arena.scoped (fun _ ->
+             Test_util.check_true "nothing left to reuse"
+               (not (views_buffer_of ~released:x (D.zeros [| 1000 |]))));
+         bounded ()))
 
-(* With the sanitizer armed, a buffer is poisoned as it enters the pool. *)
+(* With the sanitizer armed, a buffer is poisoned as it enters the pool or
+   goes back to the scratch cache. *)
 let test_dense_arena_poison () =
   let x = D.ones [| 4 |] in
   let was = Sanitizer.armed () in
   Sanitizer.set_armed true;
-  Fun.protect
-    ~finally:(fun () -> Sanitizer.set_armed was)
-    (fun () -> D.Arena.scoped ~owner:(-30) (fun arena -> D.Arena.release arena x));
+  let scratch =
+    Fun.protect
+      ~finally:(fun () -> Sanitizer.set_armed was)
+      (fun () ->
+        D.Arena.scoped (fun arena -> D.Arena.release arena x);
+        D.with_scratch [| 3 |] (fun t ->
+            D.fill t 1.0;
+            D.unsafe_data t))
+  in
   Test_util.check_true "released buffer reads NaN"
-    (Array.for_all Float.is_nan (D.to_array x))
+    (Array.for_all Float.is_nan (D.to_array x));
+  Test_util.check_true "returned scratch reads NaN"
+    (Float.is_nan (Bigarray.Array1.get scratch 0))
 
 let qcheck_unbroadcast_adjoint =
   (* <broadcast x, y> = <x, unbroadcast y> : the defining adjoint property *)
@@ -683,7 +724,7 @@ let suite =
         tc "unbroadcast to own shape aliases" `Quick
           test_dense_unbroadcast_same_shape_aliases;
         tc "arena reuses within its scope" `Quick test_dense_arena_scoped_reuse;
-        tc "arena pool kept for its owner" `Quick test_dense_arena_pool_rules;
+        tc "arena pool shared by every scope" `Quick test_dense_arena_pool_rules;
         tc "arena poisons released buffers" `Quick test_dense_arena_poison;
         tc "reductions" `Quick test_dense_reductions;
         tc "argmax rows" `Quick test_dense_argmax_rows;
@@ -1021,18 +1062,22 @@ let qcheck_map2_fast_paths_match_strided =
    Random broadcast-compatible shape pairs, built to hit every plan: equal
    shapes, scalars (rank 0 and all-ones), trailing-suffix rows with and
    without leading 1s (including a small side with more axes than the big
-   one), and arbitrary stretched axes that only the strided walker handles;
-   either operand order. Values mix signed zeros with normals so [div]
-   produces infinities and NaNs, and results are compared bit for bit. *)
+   one), one contiguous run of stretched axes (a pooled [[N;1;1;C]], a
+   [[N;1]] column), and arbitrary stretched axes that only the strided
+   walker handles; either operand order. Extents include odd ones (5, 7)
+   so loops over rows and blocks do not divide evenly. Values mix signed
+   zeros with normals so [div] produces infinities and NaNs, and results
+   are compared bit for bit. Reductions cover leading prefixes, random
+   subsets and contiguous runs of axes. *)
 
 let broadcast_case_gen =
   let open QCheck.Gen in
-  let dim = frequency [ (1, return 0); (14, int_range 1 4) ] in
+  let dim = frequency [ (1, return 0); (12, int_range 1 4); (3, oneofl [ 5; 7 ]) ] in
   let* big = array_size (int_range 0 4) dim in
   let r = Array.length big in
   let suffix k = Array.sub big (r - k) k in
   let* small =
-    int_range 0 4 >>= function
+    int_range 0 5 >>= function
     | 0 -> return (Array.copy big)
     | 1 -> map (fun k -> Array.make k 1) (int_range 0 r)
     | 2 -> map suffix (int_range 0 r)
@@ -1040,6 +1085,10 @@ let broadcast_case_gen =
         map2
           (fun ones k -> Array.append (Array.make ones 1) (suffix k))
           (int_range 1 3) (int_range 0 r)
+    | 4 ->
+        map2
+          (fun p len -> Array.mapi (fun i d -> if i >= p && i < p + len then 1 else d) big)
+          (int_range 0 r) (int_range 1 4)
     | _ ->
         map
           (fun mask ->
@@ -1047,7 +1096,7 @@ let broadcast_case_gen =
           (int_range 0 15)
   in
   let* swap = bool in
-  let* axes_kind = int_range 0 2 in
+  let* axes_kind = int_range 0 3 in
   let* axes_pick = int_range 0 15 in
   let* keep_dims = bool in
   let+ seed = int_range 0 100_000 in
@@ -1073,7 +1122,7 @@ let same_bits x y =
        (D.to_array x) (D.to_array y)
 
 let qcheck_broadcast_plans_bit_identical =
-  Test_util.qtest ~count:400 "broadcast plans are bit-identical to the walkers"
+  Test_util.qtest ~count:600 "broadcast plans are bit-identical to the walkers"
     broadcast_case
     (fun (sa, sb, (axes_kind, axes_pick, keep_dims), seed) ->
       let g = Prng.create seed in
@@ -1101,13 +1150,17 @@ let qcheck_broadcast_plans_bit_identical =
               (D.map2_strided (fun v _ -> v) t (D.zeros out)))
           [ a; b ]
       in
-      (* leading prefixes (the row-accumulate path), random subsets, and
-         the same subsets listed in reverse, as [unbroadcast] builds them *)
+      (* leading prefixes, random subsets, the same subsets listed in
+         reverse, as [unbroadcast] builds them, and contiguous runs (the
+         blocks path) *)
       let r = Shape.rank out in
       let axes =
         match axes_kind with
         | 0 -> List.init (if r = 0 then 0 else 1 + (axes_pick mod r)) Fun.id
         | 1 -> List.filter (fun i -> axes_pick land (1 lsl i) <> 0) (List.init r Fun.id)
+        | 2 ->
+            let p = axes_pick mod (r + 1) in
+            List.filter (fun i -> i >= p && i <= p + (axes_pick / 4)) (List.init r Fun.id)
         | _ ->
             List.rev
               (List.filter (fun i -> axes_pick land (1 lsl i) <> 0) (List.init r Fun.id))

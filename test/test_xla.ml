@@ -441,22 +441,25 @@ let test_run_repeated_feeds () =
     [ ("aliased output", aliased_output_graph ()); ("consumed output", output_consumed_graph ()) ]
 
 let test_run_reuses_dead_buffers () =
-  (* neg^4 x: each neg's operand dies as it runs, so from the third neg on
-     every output takes the buffer freed two steps before *)
+  (* neg^4 x: each neg's operand dies as it runs, so the third neg takes the
+     buffer the first freed; the fourth, the graph output, is allocated
+     fresh, since it outlives the run *)
   let x = Hlo.param ~index:0 ~shape:[| 64 |] in
   let rec chain k n = if k = 0 then n else chain (k - 1) (Hlo.op (C.neg [| 64 |]) [ n ]) in
   let exe = Compiler.compile (Hlo.graph_of_outputs [ chain 4 x ]) in
   let engine = new_engine () in
   let xv = Dense.rand_normal (Prng.create 7) [| 64 |] in
+  Test_util.drain_pool ();
   let out = (Compiler.run exe engine [| xv |]).(0) in
   Test_util.check_true "value" (Dense.bit_equal xv out);
   let m = S4o_device.Engine.metrics engine in
   let count name = S4o_obs.Metrics.counter_value (S4o_obs.Metrics.counter m name) in
-  Test_util.check_int "reused" 2 (count "xla.buffers_reused");
-  Test_util.check_int "fresh" 2 (count "xla.buffers_fresh")
+  Test_util.check_int "reused" 1 (count "xla.buffers_reused");
+  Test_util.check_int "fresh" 3 (count "xla.buffers_fresh")
 
-(* Conv kernels hand their own scratch (im2col panels, backward-filter's
-   patch panels, backward-input's product panels) back to the pool. *)
+(* Conv kernels take their scratch (im2col panels, backward-filter's patch
+   panels, backward-input's product panels and transposed filter) from each
+   domain's scratch cache. *)
 let conv_param i shape = Hlo.param ~index:i ~shape
 
 (* (d) A 1x1 stride-1 conv's patch matrix is a view of its input, not
@@ -487,8 +490,9 @@ let test_run_pointwise_conv_input_live () =
   check_run "pointwise conv of a feed" (reread x) feeds;
   check_run "pointwise conv of an intermediate" (reread (Hlo.op (C.neg xs) [ x ])) feeds
 
-(* (e) Two 3x3 convs in a row: the second conv's im2col panel takes the
-   buffer the first conv released. *)
+(* (e) Two 3x3 convs in a row. Their patch panels come from each domain's
+   scratch cache, not from the pool: a run allocates only the two conv
+   results, and once the cache is warm no scratch is allocated at all. *)
 let test_run_conv_scratch_reused () =
   let xs = [| 2; 6; 6; 4 |] and fs = [| 3; 3; 4; 4 |] in
   let conv x f =
@@ -506,12 +510,35 @@ let test_run_conv_scratch_reused () =
     |]
   in
   let engine = new_engine () in
-  check_bits "two 3x3 convs" (eval_direct g feeds) (Compiler.run (Compiler.compile g) engine feeds);
+  let exe = Compiler.compile g in
   let m = S4o_device.Engine.metrics engine in
   let count name = S4o_obs.Metrics.counter_value (S4o_obs.Metrics.counter m name) in
-  (* conv 1 output, panel 1, conv 2 output, panel 2 (reused) *)
-  Test_util.check_int "reused" 1 (count "xla.buffers_reused");
-  Test_util.check_int "fresh" 3 (count "xla.buffers_fresh")
+  (* computed outside any scope first: fresh allocations between runs
+     would count against the pool *)
+  let expected = eval_direct g feeds in
+  Test_util.drain_pool ();
+  check_bits "two 3x3 convs" expected (Compiler.run exe engine feeds);
+  Test_util.check_int "first run: nothing to reuse" 0 (count "xla.buffers_reused");
+  Test_util.check_int "first run: the two conv results" 2 (count "xla.buffers_fresh");
+  let mem = S4o_obs.Memory.global in
+  let was = S4o_obs.Memory.enabled mem in
+  S4o_obs.Memory.reset mem;
+  S4o_obs.Memory.set_enabled mem true;
+  let scratch_allocs =
+    Fun.protect
+      ~finally:(fun () ->
+        S4o_obs.Memory.set_enabled mem was;
+        S4o_obs.Memory.reset mem)
+      (fun () ->
+        check_bits "second run" expected (Compiler.run exe engine feeds);
+        List.fold_left
+          (fun n (t : S4o_obs.Memory.tag_stats) -> if t.tag = "scratch" then n + t.allocs else n)
+          0 (S4o_obs.Memory.tags mem))
+  in
+  Test_util.check_int "second run: no scratch allocated" 0 scratch_allocs;
+  (* conv 1's result reuses its first-run buffer; conv 2's is the output *)
+  Test_util.check_int "second run: reused" 1 (count "xla.buffers_reused");
+  Test_util.check_int "second run: fresh" 3 (count "xla.buffers_fresh")
 
 let qcheck_compiled_equals_direct =
   (* random elementwise DAGs: the compiler pipeline must preserve semantics *)
