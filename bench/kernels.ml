@@ -1,8 +1,9 @@
 (** [bench kernels]: the repo's first {e real} (wall-clock, non-simulated)
     performance section. It measures the Bigarray kernel layer against the
     retained {!S4o_tensor.Reference} implementations — matmul GFLOP/s,
-    im2col conv2d vs the naive loop nest (one ResNet-block shape, plus the
-    LeNet conv1, resnet stem and backward-filter shapes models run), fused
+    implicit-GEMM conv2d vs the naive loop nest (one ResNet-block shape,
+    plus the LeNet conv1, resnet stem, stride-2 and backward-filter shapes
+    models run), fused
     elementwise vs the generic stride walker, the channel-broadcast and
     leading-axis-sum plans that BatchNorm runs, and matmul scaling over
     1/2/4/8 domains — and with [--json] writes [BENCH_kernels.json].
@@ -14,7 +15,7 @@
     raw timings are not. The run fails (exit 1) if any kernel's current
     speedup drops below half its baseline: a generous bound that only an
     accidental algorithmic regression (e.g. losing the blocking or the
-    im2col path) can trip. *)
+    implicit-GEMM path) can trip. *)
 
 module Dense = S4o_tensor.Dense
 module Convolution = S4o_tensor.Convolution
@@ -127,7 +128,7 @@ let bench_conv ~quick ~min_time =
   let filter = Dense.rand_normal rng [| 3; 3; c; c |] in
   let shape_str = Printf.sprintf "[%d;%d;%d;%d]x[3;3;%d;%d]" n hw hw c c c in
   let new_t =
-    time_it ~min_time ~name:"conv2d-im2col" (fun () ->
+    time_it ~min_time ~name:"conv2d-gemm" (fun () ->
         Convolution.conv2d ~domains:1 ~padding:Convolution.Same input filter)
   in
   let ref_t =
@@ -141,8 +142,8 @@ let bench_conv ~quick ~min_time =
   in
   let speedup = ref_t /. new_t in
   Report.table
-    ~title:"Kernels 2: conv2d (ResNet-block shape), im2col vs naive loops"
-    ~headers:[ "shape"; "im2col ms"; "naive ms"; "GFLOP/s"; "speedup" ]
+    ~title:"Kernels 2: conv2d (ResNet-block shape), implicit GEMM vs naive loops"
+    ~headers:[ "shape"; "ours ms"; "naive ms"; "GFLOP/s"; "speedup" ]
     ~rows:
       [
         [
@@ -169,33 +170,35 @@ let bench_conv ~quick ~min_time =
   ]
 
 (* The conv kernels at shapes the shipped models run at batch 32: LeNet
-   conv1 (one input channel, 5-float patch spans), the resnet-tiny stem,
-   and backward-filter on a resnet-tiny 8->8 block conv. *)
+   conv1 (one input channel, 5-float window rows), the resnet-tiny stem and
+   its 8->16 stride-2 conv, and backward-filter on a resnet-tiny 8->8 block
+   conv and on LeNet conv1. *)
 let bench_conv_shapes ~min_time =
   let rng = S4o_tensor.Prng.create 47 in
-  let case ~key ~kernel ~ishape ~fshape ~padding =
+  let case ?(stride = (1, 1)) ~key ~kernel ~ishape ~fshape ~padding () =
     let input = Dense.rand_normal rng ishape in
     let filter = Dense.rand_normal rng fshape in
     let grad =
-      Dense.rand_normal rng (Dense.shape (Convolution.conv2d ~padding input filter))
+      Dense.rand_normal rng
+        (Dense.shape (Convolution.conv2d ~stride ~padding input filter))
     in
     let ours, reference =
       match kernel with
       | `Forward ->
-          ( (fun () -> Convolution.conv2d ~domains:1 ~padding input filter),
-            fun () -> Reference.conv2d ~padding input filter )
+          ( (fun () -> Convolution.conv2d ~domains:1 ~stride ~padding input filter),
+            fun () -> Reference.conv2d ~stride ~padding input filter )
       | `Backward_filter ->
           ( (fun () ->
-              Convolution.conv2d_backward_filter ~domains:1 ~padding
+              Convolution.conv2d_backward_filter ~domains:1 ~stride ~padding
                 ~filter_shape:fshape input grad),
             fun () ->
-              Reference.conv2d_backward_filter ~padding ~filter_shape:fshape input
-                grad )
+              Reference.conv2d_backward_filter ~stride ~padding ~filter_shape:fshape
+                input grad )
     in
-    let new_t = time_it ~min_time ~name:(key ^ "-im2col") ours in
+    let new_t = time_it ~min_time ~name:(key ^ "-gemm") ours in
     let ref_t = time_it ~min_time ~name:(key ^ "-naive") reference in
     let flops =
-      float_of_int (Convolution.conv2d_flops ~padding ~input:ishape fshape)
+      float_of_int (Convolution.conv2d_flops ~stride ~padding ~input:ishape fshape)
     in
     let dims d = String.concat ";" (Array.to_list (Array.map string_of_int d)) in
     let shape_str = Printf.sprintf "[%s]x[%s]" (dims ishape) (dims fshape) in
@@ -225,12 +228,18 @@ let bench_conv_shapes ~min_time =
   let rows =
     [
       case ~key:"conv2d_lenet_conv1" ~kernel:`Forward ~ishape:[| 32; 28; 28; 1 |]
-        ~fshape:[| 5; 5; 1; 6 |] ~padding:Convolution.Same;
+        ~fshape:[| 5; 5; 1; 6 |] ~padding:Convolution.Same ();
       case ~key:"conv2d_resnet_stem" ~kernel:`Forward ~ishape:[| 32; 32; 32; 3 |]
-        ~fshape:[| 3; 3; 3; 8 |] ~padding:Convolution.Same;
+        ~fshape:[| 3; 3; 3; 8 |] ~padding:Convolution.Same ();
+      case ~key:"conv2d_resnet_stride2" ~kernel:`Forward ~stride:(2, 2)
+        ~ishape:[| 32; 32; 32; 8 |] ~fshape:[| 3; 3; 8; 16 |]
+        ~padding:Convolution.Same ();
       case ~key:"conv2d_backward_filter_resnet" ~kernel:`Backward_filter
         ~ishape:[| 32; 32; 32; 8 |] ~fshape:[| 3; 3; 8; 8 |]
-        ~padding:Convolution.Same;
+        ~padding:Convolution.Same ();
+      case ~key:"conv2d_backward_filter_lenet" ~kernel:`Backward_filter
+        ~ishape:[| 32; 28; 28; 1 |] ~fshape:[| 5; 5; 1; 6 |]
+        ~padding:Convolution.Same ();
     ]
   in
   Report.table

@@ -31,9 +31,9 @@ let maybe_parallel ?domains ~work ~n f =
   if work <= serial_cutoff then f 0 n else Pool.run ?domains ~n f
 
 (* The geometry every conv kernel shares. Patch rows are indexed
-   [r = (b*oh + oy)*ow + ox]; patch columns [(ky*kw + kx)*cin + c]. In NHWC
-   the [cin] innermost span of both the input and the patch row is
-   contiguous, so im2col and col2im move whole spans. *)
+   [r = (b*oh + oy)*ow + ox]; patch columns [(ky*kw + kx)*cin + c]. [hp]
+   and [wp] are the input's extents once zero-padded on both sides: every
+   window lies inside that padded image. *)
 type geom = {
   n : int;
   h : int;
@@ -47,6 +47,8 @@ type geom = {
   sw : int;
   ph : int;
   pw : int;
+  hp : int;
+  wp : int;
 }
 
 let geom ~stride ~padding ~ishape ~kh ~kw =
@@ -54,9 +56,9 @@ let geom ~stride ~padding ~ishape ~kh ~kw =
   let n = ishape.(0) and h = ishape.(1) and w = ishape.(2) and cin = ishape.(3) in
   let oh = out_dim padding ~size:h ~kernel:kh ~stride:sh in
   let ow = out_dim padding ~size:w ~kernel:kw ~stride:sw in
-  let ph, _ = pad_amounts padding ~size:h ~kernel:kh ~stride:sh in
-  let pw, _ = pad_amounts padding ~size:w ~kernel:kw ~stride:sw in
-  { n; h; w; cin; kh; kw; oh; ow; sh; sw; ph; pw }
+  let ph, ph' = pad_amounts padding ~size:h ~kernel:kh ~stride:sh in
+  let pw, pw' = pad_amounts padding ~size:w ~kernel:kw ~stride:sw in
+  { n; h; w; cin; kh; kw; oh; ow; sh; sw; ph; pw; hp = h + ph + ph'; wp = w + pw + pw' }
 
 (* A 1x1 stride-1 unpadded convolution is exactly a matmul of the flattened
    input: the patch matrix would be a copy of it. *)
@@ -65,7 +67,7 @@ let is_pointwise g =
 
 (* The output position [(b, oy, ox)] of patch row [r = (b*oh + oy)*ow + ox],
    stepped row by row: one division per run of rows instead of four per
-   row, which for LeNet conv1 (25 floats a row) cost as much as the copy. *)
+   row. *)
 type cursor = { mutable b : int; mutable oy : int; mutable ox : int }
 
 let cursor g r =
@@ -84,64 +86,57 @@ let[@inline] advance g c =
     end
   end
 
-(* Span moves for im2col. A span is [kw*cin] floats or fewer (5 for LeNet
-   conv1), so a [Bigarray.Array1.sub] proxy per span would cost more than
-   the copy: these are plain loops. *)
-let[@inline] zero_span (pd : Dense.buffer) off len =
-  for i = off to off + len - 1 do
-    A.unsafe_set pd i 0.0
-  done
+(* {2 Implicit GEMM}
 
-let[@inline] copy_span (id : Dense.buffer) src (pd : Dense.buffer) dst len =
-  for i = 0 to len - 1 do
-    A.unsafe_set pd (dst + i) (A.unsafe_get id (src + i))
-  done
+   Patch element [(r, p)] is [xp.{base r + koff p}] in the padded image
+   [xp]: [base r] is where row [r]'s window starts, [koff p] where column
+   [p] sits in a window. These fill {!Dense.matmul_gather}'s offset tables:
+   the forward pass gathers patch rows, the backward-filter pass patch
+   columns. *)
 
-(* Zero the columns [a, b) of a patch row that fall in the window
-   [c0, c1); column [c] is at [base + c] in [pd]. *)
-let[@inline] zero_clipped (pd : Dense.buffer) base ~c0 ~c1 a b =
-  let a = Int.max a c0 and b = Int.min b c1 in
-  if b > a then zero_span pd (base + a) (b - a)
-
-(* Write columns [c0, c1) of patch rows [lo, hi) into [pd], element
-   [(r, c)] at [(r - first) * (c1 - c0) + c - c0]. Every element is written
-   exactly once — image data as contiguous span copies, out-of-image
-   (padding) columns as explicit zero spans — so [pd] may start
-   uninitialized. *)
-let fill_patch_strip g (id : Dense.buffer) (pd : Dense.buffer) ~first ~c0 ~c1 lo hi =
-  let { h; w; cin; kh; kw; sh; sw; ph; pw; _ } = g in
-  let span = kw * cin in
-  (* the ky rows of the window: each is [span] consecutive columns *)
-  let ky0 = c0 / span and ky1 = Int.min kh (((c1 - 1) / span) + 1) in
+let fill_bases g lo hi tbl =
   let pos = cursor g lo in
   for r = lo to hi - 1 do
-    let b = pos.b and oy = pos.oy and ox = pos.ox in
-    advance g pos;
-    (* column [c] of the row lands at [base + c] *)
-    let base = ((r - first) * (c1 - c0)) - c0 in
-    (* the in-image kx range: consecutive kx read consecutive input
-       columns at any stride, so it is one contiguous span of
-       (kx1-kx0)*cin floats on both sides, with zero fringes for the
-       padding columns *)
-    let ix0 = (ox * sw) - pw in
-    let kx0 = Int.min kw (Int.max 0 (-ix0)) in
-    let kx1 = Int.max kx0 (Int.min kw (w - ix0)) in
-    for ky = ky0 to ky1 - 1 do
-      let iy = (oy * sh) + ky - ph in
-      let k0 = ky * span in
-      if iy < 0 || iy >= h then zero_clipped pd base ~c0 ~c1 k0 (k0 + span)
-      else begin
-        let a = k0 + (kx0 * cin) and z = k0 + (kx1 * cin) in
-        zero_clipped pd base ~c0 ~c1 k0 a;
-        let a' = Int.max a c0 and z' = Int.min z c1 in
-        if z' > a' then
-          copy_span id
-            (((((b * h) + iy) * w) + ix0 + kx0) * cin + a' - a)
-            pd (base + a') (z' - a');
-        zero_clipped pd base ~c0 ~c1 z (k0 + span)
-      end
-    done
+    tbl.(r - lo) <-
+      ((((pos.b * g.hp) + (pos.oy * g.sh)) * g.wp) + (pos.ox * g.sw)) * g.cin;
+    advance g pos
   done
+
+(* Column [p = ky*span + (kx*cin + c)] sits [ky] padded image rows and
+   [kx*cin + c] floats into its window. *)
+let fill_koffs g lo hi tbl =
+  let span = g.kw * g.cin and row = g.wp * g.cin in
+  let ky = ref (lo / span) and x = ref (lo mod span) in
+  for p = lo to hi - 1 do
+    tbl.(p - lo) <- (!ky * row) + !x;
+    incr x;
+    if !x = span then begin
+      x := 0;
+      incr ky
+    end
+  done
+
+(* Runs [f] on the input zero-padded to [hp x wp]: the input itself when
+   there is no padding, else a copy in kernel scratch. The padding zeros
+   are the ones im2col would have multiplied. *)
+let with_padded g input f =
+  let id = Dense.unsafe_data input in
+  if g.hp = g.h && g.wp = g.w then f id
+  else
+    Dense.with_scratch [| g.n; g.hp; g.wp; g.cin |] (fun xp ->
+        let pd = Dense.unsafe_data xp in
+        A.fill pd 0.0;
+        let span = g.w * g.cin in
+        for b = 0 to g.n - 1 do
+          for y = 0 to g.h - 1 do
+            let src = ((b * g.h) + y) * span in
+            let dst = ((((b * g.hp) + y + g.ph) * g.wp) + g.pw) * g.cin in
+            for i = 0 to span - 1 do
+              A.unsafe_set pd (dst + i) (A.unsafe_get id (src + i))
+            done
+          done
+        done;
+        f pd)
 
 let conv2d ?domains ?(stride = (1, 1)) ~padding input filter =
   check_rank4 "conv2d input" input;
@@ -157,23 +152,16 @@ let conv2d ?domains ?(stride = (1, 1)) ~padding input filter =
   let out =
     if is_pointwise g then
       Dense.matmul ?domains (Dense.with_shape input [| rows; cols |]) filter_mat
-    else begin
-      (* im2col one cache-sized panel of patch rows at a time, straight
-         into the matmul: the patch matrix is never materialized *)
-      let id = Dense.unsafe_data input in
-      Dense.matmul_panels ?domains ~m:rows ~k:cols filter_mat
-        ~fill:(fun lo hi panel ->
-          Sanitizer.note_read id ~lo:0 ~len:(A.dim id) ~who:"im2col input";
-          fill_patch_strip g id panel ~first:lo ~c0:0 ~c1:cols lo hi)
-    end
+    else
+      with_padded g input (fun xp ->
+          Dense.matmul_gather ?domains ~m:rows ~k:cols ~rows:(fill_bases g)
+            ~cols:(fill_koffs g) xp filter_mat)
   in
   Dense.with_shape out [| g.n; g.oh; g.ow; cout |]
 
-(* dL/dfilter = patches^T x grad: [cols; rows] x [rows; cout]. The patch
-   matrix is never materialized: each pool job fills a strip of its columns
-   one panel of 128-row reduction blocks at a time, and the transposed-
-   operand matmul folds each panel into [dfilter] while it is in cache.
-   The blocks arrive in ascending order, so every element keeps
+(* dL/dfilter = patches^T x grad: [cols; rows] x [rows; cout]. The
+   transposed patch matrix is gathered from the padded input like the
+   forward's, with the tables swapped, so every element keeps
    [Dense.matmul_tn]'s accumulation order for any domain count. *)
 let conv2d_backward_filter ?domains ?(stride = (1, 1)) ~padding ~filter_shape
     input grad =
@@ -188,13 +176,10 @@ let conv2d_backward_filter ?domains ?(stride = (1, 1)) ~padding ~filter_shape
   let dfilter =
     if is_pointwise g then
       Dense.matmul_tn ?domains (Dense.with_shape input [| rows; cols |]) grad_mat
-    else begin
-      let id = Dense.unsafe_data input in
-      Dense.matmul_tn_panels ?domains ~k:rows ~m:cols grad_mat
-        ~fill:(fun lo hi c0 c1 panel ->
-          Sanitizer.note_read id ~lo:0 ~len:(A.dim id) ~who:"im2col input";
-          fill_patch_strip g id panel ~first:lo ~c0 ~c1 lo hi)
-    end
+    else
+      with_padded g input (fun xp ->
+          Dense.matmul_gather ?domains ~m:cols ~k:rows ~rows:(fill_koffs g)
+            ~cols:(fill_bases g) xp grad_mat)
   in
   Dense.with_shape dfilter filter_shape
 
@@ -256,6 +241,12 @@ let pool_out_shape ishape (kh, kw) (sh, sw) =
   let ow = out_dim Valid ~size:w ~kernel:kw ~stride:sw in
   [| n; oh; ow; c |]
 
+(* The pools walk whole channel spans: in NHWC the [c] channels of a
+   pixel are contiguous, so each window position adds one span of [c]
+   floats. Every output element still sums its window in (ky, kx) order
+   from +0.0, then scales by [inv], and every input element of the
+   backward pass receives its addends in (oy, ox) order, as in the
+   per-element definition, so the bits are the same. *)
 let avg_pool2d ~size ~stride input =
   check_rank4 "avg_pool2d" input;
   let kh, kw = size and sh, sw = stride in
@@ -263,7 +254,7 @@ let avg_pool2d ~size ~stride input =
   let h = ishape.(1) and w = ishape.(2) and c = ishape.(3) in
   let oshape = pool_out_shape ishape size stride in
   let n = oshape.(0) and oh = oshape.(1) and ow = oshape.(2) in
-  let out = Dense.zeros oshape in
+  let out = Dense.uninit oshape in
   let id = Dense.unsafe_data input and od = Dense.unsafe_data out in
   let inv = 1.0 /. float_of_int (kh * kw) in
   let body blo bhi =
@@ -274,16 +265,21 @@ let avg_pool2d ~size ~stride input =
     for b = blo to bhi - 1 do
       for oy = 0 to oh - 1 do
         for ox = 0 to ow - 1 do
+          let o = ((((b * oh) + oy) * ow) + ox) * c in
           for ch = 0 to c - 1 do
-            let acc = ref 0.0 in
-            for ky = 0 to kh - 1 do
-              for kx = 0 to kw - 1 do
-                let iy = (oy * sh) + ky and ix = (ox * sw) + kx in
-                acc :=
-                  !acc +. A.unsafe_get id ((((((b * h) + iy) * w) + ix) * c) + ch)
+            A.unsafe_set od (o + ch) 0.0
+          done;
+          for ky = 0 to kh - 1 do
+            for kx = 0 to kw - 1 do
+              let src = ((((b * h) + (oy * sh) + ky) * w) + (ox * sw) + kx) * c in
+              for ch = 0 to c - 1 do
+                A.unsafe_set od (o + ch)
+                  (A.unsafe_get od (o + ch) +. A.unsafe_get id (src + ch))
               done
-            done;
-            A.unsafe_set od ((((((b * oh) + oy) * ow) + ox) * c) + ch) (!acc *. inv)
+            done
+          done;
+          for ch = 0 to c - 1 do
+            A.unsafe_set od (o + ch) (A.unsafe_get od (o + ch) *. inv)
           done
         done
       done
@@ -308,15 +304,13 @@ let avg_pool2d_backward ~size ~stride ~input_shape grad =
     for b = blo to bhi - 1 do
       for oy = 0 to oh - 1 do
         for ox = 0 to ow - 1 do
-          for ch = 0 to c - 1 do
-            let g =
-              A.unsafe_get gd ((((((b * oh) + oy) * ow) + ox) * c) + ch) *. inv
-            in
-            for ky = 0 to kh - 1 do
-              for kx = 0 to kw - 1 do
-                let iy = (oy * sh) + ky and ix = (ox * sw) + kx in
-                let off = (((((b * h) + iy) * w) + ix) * c) + ch in
-                A.unsafe_set dd off (A.unsafe_get dd off +. g)
+          let o = ((((b * oh) + oy) * ow) + ox) * c in
+          for ky = 0 to kh - 1 do
+            for kx = 0 to kw - 1 do
+              let dst = ((((b * h) + (oy * sh) + ky) * w) + (ox * sw) + kx) * c in
+              for ch = 0 to c - 1 do
+                A.unsafe_set dd (dst + ch)
+                  (A.unsafe_get dd (dst + ch) +. (A.unsafe_get gd (o + ch) *. inv))
               done
             done
           done

@@ -1,19 +1,24 @@
 (** 2-D convolution and pooling kernels over {!Dense} tensors in NHWC layout,
     together with the backward kernels reverse-mode AD needs.
 
-    The convolutions are im2col + blocked matmul, with the patch matrix
-    [\[n*oh*ow; kh*kw*cin\]] never materialized: the forward pass fills
-    panels of patch rows for {!Dense.matmul_panels}, the backward-filter
-    pass panels of 128-row blocks of patch columns for
-    {!Dense.matmul_tn_panels}, and the backward-input pass scatters panels
-    of the product as {!Dense.matmul_consume} hands them over. The O(n^3)
-    work runs through the cache-blocked, {!Pool}-parallel matmul kernel,
-    and each result is bit-identical to the materialized form. 1x1 stride-1
-    unpadded convolutions skip the patch copy entirely. Pooling parallelizes over the batch dimension.
-    Small problems (under the matmul serial cutoff) stay on the calling
-    domain, and all partitions are bit-deterministic per the {!Pool}
-    contract. The original direct-loop kernels live on in {!Reference} as
-    the test oracle and benchmark baseline. *)
+    The forward and backward-filter convolutions are implicit GEMMs: each
+    call copies its input once, zero-padded, into kernel scratch (a Valid
+    or unpadded convolution reads the input as it is), and
+    {!Dense.matmul_gather} multiplies straight out of it, reading patch
+    element [(r, p)] at a row base plus a column offset. The forward pass
+    gathers patch rows, the backward-filter pass patch columns; no patch
+    matrix or panel of it is ever built. The products, the padding zeros
+    and their order are the ones im2col + {!Dense.matmul} (or
+    {!Dense.matmul_tn}) would compute, so each result is bit-identical to
+    that form. The backward-input pass scatters panels of
+    [grad x filter^T] into the input gradient (col2im) as
+    {!Dense.matmul_consume} hands them over. 1x1 stride-1 unpadded
+    convolutions are a plain matmul of the input. Pooling walks contiguous
+    channel spans and parallelizes over the batch dimension. Small problems
+    (under the matmul serial cutoff) stay on the calling domain, and all
+    partitions are bit-deterministic per the {!Pool} contract. The original
+    direct-loop kernels live on in {!Reference} as the test oracle and
+    benchmark baseline. *)
 
 type padding = Same | Valid
 

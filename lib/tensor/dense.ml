@@ -78,7 +78,7 @@ let class_floor cap =
    it never holds more than one scope at its peak needed. [escaping] is
    set while a scope allocates what outlives it ({!Arena.escaping}).
    [outside] is the fresh bytes this domain allocated outside a scope since
-   the last one ended.
+   the last one ended, and [allowance] the bytes the pool held then.
 
    [scratch] is the domain's kernel scratch: buffers a kernel takes and
    gives back within one call ({!with_scratch_buffer}), on every domain and
@@ -92,6 +92,7 @@ type arena = {
   mutable live : int;
   mutable high : int;
   mutable outside : int;
+  mutable allowance : int;
   mutable active : bool;
   mutable escaping : bool;
   mutable reused : int;
@@ -110,17 +111,13 @@ let arena_key : arena Domain.DLS.key =
         live = 0;
         high = 0;
         outside = 0;
+        allowance = 0;
         active = false;
         escaping = false;
         reused = 0;
         fresh = 0;
         scratch = [];
       })
-
-let empty a =
-  Array.fill a.free 0 n_classes [];
-  a.top <- -1;
-  a.held <- 0
 
 let touch a c =
   a.clock <- a.clock + 1;
@@ -178,11 +175,14 @@ let take a n =
 (* The single allocation hook: a pooled buffer of at least [n] elements
    inside a scope, else a fresh one of exactly [n]. What escapes a scope
    ({!Arena.escaping}) is fresh too, and the pool's bound does not count it.
-   Outside, fresh bytes are counted against what the pool holds, and the
-   pool empties once they exceed it: the code between two scopes has moved
-   on to other work, so the pool would only keep memory the process no
-   longer runs on. A reused buffer was charged to the tracker when first
-   allocated, and its finaliser credits the free when it finally dies. *)
+   Outside, fresh bytes up to what the pool held when the last scope ended
+   are free (the next inputs, a check of the last answer); past that the
+   code between two scopes has moved on to other work, and every further
+   byte evicts one of the least recently used classes, so the pool gives
+   back what it would only keep idle while keeping the classes the next
+   scope is likeliest to take. A reused buffer was charged to the tracker
+   when first allocated, and its finaliser credits the free when it
+   finally dies. *)
 let alloc n : buffer =
   let a = Domain.DLS.get arena_key in
   if a.active then
@@ -194,7 +194,8 @@ let alloc n : buffer =
   else begin
     if a.held > 0 then begin
       a.outside <- a.outside + (8 * n);
-      if a.outside > a.held then empty a
+      if a.outside > a.allowance then
+        evict_to a (a.high - (a.outside - a.allowance))
     end;
     alloc_fresh n
   end
@@ -246,7 +247,10 @@ module Arena = struct
       ~finally:(fun () ->
         a.active <- was_active;
         (* what the scope still holds (its outputs) leaves the pool's count *)
-        if not was_active then a.live <- 0)
+        if not was_active then begin
+          a.live <- 0;
+          a.allowance <- a.held
+        end)
       (fun () -> f a)
 
   let escaping a f =
@@ -311,8 +315,7 @@ let zeros shape = create shape 0.0
 let ones shape = create shape 1.0
 
 (* Uninitialized storage — kernels-only: every element must be written
-   before the tensor escapes (im2col writes zero spans for padding columns
-   explicitly instead of paying a full pre-fill pass). *)
+   before the tensor escapes. *)
 let uninit shape =
   Shape.check_valid shape;
   blank (Array.copy shape) (Shape.numel shape)
@@ -1077,7 +1080,7 @@ let kc_block = 128
 let nc_block = 128
 
 (* Scratch for {!matmul_rows}'s packed B panel, one per domain, large
-   enough for any block: full 4-column quads laid out so the micro-kernel
+   enough for any block: 4-column quads laid out so the micro-kernel
    reads 4 consecutive floats per p step (unit stride instead of a +n walk
    through B — each p then consumes half a cache line sequentially and the
    hardware prefetcher keeps up). Quad q of a panel lives at
@@ -1087,67 +1090,109 @@ let nc_block = 128
    ever sees one allocation per domain. *)
 let pack_key = Domain.DLS.new_key (fun () -> Array.make (kc_block * nc_block) 0.0)
 
-(* Accumulate rows [lo, hi) of the product A[m,k] x B[k,n] into C.
-   [ao]/[bo]/[co] are flat base offsets (batch_matmul reuses the kernel per
-   batch). A[i][p] is read at [ao + i*ars + p*acs]: [ars = k, acs = 1] for a
-   row-major A, [ars = 1, acs = m] to read the transpose of a row-major
-   [k; m] matrix in place ({!matmul_tn}). C must be zeroed by the caller.
+(* How {!matmul_rows} reads A. [Strided]: A[i][p] at [ao + i*ars + p*acs].
+   [Gathered]: at [ao + rows.(i) + cols.(p)], an A gathered from a buffer
+   through a row-base and a column-offset table (an implicit-GEMM
+   convolution's patch matrix, read straight out of the padded image). The
+   kernel is always inlined with a constant tag, so each instance's loads
+   compile to one form, as {!binop} does for {!apply2}. *)
+type access = Strided | Gathered
+
+let no_offsets = [||]
+
+let[@inline] a_row access ~ars rows i =
+  match access with Strided -> i * ars | Gathered -> Array.unsafe_get rows i
+
+(* Adds the accumulators of one quad to C at [c]: only the first [w] when
+   the quad is a partial last one. *)
+let[@inline] store_quad (dc : buffer) c w x0 x1 x2 x3 =
+  A.unsafe_set dc c (A.unsafe_get dc c +. x0);
+  if w > 1 then A.unsafe_set dc (c + 1) (A.unsafe_get dc (c + 1) +. x1);
+  if w > 2 then A.unsafe_set dc (c + 2) (A.unsafe_get dc (c + 2) +. x2);
+  if w > 3 then A.unsafe_set dc (c + 3) (A.unsafe_get dc (c + 3) +. x3)
+
+(* Accumulate rows [lo, hi) of the product A[m,k] x B[k,n] into C. A is
+   read as [access] says; [bo]/[co] are flat base offsets of B and C
+   (batch_matmul reuses the kernel per batch). C must be zeroed by the
+   caller.
+
+   B is packed per [kc_block] x [nc_block] block into 4-column quads, a
+   partial last quad padded with zero columns, so every column goes through
+   the 2x4 register micro-kernel (a 1x4 one for an odd last row); a padded
+   column's products are computed and dropped.
 
    Determinism: for every output element the accumulation order is "kc
    blocks ascending, p ascending within the block" — a local accumulator
-   per (element, block) is folded into C once per block. That order is the
-   same in the 2x4 micro-kernel and in the edge loops, and is independent
-   of [lo]/[hi] and of A's strides, so any row partition (any domain count)
-   and either A layout produce bit-identical results. (B-panel packing
-   below only rearranges where the same values are read from; it does not
-   touch that order.) *)
-let[@inline] matmul_rows ~n ~k ~ars ~acs (da : buffer) ao (db : buffer) bo
-    (dc : buffer) co lo hi =
+   per (element, block) is folded into C once per block. That order is
+   independent of [lo]/[hi], of the quad an element sits in and of how A
+   is read, so any row partition (any domain count) and every A layout
+   produce bit-identical results. *)
+let[@inline] matmul_rows access ~n ~k ~ars ~acs ~rows ~cols (da : buffer) ao
+    (db : buffer) bo (dc : buffer) co lo hi =
   let pack = Domain.DLS.get pack_key in
   let pp = ref 0 in
   while !pp < k do
     let p0 = !pp in
     let p1 = min k (p0 + kc_block) in
-    let kl = p1 - p0 in
-    let kl4 = kl * 4 in
+    let kl4 = (p1 - p0) * 4 in
     let jj = ref 0 in
     while !jj < n do
       let j0 = !jj in
       let j1 = min n (j0 + nc_block) in
-      let nquads = (j1 - j0) / 4 in
-      (* pack: read B row-major (sequential), scatter into micro-panels *)
+      let width = j1 - j0 in
+      let full = width / 4 in
+      let nquads = (width + 3) / 4 in
+      (* pack: read B row-major (sequential), scatter into micro-panels.
+         Quad q of the block lives at [q*kl4 + (p-p0)*4 + t], so the
+         micro-kernel reads 4 consecutive floats per p step. *)
       for p = p0 to p1 - 1 do
         let src = bo + (p * n) + j0 in
         let dp = (p - p0) * 4 in
-        for q = 0 to nquads - 1 do
+        for q = 0 to full - 1 do
           let s = src + (q * 4) and d = (q * kl4) + dp in
           Array.unsafe_set pack d (A.unsafe_get db s);
           Array.unsafe_set pack (d + 1) (A.unsafe_get db (s + 1));
           Array.unsafe_set pack (d + 2) (A.unsafe_get db (s + 2));
           Array.unsafe_set pack (d + 3) (A.unsafe_get db (s + 3))
-        done
+        done;
+        if nquads > full then begin
+          let d = (full * kl4) + dp in
+          for t = 0 to 3 do
+            let c = (full * 4) + t in
+            Array.unsafe_set pack (d + t)
+              (if c < width then A.unsafe_get db (src + c) else 0.0)
+          done
+        end
       done;
       let i = ref lo in
       (* 2x4 register micro-kernel *)
       while !i + 1 < hi do
-        let ia = ao + (!i * ars) + (p0 * acs) in
-        let ib = ia + ars in
-        let ca = co + (!i * n) and cb = co + ((!i + 1) * n) in
-        let j = ref j0 in
-        let q = ref 0 in
-        while !j + 3 < j1 do
-          let j' = !j in
+        let ia = ao + a_row access ~ars rows !i in
+        let ib = ao + a_row access ~ars rows (!i + 1) in
+        let ca = co + (!i * n) in
+        let cb = ca + n in
+        for q = 0 to nquads - 1 do
           let acc00 = ref 0.0 and acc01 = ref 0.0 in
           let acc02 = ref 0.0 and acc03 = ref 0.0 in
           let acc10 = ref 0.0 and acc11 = ref 0.0 in
           let acc12 = ref 0.0 and acc13 = ref 0.0 in
-          (* strength-reduced cursors: +acs along the A rows, +4 through
-             the packed micro-panel *)
-          let ap = ref ia and aq = ref ib in
-          let bb = ref (!q * kl4) in
-          for _p = p0 to p1 - 1 do
-            let a0 = A.unsafe_get da !ap in
-            let a1 = A.unsafe_get da !aq in
+          (* strength-reduced cursors: +acs along strided A rows, +4
+             through the packed micro-panel *)
+          let ap = ref (ia + (p0 * acs)) and aq = ref (ib + (p0 * acs)) in
+          let bb = ref (q * kl4) in
+          for p = p0 to p1 - 1 do
+            let o = match access with Strided -> 0 | Gathered -> Array.unsafe_get cols p in
+            let a0 =
+              A.unsafe_get da (match access with Strided -> !ap | Gathered -> ia + o)
+            in
+            let a1 =
+              A.unsafe_get da (match access with Strided -> !aq | Gathered -> ib + o)
+            in
+            (match access with
+            | Strided ->
+                ap := !ap + acs;
+                aq := !aq + acs
+            | Gathered -> ());
             let bi = !bb in
             let b0 = Array.unsafe_get pack bi in
             let b1 = Array.unsafe_get pack (bi + 1) in
@@ -1161,77 +1206,41 @@ let[@inline] matmul_rows ~n ~k ~ars ~acs (da : buffer) ao (db : buffer) bo
             acc11 := !acc11 +. (a1 *. b1);
             acc12 := !acc12 +. (a1 *. b2);
             acc13 := !acc13 +. (a1 *. b3);
-            ap := !ap + acs;
-            aq := !aq + acs;
             bb := bi + 4
           done;
-          A.unsafe_set dc (ca + j') (A.unsafe_get dc (ca + j') +. !acc00);
-          A.unsafe_set dc (ca + j' + 1) (A.unsafe_get dc (ca + j' + 1) +. !acc01);
-          A.unsafe_set dc (ca + j' + 2) (A.unsafe_get dc (ca + j' + 2) +. !acc02);
-          A.unsafe_set dc (ca + j' + 3) (A.unsafe_get dc (ca + j' + 3) +. !acc03);
-          A.unsafe_set dc (cb + j') (A.unsafe_get dc (cb + j') +. !acc10);
-          A.unsafe_set dc (cb + j' + 1) (A.unsafe_get dc (cb + j' + 1) +. !acc11);
-          A.unsafe_set dc (cb + j' + 2) (A.unsafe_get dc (cb + j' + 2) +. !acc12);
-          A.unsafe_set dc (cb + j' + 3) (A.unsafe_get dc (cb + j' + 3) +. !acc13);
-          j := j' + 4;
-          incr q
-        done;
-        (* column remainder for the row pair *)
-        while !j < j1 do
-          let j' = !j in
-          let acc0 = ref 0.0 and acc1 = ref 0.0 in
-          for p = p0 to p1 - 1 do
-            let b = A.unsafe_get db (bo + (p * n) + j') in
-            let o = (p - p0) * acs in
-            acc0 := !acc0 +. (A.unsafe_get da (ia + o) *. b);
-            acc1 := !acc1 +. (A.unsafe_get da (ib + o) *. b)
-          done;
-          A.unsafe_set dc (ca + j') (A.unsafe_get dc (ca + j') +. !acc0);
-          A.unsafe_set dc (cb + j') (A.unsafe_get dc (cb + j') +. !acc1);
-          incr j
+          let j = j0 + (q * 4) in
+          let w = j1 - j in
+          store_quad dc (ca + j) w !acc00 !acc01 !acc02 !acc03;
+          store_quad dc (cb + j) w !acc10 !acc11 !acc12 !acc13
         done;
         i := !i + 2
       done;
       (* row remainder *)
       if !i < hi then begin
-        let ia = ao + (!i * ars) + (p0 * acs) in
+        let ia = ao + a_row access ~ars rows !i in
         let ca = co + (!i * n) in
-        let j = ref j0 in
-        let q = ref 0 in
-        while !j + 3 < j1 do
-          let j' = !j in
+        for q = 0 to nquads - 1 do
           let acc0 = ref 0.0 and acc1 = ref 0.0 in
           let acc2 = ref 0.0 and acc3 = ref 0.0 in
-          let ap = ref ia in
-          let bb = ref (!q * kl4) in
-          for _p = p0 to p1 - 1 do
-            let a0 = A.unsafe_get da !ap in
+          let ap = ref (ia + (p0 * acs)) in
+          let bb = ref (q * kl4) in
+          for p = p0 to p1 - 1 do
+            let a0 =
+              A.unsafe_get da
+                (match access with
+                | Strided -> !ap
+                | Gathered -> ia + Array.unsafe_get cols p)
+            in
+            ap := !ap + acs;
             let bi = !bb in
             acc0 := !acc0 +. (a0 *. Array.unsafe_get pack bi);
             acc1 := !acc1 +. (a0 *. Array.unsafe_get pack (bi + 1));
             acc2 := !acc2 +. (a0 *. Array.unsafe_get pack (bi + 2));
             acc3 := !acc3 +. (a0 *. Array.unsafe_get pack (bi + 3));
-            ap := !ap + acs;
             bb := bi + 4
           done;
-          A.unsafe_set dc (ca + j') (A.unsafe_get dc (ca + j') +. !acc0);
-          A.unsafe_set dc (ca + j' + 1) (A.unsafe_get dc (ca + j' + 1) +. !acc1);
-          A.unsafe_set dc (ca + j' + 2) (A.unsafe_get dc (ca + j' + 2) +. !acc2);
-          A.unsafe_set dc (ca + j' + 3) (A.unsafe_get dc (ca + j' + 3) +. !acc3);
-          j := j' + 4;
-          incr q
-        done;
-        while !j < j1 do
-          let j' = !j in
-          let acc = ref 0.0 in
-          for p = p0 to p1 - 1 do
-            acc :=
-              !acc
-              +. A.unsafe_get da (ia + ((p - p0) * acs))
-                 *. A.unsafe_get db (bo + (p * n) + j')
-          done;
-          A.unsafe_set dc (ca + j') (A.unsafe_get dc (ca + j') +. !acc);
-          incr j
+          let j = j0 + (q * 4) in
+          store_quad dc (ca + j) (j1 - j) !acc0 !acc1 !acc2 !acc3
         done
       end;
       jj := j1
@@ -1243,7 +1252,8 @@ let[@inline] matmul_rows ~n ~k ~ars ~acs (da : buffer) ao (db : buffer) bo
    cursors step by a constant, which keeps the micro-kernel's loop as tight
    as a kernel without a column stride. *)
 let matmul_rows_nn ~n ~k da ao db bo dc co lo hi =
-  matmul_rows ~n ~k ~ars:k ~acs:1 da ao db bo dc co lo hi
+  matmul_rows Strided ~n ~k ~ars:k ~acs:1 ~rows:no_offsets ~cols:no_offsets da
+    ao db bo dc co lo hi
 
 let product m n =
   S4o_obs.Memory.with_tag S4o_obs.Memory.global "matmul" (fun () ->
@@ -1277,88 +1287,65 @@ let matmul_strided ?domains ~m ~k ~ars ~acs a b =
   let serial = m * n * k <= serial_cutoff in
   partition ?domains ~m ~serial ~notes (fun lo hi ->
       if acs = 1 then matmul_rows_nn ~n ~k da 0 db 0 dc 0 lo hi
-      else matmul_rows ~n ~k ~ars ~acs da 0 db 0 dc 0 lo hi);
+      else
+        matmul_rows Strided ~n ~k ~ars ~acs ~rows:no_offsets ~cols:no_offsets
+          da 0 db 0 dc 0 lo hi);
   out
 
-(* Floats per A panel in {!matmul_panels}: 128 KB, so a panel stays in L2
-   while the micro-kernel sweeps it. One size for every [k] lets every
-   streamed product on a domain share one scratch buffer. *)
+(* Floats per product panel in {!matmul_consume}: 128 KB, so a panel stays
+   in L2 while the micro-kernel sweeps it. One size for every [n] lets
+   every streamed product on a domain share one scratch buffer. *)
 let panel_floats = 16384
 
-(* Streamed products split over the pool only when every job gets at least
-   one whole panel. Below that a job is a few tens of microseconds of work,
-   and waiting for a second domain to be scheduled (a small LeNet conv at
-   batch 1 could stall for a millisecond on a loaded host) costs more than
-   the split saves. *)
+(* Streamed and gathered products split over the pool only when every job
+   gets at least a panel's worth of rows. Below that a job is a few tens of
+   microseconds of work, and waiting for a second domain to be scheduled (a
+   small LeNet conv at batch 1 could stall for a millisecond on a loaded
+   host) costs more than the split saves. *)
 let panels_serial ~m ~panel_rows ~work =
   work <= serial_cutoff || m < 2 * panel_rows
 
-let matmul_panels ?domains ~m ~k ~fill b =
+(* {!matmul_gather}'s offset tables, one pair per domain: the bases of up
+   to [kc_block] rows of A and the offsets of one [kc_block] of its
+   columns. *)
+let offsets_key =
+  Domain.DLS.new_key (fun () -> (Array.make kc_block 0, Array.make kc_block 0))
+
+let matmul_gather ?domains ~m ~k ~rows ~cols a b =
   if rank b <> 2 || b.shape.(0) <> k then
-    fail "matmul_panels: [%d; %d] x %s" m k (Shape.to_string b.shape);
+    fail "matmul_gather: [%d; %d] x %s" m k (Shape.to_string b.shape);
   let n = b.shape.(1) in
   let out = product m n in
   let db = b.data and dc = out.data in
-  let panel_rows = max 1 (panel_floats / max 1 k) in
   let notes lo hi =
     Sanitizer.note_write dc ~lo:(lo * n) ~len:((hi - lo) * n)
-      ~who:"matmul_panels out rows";
-    Sanitizer.note_read db ~lo:0 ~len:(k * n) ~who:"matmul_panels B"
+      ~who:"matmul_gather out rows";
+    Sanitizer.note_read a ~lo:0 ~len:(A.dim a) ~who:"matmul_gather A source";
+    Sanitizer.note_read db ~lo:0 ~len:(k * n) ~who:"matmul_gather B"
   in
-  (* Each job takes its panel from its domain's scratch. Row [i] of the
-     product depends on row [i] of A alone, so the panel split leaves every
-     output bit-identical to [matmul] of the materialized A. *)
+  (* A job walks its rows [kc_block] at a time and, for each such strip,
+     A's columns one [kc_block] at a time, ascending: [matmul_rows] folds
+     each block's accumulator into C once, as it does over the whole [k] in
+     [matmul], so every element is bit-identical to [matmul] of the
+     materialized A. *)
+  let panel_rows = max 1 (panel_floats / max 1 k) in
   let serial = panels_serial ~m ~panel_rows ~work:(m * n * k) in
   partition ?domains ~m ~serial ~notes (fun lo hi ->
-      with_scratch_buffer (max panel_floats k) (fun panel ->
-          let r = ref lo in
-          while !r < hi do
-            let r1 = min hi (!r + panel_rows) in
-            fill !r r1 panel;
-            matmul_rows_nn ~n ~k panel 0 db 0 dc (!r * n) 0 (r1 - !r);
-            r := r1
-          done));
-  out
-
-(* Columns of A per {!matmul_tn_panels} panel: one [kc_block] of rows by
-   this many columns fills [panel_floats]. *)
-let panel_cols = panel_floats / kc_block
-
-let matmul_tn_panels ?domains ~k ~m ~fill b =
-  if rank b <> 2 || b.shape.(0) <> k then
-    fail "matmul_tn_panels: [%d; %d]^T x %s" k m (Shape.to_string b.shape);
-  let n = b.shape.(1) in
-  let out = product m n in
-  let db = b.data and dc = out.data in
-  let notes lo hi =
-    Sanitizer.note_write dc ~lo:(lo * n) ~len:((hi - lo) * n)
-      ~who:"matmul_tn_panels out rows";
-    Sanitizer.note_read db ~lo:0 ~len:(k * n) ~who:"matmul_tn_panels B"
-  in
-  (* A job owns output rows [lo, hi), which are columns of A. It walks them
-     [panel_cols] at a time, and for each such strip streams A's rows in
-     panels of whole [kc_block]s, ascending from row 0. [matmul_rows] folds
-     each block's accumulator into C once, as it does over the whole [k]
-     in [matmul_tn], so every element is bit-identical to it. *)
-  let serial = m * n * k <= serial_cutoff in
-  partition ?domains ~m ~serial ~notes (fun lo hi ->
-      with_scratch_buffer panel_floats (fun panel ->
-          let c0 = ref lo in
-          while !c0 < hi do
-            let c1 = min hi (!c0 + panel_cols) in
-            let width = c1 - !c0 in
-            let rows = kc_block * max 1 (panel_floats / width / kc_block) in
-            let r = ref 0 in
-            while !r < k do
-              let r1 = min k (!r + rows) in
-              fill !r r1 !c0 c1 panel;
-              (* A[i][p] of the strip is panel[(p - r)*width + (i - c0)] *)
-              matmul_rows ~n ~k:(r1 - !r) ~ars:1 ~acs:width panel (- !c0)
-                db (!r * n) dc 0 !c0 c1;
-              r := r1
-            done;
-            c0 := c1
-          done));
+      let rt, ct = Domain.DLS.get offsets_key in
+      let r = ref lo in
+      while !r < hi do
+        let r1 = min hi (!r + kc_block) in
+        rows !r r1 rt;
+        let p = ref 0 in
+        while !p < k do
+          let p1 = min k (!p + kc_block) in
+          cols !p p1 ct;
+          matmul_rows Gathered ~n ~k:(p1 - !p) ~ars:0 ~acs:0 ~rows:rt ~cols:ct
+            a 0 db (!p * n) dc (!r * n) 0 (r1 - !r);
+          p := p1
+        done;
+        r := r1
+      done);
   out
 
 let check_matmul name a b =

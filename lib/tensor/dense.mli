@@ -24,7 +24,7 @@
     over one run of axes and [broadcast_to] onto a blocks target have flat
     paths too. Every fast path performs the same float operations in the
     same order as the generic walker, so results are bit-identical to it.
-    The matmul family ([matmul], [matmul_tn], [matmul_panels],
+    The matmul family ([matmul], [matmul_tn], [matmul_gather],
     [matmul_consume], [batch_matmul]) shares one cache-blocked kernel with
     a 2x4 register micro-kernel and partitions output rows across the
     domain pool above a fixed work cutoff; the partition is contiguous, so
@@ -45,8 +45,9 @@ val zeros : Shape.t -> t
 val ones : Shape.t -> t
 
 (** Uninitialized storage. Kernels only: the caller must write every
-    element before the tensor escapes (used by im2col, which writes the
-    padding zeros explicitly instead of paying a full pre-fill pass). *)
+    element before the tensor escapes (used by the average pool, which
+    starts each output span from an explicit +0.0 instead of paying a full
+    pre-fill pass). *)
 val uninit : Shape.t -> t
 
 val scalar : float -> t
@@ -90,7 +91,7 @@ val copy : t -> t
 
 (** [with_shape t shape] reinterprets [t]'s buffer under a new shape of the
     same [numel] {e without copying} — the two values alias. Reserved for
-    kernels that immediately drop one of the views (e.g. im2col matmul
+    kernels that immediately drop one of the views (e.g. conv matmul
     results); anything else breaks value semantics. *)
 val with_shape : t -> Shape.t -> t
 
@@ -249,30 +250,23 @@ val matmul : ?domains:int -> t -> t -> t
     {!matmul}. *)
 val matmul_tn : ?domains:int -> t -> t -> t
 
-(** [matmul_panels ~m ~k ~fill b] is [matmul a b] for an [a : \[m;k\]] that
-    is never materialized: [fill lo hi panel] writes rows [\[lo, hi)] of [a]
-    row-major from the start of [panel], and the kernel multiplies each
-    small panel while it is still in cache. Bit-identical to {!matmul}
-    for every domain count; the pool splits the rows only when each job
-    gets at least one whole panel. [fill] may run on any pool domain, for
-    disjoint row ranges. *)
-val matmul_panels :
-  ?domains:int -> m:int -> k:int -> fill:(int -> int -> buffer -> unit) -> t -> t
-
-(** [matmul_tn_panels ~k ~m ~fill b] is [matmul_tn a b] for an
-    [a : \[k;m\]] that is never materialized: [fill lo hi c0 c1 panel]
-    writes rows [\[lo, hi)] of [a], columns [\[c0, c1)] only, row-major
-    with rows [c1 - c0] floats long from the start of [panel]. A panel is
-    at most 128 KB: [lo] is a multiple of the kernel's 128-row reduction
-    block, and each output element folds the blocks in ascending order, so
-    the result is bit-identical to {!matmul_tn} for every domain count. The
-    pool splits the columns of [a]; [fill] may run on any pool domain, for
-    disjoint column ranges. *)
-val matmul_tn_panels :
+(** [matmul_gather ~m ~k ~rows ~cols a b] is [matmul a' b] for the
+    [a' : \[m;k\]] whose element [(i, p)] is [a.{r_i + c_p}], never
+    materialized: the kernel reads each element straight from [a] (an
+    implicit-GEMM convolution reads its patch matrix out of the padded
+    image this way). [rows lo hi tbl] writes [r_i] for [i] in [\[lo, hi)]
+    to [tbl.(i - lo)], and [cols lo hi tbl] writes [c_p] the same way; each
+    call covers at most 128 indices. Bit-identical to {!matmul} of the
+    materialized [a'] for every domain count; the pool splits the rows only
+    when each job gets at least 16384 elements of [a']. [rows] and [cols]
+    may run on any pool domain. *)
+val matmul_gather :
   ?domains:int ->
-  k:int ->
   m:int ->
-  fill:(int -> int -> int -> int -> buffer -> unit) ->
+  k:int ->
+  rows:(int -> int -> int array -> unit) ->
+  cols:(int -> int -> int array -> unit) ->
+  buffer ->
   t ->
   t
 
@@ -280,7 +274,7 @@ val matmul_tn_panels :
     materializing it: each small panel of product rows goes to
     [consume lo hi panel] (rows [\[lo, hi)], row-major from the start of
     [panel]) while it is still in cache. Pool jobs (at least one whole
-    panel each, as in {!matmul_panels}) own whole units of [grain] rows
+    panel each) own whole units of [grain] rows
     ([grain] must divide [a]'s row count) and hand their panels over in
     ascending row order, so a [consume] that scatters the rows of one unit
     into shared state needs no locking. The rows are bit-identical to
@@ -321,8 +315,10 @@ val log_softmax : t -> t
     - the bytes it holds plus those the current scope has live never exceed
       the most that any scope has had live; before a fresh allocation it
       evicts buffers of the least recently used classes until they fit;
-    - it empties once its domain, outside any scope, allocates more fresh
-      bytes than the pool holds.
+    - outside any scope, fresh bytes up to what the pool held when its
+      last scope ended are free; past that, it evicts buffers of the least
+      recently used classes until it plus the excess fits under that same
+      high-water mark.
 
     With the sanitizer armed ({!Sanitizer.armed}), every buffer is filled
     with NaN as it enters the pool, so a read after release gives a wrong

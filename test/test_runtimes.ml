@@ -537,6 +537,32 @@ let test_alternating_programs_share_the_pool () =
           fresh)
     sizes
 
+(* The same server checking each answer against naive right after its
+   lazy run, on a fresh domain whose pool has served one batch of 16
+   first. The naive passes allocate fresh outside any run, several times
+   what the lazy programs hold; the pool keeps what it held free of them
+   and past that evicts only what its high-water mark cannot cover, least
+   recently used classes first. So once warm a batch-1 request still
+   allocates fresh only its output; a pool emptied by each pass would
+   allocate all three of its buffers. *)
+let test_naive_between_requests_keeps_the_pool () =
+  Domain.join
+    (Domain.spawn (fun () ->
+         let request, naive, _ = lenet_server () in
+         let sizes = [ 16; 1; 2; 4; 8; 1; 2; 4; 8; 13; 1; 2; 4; 8; 4; 1; 8; 2 ] in
+         List.iteri
+           (fun i b ->
+             let y, fresh = request b in
+             Test_util.check_true (Printf.sprintf "request %d (batch %d) = naive" i b)
+               (Dense.bit_equal (naive b) y);
+             Test_util.check_true "held within the high-water mark"
+               (Dense.Arena.held_bytes () <= Dense.Arena.high_water ());
+             if i >= 5 && b = 1 then
+               Test_util.check_int
+                 (Printf.sprintf "request %d (batch 1) allocates its output" i)
+                 1 fresh)
+           sizes))
+
 (* A long-lived server's memory is flat over a cycling mix of batch sizes:
    what the runtime and model reach beyond their metrics, and what the pool
    holds, are the same after 2N requests as after N. *)
@@ -591,6 +617,8 @@ let suite =
       [
         tc "alternating programs share the pool" `Quick test_alternating_programs_share_the_pool;
         tc "cycling batch sizes stay flat" `Quick test_cycling_mix_soak_flat;
+        tc "naive passes between requests keep it" `Quick
+          test_naive_between_requests_keeps_the_pool;
       ] );
   ]
 

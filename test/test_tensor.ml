@@ -287,6 +287,45 @@ let test_dense_arena_pool_rules () =
                (not (views_buffer_of ~released:x (D.zeros [| 1000 |]))));
          bounded ()))
 
+(* Outside any scope, fresh bytes up to what the pool held when its last
+   scope ended are free; past them the pool evicts least recently used
+   classes until it and the excess fit under the high-water mark. Exact
+   byte counts on a fresh domain: 100 and 400 elements take classes of 112
+   and 448. *)
+let test_dense_arena_outside_rule () =
+  Domain.join
+    (Domain.spawn (fun () ->
+         let c =
+           D.Arena.scoped (fun arena ->
+               let a = D.zeros [| 100 |] and c = D.zeros [| 400 |] in
+               D.Arena.release arena a;
+               D.Arena.release arena c;
+               c)
+         in
+         let held = 8 * (112 + 448) in
+         Test_util.check_int "high water" held (D.Arena.high_water ());
+         ignore (D.zeros [| held / 8 |]);
+         Test_util.check_int "the held bytes are free" held (D.Arena.held_bytes ());
+         ignore (D.zeros [| 1 |]);
+         Test_util.check_int "one byte past them evicts the LRU class only" (8 * 448)
+           (D.Arena.held_bytes ());
+         D.Arena.scoped (fun _ ->
+             Test_util.check_true "the recent class is still served"
+               (views_buffer_of ~released:c (D.zeros [| 400 |])));
+         let c =
+           D.Arena.scoped (fun arena ->
+               let c = D.zeros [| 400 |] in
+               D.Arena.release arena c;
+               c)
+         in
+         ignore (D.zeros [| 448 |]);
+         ignore (D.zeros [| (D.Arena.high_water () / 8) + 1 |]);
+         Test_util.check_int "an excess past the high-water mark empties it" 0
+           (D.Arena.held_bytes ());
+         D.Arena.scoped (fun _ ->
+             Test_util.check_true "nothing left to reuse"
+               (not (views_buffer_of ~released:c (D.zeros [| 400 |]))))))
+
 (* With the sanitizer armed, a buffer is poisoned as it enters the pool or
    goes back to the scratch cache. *)
 let test_dense_arena_poison () =
@@ -670,9 +709,12 @@ let test_backward_filter_streams_matmul_tn () =
         [ 1; 2; 4 ])
     conv_golden
 
-(* The patch matrix of a 16->16 resnet conv is 144 columns wide: the kernel
-   holds its result and one panel of at most 128 KB, never the matrix. *)
-let test_backward_filter_panel_bound () =
+(* The patch matrix of a 16->16 resnet conv at batch 4 is 1024 rows by
+   144 columns: 7x the padded input image. The kernel holds its result and
+   one padded copy of the input, never the matrix. It runs on a fresh
+   domain, whose scratch cache starts empty, so the padded copy is
+   allocated and counted. *)
+let test_backward_filter_padded_bound () =
   let mem = S4o_obs.Memory.global in
   let was = S4o_obs.Memory.enabled mem in
   let g = Prng.create 5 in
@@ -685,11 +727,16 @@ let test_backward_filter_panel_bound () =
       S4o_obs.Memory.set_enabled mem was;
       S4o_obs.Memory.reset mem)
     (fun () ->
-      ignore
-        (Convolution.conv2d_backward_filter ~domains:1 ~padding:Convolution.Same
-           ~filter_shape:[| 3; 3; 16; 16 |] input grad);
-      Test_util.check_true "peak is the result plus one panel"
-        (S4o_obs.Memory.peak_bytes mem <= 8 * ((144 * 16) + 16384)))
+      Domain.join
+        (Domain.spawn (fun () ->
+             ignore
+               (Convolution.conv2d_backward_filter ~domains:1
+                  ~padding:Convolution.Same ~filter_shape:[| 3; 3; 16; 16 |] input grad)));
+      let result = 144 * 16 and padded = 4 * 18 * 18 * 16 in
+      Test_util.check_true "the padded copy was counted"
+        (S4o_obs.Memory.peak_bytes mem >= 8 * padded);
+      Test_util.check_true "peak is the result plus one padded image"
+        (S4o_obs.Memory.peak_bytes mem <= 8 * (result + padded)))
 
 let suite =
   let tc = Alcotest.test_case in
@@ -725,6 +772,7 @@ let suite =
           test_dense_unbroadcast_same_shape_aliases;
         tc "arena reuses within its scope" `Quick test_dense_arena_scoped_reuse;
         tc "arena pool shared by every scope" `Quick test_dense_arena_pool_rules;
+        tc "arena outside rule evicts LRU" `Quick test_dense_arena_outside_rule;
         tc "arena poisons released buffers" `Quick test_dense_arena_poison;
         tc "reductions" `Quick test_dense_reductions;
         tc "argmax rows" `Quick test_dense_argmax_rows;
@@ -754,7 +802,7 @@ let suite =
         tc "kernels keep their golden digests" `Quick test_conv_golden_digests;
         tc "backward filter streams = im2col + matmul_tn" `Quick
           test_backward_filter_streams_matmul_tn;
-        tc "backward filter holds one panel" `Quick test_backward_filter_panel_bound;
+        tc "backward filter holds one padded image" `Quick test_backward_filter_padded_bound;
         qcheck_conv_linear_in_input;
       ] );
   ]
@@ -1121,6 +1169,29 @@ let same_bits x y =
        (fun u v -> Int64.equal (Int64.bits_of_float u) (Int64.bits_of_float v))
        (D.to_array x) (D.to_array y)
 
+(* Non-finite entries against the per-element definition, bit for bit:
+   within one 128-wide reduction block every element is +0.0 plus its
+   products summed in p order from +0.0. An infinite A entry makes the
+   products of the zero columns that pad a partial quad of B NaN, so none
+   of those may reach the output. *)
+let qcheck_matmul_nonfinite_definition =
+  Test_util.qtest ~count:60 "matmul with non-finite entries = its definition"
+    QCheck.(triple (int_range 1 13) (int_range 1 128) (int_range 1 13))
+    (fun (m, k, n) ->
+      let g = Prng.create ((m * 7919) + (k * 31) + n) in
+      let a = D.set_flat (special_normal g [| m; k |]) (Prng.int g (m * k)) Float.infinity in
+      let b = D.set_flat (special_normal g [| k; n |]) (Prng.int g (k * n)) Float.nan in
+      let expected =
+        D.init [| m; n |] (fun i ->
+            let acc = ref 0.0 in
+            for p = 0 to k - 1 do
+              acc := !acc +. (D.get a [| i.(0); p |] *. D.get b [| p; i.(1) |])
+            done;
+            0.0 +. !acc)
+      in
+      D.bit_equal expected (D.matmul a b)
+      && D.bit_equal expected (D.matmul_tn (D.transpose a) b))
+
 let qcheck_broadcast_plans_bit_identical =
   Test_util.qtest ~count:600 "broadcast plans are bit-identical to the walkers"
     broadcast_case
@@ -1201,23 +1272,107 @@ let test_matmul_tn_parallel () =
   Test_util.check_raises_any "leading dimensions differ" (fun () ->
       D.matmul_tn (D.zeros [| 3; 2 |]) (D.zeros [| 2; 3 |]))
 
-(* The A operand arrives one panel of rows at a time. m up to 300 with k
-   up to 400 spans several panels (16384 floats each), and once m is two
-   panels or more the pool splits them between jobs. *)
-let qcheck_matmul_panels_bit_identical =
-  Test_util.qtest ~count:40 "matmul_panels = matmul of the materialized A"
-    QCheck.(triple (int_range 1 300) (int_range 1 400) (int_range 1 13))
-    (fun (m, k, n) ->
-      let g = Prng.create ((m * 7919) + (k * 31) + n) in
-      let a = special_normal g [| m; k |] in
-      let b = special_normal g [| k; n |] in
-      let da = D.unsafe_data a in
-      let fill lo hi panel =
-        Bigarray.Array1.blit
-          (Bigarray.Array1.sub da (lo * k) ((hi - lo) * k))
-          (Bigarray.Array1.sub panel 0 ((hi - lo) * k))
+(* The implicit-GEMM convolutions against their definition: the patch
+   matrix built element by element, then [matmul] (forward) or [matmul_tn]
+   (backward filter), bit for bit, at 1, 2 and 4 domains. Odd batches and
+   up to 20x20 images span several 128-row strips and blocks and split
+   over the pool. One filter element and one input element are sometimes
+   infinite: the zeros of the padding must be multiplied exactly as im2col
+   does (0 * inf is NaN), and the zero columns that pad a partial quad of
+   B must never reach the output. *)
+let qcheck_conv_implicit_gemm_bit_identical =
+  let gen =
+    QCheck.(
+      pair
+        (quad (int_range 0 3) (int_range 1 20) (int_range 1 20) (int_range 1 9))
+        (quad (int_range 1 13) (pair (int_range 1 5) (int_range 1 5))
+           (pair (int_range 1 3) (int_range 1 3))
+           (pair bool bool)))
+  in
+  Test_util.qtest ~count:40 "conv2d and backward filter = patch matrix + matmul"
+    gen
+    (fun ((b, h, w, cin), (cout, (kh, kw), (sh, sw), (valid, inf))) ->
+      let n = (2 * b) + 1 in
+      let padding = if valid then Convolution.Valid else Convolution.Same in
+      let stride = (sh, sw) in
+      let g = Prng.create ((n * 7919) + (h * 31) + (w * 7) + (cin * 5) + cout) in
+      let x = special_normal g [| n; h; w; cin |] in
+      let f = special_normal g [| kh; kw; cin; cout |] in
+      let with_inf t = D.set_flat t (Prng.int g (D.numel t)) Float.infinity in
+      let x, f = if inf then (with_inf x, with_inf f) else (x, f) in
+      let patches = patch_matrix ~stride ~padding ~kh ~kw x in
+      let rows = (D.shape patches).(0) in
+      let oh = Convolution.out_dim padding ~size:h ~kernel:kh ~stride:sh in
+      let ow = Convolution.out_dim padding ~size:w ~kernel:kw ~stride:sw in
+      let fwd =
+        D.reshape
+          (D.matmul patches (D.reshape f [| kh * kw * cin; cout |]))
+          [| n; oh; ow; cout |]
       in
-      D.bit_equal (D.matmul_panels ~m ~k ~fill b) (D.matmul a b))
+      let grad = special_normal g [| n; oh; ow; cout |] in
+      let bwd =
+        D.reshape
+          (D.matmul_tn patches (D.reshape grad [| rows; cout |]))
+          [| kh; kw; cin; cout |]
+      in
+      List.for_all
+        (fun domains ->
+          D.bit_equal fwd (Convolution.conv2d ~domains ~stride ~padding x f)
+          && D.bit_equal bwd
+               (Convolution.conv2d_backward_filter ~domains ~stride ~padding
+                  ~filter_shape:[| kh; kw; cin; cout |] x grad))
+        [ 1; 2; 4 ])
+
+(* The average pools against their per-element definition, bit for bit:
+   each output sums its window in (ky, kx) order from +0.0 and scales by
+   1/(kh*kw); each input element of the backward pass receives its
+   addends in (oy, ox) order. *)
+let qcheck_avg_pool_bit_identical =
+  let gen =
+    QCheck.(
+      pair
+        (quad (int_range 1 3) (int_range 1 12) (int_range 1 12) (int_range 1 9))
+        (pair (pair (int_range 1 3) (int_range 1 3)) (pair (int_range 1 3) (int_range 1 3))))
+  in
+  Test_util.qtest ~count:60 "avg_pool2d and its backward = per-element definition"
+    gen
+    (fun ((n, h, w, c), ((kh, kw), (sh, sw))) ->
+      let g = Prng.create ((n * 7919) + (h * 31) + (w * 7) + c + (kh * 3) + sw) in
+      let x = special_normal g [| n; h; w; c |] in
+      let oh = Convolution.out_dim Convolution.Valid ~size:h ~kernel:kh ~stride:sh in
+      let ow = Convolution.out_dim Convolution.Valid ~size:w ~kernel:kw ~stride:sw in
+      let inv = 1.0 /. float_of_int (kh * kw) in
+      let fwd =
+        D.init [| n; oh; ow; c |] (fun i ->
+            let acc = ref 0.0 in
+            for ky = 0 to kh - 1 do
+              for kx = 0 to kw - 1 do
+                acc := !acc +. D.get x [| i.(0); (i.(1) * sh) + ky; (i.(2) * sw) + kx; i.(3) |]
+              done
+            done;
+            !acc *. inv)
+      in
+      let grad = special_normal g [| n; oh; ow; c |] in
+      let dx = Array.make (n * h * w * c) 0.0 in
+      for b = 0 to n - 1 do
+        for oy = 0 to oh - 1 do
+          for ox = 0 to ow - 1 do
+            for ch = 0 to c - 1 do
+              let gv = D.get grad [| b; oy; ox; ch |] *. inv in
+              for ky = 0 to kh - 1 do
+                for kx = 0 to kw - 1 do
+                  let off = ((((b * h) + (oy * sh) + ky) * w) + (ox * sw) + kx) * c + ch in
+                  dx.(off) <- dx.(off) +. gv
+                done
+              done
+            done
+          done
+        done
+      done;
+      D.bit_equal fwd (Convolution.avg_pool2d ~size:(kh, kw) ~stride:(sh, sw) x)
+      && D.bit_equal (D.of_array [| n; h; w; c |] dx)
+           (Convolution.avg_pool2d_backward ~size:(kh, kw) ~stride:(sh, sw)
+              ~input_shape:[| n; h; w; c |] grad))
 
 (* The product leaves one panel of rows at a time. Units of [grain] rows
    split over the pool once m is at least two panels (n = 100 makes a
@@ -1340,6 +1495,7 @@ let kernel_suite =
     ( "tensor.kernels",
       [
         qcheck_matmul_matches_reference;
+        qcheck_matmul_nonfinite_definition;
         tc "matmul vs reference, blocked sizes" `Quick test_matmul_reference_large;
         qcheck_batch_matmul_matches_reference;
         qcheck_sum_axes_matches_reference;
@@ -1353,7 +1509,8 @@ let kernel_suite =
         qcheck_broadcast_plans_bit_identical;
         qcheck_matmul_tn_bit_identical;
         tc "matmul_tn across domains" `Quick test_matmul_tn_parallel;
-        qcheck_matmul_panels_bit_identical;
+        qcheck_conv_implicit_gemm_bit_identical;
+        qcheck_avg_pool_bit_identical;
         qcheck_matmul_consume_bit_identical;
         tc "tiled transpose = element-wise" `Quick test_transpose_matches_elementwise;
         qcheck_relu_branch_free;
