@@ -10,19 +10,17 @@
     as a single fused XLA program.
 
     The tape is dynamic (define-by-run, like the runtimes of §6's related
-    work); each recorded entry knows how to push its adjoint into its
-    parents. Gradients of broadcasts reduce back via [unbroadcast]. *)
+    work). It holds no derivative rules of its own: each op is recorded with
+    its {!S4o_ops.Catalog.kind}, and its adjoint is pushed into its parents
+    by that kind's rule in {!S4o_ops.Catalog.Vjp}, which lives next to the
+    op's shape, cost and kernel. Only the two fused losses below carry their
+    own pullback. Gradients of broadcasts reduce back via [unbroadcast]. *)
 
 module Make (B : S4o_tensor.Backend_intf.S) = struct
-  type t = {
-    id : int;
-    value : B.t;
-    mutable adj : B.t option;
-    ctx : ctx option;
-  }
+  module Vjp = S4o_ops.Catalog.Vjp (B)
 
+  type t = { value : B.t; mutable adj : B.t option; ctx : ctx option }
   and entry = { node : t; push : B.t -> unit }
-
   and ctx = { mutable tape : entry list (* most recent first *) }
 
   let new_ctx () = { tape = [] }
@@ -34,30 +32,15 @@ module Make (B : S4o_tensor.Backend_intf.S) = struct
       post-processing such as clip-by-global-norm. *)
   let set_adjoint v g = v.adj <- Some g
 
-  let counter = ref 0
-
-  let fresh ctx value =
-    incr counter;
-    { id = !counter; value; adj = None; ctx }
-
-  let const value = fresh None value
+  let const value = { value; adj = None; ctx = None }
 
   (** A tracked variable: gradients will be accumulated for it. *)
   let param ctx value =
-    let v = fresh (Some ctx) value in
+    let v = { value; adj = None; ctx = Some ctx } in
     (* Parameters appear on the tape with no parents so [backward] can seed
        and find them; their push is a no-op. *)
     ctx.tape <- { node = v; push = (fun _ -> ()) } :: ctx.tape;
     v
-
-  let merge_ctx a b =
-    match (a.ctx, b.ctx) with
-    | Some ca, Some cb ->
-        if ca != cb then
-          invalid_arg "Diff_tensor: mixing variables from two tapes";
-        Some ca
-    | (Some _ as s), None | None, (Some _ as s) -> s
-    | None, None -> None
 
   (* Constants (no tape) receive no adjoint. The contribution is a thunk
      that runs only for a tracked value, so a constant's pullback does no
@@ -74,151 +57,62 @@ module Make (B : S4o_tensor.Backend_intf.S) = struct
 
   (* Record a result with a pullback that receives the result's adjoint. *)
   let record ctx value pull =
-    match ctx with
-    | None -> fresh None value
-    | Some c ->
-        let v = fresh ctx value in
-        c.tape <- { node = v; push = pull } :: c.tape;
-        v
+    let v = { value; adj = None; ctx } in
+    Option.iter (fun c -> c.tape <- { node = v; push = pull } :: c.tape) ctx;
+    v
 
-  let unary a value pull = record a.ctx value pull
+  (* The tape all operands share, if any. *)
+  let tape_of args =
+    List.fold_left
+      (fun acc a ->
+        match (acc, a.ctx) with
+        | Some ca, Some cb when ca != cb ->
+            invalid_arg "Diff_tensor: mixing variables from two tapes"
+        | Some _, _ -> acc
+        | None, c -> c)
+      None args
 
-  let binary a b value pull = record (merge_ctx a b) value pull
+  (** [op kind args value]: record [value], the result of [kind] on [args],
+      differentiated by the catalog's rule for [kind]. *)
+  let op (kind : S4o_ops.Catalog.kind) args value =
+    record (tape_of args) value (fun g ->
+        let xs = List.map (fun a -> a.value) args in
+        List.iter2 accumulate args (Vjp.pullback kind xs value g))
 
-  (** {1 Arithmetic (broadcasting, with [unbroadcast] adjoints)} *)
+  let add a b = op Add [ a; b ] (B.add a.value b.value)
+  let sub a b = op Sub [ a; b ] (B.sub a.value b.value)
+  let mul a b = op Mul [ a; b ] (B.mul a.value b.value)
+  let div a b = op Div [ a; b ] (B.div a.value b.value)
+  let neg a = op Neg [ a ] (B.neg a.value)
+  let scale c a = op (Scale c) [ a ] (B.scale c a.value)
+  let add_scalar c a = op (Add_scalar c) [ a ] (B.add_scalar c a.value)
+  let relu a = op Relu [ a ] (B.relu a.value)
+  let sigmoid a = op Sigmoid [ a ] (B.sigmoid a.value)
+  let tanh a = op Tanh [ a ] (B.tanh a.value)
+  let exp a = op Exp [ a ] (B.exp a.value)
+  let log a = op Log [ a ] (B.log a.value)
+  let sqrt a = op Sqrt [ a ] (B.sqrt a.value)
+  let reshape a s = op (Reshape s) [ a ] (B.reshape a.value s)
+  let transpose a = op Transpose [ a ] (B.transpose a.value)
+  let broadcast_to a s = op (Broadcast_to s) [ a ] (B.broadcast_to a.value s)
+  let sum_all a = op Sum_all [ a ] (B.sum_all a.value)
+  let mean_all a = op Mean_all [ a ] (B.mean_all a.value)
 
-  let add a b =
-    binary a b (B.add a.value b.value) (fun g ->
-        accumulate a (fun () -> B.unbroadcast g (shape a));
-        accumulate b (fun () -> B.unbroadcast g (shape b)))
+  let sum_axes ?(keep_dims = false) a axes =
+    op (Sum_axes { axes; keep_dims }) [ a ] (B.sum_axes ~keep_dims a.value axes)
 
-  let sub a b =
-    binary a b (B.sub a.value b.value) (fun g ->
-        accumulate a (fun () -> B.unbroadcast g (shape a));
-        accumulate b (fun () -> B.unbroadcast (B.neg g) (shape b)))
+  let matmul a b = op Matmul [ a; b ] (B.matmul a.value b.value)
+  let batch_matmul a b = op Batch_matmul [ a; b ] (B.batch_matmul a.value b.value)
+  let batch_transpose a = op Batch_transpose [ a ] (B.batch_transpose a.value)
 
-  let mul a b =
-    binary a b (B.mul a.value b.value) (fun g ->
-        accumulate a (fun () -> B.unbroadcast (B.mul g b.value) (shape a));
-        accumulate b (fun () -> B.unbroadcast (B.mul g a.value) (shape b)))
-
-  let div a b =
-    binary a b (B.div a.value b.value) (fun g ->
-        accumulate a (fun () -> B.unbroadcast (B.div g b.value) (shape a));
-        accumulate b (fun () ->
-            let gb = B.neg (B.div (B.mul g a.value) (B.mul b.value b.value)) in
-            B.unbroadcast gb (shape b)))
-
-  let neg a = unary a (B.neg a.value) (fun g -> accumulate a (fun () -> B.neg g))
-
-  let scale c a =
-    unary a (B.scale c a.value) (fun g -> accumulate a (fun () -> B.scale c g))
-
-  let add_scalar c a =
-    unary a (B.add_scalar c a.value) (fun g -> accumulate a (fun () -> g))
-
-  (** {1 Nonlinearities} *)
-
-  let relu a =
-    unary a (B.relu a.value) (fun g -> accumulate a (fun () -> B.relu_grad a.value g))
-
-  let sigmoid a =
-    let s = B.sigmoid a.value in
-    unary a s (fun g ->
-        (* s * (1 - s) * g *)
-        accumulate a (fun () ->
-            let one_minus = B.add_scalar 1.0 (B.neg s) in
-            B.mul g (B.mul s one_minus)))
-
-  let tanh a =
-    let th = B.tanh a.value in
-    unary a th (fun g ->
-        accumulate a (fun () ->
-            let one_minus_sq = B.add_scalar 1.0 (B.neg (B.mul th th)) in
-            B.mul g one_minus_sq))
-
-  let exp a =
-    let e = B.exp a.value in
-    unary a e (fun g -> accumulate a (fun () -> B.mul g e))
-
-  let log a =
-    unary a (B.log a.value) (fun g -> accumulate a (fun () -> B.div g a.value))
-
-  let sqrt a =
-    let r = B.sqrt a.value in
-    unary a r (fun g -> accumulate a (fun () -> B.div g (B.scale 2.0 r)))
-
-  (** {1 Shape} *)
-
-  let reshape a s =
-    let orig = shape a in
-    unary a (B.reshape a.value s) (fun g -> accumulate a (fun () -> B.reshape g orig))
-
-  let transpose a =
-    unary a (B.transpose a.value) (fun g -> accumulate a (fun () -> B.transpose g))
-
-  let broadcast_to a s =
-    unary a (B.broadcast_to a.value s) (fun g ->
-        accumulate a (fun () -> B.unbroadcast g (shape a)))
-
-  (** {1 Reductions} *)
-
-  let sum_all a =
-    unary a (B.sum_all a.value) (fun g ->
-        accumulate a (fun () -> B.broadcast_to g (shape a)))
-
-  let mean_all a =
-    let n = float_of_int (S4o_tensor.Shape.numel (shape a)) in
-    unary a (B.mean_all a.value) (fun g ->
-        accumulate a (fun () -> B.scale (1.0 /. n) (B.broadcast_to g (shape a))))
-
-  let sum_axes ?keep_dims a axes =
-    let orig = shape a in
-    unary a (B.sum_axes ?keep_dims a.value axes) (fun g ->
-        (* adjoint of a sum: broadcast back, via the keep-dims shape *)
-        let kept = S4o_tensor.Shape.reduce_axes ~keep_dims:true orig axes in
-        accumulate a (fun () -> B.broadcast_to (B.reshape g kept) orig))
-
-  (** {1 Linear algebra and NN ops} *)
-
-  let matmul a b =
-    binary a b (B.matmul a.value b.value) (fun g ->
-        accumulate a (fun () -> B.matmul g (B.transpose b.value));
-        accumulate b (fun () -> B.matmul (B.transpose a.value) g))
-
-  let batch_matmul a b =
-    binary a b
-      (B.batch_matmul a.value b.value)
-      (fun g ->
-        accumulate a (fun () -> B.batch_matmul g (B.batch_transpose b.value));
-        accumulate b (fun () -> B.batch_matmul (B.batch_transpose a.value) g))
-
-  let batch_transpose a =
-    unary a (B.batch_transpose a.value) (fun g ->
-        accumulate a (fun () -> B.batch_transpose g))
-
-  let conv2d ?stride ~padding x f =
-    binary x f
-      (B.conv2d ?stride ~padding x.value f.value)
-      (fun g ->
-        accumulate x (fun () ->
-            B.conv2d_backward_input ?stride ~padding ~input_shape:(shape x)
-              f.value g);
-        accumulate f (fun () ->
-            B.conv2d_backward_filter ?stride ~padding ~filter_shape:(shape f)
-              x.value g))
+  let conv2d ?(stride = S4o_tensor.Backend_intf.default_conv_stride) ~padding x f =
+    op (Conv2d { stride; padding }) [ x; f ] (B.conv2d ~stride ~padding x.value f.value)
 
   let avg_pool2d ~size ~stride a =
-    unary a
-      (B.avg_pool2d ~size ~stride a.value)
-      (fun g ->
-        accumulate a (fun () ->
-            B.avg_pool2d_backward ~size ~stride ~input_shape:(shape a) g))
+    op (Avg_pool2d { size; stride }) [ a ] (B.avg_pool2d ~size ~stride a.value)
 
   let max_pool2d ~size ~stride a =
-    unary a
-      (B.max_pool2d ~size ~stride a.value)
-      (fun g -> accumulate a (fun () -> B.max_pool2d_backward ~size ~stride a.value g))
+    op (Max_pool2d { size; stride }) [ a ] (B.max_pool2d ~size ~stride a.value)
 
   (** Fused numerically-stable softmax cross-entropy against one-hot labels:
       the gradient is the classic [(softmax(z) - y)/n] — one kernel, no
@@ -229,7 +123,7 @@ module Make (B : S4o_tensor.Backend_intf.S) = struct
     let nll =
       B.scale (-1.0 /. n) (B.sum_all (B.mul labels log_probs))
     in
-    unary logits nll (fun g ->
+    record logits.ctx nll (fun g ->
         accumulate logits (fun () ->
             let probs = B.softmax logits.value in
             let diff = B.scale (1.0 /. n) (B.sub probs labels) in
@@ -239,7 +133,7 @@ module Make (B : S4o_tensor.Backend_intf.S) = struct
   let mse ~target pred =
     let d = B.sub pred.value target in
     let n = float_of_int (S4o_tensor.Shape.numel (shape pred)) in
-    unary pred
+    record pred.ctx
       (B.scale (1.0 /. n) (B.sum_all (B.mul d d)))
       (fun g ->
         accumulate pred (fun () ->

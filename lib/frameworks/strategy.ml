@@ -85,13 +85,9 @@ let compute_nodes (g : S4o_xla.Hlo.graph) =
 let step_time s ~device ~graph =
   let device_seconds, kernels =
     if s.fused then begin
-      let optimized, _ = S4o_xla.Opt.optimize graph in
-      let clusters = S4o_xla.Opt.fuse optimized in
-      ( List.fold_left
-          (fun acc (c : S4o_xla.Opt.cluster) ->
-            acc +. S4o_device.Device_spec.kernel_time device c.S4o_xla.Opt.info)
-          0.0 clusters,
-        List.length clusters )
+      let exe = S4o_xla.Compiler.compile graph in
+      ( S4o_xla.Compiler.estimated_run_time device exe,
+        (S4o_xla.Compiler.stats exe).S4o_xla.Compiler.clusters )
     end
     else begin
       let infos =

@@ -39,7 +39,6 @@ let cache_capacity = 256
 
 type t = {
   engine : Engine.t;
-  trace_overhead_per_op : float;
   cache_enabled : bool;
   auto_cut_threshold : int option;
   cache : entry S4o_xla.Hlo.Table.t;
@@ -63,10 +62,9 @@ type t = {
 }
 
 (* Host cost of recording one trace op, paid every iteration (§3.4). *)
-let default_trace_overhead = 15e-6
+let trace_overhead_per_op = 15e-6
 
-let create ?(trace_overhead_per_op = default_trace_overhead)
-    ?(cache_enabled = true) ?auto_cut_threshold engine =
+let create ?(cache_enabled = true) ?auto_cut_threshold engine =
   (match auto_cut_threshold with
   | Some n when n <= 0 ->
       invalid_arg "Lazy_runtime.create: auto_cut_threshold must be positive"
@@ -74,7 +72,6 @@ let create ?(trace_overhead_per_op = default_trace_overhead)
   let m = Engine.metrics engine in
   {
     engine;
-    trace_overhead_per_op;
     cache_enabled;
     auto_cut_threshold;
     cache = S4o_xla.Hlo.Table.create 16;
@@ -219,7 +216,7 @@ let materialize t roots =
       "trace-record"
       (fun () ->
         Engine.spend_host t.engine
-          (t.trace_overhead_per_op *. float_of_int n_ops));
+          (trace_overhead_per_op *. float_of_int n_ops));
     let e = lookup t cut in
     let results = roots @ List.map (fun i -> cut.pending.(i)) e.exported in
     let feeds =

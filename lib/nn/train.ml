@@ -16,21 +16,10 @@ module Make (Bk : Backend_intf.S) = struct
     logits : L.D.t;
   }
 
-  (** One training step: does {e not} observe any tensor contents, so on the
-      lazy backend the entire step (forward, backward, update) stays in one
-      trace. *)
-  let step model opt ~images ~labels =
-    let ctx = L.D.new_ctx () in
-    let logits = L.apply model ctx (L.D.const (Bk.of_dense images)) in
-    let loss =
-      L.D.softmax_cross_entropy ~labels:(Bk.of_dense labels) logits
-    in
-    L.D.backward ctx loss;
-    opt.Opt.step ();
-    { loss; logits }
-
-  (** As {!step}, but with backend tensors already on device (used by the
-      timing benchmarks, where images are placeholders). *)
+  (** One training step on backend tensors already on device (the timing
+      benchmarks pass placeholders). Does {e not} observe any tensor
+      contents, so on the lazy backend the entire step (forward, backward,
+      update) stays in one trace. *)
   let step_on_device model opt ~images ~labels =
     let ctx = L.D.new_ctx () in
     let logits = L.apply model ctx (L.D.const images) in
@@ -38,6 +27,11 @@ module Make (Bk : Backend_intf.S) = struct
     L.D.backward ctx loss;
     opt.Opt.step ();
     { loss; logits }
+
+  (** As {!step_on_device}, transferring the images and then the labels. *)
+  let step model opt ~images ~labels =
+    let images = Bk.of_dense images in
+    step_on_device model opt ~images ~labels:(Bk.of_dense labels)
 
   (** Batched inference entry point (the serving path): one forward pass
       with no tape or optimizer state. Does {e not} observe the result, so

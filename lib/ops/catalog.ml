@@ -1,5 +1,6 @@
 (** The operation catalog: one record per Tensor operation, bundling shape
-    inference, cost metadata and the reference kernel.
+    inference, cost metadata and the reference kernel, plus each
+    differentiable op's derivative ({!Vjp}).
 
     Both accelerated runtimes consume this catalog — the eager runtime
     (§3.2) dispatches each record as one kernel the moment the user calls the
@@ -444,6 +445,87 @@ let of_kind kind (inputs : Shape.t list) =
       one (avg_pool2d_backward ~size ~stride ~input_shape)
   | Max_pool2d { size; stride } -> one (max_pool2d ~size ~stride)
   | Max_pool2d_backward { size; stride } -> two (max_pool2d_backward ~size ~stride)
+
+(** {1 Derivatives} *)
+
+(** The derivative of each kind, written once against the Tensor API so
+    that every backend runs it: as in §2, a derivative is registered with
+    its op, and the AD engine only composes the rules. *)
+module Vjp (B : Backend_intf.S) = struct
+  (** [pullback kind xs y g]: one thunk per operand in [xs], computing that
+      operand's cotangent from the op's output [y] and the output's
+      cotangent [g]. Only the thunks of tracked operands run, so a constant
+      operand's cotangent is never computed. Raises [Invalid_argument] for
+      a kind with no derivative. *)
+  let pullback kind (xs : B.t list) (y : B.t) (g : B.t) : (unit -> B.t) list =
+    let shape = B.shape in
+    let arity () = invalid_arg (name kind ^ ": wrong number of operands") in
+    let one dx = match xs with [ a ] -> [ (fun () -> dx a) ] | _ -> arity () in
+    let two da db =
+      match xs with [ a; b ] -> [ (fun () -> da a b); (fun () -> db a b) ] | _ -> arity ()
+    in
+    match kind with
+    | Add ->
+        two (fun a _ -> B.unbroadcast g (shape a)) (fun _ b -> B.unbroadcast g (shape b))
+    | Sub ->
+        two
+          (fun a _ -> B.unbroadcast g (shape a))
+          (fun _ b -> B.unbroadcast (B.neg g) (shape b))
+    | Mul ->
+        two
+          (fun a b -> B.unbroadcast (B.mul g b) (shape a))
+          (fun a b -> B.unbroadcast (B.mul g a) (shape b))
+    | Div ->
+        two
+          (fun a b -> B.unbroadcast (B.div g b) (shape a))
+          (fun a b -> B.unbroadcast (B.neg (B.div (B.mul g a) (B.mul b b))) (shape b))
+    | Neg -> one (fun _ -> B.neg g)
+    | Scale c -> one (fun _ -> B.scale c g)
+    | Add_scalar _ -> one (fun _ -> g)
+    | Relu -> one (fun a -> B.relu_grad a g)
+    | Sigmoid ->
+        (* y * (1 - y) * g *)
+        one (fun _ ->
+            let one_minus = B.add_scalar 1.0 (B.neg y) in
+            B.mul g (B.mul y one_minus))
+    | Tanh ->
+        one (fun _ ->
+            let one_minus_sq = B.add_scalar 1.0 (B.neg (B.mul y y)) in
+            B.mul g one_minus_sq)
+    | Exp -> one (fun _ -> B.mul g y)
+    | Log -> one (fun a -> B.div g a)
+    | Sqrt -> one (fun _ -> B.div g (B.scale 2.0 y))
+    | Reshape _ -> one (fun a -> B.reshape g (shape a))
+    | Transpose -> one (fun _ -> B.transpose g)
+    | Broadcast_to _ -> one (fun a -> B.unbroadcast g (shape a))
+    | Sum_all -> one (fun a -> B.broadcast_to g (shape a))
+    | Mean_all ->
+        one (fun a ->
+            let n = float_of_int (Shape.numel (shape a)) in
+            B.scale (1.0 /. n) (B.broadcast_to g (shape a)))
+    | Sum_axes { axes; keep_dims = _ } ->
+        (* broadcast back, via the keep-dims shape *)
+        one (fun a ->
+            let orig = shape a in
+            B.broadcast_to (B.reshape g (Shape.reduce_axes ~keep_dims:true orig axes)) orig)
+    | Matmul ->
+        two (fun _ b -> B.matmul g (B.transpose b)) (fun a _ -> B.matmul (B.transpose a) g)
+    | Batch_matmul ->
+        two
+          (fun _ b -> B.batch_matmul g (B.batch_transpose b))
+          (fun a _ -> B.batch_matmul (B.batch_transpose a) g)
+    | Batch_transpose -> one (fun _ -> B.batch_transpose g)
+    | Conv2d { stride; padding } ->
+        two
+          (fun x f -> B.conv2d_backward_input ~stride ~padding ~input_shape:(shape x) f g)
+          (fun x f -> B.conv2d_backward_filter ~stride ~padding ~filter_shape:(shape f) x g)
+    | Avg_pool2d { size; stride } ->
+        one (fun a -> B.avg_pool2d_backward ~size ~stride ~input_shape:(shape a) g)
+    | Max_pool2d { size; stride } -> one (fun a -> B.max_pool2d_backward ~size ~stride a g)
+    | Relu_grad | Softmax | Log_softmax | Unbroadcast _ | Conv2d_backward_input _
+    | Conv2d_backward_filter _ | Avg_pool2d_backward _ | Max_pool2d_backward _ ->
+        invalid_arg (name kind ^ ": no derivative")
+end
 
 (** {1 The Tensor API over the catalog} *)
 

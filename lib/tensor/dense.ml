@@ -440,13 +440,6 @@ let check_same_shape ctx a b =
     fail "%s: shape mismatch %s vs %s" ctx (Shape.to_string a.shape)
       (Shape.to_string b.shape)
 
-let add_inplace dst src =
-  check_same_shape "add_inplace" dst src;
-  let d = dst.data and s = src.data in
-  for i = 0 to numel dst - 1 do
-    A.unsafe_set d i (A.unsafe_get d i +. A.unsafe_get s i)
-  done
-
 let axpy_inplace ~alpha dst x =
   check_same_shape "axpy_inplace" dst x;
   let d = dst.data and s = x.data in
@@ -717,7 +710,6 @@ let relu t =
   res
 
 let add_scalar c = map (fun x -> c +. x)
-let pow_scalar t p = map (fun x -> Float.pow x p) t
 let exp = map Float.exp
 let log = map Float.log
 let sqrt = map Float.sqrt
@@ -891,11 +883,6 @@ let reshape t new_shape =
       (Shape.to_string new_shape);
   let fresh = copy t in
   { fresh with shape = Array.copy new_shape }
-
-let flatten_to_2d t =
-  if rank t < 1 then fail "flatten_to_2d: rank 0";
-  let n = t.shape.(0) in
-  reshape t [| n; numel t / n |]
 
 (* The one-operand form of {!map2_strided}: gathers [t] through
    stride-0 stretched dimensions. *)

@@ -120,9 +120,6 @@ val blit : t -> t -> unit
     the primitive under batch padding and row stacking. *)
 val blit_flat : src:t -> src_pos:int -> dst:t -> dst_pos:int -> len:int -> unit
 
-(** [add_inplace dst src]: [dst <- dst + src] (shapes must match). *)
-val add_inplace : t -> t -> unit
-
 (** [axpy_inplace ~alpha dst x]: [dst <- dst + alpha * x]. *)
 val axpy_inplace : alpha:float -> t -> t -> unit
 
@@ -153,7 +150,6 @@ val div : t -> t -> t
 val neg : t -> t
 val scale : float -> t -> t
 val add_scalar : float -> t -> t
-val pow_scalar : t -> float -> t
 val exp : t -> t
 val log : t -> t
 val sqrt : t -> t
@@ -204,8 +200,6 @@ val argmax_rows : t -> int array
 (** {1 Shape manipulation} *)
 
 val reshape : t -> Shape.t -> t
-val flatten_to_2d : t -> t
-(** Collapses all but the first axis: [\[n; ...\]] to [\[n; rest\]]. *)
 
 (** [broadcast_to t shape] materializes [t] broadcast to [shape]. *)
 val broadcast_to : t -> Shape.t -> t

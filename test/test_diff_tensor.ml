@@ -208,6 +208,260 @@ let test_grad_mse () =
     (fun v -> D.mse ~target v)
     pred
 
+(* {1 Pullback digests}
+
+   Every operand cotangent of every differentiable op, hashed over its whole
+   buffer, on naive from fixed seeds. A rule that is moved or rewritten
+   must keep each one bit for bit. The output cotangent [g] reaches the op
+   unchanged through [sum_all (y * g)]. *)
+
+(* [Dense.hash_contents] drops each element's sign bit (bit 63 does not fit
+   an OCaml int), so the signs are hashed alongside. *)
+let digest t =
+  let signs = ref 0 in
+  for i = 0 to Dense.numel t - 1 do
+    let bit = Bool.to_int (Float.sign_bit (Dense.get_flat t i)) in
+    signs := ((!signs * 31) lxor bit) land max_int
+  done;
+  Hashtbl.hash (Dense.hash_contents ~prefix:max_int t, !signs)
+
+let one f = function [ a ] -> f a | _ -> invalid_arg "one operand"
+let two f = function [ a; b ] -> f a b | _ -> invalid_arg "two operands"
+let conv ~stride ~padding = two (D.conv2d ~stride ~padding)
+
+(* Name, operand shapes, whether the operands must be positive (log, sqrt,
+   a divisor), the op, and the digest of each operand's cotangent. *)
+let pullback_golden =
+  let labels = Dense.one_hot ~classes:5 (Dense.of_array [| 4 |] [| 0.; 3.; 1.; 4. |]) in
+  let target = Dense.init_flat [| 3; 4 |] (fun i -> float_of_int i /. 7.0) in
+  [
+    ("add", [ [| 3; 4 |]; [| 3; 4 |] ], false, two D.add, [ 7051989; 7051989 ]);
+    ("add broadcast both", [ [| 3; 1; 4 |]; [| 2; 1 |] ], false, two D.add, [ 1056321678; 275751134 ]);
+    ("add bias", [ [| 2; 3; 4 |]; [| 4 |] ], false, two D.add, [ 403163915; 87292853 ]);
+    ("sub", [ [| 3; 4 |]; [| 3; 4 |] ], false, two D.sub, [ 508110298; 168423081 ]);
+    ("sub broadcast both", [ [| 3; 1; 4 |]; [| 2; 1 |] ], false, two D.sub, [ 646705639; 199722706 ]);
+    ("sub bias", [ [| 2; 3; 4 |]; [| 4 |] ], false, two D.sub, [ 268207524; 132869374 ]);
+    ("mul", [ [| 3; 4 |]; [| 3; 4 |] ], false, two D.mul, [ 51203367; 661596510 ]);
+    ("mul broadcast both", [ [| 3; 1; 4 |]; [| 2; 1 |] ], false, two D.mul, [ 643810013; 364446083 ]);
+    ("mul column", [ [| 3; 4 |]; [| 3; 1 |] ], false, two D.mul, [ 762447665; 663698370 ]);
+    ("div", [ [| 3; 4 |]; [| 3; 4 |] ], true, two D.div, [ 828479356; 752390166 ]);
+    ("div broadcast both", [ [| 3; 1; 4 |]; [| 2; 1 |] ], true, two D.div, [ 451316670; 873730978 ]);
+    ("div scalar", [ [| 3; 4 |]; [||] ], true, two D.div, [ 1001919243; 1016906018 ]);
+    ("neg", [ [| 3; 4 |] ], false, one D.neg, [ 524380009 ]);
+    ("scale", [ [| 3; 4 |] ], false, one (D.scale 0.7), [ 18835990 ]);
+    ("add_scalar", [ [| 3; 4 |] ], false, one (D.add_scalar 1.3), [ 1028815873 ]);
+    ("relu", [ [| 3; 4 |] ], false, one D.relu, [ 383430592 ]);
+    ("sigmoid", [ [| 3; 4 |] ], false, one D.sigmoid, [ 397160682 ]);
+    ("tanh", [ [| 3; 4 |] ], false, one D.tanh, [ 665291586 ]);
+    ("exp", [ [| 3; 4 |] ], false, one D.exp, [ 61357452 ]);
+    ("log", [ [| 3; 4 |] ], true, one D.log, [ 300013285 ]);
+    ("sqrt", [ [| 3; 4 |] ], true, one D.sqrt, [ 508885879 ]);
+    ("reshape", [ [| 2; 6 |] ], false, one (fun a -> D.reshape a [| 3; 4 |]), [ 944877782 ]);
+    ("transpose", [ [| 3; 5 |] ], false, one D.transpose, [ 225465427 ]);
+    ("broadcast_to row", [ [| 4 |] ], false, one (fun a -> D.broadcast_to a [| 3; 4 |]), [ 1037259193 ]);
+    ("broadcast_to column", [ [| 3; 1 |] ], false,
+     one (fun a -> D.broadcast_to a [| 2; 3; 4 |]), [ 362885879 ]);
+    ("sum_all", [ [| 3; 4 |] ], false, one D.sum_all, [ 255248647 ]);
+    ("mean_all", [ [| 3; 4 |] ], false, one D.mean_all, [ 205170048 ]);
+    ("sum_axes", [ [| 3; 4; 2 |] ], false, one (fun a -> D.sum_axes a [ 1 ]), [ 937480505 ]);
+    ("sum_axes keep_dims", [ [| 3; 4; 2 |] ], false,
+     one (fun a -> D.sum_axes ~keep_dims:true a [ 0; 2 ]), [ 239130942 ]);
+    ("matmul", [ [| 3; 4 |]; [| 4; 5 |] ], false, two D.matmul, [ 655672249; 725258924 ]);
+    ("batch_matmul", [ [| 2; 3; 4 |]; [| 2; 4; 5 |] ], false, two D.batch_matmul, [ 631838865; 727125238 ]);
+    ("batch_transpose", [ [| 2; 3; 4 |] ], false, one D.batch_transpose, [ 261787785 ]);
+    ("conv2d s1 same", [ [| 2; 7; 7; 3 |]; [| 3; 3; 3; 4 |] ], false,
+     conv ~stride:(1, 1) ~padding:Convolution.Same, [ 491144714; 595337 ]);
+    ("conv2d s1 valid", [ [| 2; 7; 7; 3 |]; [| 3; 3; 3; 4 |] ], false,
+     conv ~stride:(1, 1) ~padding:Convolution.Valid, [ 670614171; 12425155 ]);
+    ("conv2d s2 same", [ [| 2; 7; 7; 3 |]; [| 3; 3; 3; 4 |] ], false,
+     conv ~stride:(2, 2) ~padding:Convolution.Same, [ 780482916; 992247248 ]);
+    ("conv2d s2 valid", [ [| 2; 7; 7; 3 |]; [| 3; 3; 3; 4 |] ], false,
+     conv ~stride:(2, 2) ~padding:Convolution.Valid, [ 619161421; 384408851 ]);
+    ("conv2d default stride", [ [| 2; 6; 6; 2 |]; [| 2; 2; 2; 3 |] ], false,
+     two (D.conv2d ~padding:Convolution.Valid), [ 1046370831; 492029539 ]);
+    ("avg_pool2d 2/2", [ [| 2; 6; 6; 3 |] ], false,
+     one (D.avg_pool2d ~size:(2, 2) ~stride:(2, 2)), [ 354731092 ]);
+    ("avg_pool2d 3/2", [ [| 2; 7; 7; 3 |] ], false,
+     one (D.avg_pool2d ~size:(3, 3) ~stride:(2, 2)), [ 138097743 ]);
+    ("max_pool2d 2/2", [ [| 2; 6; 6; 3 |] ], false,
+     one (D.max_pool2d ~size:(2, 2) ~stride:(2, 2)), [ 620421922 ]);
+    ("max_pool2d 3/2", [ [| 2; 7; 7; 3 |] ], false,
+     one (D.max_pool2d ~size:(3, 3) ~stride:(2, 2)), [ 271681968 ]);
+    ("softmax_cross_entropy", [ [| 4; 5 |] ], false,
+     one (D.softmax_cross_entropy ~labels), [ 734142945 ]);
+    ("mse", [ [| 3; 4 |] ], false, one (D.mse ~target), [ 702532730 ]);
+  ]
+
+let pullback_digests i (shapes, positive, f) =
+  let rng = Prng.create (3000 + i) in
+  let inputs =
+    List.map
+      (fun s ->
+        if positive then Dense.rand_uniform rng ~lo:0.5 ~hi:2.0 s
+        else Dense.rand_normal rng s)
+      shapes
+  in
+  let ctx = D.new_ctx () in
+  let vs = List.map (D.param ctx) inputs in
+  let y = f vs in
+  let g = Dense.rand_normal rng (D.shape y) in
+  D.backward ctx (D.sum_all (D.mul y (D.const g)));
+  List.map (fun v -> digest (Option.get (D.adjoint v))) vs
+
+let test_pullback_digests () =
+  let wrong =
+    List.concat
+      (List.mapi
+         (fun i (name, shapes, positive, f, expected) ->
+           let got = pullback_digests i (shapes, positive, f) in
+           if got = expected then []
+           else
+             [
+               Printf.sprintf "%s: [ %s ]" name
+                 (String.concat "; " (List.map string_of_int got));
+             ])
+         pullback_golden)
+  in
+  if wrong <> [] then Alcotest.failf "pullback digests differ:\n%s" (String.concat "\n" wrong)
+
+(* {1 Every rule against finite differences} *)
+
+module C = S4o_ops.Catalog
+module V = C.Vjp (Naive_backend)
+
+(* A differentiable kind with operand shapes it accepts, and whether its
+   operands must be positive (log, sqrt, a divisor). *)
+let gen_kind_case =
+  let open QCheck.Gen in
+  let shape r = array_repeat r (int_range 1 4) in
+  let any = int_range 0 3 >>= shape in
+  (* A shape that broadcasts to [s]: some axes 1, some leading axes gone. *)
+  let stretch s =
+    let* ones = array_repeat (Array.length s) bool
+    and* drop = int_range 0 (Array.length s) in
+    let s = Array.mapi (fun i d -> if ones.(i) then 1 else d) s in
+    return (Array.sub s drop (Array.length s - drop))
+  in
+  let case ?(positive = false) kind shapes = (kind, shapes, positive) in
+  let unary kind = map (fun s -> case kind [ s ]) any in
+  let binary ?positive kind =
+    let* s = any in
+    let* a = stretch s and* b = stretch s in
+    return (case ?positive kind [ a; b ])
+  in
+  let window =
+    let* size = pair (int_range 1 3) (int_range 1 3)
+    and* stride = pair (int_range 1 3) (int_range 1 3) in
+    let* n = int_range 1 2 and* c = int_range 1 3 in
+    let* h = int_range (fst size) 7 and* w = int_range (snd size) 7 in
+    return (size, stride, [| n; h; w; c |])
+  in
+  oneof
+    [
+      binary C.Add;
+      binary C.Sub;
+      binary C.Mul;
+      binary ~positive:true C.Div;
+      unary C.Neg;
+      unary C.Relu;
+      unary C.Sigmoid;
+      unary C.Tanh;
+      unary C.Exp;
+      map (fun s -> case ~positive:true C.Log [ s ]) any;
+      map (fun s -> case ~positive:true C.Sqrt [ s ]) any;
+      map2 (fun c s -> case (C.Scale c) [ s ]) (float_range (-2.0) 2.0) any;
+      map2 (fun c s -> case (C.Add_scalar c) [ s ]) (float_range (-2.0) 2.0) any;
+      map2
+        (fun flat s ->
+          let target =
+            if flat then [| Shape.numel s |] else Array.of_list (List.rev (Array.to_list s))
+          in
+          case (C.Reshape target) [ s ])
+        bool any;
+      map (fun s -> case C.Transpose [ s ]) (shape 2);
+      (let* s = any in
+       map (fun a -> case (C.Broadcast_to s) [ a ]) (stretch s));
+      unary C.Sum_all;
+      unary C.Mean_all;
+      (let* s = int_range 1 3 >>= shape in
+       let* axes = shuffle_l (List.init (Array.length s) Fun.id) in
+       let* k = int_range 1 (Array.length s) and* keep_dims = bool in
+       let axes = List.sort compare (List.filteri (fun i _ -> i < k) axes) in
+       return (case (C.Sum_axes { axes; keep_dims }) [ s ]));
+      (let* m = int_range 1 4 and* k = int_range 1 4 and* n = int_range 1 4 in
+       return (case C.Matmul [ [| m; k |]; [| k; n |] ]));
+      (let* b = int_range 1 3 and* m = int_range 1 4 in
+       let* k = int_range 1 4 and* n = int_range 1 4 in
+       return (case C.Batch_matmul [ [| b; m; k |]; [| b; k; n |] ]));
+      map (fun s -> case C.Batch_transpose [ s ]) (shape 3);
+      (let* (kh, kw), stride, x = window and* cout = int_range 1 3 and* same = bool in
+       let padding = if same then Convolution.Same else Convolution.Valid in
+       return (case (C.Conv2d { stride; padding }) [ x; [| kh; kw; x.(3); cout |] ]));
+      map (fun (size, stride, x) -> case (C.Avg_pool2d { size; stride }) [ x ]) window;
+      map (fun (size, stride, x) -> case (C.Max_pool2d { size; stride }) [ x ]) window;
+    ]
+  |> fun g -> pair g (int_range 0 1_000_000)
+
+let print_kind_case ((kind, shapes, _), seed) =
+  Printf.sprintf "%s[%s] on %s, seed %d" (C.name kind) (C.params_to_string kind)
+    (String.concat " " (List.map Shape.to_string shapes))
+    seed
+
+(* Distinct magnitudes at least [1/n] apart and [0.1] from zero, so no
+   finite difference crosses a relu kink or a pooling window's tie. *)
+let spread rng ~positive s =
+  let n = Shape.numel s in
+  let p = Prng.permutation rng n in
+  Dense.init_flat s (fun i ->
+      let u = (float_of_int p.(i) +. 0.5) /. float_of_int n in
+      if positive then 0.5 +. (1.5 *. u)
+      else if Prng.int rng 2 = 0 then 0.1 +. u
+      else -0.1 -. u)
+
+(* Each operand's cotangent from the table equals the central finite
+   difference of <g, f(x)>, where f is the kind's catalog kernel. *)
+let qcheck_every_rule_matches_fd =
+  Test_util.qtest ~count:300 "every differentiable kind's pullback matches FD"
+    (QCheck.make ~print:print_kind_case gen_kind_case)
+    (fun ((kind, shapes, positive), seed) ->
+      let rng = Prng.create seed in
+      let xs = List.map (spread rng ~positive) shapes in
+      let o = C.of_kind kind shapes in
+      let y = o.kernel (Array.of_list xs) in
+      let g = Dense.rand_normal rng o.out_shape in
+      let thunks = V.pullback kind xs y g in
+      List.length thunks = List.length xs
+      && List.for_all2
+           (fun i dx ->
+             let dx = dx () in
+             let inner xi =
+               let args = List.mapi (fun j x -> if j = i then xi else x) xs in
+               Dense.sum (Dense.mul g (o.kernel (Array.of_list args)))
+             in
+             Shape.equal (Dense.shape dx) (List.nth shapes i)
+             && Dense.allclose ~rtol:1e-4 ~atol:1e-6 (fd_grad inner (List.nth xs i)) dx)
+           (List.init (List.length xs) Fun.id)
+           thunks)
+
+let test_no_derivative_raises () =
+  let s = [| 1; 4; 4; 2 |] in
+  let x = Dense.zeros s in
+  List.iter
+    (fun kind ->
+      match V.pullback kind [ x; x ] x x with
+      | _ -> Alcotest.failf "%s has a derivative" (C.name kind)
+      | exception Invalid_argument _ -> ())
+    [
+      C.Relu_grad;
+      C.Softmax;
+      C.Log_softmax;
+      C.Unbroadcast s;
+      C.Conv2d_backward_input { stride = (1, 1); padding = Convolution.Same; input_shape = s };
+      C.Conv2d_backward_filter { stride = (1, 1); padding = Convolution.Same; filter_shape = s };
+      C.Avg_pool2d_backward { size = (2, 2); stride = (2, 2); input_shape = s };
+      C.Max_pool2d_backward { size = (2, 2); stride = (2, 2) };
+    ]
+
 (* {1 Tape mechanics} *)
 
 let test_params_accumulate_via_fanout () =
@@ -369,7 +623,10 @@ let suite =
         tc "softmax cross-entropy" `Quick test_grad_softmax_cross_entropy;
         tc "mse" `Quick test_grad_mse;
         qcheck_grad_of_random_mlp;
+        qcheck_every_rule_matches_fd;
+        tc "kinds with no derivative raise" `Quick test_no_derivative_raises;
       ] );
+    ("diff_tensor.pullbacks", [ tc "golden digests" `Quick test_pullback_digests ]);
     ( "diff_tensor.tape",
       [
         tc "fan-out accumulates" `Quick test_params_accumulate_via_fanout;

@@ -298,16 +298,24 @@ let test_lazy_cache_disabled_recompiles () =
       Test_util.check_int "every trace compiles" 3 st.S4o_lazy.Lazy_runtime.cache_misses)
 
 let test_lazy_tracing_overhead_charged () =
-  let engine = Engine.create Spec.gtx1080 in
-  let rt = S4o_lazy.Lazy_runtime.create ~trace_overhead_per_op:1.0 engine in
+  let engine = Engine.create ~recorder:(S4o_obs.Recorder.create ()) Spec.gtx1080 in
+  let rt = S4o_lazy.Lazy_runtime.create engine in
   let module Bk = S4o_lazy.Lazy_backend.Make (struct
     let rt = rt
   end) in
   let x = Bk.of_dense (Dense.ones [| 4 |]) in
   let _ = Bk.to_dense (Bk.relu (Bk.exp x)) in
-  (* two recorded ops at 1s each, plus compile time *)
-  Test_util.check_true "re-tracing overhead on the host clock"
-    (Engine.host_time engine >= 2.0)
+  (* two recorded ops, charged to the host clock as one span *)
+  match
+    List.filter
+      (fun (s : S4o_obs.Recorder.span) -> s.name = "trace-record")
+      (S4o_obs.Recorder.spans (Engine.recorder engine))
+  with
+  | [ s ] ->
+      Test_util.check_close ~eps:1e-12 "re-tracing overhead on the host clock"
+        (2.0 *. S4o_lazy.Lazy_runtime.trace_overhead_per_op)
+        (s.finish -. s.start)
+  | spans -> Alcotest.failf "%d trace-record spans" (List.length spans)
 
 let test_lazy_barrier_cuts_trace () =
   let engine = Engine.create Spec.gtx1080 in
