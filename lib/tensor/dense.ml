@@ -768,9 +768,12 @@ let hash_contents ?(prefix = 64) t =
   let n = min (max 0 prefix) (numel t) in
   let h = ref (Shape.hash t.shape) in
   let d = t.data in
+  let mix v = h := ((!h * 31) lxor v) land max_int in
   for i = 0 to n - 1 do
-    let bits = Int64.to_int (Int64.bits_of_float (A.unsafe_get d i)) in
-    h := ((!h * 31) lxor bits) land max_int
+    (* both 32-bit halves: an OCaml int would drop bit 63, the sign *)
+    let bits = Int64.bits_of_float (A.unsafe_get d i) in
+    mix (Int64.to_int (Int64.shift_right_logical bits 32));
+    mix (Int64.to_int bits land 0xFFFF_FFFF)
   done;
   !h
 

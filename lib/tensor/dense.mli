@@ -178,8 +178,9 @@ val allclose : ?rtol:float -> ?atol:float -> t -> t -> bool
 
 (** [hash_contents ?prefix t] hashes shape plus (at most) the first [prefix]
     elements (default 64) of the buffer directly — no intermediate array
-    copy, unlike [Hashtbl.hash (to_array t)]. Bit-equal tensors hash equal;
-    collisions are possible (confirm with {!bit_equal}). *)
+    copy, unlike [Hashtbl.hash (to_array t)]. Every bit of each element
+    counts, the sign included. Bit-equal tensors hash equal; collisions are
+    possible (confirm with {!bit_equal}). *)
 val hash_contents : ?prefix:int -> t -> int
 
 (** {1 Reductions} *)

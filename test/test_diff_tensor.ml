@@ -215,15 +215,7 @@ let test_grad_mse () =
    must keep each one bit for bit. The output cotangent [g] reaches the op
    unchanged through [sum_all (y * g)]. *)
 
-(* [Dense.hash_contents] drops each element's sign bit (bit 63 does not fit
-   an OCaml int), so the signs are hashed alongside. *)
-let digest t =
-  let signs = ref 0 in
-  for i = 0 to Dense.numel t - 1 do
-    let bit = Bool.to_int (Float.sign_bit (Dense.get_flat t i)) in
-    signs := ((!signs * 31) lxor bit) land max_int
-  done;
-  Hashtbl.hash (Dense.hash_contents ~prefix:max_int t, !signs)
+let digest t = Dense.hash_contents ~prefix:max_int t
 
 let one f = function [ a ] -> f a | _ -> invalid_arg "one operand"
 let two f = function [ a; b ] -> f a b | _ -> invalid_arg "two operands"
@@ -235,61 +227,61 @@ let pullback_golden =
   let labels = Dense.one_hot ~classes:5 (Dense.of_array [| 4 |] [| 0.; 3.; 1.; 4. |]) in
   let target = Dense.init_flat [| 3; 4 |] (fun i -> float_of_int i /. 7.0) in
   [
-    ("add", [ [| 3; 4 |]; [| 3; 4 |] ], false, two D.add, [ 7051989; 7051989 ]);
-    ("add broadcast both", [ [| 3; 1; 4 |]; [| 2; 1 |] ], false, two D.add, [ 1056321678; 275751134 ]);
-    ("add bias", [ [| 2; 3; 4 |]; [| 4 |] ], false, two D.add, [ 403163915; 87292853 ]);
-    ("sub", [ [| 3; 4 |]; [| 3; 4 |] ], false, two D.sub, [ 508110298; 168423081 ]);
-    ("sub broadcast both", [ [| 3; 1; 4 |]; [| 2; 1 |] ], false, two D.sub, [ 646705639; 199722706 ]);
-    ("sub bias", [ [| 2; 3; 4 |]; [| 4 |] ], false, two D.sub, [ 268207524; 132869374 ]);
-    ("mul", [ [| 3; 4 |]; [| 3; 4 |] ], false, two D.mul, [ 51203367; 661596510 ]);
-    ("mul broadcast both", [ [| 3; 1; 4 |]; [| 2; 1 |] ], false, two D.mul, [ 643810013; 364446083 ]);
-    ("mul column", [ [| 3; 4 |]; [| 3; 1 |] ], false, two D.mul, [ 762447665; 663698370 ]);
-    ("div", [ [| 3; 4 |]; [| 3; 4 |] ], true, two D.div, [ 828479356; 752390166 ]);
-    ("div broadcast both", [ [| 3; 1; 4 |]; [| 2; 1 |] ], true, two D.div, [ 451316670; 873730978 ]);
-    ("div scalar", [ [| 3; 4 |]; [||] ], true, two D.div, [ 1001919243; 1016906018 ]);
-    ("neg", [ [| 3; 4 |] ], false, one D.neg, [ 524380009 ]);
-    ("scale", [ [| 3; 4 |] ], false, one (D.scale 0.7), [ 18835990 ]);
-    ("add_scalar", [ [| 3; 4 |] ], false, one (D.add_scalar 1.3), [ 1028815873 ]);
-    ("relu", [ [| 3; 4 |] ], false, one D.relu, [ 383430592 ]);
-    ("sigmoid", [ [| 3; 4 |] ], false, one D.sigmoid, [ 397160682 ]);
-    ("tanh", [ [| 3; 4 |] ], false, one D.tanh, [ 665291586 ]);
-    ("exp", [ [| 3; 4 |] ], false, one D.exp, [ 61357452 ]);
-    ("log", [ [| 3; 4 |] ], true, one D.log, [ 300013285 ]);
-    ("sqrt", [ [| 3; 4 |] ], true, one D.sqrt, [ 508885879 ]);
-    ("reshape", [ [| 2; 6 |] ], false, one (fun a -> D.reshape a [| 3; 4 |]), [ 944877782 ]);
-    ("transpose", [ [| 3; 5 |] ], false, one D.transpose, [ 225465427 ]);
-    ("broadcast_to row", [ [| 4 |] ], false, one (fun a -> D.broadcast_to a [| 3; 4 |]), [ 1037259193 ]);
+    ("add", [ [| 3; 4 |]; [| 3; 4 |] ], false, two D.add, [ 150233135392228965; 150233135392228965 ]);
+    ("add broadcast both", [ [| 3; 1; 4 |]; [| 2; 1 |] ], false, two D.add, [ 3372901250387527362; 1815057663324738855 ]);
+    ("add bias", [ [| 2; 3; 4 |]; [| 4 |] ], false, two D.add, [ 3497531260661177359; 4573300219531494390 ]);
+    ("sub", [ [| 3; 4 |]; [| 3; 4 |] ], false, two D.sub, [ 4390440253053364660; 2044030225461963188 ]);
+    ("sub broadcast both", [ [| 3; 1; 4 |]; [| 2; 1 |] ], false, two D.sub, [ 711165656588143987; 1815057382248183354 ]);
+    ("sub bias", [ [| 2; 3; 4 |]; [| 4 |] ], false, two D.sub, [ 3745239263792208639; 848262401815072361 ]);
+    ("mul", [ [| 3; 4 |]; [| 3; 4 |] ], false, two D.mul, [ 1269893260509600976; 211989035276698070 ]);
+    ("mul broadcast both", [ [| 3; 1; 4 |]; [| 2; 1 |] ], false, two D.mul, [ 3558515330623324879; 1815058664598958644 ]);
+    ("mul column", [ [| 3; 4 |]; [| 3; 1 |] ], false, two D.mul, [ 532185890705095972; 988997414542005226 ]);
+    ("div", [ [| 3; 4 |]; [| 3; 4 |] ], true, two D.div, [ 3027167573420189151; 1806607912793692856 ]);
+    ("div broadcast both", [ [| 3; 1; 4 |]; [| 2; 1 |] ], true, two D.div, [ 3769917787567000708; 1814995313359894658 ]);
+    ("div scalar", [ [| 3; 4 |]; [||] ], true, two D.div, [ 4407726162441439517; 100264166824 ]);
+    ("neg", [ [| 3; 4 |] ], false, one D.neg, [ 1762449974324182913 ]);
+    ("scale", [ [| 3; 4 |] ], false, one (D.scale 0.7), [ 3380473543590783268 ]);
+    ("add_scalar", [ [| 3; 4 |] ], false, one (D.add_scalar 1.3), [ 321169445153581706 ]);
+    ("relu", [ [| 3; 4 |] ], false, one D.relu, [ 3755200646426451345 ]);
+    ("sigmoid", [ [| 3; 4 |] ], false, one D.sigmoid, [ 45331692273918728 ]);
+    ("tanh", [ [| 3; 4 |] ], false, one D.tanh, [ 3547578429099034828 ]);
+    ("exp", [ [| 3; 4 |] ], false, one D.exp, [ 2802385597360327780 ]);
+    ("log", [ [| 3; 4 |] ], true, one D.log, [ 4326386763949927344 ]);
+    ("sqrt", [ [| 3; 4 |] ], true, one D.sqrt, [ 388144363834487968 ]);
+    ("reshape", [ [| 2; 6 |] ], false, one (fun a -> D.reshape a [| 3; 4 |]), [ 3849509134481268928 ]);
+    ("transpose", [ [| 3; 5 |] ], false, one D.transpose, [ 278879816987825072 ]);
+    ("broadcast_to row", [ [| 4 |] ], false, one (fun a -> D.broadcast_to a [| 3; 4 |]), [ 368789078834404652 ]);
     ("broadcast_to column", [ [| 3; 1 |] ], false,
-     one (fun a -> D.broadcast_to a [| 2; 3; 4 |]), [ 362885879 ]);
-    ("sum_all", [ [| 3; 4 |] ], false, one D.sum_all, [ 255248647 ]);
-    ("mean_all", [ [| 3; 4 |] ], false, one D.mean_all, [ 205170048 ]);
-    ("sum_axes", [ [| 3; 4; 2 |] ], false, one (fun a -> D.sum_axes a [ 1 ]), [ 937480505 ]);
+     one (fun a -> D.broadcast_to a [| 2; 3; 4 |]), [ 989926502525300562 ]);
+    ("sum_all", [ [| 3; 4 |] ], false, one D.sum_all, [ 218156181389677507 ]);
+    ("mean_all", [ [| 3; 4 |] ], false, one D.mean_all, [ 140212065541920651 ]);
+    ("sum_axes", [ [| 3; 4; 2 |] ], false, one (fun a -> D.sum_axes a [ 1 ]), [ 3457369926930534213 ]);
     ("sum_axes keep_dims", [ [| 3; 4; 2 |] ], false,
-     one (fun a -> D.sum_axes ~keep_dims:true a [ 0; 2 ]), [ 239130942 ]);
-    ("matmul", [ [| 3; 4 |]; [| 4; 5 |] ], false, two D.matmul, [ 655672249; 725258924 ]);
-    ("batch_matmul", [ [| 2; 3; 4 |]; [| 2; 4; 5 |] ], false, two D.batch_matmul, [ 631838865; 727125238 ]);
-    ("batch_transpose", [ [| 2; 3; 4 |] ], false, one D.batch_transpose, [ 261787785 ]);
+     one (fun a -> D.sum_axes ~keep_dims:true a [ 0; 2 ]), [ 876614723937858389 ]);
+    ("matmul", [ [| 3; 4 |]; [| 4; 5 |] ], false, two D.matmul, [ 3798253912590779785; 315674959573671535 ]);
+    ("batch_matmul", [ [| 2; 3; 4 |]; [| 2; 4; 5 |] ], false, two D.batch_matmul, [ 697116004749757484; 613528063314914340 ]);
+    ("batch_transpose", [ [| 2; 3; 4 |] ], false, one D.batch_transpose, [ 3794513654653884665 ]);
     ("conv2d s1 same", [ [| 2; 7; 7; 3 |]; [| 3; 3; 3; 4 |] ], false,
-     conv ~stride:(1, 1) ~padding:Convolution.Same, [ 491144714; 595337 ]);
+     conv ~stride:(1, 1) ~padding:Convolution.Same, [ 705042785305380816; 2109903989138942183 ]);
     ("conv2d s1 valid", [ [| 2; 7; 7; 3 |]; [| 3; 3; 3; 4 |] ], false,
-     conv ~stride:(1, 1) ~padding:Convolution.Valid, [ 670614171; 12425155 ]);
+     conv ~stride:(1, 1) ~padding:Convolution.Valid, [ 889910723872862170; 1403432831077738836 ]);
     ("conv2d s2 same", [ [| 2; 7; 7; 3 |]; [| 3; 3; 3; 4 |] ], false,
-     conv ~stride:(2, 2) ~padding:Convolution.Same, [ 780482916; 992247248 ]);
+     conv ~stride:(2, 2) ~padding:Convolution.Same, [ 170128246209012454; 1139900262755011130 ]);
     ("conv2d s2 valid", [ [| 2; 7; 7; 3 |]; [| 3; 3; 3; 4 |] ], false,
-     conv ~stride:(2, 2) ~padding:Convolution.Valid, [ 619161421; 384408851 ]);
+     conv ~stride:(2, 2) ~padding:Convolution.Valid, [ 3190516513658656808; 4264103944576936598 ]);
     ("conv2d default stride", [ [| 2; 6; 6; 2 |]; [| 2; 2; 2; 3 |] ], false,
-     two (D.conv2d ~padding:Convolution.Valid), [ 1046370831; 492029539 ]);
+     two (D.conv2d ~padding:Convolution.Valid), [ 726929262680918098; 696517961587536668 ]);
     ("avg_pool2d 2/2", [ [| 2; 6; 6; 3 |] ], false,
-     one (D.avg_pool2d ~size:(2, 2) ~stride:(2, 2)), [ 354731092 ]);
+     one (D.avg_pool2d ~size:(2, 2) ~stride:(2, 2)), [ 797375526578283151 ]);
     ("avg_pool2d 3/2", [ [| 2; 7; 7; 3 |] ], false,
-     one (D.avg_pool2d ~size:(3, 3) ~stride:(2, 2)), [ 138097743 ]);
+     one (D.avg_pool2d ~size:(3, 3) ~stride:(2, 2)), [ 2914445739352908509 ]);
     ("max_pool2d 2/2", [ [| 2; 6; 6; 3 |] ], false,
-     one (D.max_pool2d ~size:(2, 2) ~stride:(2, 2)), [ 620421922 ]);
+     one (D.max_pool2d ~size:(2, 2) ~stride:(2, 2)), [ 870228903752850687 ]);
     ("max_pool2d 3/2", [ [| 2; 7; 7; 3 |] ], false,
-     one (D.max_pool2d ~size:(3, 3) ~stride:(2, 2)), [ 271681968 ]);
+     one (D.max_pool2d ~size:(3, 3) ~stride:(2, 2)), [ 4175191566131703096 ]);
     ("softmax_cross_entropy", [ [| 4; 5 |] ], false,
-     one (D.softmax_cross_entropy ~labels), [ 734142945 ]);
-    ("mse", [ [| 3; 4 |] ], false, one (D.mse ~target), [ 702532730 ]);
+     one (D.softmax_cross_entropy ~labels), [ 329017957880328076 ]);
+    ("mse", [ [| 3; 4 |] ], false, one (D.mse ~target), [ 2481512257653783241 ]);
   ]
 
 let pullback_digests i (shapes, positive, f) =

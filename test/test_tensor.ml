@@ -616,24 +616,24 @@ let qcheck_conv_linear_in_input =
 let conv_golden =
   [
     ("resnet stem", [| 4; 32; 32; 3 |], [| 3; 3; 3; 8 |], 1, Convolution.Same,
-     (1164342219871927420, 52577629209237763, 3513489128175858538));
+     (905110816085819329, 145142525630883814, 472319994881627880));
     ("resnet 8->8", [| 4; 32; 32; 8 |], [| 3; 3; 8; 8 |], 1, Convolution.Same,
-     (30842552788021293, 2803256669063709959, 2422238498546087633));
+     (4455063237538950000, 1606916987564131332, 3209265648801344818));
     ("resnet 8->16 s2", [| 4; 32; 32; 8 |], [| 3; 3; 8; 16 |], 2, Convolution.Same,
-     (3152653541732656766, 2661312337265570870, 353893527003976821));
+     (2136188091238921924, 996817505563137497, 2350178296991665673));
     ("resnet 16->16", [| 4; 16; 16; 16 |], [| 3; 3; 16; 16 |], 1, Convolution.Same,
-     (1380960867216201889, 1890781189296071494, 1301899135543354883));
+     (3071845515764672531, 784026239013929173, 4464533549613820783));
     ("resnet 1x1 s2 shortcut", [| 4; 32; 32; 8 |], [| 1; 1; 8; 16 |], 2,
      Convolution.Same,
-     (1842855404980704514, 4280662581512579484, 4037476609635794841));
+     (4218567697699083014, 3045901031818162608, 2080171092021104848));
     ("lenet conv1", [| 4; 28; 28; 1 |], [| 5; 5; 1; 6 |], 1, Convolution.Same,
-     (288845686603207453, 4524404701815618948, 2593355637369074418));
+     (1484391918174680235, 4595095721819083165, 1847249242463105867));
     ("lenet conv2", [| 4; 14; 14; 6 |], [| 5; 5; 6; 16 |], 1, Convolution.Valid,
-     (1654443504932294405, 1128879364222502298, 1777006955469526687));
+     (3515332828643676211, 3866585193911127453, 4580224968134730513));
     ("1x1 s1 pointwise", [| 3; 5; 7; 6 |], [| 1; 1; 6; 5 |], 1, Convolution.Valid,
-     (1617233886104422775, 2246089544854083673, 2694194193191880346));
+     (2753673602274962732, 3341378043545000609, 208105283063736603));
     ("odd valid s2", [| 3; 9; 11; 5 |], [| 3; 2; 5; 7 |], 2, Convolution.Valid,
-     (4346314481547494201, 207794988151041597, 2875860504561421528));
+     (329579740429637557, 4031395091640394695, 384534526712453576));
   ]
 
 let test_conv_golden_digests () =
