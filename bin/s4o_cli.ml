@@ -418,7 +418,7 @@ let run_profile backend model_name epochs batch_size n lr seed trace_out
     Printf.printf "\ntensor memory (off-heap):\n%!";
     Format.printf "%a%!" S4o_obs.Memory.pp mem;
     let m = S4o_device.Engine.metrics engine in
-    (* Only the lazy runtime registers these: [Compiler.run]'s arena and
+    (* Only the lazy runtime registers these: [Compiler.run]'s slab and
        the cuts' read-back. *)
     let counters = S4o_obs.Metrics.snapshot m in
     (match
@@ -426,7 +426,7 @@ let run_profile backend model_name epochs batch_size n lr seed trace_out
          List.assoc_opt "xla.buffers_fresh" counters )
      with
     | Some (S4o_obs.Metrics.Counter_v reused), Some (S4o_obs.Metrics.Counter_v fresh) ->
-        Printf.printf "  recycled in Compiler.run  %d of %d allocations\n" reused
+        Printf.printf "  served from the slab      %d of %d allocations\n" reused
           (reused + fresh)
     | _ -> ());
     (match List.assoc_opt "lazy.recomputed_ops" counters with

@@ -14,10 +14,11 @@
     host-track span enclosing the trace-record span, the compile span (cache
     misses only), and cache-hit/miss instants — so a Chrome-trace export
     shows exactly where §3.4's re-tracing and JIT time goes. The span's args
-    give the cut's op count and how many of the run's allocations were
-    served from recycled buffers ([buffers_reused]) or made fresh
-    ([buffers_fresh]); the engine's metrics registry accumulates the same
-    two numbers as [xla.buffers_reused] and [xla.buffers_fresh]. *)
+    give the cut's op count, how many of the run's steps wrote into their
+    planned region of the domain's slab ([buffers_reused]), and how many
+    buffers the run allocated fresh: its outputs, and the slab when it
+    grew ([buffers_fresh]). The engine's metrics registry accumulates the
+    same two numbers as [xla.buffers_reused] and [xla.buffers_fresh]. *)
 
 type t
 

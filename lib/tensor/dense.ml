@@ -2,10 +2,8 @@ module A = Bigarray.Array1
 
 type buffer = (float, Bigarray.float64_elt, Bigarray.c_layout) A.t
 
-(* [data] is exactly [numel] long. [store] is the buffer that backs it: the
-   same value, or a larger pooled buffer of which [data] is a leading
-   [A.sub] view. Releasing a tensor gives its [store] back. *)
-type t = { shape : Shape.t; data : buffer; store : buffer }
+(* [data] is exactly [numel] long. *)
+type t = { shape : Shape.t; data : buffer }
 
 exception Shape_error = Shape.Shape_error
 
@@ -32,238 +30,80 @@ let alloc_fresh ?tag n : buffer =
   end;
   data
 
-(* {2 Capacity classes}
+(* {2 Per-domain buffers}
 
-   Pooled buffers come in classes of four per octave: the sizes 0..8, then
-   [m lsl s] for [m] in 5..8 and [s >= 1] (10, 12, 14, 16, 20, ...). A
-   request takes the class at or above it, so a class wastes under a
-   quarter of its buffer, and requests a little apart in size share
-   buffers. Class [c] above 8 is [4s + m]. *)
-
-let n_classes = 9 + (4 * Sys.int_size)
-
-let bit_length n =
-  let rec go n b = if n = 0 then b else go (n lsr 1) (b + 1) in
-  go n 0
-
-(* The smallest class of at least [n] elements. *)
-let class_index n =
-  if n <= 8 then n
-  else
-    let s = bit_length (n - 1) - 3 in
-    (4 * s) + ((n - 1) lsr s) + 1
-
-let class_size c =
-  if c <= 8 then c
-  else
-    let s = (c - 5) / 4 in
-    (c - (4 * s)) lsl s
-
-(* The largest class of at most [cap] elements: where a buffer of [cap]
-   elements goes back, so every request its class serves fits in it. *)
-let class_floor cap =
-  let c = class_index cap in
-  if class_size c = cap then c else c - 1
-
-(* {2 The pool}
-
-   One pool of released buffers per domain, shared by every scope
-   ({!Arena.scoped}) that runs on it. It serves allocations only while a
-   scope is active on its domain; pool workers never open one.
-
-   [free.(c)] holds the buffers of class [c], and [stamp.(c)] the [clock]
-   value of its latest take or release. [held] is the bytes in [free];
-   [live] the bytes the current scope has taken and not given back; [high]
-   the most any scope has had live. The pool keeps [held + live <= high]:
-   it never holds more than one scope at its peak needed. [escaping] is
-   set while a scope allocates what outlives it ({!Arena.escaping}).
-   [outside] is the fresh bytes this domain allocated outside a scope since
-   the last one ended, and [allowance] the bytes the pool held then.
-
-   [scratch] is the domain's kernel scratch: buffers a kernel takes and
-   gives back within one call ({!with_scratch_buffer}), on every domain and
-   whether or not a scope is active. *)
-type arena = {
-  free : buffer list array;
-  stamp : int array;
-  mutable clock : int;
-  mutable top : int;  (* no class above holds a buffer *)
-  mutable held : int;
-  mutable live : int;
-  mutable high : int;
-  mutable outside : int;
-  mutable allowance : int;
-  mutable active : bool;
-  mutable escaping : bool;
-  mutable reused : int;
-  mutable fresh : int;
+   Each domain keeps two kinds of buffer besides its tensors'. Its
+   [scratch] cache holds the buffers kernels take and give back within one
+   call ({!with_scratch_buffer}). Its [slab] holds a compiled program's
+   intermediates while the program runs ({!with_slab}): the compiler has
+   given each one a region of it. [dest] is the view {!into} has armed as
+   the next allocation's buffer, and [fresh] counts the buffers allocated
+   fresh on the domain. *)
+type domain_buffers = {
   mutable scratch : buffer list;
+  mutable slab : buffer;
+  mutable slab_busy : bool;
+  mutable dest : buffer;
+  mutable armed : bool;
+  mutable fresh : int;
 }
 
-let arena_key : arena Domain.DLS.key =
+let empty : buffer = A.create Bigarray.float64 Bigarray.c_layout 0
+
+let buffers_key : domain_buffers Domain.DLS.key =
   Domain.DLS.new_key (fun () ->
-      {
-        free = Array.make n_classes [];
-        stamp = Array.make n_classes 0;
-        clock = 0;
-        top = -1;
-        held = 0;
-        live = 0;
-        high = 0;
-        outside = 0;
-        allowance = 0;
-        active = false;
-        escaping = false;
-        reused = 0;
-        fresh = 0;
-        scratch = [];
-      })
+      { scratch = []; slab = empty; slab_busy = false; dest = empty; armed = false; fresh = 0 })
 
-let touch a c =
-  a.clock <- a.clock + 1;
-  a.stamp.(c) <- a.clock
+let fresh_allocations () = (Domain.DLS.get buffers_key).fresh
 
-(* Drops buffers of the least recently used classes until the pool holds
-   at most [limit] bytes. The pool forgets them; the GC frees each once no
-   view of it is left. *)
-let evict_to a limit =
-  let limit = Int.max 0 limit in
-  while a.held > limit do
-    let lru = ref (-1) in
-    for c = 0 to a.top do
-      if a.free.(c) <> [] && (!lru < 0 || a.stamp.(c) < a.stamp.(!lru)) then lru := c
-    done;
-    let rec drop = function
-      | b :: rest when a.held > limit ->
-          a.held <- a.held - (8 * A.dim b);
-          drop rest
-      | rest -> rest
-    in
-    a.free.(!lru) <- drop a.free.(!lru)
-  done
-
-(* The smallest held class from [c] up, or -1. *)
-let rec best_fit a c =
-  if c > a.top then -1 else if a.free.(c) <> [] then c else best_fit a (c + 1)
-
-(* Inside a scope: the smallest pooled buffer of [n]'s class or above; else
-   a fresh buffer of the class, after evicting least recently used classes
-   until it fits under the bound. *)
-let take a n =
-  let c = class_index n in
-  match best_fit a c with
-  | -1 ->
-      let size = class_size c in
-      let bytes = 8 * size in
-      evict_to a (a.high - a.live - bytes);
-      a.live <- a.live + bytes;
-      if a.held + a.live > a.high then a.high <- a.held + a.live;
-      a.fresh <- a.fresh + 1;
-      alloc_fresh size
-  | f -> (
-      match a.free.(f) with
-      | b :: rest ->
-          a.free.(f) <- rest;
-          touch a f;
-          let bytes = 8 * A.dim b in
-          a.held <- a.held - bytes;
-          a.live <- a.live + bytes;
-          a.reused <- a.reused + 1;
-          b
-      | [] -> assert false)
-
-(* The single allocation hook: a pooled buffer of at least [n] elements
-   inside a scope, else a fresh one of exactly [n]. What escapes a scope
-   ({!Arena.escaping}) is fresh too, and the pool's bound does not count it.
-   Outside, fresh bytes up to what the pool held when the last scope ended
-   are free (the next inputs, a check of the last answer); past that the
-   code between two scopes has moved on to other work, and every further
-   byte evicts one of the least recently used classes, so the pool gives
-   back what it would only keep idle while keeping the classes the next
-   scope is likeliest to take. A reused buffer was charged to the tracker
-   when first allocated, and its finaliser credits the free when it
-   finally dies. *)
+(* The single allocation hook: the armed destination, else a fresh buffer. *)
 let alloc n : buffer =
-  let a = Domain.DLS.get arena_key in
-  if a.active then
-    if a.escaping then begin
-      a.fresh <- a.fresh + 1;
-      alloc_fresh n
-    end
-    else take a n
+  let d = Domain.DLS.get buffers_key in
+  if d.armed then begin
+    d.armed <- false;
+    if A.dim d.dest <> n then
+      invalid_arg
+        (Printf.sprintf "Dense.into: %d elements allocated into a %d-element destination" n
+           (A.dim d.dest));
+    d.dest
+  end
   else begin
-    if a.held > 0 then begin
-      a.outside <- a.outside + (8 * n);
-      if a.outside > a.allowance then
-        evict_to a (a.high - (a.outside - a.allowance))
-    end;
+    d.fresh <- d.fresh + 1;
     alloc_fresh n
   end
 
-(* A tensor labelled [shape] (not copied) over the first [n] elements of
-   [store]. *)
-let over shape n store =
-  { shape; data = (if A.dim store = n then store else A.sub store 0 n); store }
-
-(* A tensor labelled [shape] (not copied) over [n] uninitialised elements. *)
-let blank shape n = over shape n (alloc n)
-
-(* With the sanitizer armed, a buffer is poisoned with NaN as it enters the
-   pool or the scratch cache, so a value read after its release shows up
-   as a wrong number. A store released while nothing counted it live (it
-   was allocated before the scope) still was live in the scope, so the
-   bound grows to cover it. *)
-let release_store a (b : buffer) =
-  if Sanitizer.armed () then A.fill b Float.nan;
-  let bytes = 8 * A.dim b in
-  let c = class_floor (A.dim b) in
-  a.free.(c) <- b :: a.free.(c);
-  touch a c;
-  if c > a.top then a.top <- c;
-  a.held <- a.held + bytes;
-  a.live <- Int.max 0 (a.live - bytes);
-  if a.held + a.live > a.high then a.high <- a.held + a.live
-
-(* Into this domain's pool, if a scope is active and [t] was counted live
-   in it. *)
-let recycle t =
-  let a = Domain.DLS.get arena_key in
-  if a.active && not a.escaping then release_store a t.store
-
-module Arena = struct
-  type t = arena
-
-  let scoped f =
-    let a = Domain.DLS.get arena_key in
-    let was_active = a.active in
-    if not was_active then begin
-      a.outside <- 0;
-      a.live <- 0
-    end;
-    a.reused <- 0;
-    a.fresh <- 0;
-    a.active <- true;
+let into dest f =
+  let d = Domain.DLS.get buffers_key in
+  d.dest <- dest;
+  d.armed <- true;
+  let r =
     Fun.protect
       ~finally:(fun () ->
-        a.active <- was_active;
-        (* what the scope still holds (its outputs) leaves the pool's count *)
-        if not was_active then begin
-          a.live <- 0;
-          a.allowance <- a.held
-        end)
-      (fun () -> f a)
+        d.armed <- false;
+        d.dest <- empty)
+      f
+  in
+  if r.data != dest then invalid_arg "Dense.into: the result is not over its destination";
+  r
 
-  let escaping a f =
-    let was = a.escaping in
-    a.escaping <- true;
-    Fun.protect ~finally:(fun () -> a.escaping <- was) f
+let with_slab n f =
+  let d = Domain.DLS.get buffers_key in
+  if d.slab_busy then invalid_arg "Dense.with_slab: this domain's slab is in use";
+  if A.dim d.slab < n then begin
+    d.fresh <- d.fresh + 1;
+    (* A quarter over: a program a little larger than this one then fits
+       without another slab, which the old one would stay resident beside
+       until the GC finalised it. Pages no program uses are never touched,
+       so the margin costs address space, not memory. *)
+    d.slab <- alloc_fresh ~tag:"slab" (n + (n / 4))
+  end;
+  d.slab_busy <- true;
+  Fun.protect ~finally:(fun () -> d.slab_busy <- false) (fun () -> f d.slab)
 
-  let release a t = release_store a t.store
-  let reused a = a.reused
-  let fresh a = a.fresh
-  let held_bytes () = (Domain.DLS.get arena_key).held
-  let high_water () = (Domain.DLS.get arena_key).high
-end
+let slab_bytes () = 8 * A.dim (Domain.DLS.get buffers_key).slab
+
+(* A tensor labelled [shape] (not copied) over [n] uninitialised elements. *)
+let blank shape n = { shape; data = alloc n }
 
 (* {2 Kernel scratch}
 
@@ -271,9 +111,11 @@ end
    the duration of [f]: the best fit among the cached buffers, else a fresh
    one, which replaces the largest cached buffer too small to have served.
    A domain caches as many buffers as its kernels hold at once, so after
-   the first call at a size nothing here reaches the GC. *)
+   the first call at a size nothing here reaches the GC. With the
+   sanitizer armed, a buffer is poisoned with NaN as it goes back, so a
+   value read after its release shows up as a wrong number. *)
 let with_scratch_buffer n f =
-  let a = Domain.DLS.get arena_key in
+  let a = Domain.DLS.get buffers_key in
   (* the smallest cached buffer that fits, and the largest that does not *)
   let fit = ref None and short = ref None in
   List.iter
@@ -301,7 +143,8 @@ let with_scratch_buffer n f =
 let with_scratch shape f =
   Shape.check_valid shape;
   let n = Shape.numel shape in
-  with_scratch_buffer n (fun b -> f (over (Array.copy shape) n b))
+  with_scratch_buffer n (fun b ->
+      f { shape = Array.copy shape; data = (if A.dim b = n then b else A.sub b 0 n) })
 
 (* {1 Creation} *)
 
@@ -805,11 +648,12 @@ let min_value t =
   done;
   !acc
 
-let sum_axes ?(keep_dims = false) t axes =
-  let out_shape_kept = Shape.reduce_axes ~keep_dims:true t.shape axes in
-  let out = zeros out_shape_kept in
+(* Adds [t] into [out], whose shape is [t]'s with the summed axes kept at
+   size 1. *)
+let sum_into t out =
+  let out_shape_kept = out.shape in
   let d = t.data and od = out.data in
-  (match blocks ~small:out_shape_kept ~big:t.shape with
+  match blocks ~small:out_shape_kept ~big:t.shape with
   | Some { outer; mid; inner } ->
       (* The reduced axes are one run: output element [o*inner + j] sums
          rows [m] of [inner] elements. It still receives its inputs in
@@ -854,7 +698,11 @@ let sum_axes ?(keep_dims = false) t axes =
         done;
         A.unsafe_set od !off (A.unsafe_get od !off +. A.unsafe_get d flat);
         next_index idx t.shape
-      done);
+      done
+
+let sum_axes ?(keep_dims = false) t axes =
+  let out = zeros (Shape.reduce_axes ~keep_dims:true t.shape axes) in
+  sum_into t out;
   if keep_dims then out
   else { out with shape = Shape.reduce_axes ~keep_dims:false t.shape axes }
 
@@ -950,18 +798,23 @@ let unbroadcast t target =
     let r = rank t and rt = Shape.rank target in
     (* sum away leading extra dimensions *)
     let lead = List.init (r - rt) (fun i -> i) in
-    let led = if lead = [] then t else sum_axes t lead in
-    (* sum over stretched (size-1) dimensions, keeping dims *)
+    let led_shape = Shape.reduce_axes ~keep_dims:false t.shape lead in
+    (* then sum over stretched (size-1) dimensions, keeping dims *)
     let axes = ref [] in
-    Array.iteri
-      (fun i d -> if d = 1 && (shape led).(i) <> 1 then axes := i :: !axes)
-      target;
-    let summed = if !axes = [] then led else sum_axes ~keep_dims:true led !axes in
-    (* Once read, the leading sum is this kernel's scratch. A sum made here
-       takes the target shape without a copy; [with_shape] still rejects a
-       target whose element count differs. *)
-    if summed != led && led != t then recycle led;
-    if summed == t then reshape t target else with_shape summed target
+    Array.iteri (fun i d -> if d = 1 && led_shape.(i) <> 1 then axes := i :: !axes) target;
+    (* The kernel allocates only its result: when both sums run, the
+       leading one goes to kernel scratch. A sum made here takes the target
+       shape without a copy; [with_shape] still rejects a target whose
+       element count differs. *)
+    match (lead, !axes) with
+    | [], [] -> reshape t target
+    | _, [] -> with_shape (sum_axes t lead) target
+    | [], axes -> with_shape (sum_axes ~keep_dims:true t axes) target
+    | _, axes ->
+        with_scratch (Shape.reduce_axes ~keep_dims:true t.shape lead) (fun led ->
+            A.fill led.data 0.0;
+            sum_into t led;
+            with_shape (sum_axes ~keep_dims:true { led with shape = led_shape } axes) target)
   end
 
 (* Cache-tiled: a [transpose_tile]-square block of the source is read row

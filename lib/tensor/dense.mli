@@ -6,7 +6,7 @@
     and never aliases the argument buffers, so distinct values access
     logically disjoint data (§4). The one exception is {!unbroadcast} to
     the argument's own shape, which returns the argument itself. That is
-    harmless while neither value is mutated, but an executor that recycles
+    harmless while neither value is mutated, but an executor that plans
     buffers must treat the result as an alias of the argument (their
     {!unsafe_data} are physically equal). A small set of explicitly named
     [*_inplace] operations (plus {!blit}/{!fill}) mutate their first
@@ -292,74 +292,42 @@ val softmax : t -> t
 
 val log_softmax : t -> t
 
-(** {1 Buffer arena}
+(** {1 Planned buffers}
 
-    Buffer recycling for an executor that knows when each intermediate dies
-    ({!S4o_xla.Compiler.run}). Each domain has one pool of released
-    buffers, shared by every {!Arena.scoped} call on it, so a program takes
-    its buffers from what earlier runs released, its own or another
-    program's. While a scope is active on a domain, every allocation on
-    that domain takes a pooled buffer; results are unchanged because every
-    kernel writes each element of its output (or starts from {!zeros}).
-    Other domains, the pool workers among them, keep allocating fresh.
+    An executor that plans every buffer ahead of time
+    ({!S4o_xla.Compiler.run}) keeps a program's intermediates in one buffer
+    per domain, the {e slab}, and hands each kernel the region of it where
+    its result goes. Results are unchanged because every kernel writes each
+    element of its output (or starts from {!zeros}). *)
 
-    Buffers are pooled by capacity class, four classes per octave, and a
-    request takes the smallest pooled buffer of its class or above as an
-    exact-length view. A fresh buffer has its class's capacity. Two rules
-    bound what a pool keeps:
-    - the bytes it holds plus those the current scope has live never exceed
-      the most that any scope has had live; before a fresh allocation it
-      evicts buffers of the least recently used classes until they fit;
-    - outside any scope, fresh bytes up to what the pool held when its
-      last scope ended are free; past that, it evicts buffers of the least
-      recently used classes until it plus the excess fits under that same
-      high-water mark.
+(** [with_slab n f] runs [f] on the calling domain's slab. A slab shorter
+    than [n] elements is first replaced by a fresh one a quarter longer
+    than [n], so that a slightly larger program does not replace it again;
+    it never shrinks. Raises [Invalid_argument] if the slab is already in
+    use on this domain. *)
+val with_slab : int -> (buffer -> 'a) -> 'a
 
-    With the sanitizer armed ({!Sanitizer.armed}), every buffer is filled
-    with NaN as it enters the pool, so a read after release gives a wrong
-    number instead of a stale one. *)
-module Arena : sig
-  type tensor := t
-  type t
+(** Bytes of the calling domain's slab. *)
+val slab_bytes : unit -> int
 
-  (** [scoped f] activates the calling domain's pool for the duration of
-      [f arena], whether [f] returns or raises. Buffers still in the pool
-      when [f] returns stay there for the next scope. *)
-  val scoped : (t -> 'a) -> 'a
+(** [into dest f] runs [f] with [dest] armed as the buffer of the first
+    tensor allocated on the calling domain: that allocation must be exactly
+    [dest]'s length, and takes [dest] itself. Later allocations, and those
+    on other domains, are fresh. Raises [Invalid_argument] if [f]'s result
+    is not over [dest]: a kernel must allocate its result first (and, to
+    stay within its plan, nothing else). *)
+val into : buffer -> (unit -> t) -> t
 
-  (** [escaping arena f] runs [f] with the pool bypassed: its allocations
-      are fresh and exactly sized, as a result that outlives the scope
-      should be, so it takes no buffer a later run needs. They count in
-      {!fresh}, not against the pool's bound. *)
-  val escaping : t -> (unit -> 'a) -> 'a
-
-  (** [release arena v] hands [v]'s buffer back for reuse by a later
-      allocation. The caller guarantees that no live value reaches that
-      buffer any more — not [v], and no alias of it — and that it releases
-      each buffer at most once. *)
-  val release : t -> tensor -> unit
-
-  (** Allocations on the pool's domain served from it since the latest
-      {!scoped} call on that domain began. *)
-  val reused : t -> int
-
-  (** Allocations on the pool's domain that found no buffer to reuse, since
-      the latest {!scoped} call on that domain began. *)
-  val fresh : t -> int
-
-  (** Bytes the calling domain's pool holds. *)
-  val held_bytes : unit -> int
-
-  (** The most bytes any scope on the calling domain has had live: the
-      bound on {!held_bytes}. *)
-  val high_water : unit -> int
-end
+(** Tensor buffers allocated fresh on the calling domain so far: every
+    allocation {!into} did not serve, and each slab growth. Kernel scratch
+    is not counted. *)
+val fresh_allocations : unit -> int
 
 (** {1 Kernel scratch} *)
 
 (** [with_scratch shape f] runs [f] on an uninitialised tensor of [shape]
     whose buffer comes from the calling domain's scratch cache and goes
-    back to it when [f] returns, on every domain and in or out of a scope.
+    back to it when [f] returns, on every domain.
     Neither the tensor nor a view of it may outlive [f]. With the sanitizer
     armed the buffer is filled with NaN as it goes back. *)
 val with_scratch : Shape.t -> (t -> 'a) -> 'a

@@ -8,14 +8,16 @@ type compile_stats = {
 }
 
 (* One entry of the execution plan. Slot [k] holds the value of step [k];
-   [operands] are slots of earlier steps, and [release] lists the slots whose
-   last consumer is this step (never a graph output). *)
+   [operands] are slots of earlier steps, and [release] lists the slots
+   whose value dies at this step (never a graph output). [offset] is where
+   the step's result lives in the slab, or -1. *)
 type step = {
   node : Hlo.node;
   operands : int array;
   release : int array;
   dispatch : S4o_device.Op_info.t option;  (* on the last member of a cluster *)
   output : bool;
+  offset : int;
 }
 
 type executable = {
@@ -23,6 +25,7 @@ type executable = {
   steps : step array;  (* parameters and literals, then clusters in order *)
   n_leaves : int;  (* the parameter and literal steps *)
   outputs : int array;  (* slot of each graph output *)
+  slab : int;  (* elements of slab every run needs *)
   stats : compile_stats;
 }
 
@@ -33,9 +36,69 @@ type executable = {
 let compile_base_seconds = 0.050
 let compile_per_node_seconds = 0.0015
 
+(* [unbroadcast] to its operand's own shape returns the operand itself. *)
+let is_view (node : Hlo.node) =
+  match (node.role, node.inputs) with
+  | Hlo.Compute { kind = Unbroadcast _; _ }, [ a ] -> Shape.equal a.shape node.shape
+  | _ -> false
+
+(* An elementwise kernel reads element [i] of each operand before it
+   writes element [i] of its result, and no element after, so its result
+   may overwrite an operand of its own shape that dies at it. *)
+let elementwise (node : Hlo.node) =
+  match node.role with
+  | Hlo.Compute { kind; _ } -> (
+      match kind with
+      | Add | Sub | Mul | Div | Relu_grad | Neg | Exp | Log | Sqrt | Relu | Sigmoid | Tanh
+      | Scale _ | Add_scalar _ ->
+          true
+      | _ -> false)
+  | _ -> false
+
+(* Greedy by size: the largest value first, each at the lowest offset where
+   it overlaps no region already placed for a value live at the same time.
+   [size.(s)] is slot [s]'s element count and [last.(s)] the last step that
+   reads it; a value is live from its own step through [last], both
+   included, since a kernel reads its operands while it writes its result.
+   Gives each slot's offset (-1 where [wants] is false) and the slab's
+   length. *)
+let assign_regions ~size ~last wants =
+  let n = Array.length size in
+  let offset = Array.make n (-1) in
+  let slots =
+    List.filter wants (List.init n Fun.id)
+    |> List.stable_sort (fun a b -> compare size.(b) size.(a))
+  in
+  (* the slots placed so far, by increasing offset *)
+  let placed = Array.make n 0 and m = ref 0 and slab = ref 0 in
+  List.iter
+    (fun s ->
+      (* past [at + size.(s)] no placed region can be in the way *)
+      let at = ref 0 and i = ref 0 in
+      while !i < !m && !at + size.(s) > offset.(placed.(!i)) do
+        let p = placed.(!i) in
+        if p <= last.(s) && s <= last.(p) then at := max !at (offset.(p) + size.(p));
+        incr i
+      done;
+      offset.(s) <- !at;
+      slab := max !slab (!at + size.(s));
+      let j = ref !m in
+      while !j > 0 && offset.(placed.(!j - 1)) > !at do
+        placed.(!j) <- placed.(!j - 1);
+        decr j
+      done;
+      placed.(!j) <- s;
+      incr m)
+    slots;
+  (offset, !slab)
+
 (* The flat execution plan: slots in schedule order, operands resolved to
-   slots, and each slot released by its last consumer. A slot nobody
-   consumes is released by its own step unless it is an output. *)
+   slots, and every value given its place. Slots that share a buffer (a
+   view and its operand, an elementwise result and the operand it writes
+   over) are released together, after the last step that reads any of
+   them, unless they are outputs. Each buffer of compute steps that no
+   output reaches gets a region of the slab; the others are allocated
+   fresh. *)
 let schedule (g : Hlo.graph) clusters =
   let leaves =
     List.filter
@@ -60,12 +123,47 @@ let schedule (g : Hlo.graph) clusters =
   let outputs = Array.of_list (List.map slot g.outputs) in
   let is_output = Array.make n false in
   Array.iter (fun s -> is_output.(s) <- true) outputs;
-  let last_use = Array.init n Fun.id in
-  Array.iteri (fun k ops -> Array.iter (fun j -> last_use.(j) <- k) ops) operands;
+  (* [reader.(s)]: the last step that reads slot [s], or [s] *)
+  let reader = Array.init n Fun.id in
+  Array.iteri (fun k ops -> Array.iter (fun j -> reader.(j) <- k) ops) operands;
+  let node k = fst order.(k) in
+  (* [escapes.(s)]: an output is [s] or a view of it *)
+  let escapes = Array.copy is_output in
+  for k = n - 1 downto 0 do
+    if is_view (node k) && escapes.(k) then escapes.(operands.(k).(0)) <- true
+  done;
+  let compute k = match (node k).role with Hlo.Compute _ -> true | _ -> false in
+  (* Slots that share a buffer form a class named by its first slot,
+     [owner.(s)]; [last.(o)] is the last step that reads any slot of class
+     [o]. A view joins its operand's class, and so does an elementwise
+     result that no output reaches, over an operand of its own shape whose
+     class has a region and dies at it. *)
+  let owner = Array.init n Fun.id and last = Array.copy reader in
+  let planned o = compute o && not escapes.(o) in
+  for k = 0 to n - 1 do
+    let joins j =
+      is_view (node k)
+      || elementwise (node k)
+         && (not escapes.(k))
+         && Shape.equal (node j).shape (node k).shape
+         && planned owner.(j)
+         && last.(owner.(j)) = k
+    in
+    match List.find_opt joins (Array.to_list operands.(k)) with
+    | Some j ->
+        let o = owner.(j) in
+        owner.(k) <- o;
+        last.(o) <- max last.(o) reader.(k)
+    | None -> ()
+  done;
   let release = Array.make n [] in
   for s = n - 1 downto 0 do
-    if not is_output.(s) then release.(last_use.(s)) <- s :: release.(last_use.(s))
+    let at = last.(owner.(s)) in
+    if not is_output.(s) then release.(at) <- s :: release.(at)
   done;
+  let size = Array.map (fun ((node : Hlo.node), _) -> Shape.numel node.shape) order in
+  let region, slab = assign_regions ~size ~last (fun k -> owner.(k) = k && planned k) in
+  let offset k = if is_view (node k) then -1 else region.(owner.(k)) in
   let steps =
     Array.mapi
       (fun k (node, dispatch) ->
@@ -75,17 +173,18 @@ let schedule (g : Hlo.graph) clusters =
           release = Array.of_list release.(k);
           dispatch;
           output = is_output.(k);
+          offset = offset k;
         })
       order
   in
-  (steps, List.length leaves, outputs)
+  (steps, List.length leaves, outputs, slab)
 
 let compile ?engine g =
   Hlo.validate ~stage:"compile" g;
   let input_nodes = Hlo.size g in
   let optimized, _ = Opt.optimize g in
   let clusters = Opt.fuse optimized in
-  let steps, n_leaves, outputs = schedule optimized clusters in
+  let steps, n_leaves, outputs, slab = schedule optimized clusters in
   let compile_seconds =
     compile_base_seconds +. (compile_per_node_seconds *. float_of_int input_nodes)
   in
@@ -106,6 +205,7 @@ let compile ?engine g =
     steps;
     n_leaves;
     outputs;
+    slab;
     stats =
       {
         input_nodes;
@@ -117,6 +217,7 @@ let compile ?engine g =
 
 let stats exe = exe.stats
 let plan exe = exe.steps
+let slab exe = exe.slab
 
 (* The fused kernels, one per cluster, in dispatch order. *)
 let iter_kernels f exe = Array.iter (fun st -> Option.iter f st.dispatch) exe.steps
@@ -136,55 +237,38 @@ let run exe engine feeds =
          (Array.length feeds) exe.n_params);
   let n = Array.length exe.steps in
   let values = Array.make n placeholder in
-  (* [owner.(s)] is the slot that first held [s]'s buffer, made by a kernel
-     in this run, or -1 for a buffer the run must not recycle (a feed, a
-     literal, or an alias of one). [refs.(o)] counts the live slots sharing
-     [o]'s buffer; outputs are never released, so an output's buffer never
-     goes back to the pool. *)
-  let owner = Array.make n (-1) in
-  let refs = Array.make n 0 in
-  Dense.Arena.scoped (fun arena ->
+  let fresh0 = Dense.fresh_allocations () and served = ref 0 in
+  let poison = Sanitizer.armed () in
+  Dense.with_slab exe.slab (fun slab ->
       for k = 0 to n - 1 do
         let st = exe.steps.(k) in
         (match st.node.role with
         | Hlo.Param i -> values.(k) <- feeds.(i)
         | Hlo.Literal v -> values.(k) <- v
         | Hlo.Compute o ->
-            let ops = st.operands in
-            let args = Array.map (fun j -> values.(j)) ops in
-            let v =
-              if st.output then Dense.Arena.escaping arena (fun () -> o.kernel args)
-              else o.kernel args
-            in
-            values.(k) <- v;
-            (* A result aliases an operand when it is that operand's storage
-               ([Dense.unbroadcast] to the operand's own shape). *)
-            let data = Dense.unsafe_data v in
-            let rec alias i =
-              if i = Array.length ops then k
-              else if Dense.unsafe_data values.(ops.(i)) == data then owner.(ops.(i))
-              else alias (i + 1)
-            in
-            let o = alias 0 in
-            owner.(k) <- o;
-            if o >= 0 then refs.(o) <- refs.(o) + 1);
+            let args = Array.map (fun j -> values.(j)) st.operands in
+            values.(k) <-
+              (if st.offset < 0 then o.kernel args
+               else begin
+                 incr served;
+                 let dest = Bigarray.Array1.sub slab st.offset (Shape.numel st.node.shape) in
+                 Dense.into dest (fun () -> o.kernel args)
+               end));
         Array.iter
           (fun s ->
-            let o = owner.(s) in
-            if o >= 0 then begin
-              refs.(o) <- refs.(o) - 1;
-              if refs.(o) = 0 then Dense.Arena.release arena values.(s)
-            end;
+            (* a value read after this reads NaN *)
+            if poison && exe.steps.(s).offset >= 0 then
+              Bigarray.Array1.fill (Dense.unsafe_data values.(s)) Float.nan;
             values.(s) <- placeholder)
           st.release;
         Option.iter (fun info -> ignore (S4o_device.Engine.dispatch engine info)) st.dispatch
-      done;
-      let m = S4o_device.Engine.metrics engine in
-      S4o_obs.Metrics.incr ~by:(Dense.Arena.reused arena)
-        (S4o_obs.Metrics.counter m "xla.buffers_reused");
-      S4o_obs.Metrics.incr ~by:(Dense.Arena.fresh arena)
-        (S4o_obs.Metrics.counter m "xla.buffers_fresh");
-      Array.map (fun s -> values.(s)) exe.outputs)
+      done);
+  let m = S4o_device.Engine.metrics engine in
+  S4o_obs.Metrics.incr ~by:!served (S4o_obs.Metrics.counter m "xla.buffers_reused");
+  S4o_obs.Metrics.incr
+    ~by:(Dense.fresh_allocations () - fresh0)
+    (S4o_obs.Metrics.counter m "xla.buffers_fresh");
+  Array.map (fun s -> values.(s)) exe.outputs
 
 let simulate exe engine =
   iter_kernels (fun info -> ignore (S4o_device.Engine.dispatch engine info)) exe

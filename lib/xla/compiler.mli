@@ -9,13 +9,18 @@
     Compilation also lays out a flat execution plan ({!plan}): one step per
     node, parameters and literals first and then the fused clusters' members
     in cluster order, with every operand resolved to a slot (a step index)
-    and every slot scheduled for release after its last consumer.
+    and every slot scheduled for release after its last consumer. It then
+    assigns buffers ahead of time, as XLA does: every intermediate gets a
+    region of one slab ({!slab}), sized by greedy-by-size colouring of the
+    plan's live ranges, so that no two values live at once share memory,
+    but that an elementwise kernel may write over an operand of its own
+    shape that dies at it.
 
     Execution has two modes:
     - {!run}: computes real tensor values with the naive kernels while
-      advancing the simulated device clock kernel by kernel, recycling each
-      dead intermediate's buffer for later allocations of this run and of
-      the executable's next runs;
+      advancing the simulated device clock kernel by kernel, each
+      intermediate written straight into its region of the calling
+      domain's slab;
     - {!simulate}: advances the clock only, for benchmarks that measure the
       timing model on workloads too large to execute for real. *)
 
@@ -43,22 +48,22 @@ val estimated_run_time : S4o_device.Device_spec.t -> executable -> float
     Kernels are dispatched asynchronously to [engine]; the caller decides
     when to {!S4o_device.Engine.sync}.
 
-    The run walks the plan once. After each step it releases the slots that
-    step consumed for the last time; a released buffer goes back to the
-    calling domain's {!S4o_tensor.Dense.Arena}, which serves later
-    allocations of its class or below, once no live slot shares it. A slot
-    shares an operand's buffer when the kernel returned that storage itself
-    ([unbroadcast] to the same shape). Only buffers a kernel allocated in
-    this run are recycled: feeds, literals, outputs and anything aliasing
-    them never are. An output's kernel allocates fresh
-    ({!S4o_tensor.Dense.Arena.escaping}), since its result leaves the run.
-    The pool is shared by every executable, so a run takes its
-    intermediates from what earlier runs released, its own or another
-    program's, and a program run again allocates fresh only its outputs.
-    Kernel scratch comes from each domain's own cache. Results are
-    bit-identical to allocating every buffer fresh. The engine's metrics
-    count, per run, [xla.buffers_reused] (allocations served from the pool)
-    and [xla.buffers_fresh] (the rest made on the calling domain). *)
+    The run walks the plan once, on the calling domain's slab
+    ({!S4o_tensor.Dense.with_slab}), which grows to {!slab} elements if it
+    is shorter and is never shrunk. Each step with a region runs its kernel
+    into that region ({!S4o_tensor.Dense.into}), and the run raises if the
+    kernel's result is elsewhere. A graph output is allocated fresh, since
+    it outlives the run, and so is a value that an output is a view of
+    ([unbroadcast] to its own shape returns its operand). Feeds and
+    literals are used in place. Runs on one domain are sequential: a run
+    that finds its domain's slab in use raises. With the sanitizer armed
+    ({!S4o_tensor.Sanitizer.armed}), each region is filled with NaN once
+    its value dies. Results are bit-identical to allocating every buffer
+    fresh. The engine's metrics count, per run, [xla.buffers_reused] (the
+    steps served from the slab) and [xla.buffers_fresh] (the allocations
+    made fresh on the calling domain: outputs, and the slab when it grows),
+    so a program allocates fresh only its outputs once the slab is big
+    enough for it. *)
 val run :
   executable -> S4o_device.Engine.t -> S4o_tensor.Dense.t array -> S4o_tensor.Dense.t array
 
@@ -79,13 +84,23 @@ type step = private {
   node : Hlo.node;
   operands : int array;  (** Slots of [node]'s inputs, all earlier steps. *)
   release : int array;
-      (** Slots whose last consumer is this step, freed after it runs. A
-          graph output is never released. *)
+      (** Slots whose value dies at this step, freed after it runs: its
+          last consumer, or that of any view of it. A graph output is never
+          released. *)
   dispatch : S4o_device.Op_info.t option;
       (** On the last member of each fused cluster: the kernel dispatched to
           the engine once the cluster's members have run. *)
   output : bool;  (** The step's value is a graph output. *)
+  offset : int;
+      (** Where the step's result lives in the slab, or -1: a leaf, an
+          output, a view of its operand, or a value an output is a view
+          of. The region is [Shape.numel node.shape] elements long, and is
+          an operand's when the step is elementwise and writes over that
+          operand as it dies. *)
 }
 
 (** The steps in execution order; slot [k] holds step [k]'s value. *)
 val plan : executable -> step array
+
+(** Elements of slab a run of the executable needs. *)
+val slab : executable -> int

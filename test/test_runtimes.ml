@@ -71,7 +71,8 @@ module type FUZZED = sig
   val cut : t list -> unit
 end
 
-let run_program (type t) (module B : FUZZED with type t = t) p =
+(* The program's values on [B], not yet read back. *)
+let build_program (type t) (module B : FUZZED with type t = t) p =
   let n, m = p.dims in
   let rng = Random.State.make [| p.seed |] in
   let input shape =
@@ -146,7 +147,10 @@ let run_program (type t) (module B : FUZZED with type t = t) p =
     | _ -> B.neg a
   in
   List.iter (fun st -> vals := !vals @ [ step st ]) p.steps;
-  List.map B.to_dense !vals
+  !vals
+
+let run_program (type t) (module B : FUZZED with type t = t) p =
+  List.map B.to_dense (build_program (module B) p)
 
 let near_equal c =
   if c = 0.0 then -.c
@@ -209,6 +213,133 @@ let qcheck_three_backends_agree =
                read back *)
             [ eager; lazy_cached; lazy_cached; lazy_uncached ])
         [ p; nudged p; nudged (nudged p); { p with dims = (m + 1, n) } ])
+
+let buffer_counts engine =
+  let m = Engine.metrics engine in
+  let count name = S4o_obs.Metrics.counter_value (S4o_obs.Metrics.counter m name) in
+  (count "xla.buffers_reused", count "xla.buffers_fresh")
+
+(* {2 Slab assignment}
+
+   Each random program, traced on lazy with no cut, is compiled as one
+   graph whose outputs are every third value and the last, and checked
+   against a liveness analysis of its own. A value lives from its step
+   through its last reader; a view (unbroadcast to its operand's own shape)
+   holds its operand's value, so its readers count for it. *)
+
+let is_view (st : S4o_xla.Compiler.step) =
+  match st.node.role with
+  | S4o_xla.Hlo.Compute { kind = Unbroadcast _; _ } ->
+      Shape.equal st.node.shape (List.hd st.node.inputs).shape
+  | _ -> false
+
+(* The kernels that may write over an operand of their own shape that dies
+   at them: each reads element [i] before it writes element [i]. *)
+let elementwise (st : S4o_xla.Compiler.step) =
+  match st.node.role with
+  | S4o_xla.Hlo.Compute { kind; _ } -> (
+      match kind with
+      | Add | Sub | Mul | Div | Relu_grad | Neg | Exp | Log | Sqrt | Relu | Sigmoid | Tanh
+      | Scale _ | Add_scalar _ ->
+          true
+      | _ -> false)
+  | _ -> false
+
+(* Every region lies inside the slab; two values live at the same step
+   never share an element, but for an elementwise result written over an
+   operand that dies at it; and every value no output reaches, bar the
+   views, has a region. *)
+let slab_plan_ok exe =
+  let steps = S4o_xla.Compiler.plan exe and slab = S4o_xla.Compiler.slab exe in
+  let n = Array.length steps in
+  let owner = Array.init n Fun.id in
+  Array.iteri (fun k st -> if is_view st then owner.(k) <- owner.(st.S4o_xla.Compiler.operands.(0))) steps;
+  let last = Array.init n Fun.id and escapes = Array.make n false in
+  Array.iteri
+    (fun k (st : S4o_xla.Compiler.step) ->
+      Array.iter (fun j -> last.(owner.(j)) <- max last.(owner.(j)) k) st.operands;
+      if st.output then escapes.(owner.(k)) <- true)
+    steps;
+  let len s = Shape.numel steps.(s).node.shape and off s = steps.(s).offset in
+  let regions = List.filter (fun s -> off s >= 0) (List.init n Fun.id) in
+  let handoff a b =
+    elementwise steps.(b)
+    && Array.exists (fun j -> owner.(j) = a) steps.(b).operands
+    && last.(a) = b
+    && off a = off b
+    && Shape.equal steps.(a).node.shape steps.(b).node.shape
+  in
+  let planned s =
+    match steps.(s).node.role with
+    | S4o_xla.Hlo.Compute _ -> (not (is_view steps.(s))) && not escapes.(s)
+    | _ -> false
+  in
+  List.for_all (fun s -> off s + len s <= slab) regions
+  && List.for_all
+       (fun a ->
+         List.for_all
+           (fun b ->
+             b <= a || b > last.(a) || off a + len a <= off b || off b + len b <= off a
+             || handoff a b)
+           regions)
+       regions
+  && List.for_all (fun s -> planned s = (off s >= 0)) (List.init n Fun.id)
+
+let qcheck_slab_assignment =
+  let engine = Engine.create Spec.gtx1080 in
+  let rt = S4o_lazy.Lazy_runtime.create engine in
+  let module Bk = S4o_lazy.Lazy_backend.Make (struct
+    let rt = rt
+  end) in
+  let traced =
+    (module struct
+      include Bk
+
+      let cut _ = ()
+    end : FUZZED
+      with type t = Bk.t)
+  in
+  Test_util.qtest ~count:300 "slab: live values disjoint, in bounds, = naive" arb_program
+    (fun p ->
+      let values =
+        let (module N : FUZZED) = no_cut (module Naive_backend) in
+        List.combine (build_program traced p) (run_program (module N) p)
+      in
+      let last = List.length values - 1 in
+      let roots =
+        List.filteri (fun i (v, _) -> (i mod 3 = 2 || i = last) && S4o_lazy.Trace.is_pending v) values
+      in
+      roots = []
+      ||
+      let cut = S4o_lazy.Trace.cut (List.map fst roots) in
+      let feeds =
+        Array.of_list
+          (List.map
+             (fun (l : S4o_lazy.Trace.node) ->
+               match l.state with S4o_lazy.Trace.Materialized v -> v | _ -> assert false)
+             cut.leaves)
+      in
+      let exe = S4o_xla.Compiler.compile cut.graph in
+      let run () =
+        let _, fresh0 = buffer_counts engine in
+        let out = S4o_xla.Compiler.run exe engine feeds in
+        (out, snd (buffer_counts engine) - fresh0)
+      in
+      (* the second run finds the slab big enough: each kernel that runs
+         outside it allocates its one result, and nothing else allocates *)
+      let fresh_steps =
+        Array.fold_left
+          (fun n (st : S4o_xla.Compiler.step) ->
+            match st.node.role with
+            | S4o_xla.Hlo.Compute _ when st.offset < 0 && not (is_view st) -> n + 1
+            | _ -> n)
+          0 (S4o_xla.Compiler.plan exe)
+      in
+      ignore (run ());
+      let out, fresh = run () in
+      slab_plan_ok exe
+      && List.for_all2 Dense.bit_equal (List.map snd roots) (Array.to_list out)
+      && fresh = fresh_steps)
 
 (* {1 Eager runtime behaviour} *)
 
@@ -365,25 +496,25 @@ let test_lazy_capture_is_free () =
   let st = S4o_lazy.Lazy_runtime.stats rt in
   Test_util.check_int "no trace consumed" 0 st.S4o_lazy.Lazy_runtime.traces_cut
 
+(* neg^4, run on a fresh domain, whose slab starts empty: the three
+   intermediates are served from the slab, and the output and the slab's
+   first growth are fresh. *)
 let test_lazy_reports_buffer_reuse () =
-  Test_util.with_lazy ~recorder:(S4o_obs.Recorder.create ()) (fun (module Bk) _ engine ->
-      (* neg^4: the third neg takes the first's buffer; the fourth is the
-         output, which the pool never serves *)
-      Test_util.drain_pool ();
-      let x = Bk.of_dense (Dense.ones [| 64 |]) in
-      ignore (Bk.to_dense (Bk.neg (Bk.neg (Bk.neg (Bk.neg x)))));
-      let arg name =
-        List.find_map
-          (fun (s : S4o_obs.Recorder.span) ->
-            if s.name = "materialize" then List.assoc_opt name s.args else None)
-          (S4o_obs.Recorder.spans (Engine.recorder engine))
-      in
-      Test_util.check_true "span reuse arg" (arg "buffers_reused" = Some "1");
-      Test_util.check_true "span fresh arg" (arg "buffers_fresh" = Some "3");
-      let m = Engine.metrics engine in
-      let count name = S4o_obs.Metrics.counter_value (S4o_obs.Metrics.counter m name) in
-      Test_util.check_int "reuse counter" 1 (count "xla.buffers_reused");
-      Test_util.check_int "fresh counter" 3 (count "xla.buffers_fresh"))
+  Domain.join
+    (Domain.spawn (fun () ->
+         Test_util.with_lazy ~recorder:(S4o_obs.Recorder.create ())
+           (fun (module Bk) _ engine ->
+             let x = Bk.of_dense (Dense.ones [| 64 |]) in
+             ignore (Bk.to_dense (Bk.neg (Bk.neg (Bk.neg (Bk.neg x)))));
+             let arg name =
+               List.find_map
+                 (fun (s : S4o_obs.Recorder.span) ->
+                   if s.name = "materialize" then List.assoc_opt name s.args else None)
+                 (S4o_obs.Recorder.spans (Engine.recorder engine))
+             in
+             Test_util.check_true "span reuse arg" (arg "buffers_reused" = Some "3");
+             Test_util.check_true "span fresh arg" (arg "buffers_fresh" = Some "2");
+             Test_util.check_true "counters" (buffer_counts engine = (3, 2)))))
 
 (* A result the caller keeps does not keep alive the trace that computed
    it: once materialized, a node is a leaf and holds only its value. The
@@ -398,7 +529,7 @@ let test_lazy_result_drops_its_trace () =
       in
       Test_util.check_int "as small after 100 ops as after 10" (words 10) (words 100))
 
-(* {1 The buffer pool across runs of one program} *)
+(* {1 The slab across runs of one program} *)
 
 (* One Adam step of a conv + BatchNorm model, on [Bk]: the loss, then the
    updated parameters and optimizer state. *)
@@ -426,11 +557,6 @@ let adam_step (type t) (module Bk : Backend_intf.S with type t = t) =
   let r = T.step model opt ~images ~labels in
   M.L.D.value r.T.loss :: O.updated_params opt
 
-let buffer_counts engine =
-  let m = Engine.metrics engine in
-  let count name = S4o_obs.Metrics.counter_value (S4o_obs.Metrics.counter m name) in
-  (count "xla.buffers_reused", count "xla.buffers_fresh")
-
 (* The step traced on lazy and compiled once. [run ()] runs it on its
    feeds and gives the outputs with the run's fresh allocations. *)
 let step_program () =
@@ -457,38 +583,33 @@ let step_program () =
   in
   (run, List.length cut.graph.outputs)
 
-(* The pool's bound can evict, in the first runs, buffers a later run
-   needs, so a few runs pass before one takes every intermediate from the
-   pool. From then on each run allocates fresh only its outputs: they
-   escape the pool, so the runs leave it as they found it. *)
+(* On a fresh domain, whose slab starts empty, the step's first run
+   allocates its outputs and the slab, and every later run its outputs
+   only. Another program of the same step finds the slab big enough and
+   allocates only its outputs from its first run; naive work between runs
+   changes nothing. *)
 let test_step_program_reuses_its_buffers () =
   let naive = adam_step (module Naive_backend) in
-  let run, n_outputs = step_program () in
-  Test_util.drain_pool ();
-  let first_fresh = ref 0 and settled = ref 0 in
-  for i = 1 to 10 do
-    let outputs, fresh = run () in
-    Test_util.check_true
-      (Printf.sprintf "run %d = naive" i)
-      (List.for_all2 Dense.bit_equal naive (Array.to_list outputs));
-    Test_util.check_true "held within the high-water mark"
-      (Dense.Arena.held_bytes () <= Dense.Arena.high_water ());
-    if i = 1 then first_fresh := fresh;
-    if !settled > 0 then
-      Test_util.check_int (Printf.sprintf "run %d allocates its outputs" i) n_outputs fresh
-    else if fresh = n_outputs then settled := i
-  done;
-  Test_util.check_true "the first run allocates more" (!first_fresh > n_outputs);
-  Test_util.check_true "settles within six runs" (!settled > 0 && !settled <= 6);
-  (* another program of the same step shares the pool: no warm-up *)
-  let other, _ = step_program () in
-  Test_util.check_int "another program allocates its outputs" n_outputs (snd (other ()));
-  Test_util.check_int "and so does this one after it" n_outputs (snd (run ()));
-  (* allocating past what the pool holds outside a run drops it *)
-  Test_util.drain_pool ();
-  Test_util.check_true "after outside allocation" (snd (run ()) > n_outputs)
+  Domain.join
+    (Domain.spawn (fun () ->
+         let run, n_outputs = step_program () in
+         for i = 1 to 5 do
+           let outputs, fresh = run () in
+           Test_util.check_true
+             (Printf.sprintf "run %d = naive" i)
+             (List.for_all2 Dense.bit_equal naive (Array.to_list outputs));
+           Test_util.check_int
+             (Printf.sprintf "run %d allocates its outputs%s" i
+                (if i = 1 then " and the slab" else ""))
+             (if i = 1 then n_outputs + 1 else n_outputs)
+             fresh
+         done;
+         let other, _ = step_program () in
+         Test_util.check_int "another program allocates its outputs" n_outputs (snd (other ()));
+         ignore (adam_step (module Naive_backend));
+         Test_util.check_int "and so does this one after naive work" n_outputs (snd (run ()))))
 
-(* {1 One pool for every program} *)
+(* {1 One slab for every program} *)
 
 (* LeNet inference on lazy, one program per batch size, as a server runs
    it. [request b] answers [b] examples and gives the answer with the fresh
@@ -522,38 +643,37 @@ let lenet_server () =
   (request, naive, reach)
 
 (* Programs at batch sizes 1, 2, 4 and 8 alternate, with one size seen
-   once among them. Every answer is naive's, bit for bit; the pool never
-   holds more than its high-water mark; and once warm, a recurring size
-   takes every intermediate from buffers the other programs released, so
-   it allocates fresh only its output. *)
-let test_alternating_programs_share_the_pool () =
+   once among them. Every answer is naive's, bit for bit. A request grows
+   the slab only when its program needs a larger one than any before it,
+   and allocates fresh only its output otherwise; so from the second at
+   its batch size on, a request allocates fresh only its output. *)
+let test_alternating_programs_share_the_slab () =
   let request, naive, _ = lenet_server () in
   let sizes = [ 1; 2; 4; 8; 1; 2; 4; 8; 13; 1; 2; 4; 8; 4; 1; 8; 2 ] in
-  (* naive answers first: allocating between requests, outside any run,
-     would count against the pool *)
-  let expected = List.map naive sizes in
-  Test_util.drain_pool ();
   List.iteri
     (fun i b ->
+      let slab0 = Dense.slab_bytes () in
       let y, fresh = request b in
       Test_util.check_true (Printf.sprintf "request %d (batch %d) = naive" i b)
-        (Dense.bit_equal (List.nth expected i) y);
-      Test_util.check_true "held within the high-water mark"
-        (Dense.Arena.held_bytes () <= Dense.Arena.high_water ());
-      if i >= 8 && b <> 13 then
-        Test_util.check_int (Printf.sprintf "request %d (batch %d) allocates its output" i b) 1
-          fresh)
+        (Dense.bit_equal (naive b) y);
+      let grew = Dense.slab_bytes () > slab0 in
+      Test_util.check_true
+        (Printf.sprintf "request %d (batch %d) grows the slab only at a new size" i b)
+        ((not grew) || not (List.mem b (List.filteri (fun j _ -> j < i) sizes)));
+      Test_util.check_int
+        (Printf.sprintf "request %d (batch %d) allocates its output%s" i b
+           (if grew then " and the slab" else ""))
+        (if grew then 2 else 1)
+        fresh)
     sizes
 
 (* The same server checking each answer against naive right after its
-   lazy run, on a fresh domain whose pool has served one batch of 16
-   first. The naive passes allocate fresh outside any run, several times
-   what the lazy programs hold; the pool keeps what it held free of them
-   and past that evicts only what its high-water mark cannot cover, least
-   recently used classes first. So once warm a batch-1 request still
-   allocates fresh only its output; a pool emptied by each pass would
-   allocate all three of its buffers. *)
-let test_naive_between_requests_keeps_the_pool () =
+   lazy run, on a fresh domain whose slab has served one batch of 16
+   first. The naive passes allocate fresh, several times what the lazy
+   programs need; the slab is the program's, and the checks never touch
+   it. So every request after the first, at any batch size, allocates
+   fresh only its output. *)
+let test_naive_between_requests_keeps_the_slab () =
   Domain.join
     (Domain.spawn (fun () ->
          let request, naive, _ = lenet_server () in
@@ -563,17 +683,15 @@ let test_naive_between_requests_keeps_the_pool () =
              let y, fresh = request b in
              Test_util.check_true (Printf.sprintf "request %d (batch %d) = naive" i b)
                (Dense.bit_equal (naive b) y);
-             Test_util.check_true "held within the high-water mark"
-               (Dense.Arena.held_bytes () <= Dense.Arena.high_water ());
-             if i >= 5 && b = 1 then
+             if i > 0 then
                Test_util.check_int
-                 (Printf.sprintf "request %d (batch 1) allocates its output" i)
+                 (Printf.sprintf "request %d (batch %d) allocates its output" i b)
                  1 fresh)
            sizes))
 
 (* A long-lived server's memory is flat over a cycling mix of batch sizes:
-   what the runtime and model reach beyond their metrics, and what the pool
-   holds, are the same after 2N requests as after N. *)
+   what the runtime and model reach beyond their metrics, and the slab,
+   are the same after 2N requests as after N. *)
 let test_cycling_mix_soak_flat () =
   let request, _, reach = lenet_server () in
   let sizes = [| 1; 2; 4; 8; 3 |] in
@@ -583,14 +701,14 @@ let test_cycling_mix_soak_flat () =
       ignore (request sizes.(i mod Array.length sizes))
     done;
     Gc.full_major ();
-    (reach (), Dense.Arena.held_bytes ())
+    (reach (), Dense.slab_bytes ())
   in
-  let words_n, held_n = after n in
-  let words_2n, held_2n = after n in
+  let words_n, slab_n = after n in
+  let words_2n, slab_2n = after n in
   Test_util.check_true
     (Printf.sprintf "runtime reaches %d words after N, %d after 2N" words_n words_2n)
     (words_2n <= words_n);
-  Test_util.check_int "held bytes" held_n held_2n
+  Test_util.check_int "slab bytes" slab_n slab_2n
 
 let suite =
   let tc = Alcotest.test_case in
@@ -600,6 +718,7 @@ let suite =
         tc "eager = naive" `Quick test_eager_matches_naive;
         tc "lazy = naive" `Quick test_lazy_matches_naive;
         qcheck_three_backends_agree;
+        qcheck_slab_assignment;
       ] );
     ( "runtimes.eager",
       [
@@ -623,10 +742,10 @@ let suite =
       ] );
     ( "runtimes.pool",
       [
-        tc "alternating programs share the pool" `Quick test_alternating_programs_share_the_pool;
+        tc "alternating programs share the pool" `Quick test_alternating_programs_share_the_slab;
         tc "cycling batch sizes stay flat" `Quick test_cycling_mix_soak_flat;
         tc "naive passes between requests keep it" `Quick
-          test_naive_between_requests_keeps_the_pool;
+          test_naive_between_requests_keeps_the_slab;
       ] );
   ]
 

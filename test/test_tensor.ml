@@ -187,162 +187,78 @@ let test_dense_unbroadcast_same_shape_aliases () =
     | _ -> false
     | exception Shape.Shape_error _ -> true)
 
-(* [t]'s elements are the leading elements of [released]'s buffer: a write
-   to [t] shows through [released]. *)
-let views_buffer_of ~released t =
-  D.numel t <= D.numel released
-  && begin
-       D.fill t 7.0;
-       Array.for_all (fun v -> v = 7.0) (Array.sub (D.to_array released) 0 (D.numel t))
-     end
-
-let test_dense_arena_scoped_reuse () =
-  Test_util.drain_pool ();
-  let a = D.zeros [| 5 |] and ones = D.ones [| 4 |] in
-  let reused, fresh =
-    D.Arena.scoped (fun arena ->
-        D.Arena.release arena a;
-        let b = D.ones [| 4 |] in
-        (* a larger class allocates fresh *)
-        ignore (D.zeros [| 6 |]);
-        (* a worker domain sees no arena: its allocation is uncounted *)
+(* [Dense.into] serves the first allocation on its domain from the armed
+   view, and only that one: a second allocation, and one on another domain,
+   is fresh. *)
+let test_dense_into () =
+  let slab = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout 10 in
+  Bigarray.Array1.fill slab 0.0;
+  let view = Bigarray.Array1.sub slab 2 4 in
+  let fresh0 = D.fresh_allocations () in
+  let r =
+    D.into view (fun () ->
+        let r = D.ones [| 2; 2 |] in
         Domain.join (Domain.spawn (fun () -> ignore (D.zeros [| 4 |])));
-        Test_util.check_tensor "reused buffer rewritten" ones b;
-        Test_util.check_true "a smaller request is an exact-length view of it"
-          (D.numel b = 4 && views_buffer_of ~released:a b);
-        (D.Arena.reused arena, D.Arena.fresh arena))
+        ignore (D.zeros [| 4 |]);
+        r)
   in
-  Test_util.check_int "one reuse" 1 reused;
-  Test_util.check_int "one fresh, on this domain only" 1 fresh;
-  let c = D.zeros [| 7 |] in
-  Test_util.check_raises_any "kernel failure propagates" (fun () ->
-      D.Arena.scoped (fun arena ->
-          D.Arena.release arena c;
-          failwith "kernel failed"));
-  Test_util.check_true "no arena after a raise"
-    (not (views_buffer_of ~released:c (D.zeros [| 7 |])));
-  let d = D.zeros [| 6 |] in
-  D.Arena.scoped (fun arena -> D.Arena.release arena d);
-  Test_util.check_true "no arena after the scope"
-    (not (views_buffer_of ~released:d (D.zeros [| 6 |])));
-  Test_util.check_true "held bytes within the high-water mark"
-    (D.Arena.held_bytes () <= D.Arena.high_water ())
-
-(* One pool per domain, shared by every scope and bounded by the most any
-   scope had live. Run on a fresh domain, whose pool starts empty with a
-   zero high-water mark, so the byte counts below are exact: requests of
-   100, 400 and 500 elements take classes of 112, 448 and 512. *)
-let test_dense_arena_pool_rules () =
-  Domain.join
-    (Domain.spawn (fun () ->
-         let bounded () =
-           Test_util.check_true "held within the high-water mark"
-             (D.Arena.held_bytes () <= D.Arena.high_water ())
-         in
-         let c =
-           D.Arena.scoped (fun arena ->
-               let a = D.zeros [| 100 |] and c = D.zeros [| 400 |] in
-               (* escapes the scope, as a program's output does *)
-               ignore (D.zeros [| 400 |]);
-               D.Arena.release arena a;
-               D.Arena.release arena c;
-               c)
-         in
-         Test_util.check_int "high water: all three live at once"
-           (8 * (112 + 448 + 448)) (D.Arena.high_water ());
-         Test_util.check_int "held: the two released" (8 * (112 + 448))
-           (D.Arena.held_bytes ());
-         bounded ();
-         D.Arena.scoped (fun _ ->
-             (* no held buffer fits: fresh, once the least recently used
-                class, the first released, is evicted to stay under the mark *)
-             ignore (D.zeros [| 500 |]);
-             Test_util.check_int "only the LRU class evicted" (8 * 448)
-               (D.Arena.held_bytes ());
-             bounded ();
-             Test_util.check_true "another scope takes the recent class"
-               (views_buffer_of ~released:c (D.zeros [| 400 |])));
-         let x =
-           D.Arena.scoped (fun arena ->
-               let x = D.zeros [| 1000 |] in
-               D.Arena.release arena x;
-               x)
-         in
-         let held = D.Arena.held_bytes () in
-         ignore (D.zeros [| held / 8 |]);
-         D.Arena.scoped (fun _ ->
-             Test_util.check_true "outside allocation up to the held bytes keeps it"
-               (views_buffer_of ~released:x (D.zeros [| 1000 |])));
-         let x =
-           D.Arena.scoped (fun arena ->
-               let x = D.zeros [| 1000 |] in
-               D.Arena.release arena x;
-               x)
-         in
-         ignore (D.zeros [| D.Arena.held_bytes () / 16 |]);
-         ignore (D.zeros [| (D.Arena.held_bytes () / 16) + 1 |]);
-         Test_util.check_int "past them empties it" 0 (D.Arena.held_bytes ());
-         D.Arena.scoped (fun _ ->
-             Test_util.check_true "nothing left to reuse"
-               (not (views_buffer_of ~released:x (D.zeros [| 1000 |]))));
-         bounded ()))
-
-(* Outside any scope, fresh bytes up to what the pool held when its last
-   scope ended are free; past them the pool evicts least recently used
-   classes until it and the excess fit under the high-water mark. Exact
-   byte counts on a fresh domain: 100 and 400 elements take classes of 112
-   and 448. *)
-let test_dense_arena_outside_rule () =
-  Domain.join
-    (Domain.spawn (fun () ->
-         let c =
-           D.Arena.scoped (fun arena ->
-               let a = D.zeros [| 100 |] and c = D.zeros [| 400 |] in
-               D.Arena.release arena a;
-               D.Arena.release arena c;
-               c)
-         in
-         let held = 8 * (112 + 448) in
-         Test_util.check_int "high water" held (D.Arena.high_water ());
-         ignore (D.zeros [| held / 8 |]);
-         Test_util.check_int "the held bytes are free" held (D.Arena.held_bytes ());
-         ignore (D.zeros [| 1 |]);
-         Test_util.check_int "one byte past them evicts the LRU class only" (8 * 448)
-           (D.Arena.held_bytes ());
-         D.Arena.scoped (fun _ ->
-             Test_util.check_true "the recent class is still served"
-               (views_buffer_of ~released:c (D.zeros [| 400 |])));
-         let c =
-           D.Arena.scoped (fun arena ->
-               let c = D.zeros [| 400 |] in
-               D.Arena.release arena c;
-               c)
-         in
-         ignore (D.zeros [| 448 |]);
-         ignore (D.zeros [| (D.Arena.high_water () / 8) + 1 |]);
-         Test_util.check_int "an excess past the high-water mark empties it" 0
-           (D.Arena.held_bytes ());
-         D.Arena.scoped (fun _ ->
-             Test_util.check_true "nothing left to reuse"
-               (not (views_buffer_of ~released:c (D.zeros [| 400 |]))))))
-
-(* With the sanitizer armed, a buffer is poisoned as it enters the pool or
-   goes back to the scratch cache. *)
-let test_dense_arena_poison () =
+  Test_util.check_true "the result is the view" (D.unsafe_data r == view);
+  Test_util.check_float_array "written in place" [| 0.; 0.; 1.; 1.; 1.; 1.; 0.; 0.; 0.; 0. |]
+    (Array.init 10 (Bigarray.Array1.get slab));
+  Test_util.check_int "one fresh allocation, on this domain" 1 (D.fresh_allocations () - fresh0);
+  Test_util.check_raises_any "a result of another length" (fun () ->
+      D.into view (fun () -> D.ones [| 3 |]));
+  Test_util.check_raises_any "a result allocated second" (fun () ->
+      D.into view (fun () ->
+          ignore (D.zeros [| 4 |]);
+          D.ones [| 4 |]));
   let x = D.ones [| 4 |] in
+  Test_util.check_raises_any "a result that allocates nothing" (fun () -> D.into view (fun () -> x));
+  Test_util.check_true "disarmed after a raise" (D.unsafe_data (D.zeros [| 4 |]) != view);
+  D.with_slab 3 (fun s ->
+      Test_util.check_true "the slab holds what was asked" (Bigarray.Array1.dim s >= 3);
+      Test_util.check_raises_any "a slab in use" (fun () -> D.with_slab 0 ignore));
+  Test_util.check_raises_any "a raise inside" (fun () -> D.with_slab 0 (fun _ -> failwith "kernel"));
+  D.with_slab 0 ignore
+
+(* With the sanitizer armed, [Compiler.run] fills each slab region with NaN
+   once its value dies, and a scratch buffer is poisoned as it goes back to
+   the cache. *)
+let test_dense_poison () =
+  let module C = S4o_ops.Catalog in
+  let module H = S4o_xla.Hlo in
+  let x = H.param ~index:0 ~shape:[| 4 |] in
+  let exe =
+    S4o_xla.Compiler.compile
+      (H.graph_of_outputs [ H.op (C.neg [| 4 |]) [ H.op (C.exp [| 4 |]) [ x ] ] ])
+  in
+  let engine = S4o_device.Engine.create S4o_device.Device_spec.desktop_cpu in
   let was = Sanitizer.armed () in
   Sanitizer.set_armed true;
-  let scratch =
+  let out, scratch =
     Fun.protect
       ~finally:(fun () -> Sanitizer.set_armed was)
       (fun () ->
-        D.Arena.scoped (fun arena -> D.Arena.release arena x);
-        D.with_scratch [| 3 |] (fun t ->
-            D.fill t 1.0;
-            D.unsafe_data t))
+        let out = S4o_xla.Compiler.run exe engine [| D.ones [| 4 |] |] in
+        ( out.(0),
+          D.with_scratch [| 3 |] (fun t ->
+              D.fill t 1.0;
+              D.unsafe_data t) ))
   in
-  Test_util.check_true "released buffer reads NaN"
-    (Array.for_all Float.is_nan (D.to_array x));
+  Test_util.check_tensor "the output is intact" (D.create [| 4 |] (-.Float.exp 1.0)) out;
+  let regions =
+    List.filter (fun (st : S4o_xla.Compiler.step) -> st.offset >= 0)
+      (Array.to_list (S4o_xla.Compiler.plan exe))
+  in
+  Test_util.check_int "one region: exp's" 1 (List.length regions);
+  D.with_slab 0 (fun slab ->
+      List.iter
+        (fun (st : S4o_xla.Compiler.step) ->
+          Test_util.check_true "a dead region reads NaN"
+            (List.for_all
+               (fun i -> Float.is_nan (Bigarray.Array1.get slab (st.offset + i)))
+               (List.init 4 Fun.id)))
+        regions);
   Test_util.check_true "returned scratch reads NaN"
     (Float.is_nan (Bigarray.Array1.get scratch 0))
 
@@ -770,10 +686,8 @@ let suite =
         tc "broadcast_to / unbroadcast" `Quick test_dense_broadcast_to_unbroadcast;
         tc "unbroadcast to own shape aliases" `Quick
           test_dense_unbroadcast_same_shape_aliases;
-        tc "arena reuses within its scope" `Quick test_dense_arena_scoped_reuse;
-        tc "arena pool shared by every scope" `Quick test_dense_arena_pool_rules;
-        tc "arena outside rule evicts LRU" `Quick test_dense_arena_outside_rule;
-        tc "arena poisons released buffers" `Quick test_dense_arena_poison;
+        tc "into serves one allocation" `Quick test_dense_into;
+        tc "slab and scratch poison the dead" `Quick test_dense_poison;
         tc "reductions" `Quick test_dense_reductions;
         tc "argmax rows" `Quick test_dense_argmax_rows;
         tc "reshape / transpose" `Quick test_dense_reshape_transpose;

@@ -36,15 +36,6 @@ let tensor_testable =
 let check_tensor msg expected actual =
   Alcotest.check tensor_testable msg expected actual
 
-(* Empties the calling domain's buffer pool by its outside-allocation rule:
-   twice the high-water mark outside a scope is past the free allowance
-   (at most the mark) by more than the mark. A test that counts pooled
-   allocations starts from no held buffers whatever ran before it on this
-   domain. *)
-let drain_pool () =
-  let module D = S4o_tensor.Dense in
-  ignore (D.zeros [| (D.Arena.high_water () / 4) + 1 |])
-
 let qtest ?(count = 200) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name gen prop)
 

@@ -358,9 +358,9 @@ let test_peak_memory_matches_plan () =
   Test_util.check_true "intermediates die before the end"
     (Compiler.peak_memory exe < !resident + !computed)
 
-(* {1 Buffer recycling inside [run]} *)
+(* {1 Planned buffers inside [run]} *)
 
-(* Node-by-node evaluation with every buffer fresh: no plan, no arena. *)
+(* Node-by-node evaluation with every buffer fresh: no plan, no slab. *)
 let eval_direct (g : Hlo.graph) feeds =
   let values = Hashtbl.create 16 in
   List.iter
@@ -397,8 +397,9 @@ let param i = Hlo.param ~index:i ~shape:sh
 let feeds seed = Array.init 2 (fun i -> Dense.rand_normal (Prng.create ((10 * seed) + i)) sh)
 
 (* (a) An output that is [unbroadcast] of an intermediate to its own shape
-   shares that intermediate's buffer: the intermediate dies at once, and
-   the same-size nodes after it must not be handed the output's storage. *)
+   shares that intermediate's buffer, so the intermediate takes no region
+   of the slab: the same-size nodes after it must not be handed the
+   output's storage. *)
 let aliased_output_graph () =
   let x = param 0 and y = param 1 in
   let s = Hlo.op (C.add sh sh) [ x; y ] in
@@ -414,12 +415,39 @@ let output_consumed_graph () =
   let n = Hlo.op (C.neg sh) [ Hlo.op (C.tanh sh) [ m ] ] in
   Hlo.graph_of_outputs [ r; n; Hlo.op (C.add sh sh) [ n; r ] ]
 
+(* The offset of the step computing [node]. *)
+let offset_of exe (node : Hlo.node) =
+  let st =
+    List.find
+      (fun (st : Compiler.step) -> st.node.Hlo.id = node.Hlo.id)
+      (Array.to_list (Compiler.plan exe))
+  in
+  st.offset
+
 let test_run_aliased_output () =
   check_run "unbroadcast output" (aliased_output_graph ()) (feeds 1);
   (* an output that merely aliases a feed *)
-  let x = param 0 in
+  let x = param 0 and y = param 1 in
   let g = Hlo.graph_of_outputs [ Hlo.op (C.unbroadcast sh sh) [ x ]; Hlo.op (C.neg sh) [ x ] ] in
-  check_run "unbroadcast of a feed" g (feeds 2)
+  check_run "unbroadcast of a feed" g (feeds 2);
+  (* a view read after its operand's last direct reader: the operand's
+     region lives until then, so [a] and [b] cannot take it *)
+  let s = Hlo.op (C.add sh sh) [ x; y ] in
+  let u = Hlo.op (C.unbroadcast sh sh) [ s ] in
+  let a = Hlo.op (C.neg sh) [ x ] in
+  let b = Hlo.op (C.relu sh) [ a ] in
+  let g = Hlo.graph_of_outputs [ Hlo.op (C.mul sh sh) [ u; b ] ] in
+  let exe = Compiler.compile g in
+  Test_util.check_true "the operand has a region, the view none"
+    (offset_of exe s >= 0 && offset_of exe u = -1);
+  Test_util.check_true "no later value shares it"
+    (offset_of exe a <> offset_of exe s && offset_of exe b <> offset_of exe s);
+  check_run "unbroadcast of an intermediate" g (feeds 4);
+  let g = aliased_output_graph () in
+  let exe = Compiler.compile g in
+  let u = List.hd g.Hlo.outputs in
+  Test_util.check_int "an output view's operand has no region" (-1)
+    (offset_of exe (List.hd u.Hlo.inputs))
 
 let test_run_output_consumed () =
   check_run "output consumed later" (output_consumed_graph ()) (feeds 3)
@@ -440,22 +468,32 @@ let test_run_repeated_feeds () =
       check_bits (name ^ ", = fresh compile") (eval_direct g a) third)
     [ ("aliased output", aliased_output_graph ()); ("consumed output", output_consumed_graph ()) ]
 
+(* Runs [f] on a new domain, whose slab and scratch cache start empty. *)
+let on_fresh_domain f = Domain.join (Domain.spawn f)
+
+let buffer_counts engine =
+  let m = S4o_device.Engine.metrics engine in
+  let count name = S4o_obs.Metrics.counter_value (S4o_obs.Metrics.counter m name) in
+  (count "xla.buffers_reused", count "xla.buffers_fresh")
+
 let test_run_reuses_dead_buffers () =
-  (* neg^4 x: each neg's operand dies as it runs, so the third neg takes the
-     buffer the first freed; the fourth, the graph output, is allocated
-     fresh, since it outlives the run *)
+  (* neg^4 x: the three intermediates share one region of the slab, each
+     neg writing over its operand as that dies; the fourth, the graph
+     output, is allocated fresh, since it outlives the run *)
   let x = Hlo.param ~index:0 ~shape:[| 64 |] in
   let rec chain k n = if k = 0 then n else chain (k - 1) (Hlo.op (C.neg [| 64 |]) [ n ]) in
   let exe = Compiler.compile (Hlo.graph_of_outputs [ chain 4 x ]) in
+  Test_util.check_int "one region's worth of slab" 64 (Compiler.slab exe);
   let engine = new_engine () in
   let xv = Dense.rand_normal (Prng.create 7) [| 64 |] in
-  Test_util.drain_pool ();
-  let out = (Compiler.run exe engine [| xv |]).(0) in
-  Test_util.check_true "value" (Dense.bit_equal xv out);
-  let m = S4o_device.Engine.metrics engine in
-  let count name = S4o_obs.Metrics.counter_value (S4o_obs.Metrics.counter m name) in
-  Test_util.check_int "reused" 1 (count "xla.buffers_reused");
-  Test_util.check_int "fresh" 3 (count "xla.buffers_fresh")
+  on_fresh_domain (fun () ->
+      let out = (Compiler.run exe engine [| xv |]).(0) in
+      Test_util.check_true "value" (Dense.bit_equal xv out);
+      Test_util.check_true "first run: three reused, the output and the slab fresh"
+        (buffer_counts engine = (3, 2));
+      ignore (Compiler.run exe engine [| xv |]);
+      Test_util.check_true "second run: three reused, the output fresh"
+        (buffer_counts engine = (6, 3)))
 
 (* Conv kernels take their scratch (im2col panels, backward-filter's patch
    panels, backward-input's product panels and transposed filter) from each
@@ -490,9 +528,11 @@ let test_run_pointwise_conv_input_live () =
   check_run "pointwise conv of a feed" (reread x) feeds;
   check_run "pointwise conv of an intermediate" (reread (Hlo.op (C.neg xs) [ x ])) feeds
 
-(* (e) Two 3x3 convs in a row. Their patch panels come from each domain's
-   scratch cache, not from the pool: a run allocates only the two conv
-   results, and once the cache is warm no scratch is allocated at all. *)
+(* (e) Two 3x3 convs in a row. Their padded images come from each domain's
+   scratch cache, not from the slab: the first conv's result takes the
+   slab, the second's, the output, is fresh, and once the cache is warm no
+   scratch is allocated at all. Run on a fresh domain, whose slab and
+   cache start empty. *)
 let test_run_conv_scratch_reused () =
   let xs = [| 2; 6; 6; 4 |] and fs = [| 3; 3; 4; 4 |] in
   let conv x f =
@@ -511,34 +551,30 @@ let test_run_conv_scratch_reused () =
   in
   let engine = new_engine () in
   let exe = Compiler.compile g in
-  let m = S4o_device.Engine.metrics engine in
-  let count name = S4o_obs.Metrics.counter_value (S4o_obs.Metrics.counter m name) in
-  (* computed outside any scope first: fresh allocations between runs
-     would count against the pool *)
   let expected = eval_direct g feeds in
-  Test_util.drain_pool ();
-  check_bits "two 3x3 convs" expected (Compiler.run exe engine feeds);
-  Test_util.check_int "first run: nothing to reuse" 0 (count "xla.buffers_reused");
-  Test_util.check_int "first run: the two conv results" 2 (count "xla.buffers_fresh");
-  let mem = S4o_obs.Memory.global in
-  let was = S4o_obs.Memory.enabled mem in
-  S4o_obs.Memory.reset mem;
-  S4o_obs.Memory.set_enabled mem true;
-  let scratch_allocs =
-    Fun.protect
-      ~finally:(fun () ->
-        S4o_obs.Memory.set_enabled mem was;
-        S4o_obs.Memory.reset mem)
-      (fun () ->
-        check_bits "second run" expected (Compiler.run exe engine feeds);
-        List.fold_left
-          (fun n (t : S4o_obs.Memory.tag_stats) -> if t.tag = "scratch" then n + t.allocs else n)
-          0 (S4o_obs.Memory.tags mem))
-  in
-  Test_util.check_int "second run: no scratch allocated" 0 scratch_allocs;
-  (* conv 1's result reuses its first-run buffer; conv 2's is the output *)
-  Test_util.check_int "second run: reused" 1 (count "xla.buffers_reused");
-  Test_util.check_int "second run: fresh" 3 (count "xla.buffers_fresh")
+  on_fresh_domain (fun () ->
+      check_bits "two 3x3 convs" expected (Compiler.run exe engine feeds);
+      Test_util.check_true "first run: conv 1 reused, the output and the slab fresh"
+        (buffer_counts engine = (1, 2));
+      let mem = S4o_obs.Memory.global in
+      let was = S4o_obs.Memory.enabled mem in
+      S4o_obs.Memory.reset mem;
+      S4o_obs.Memory.set_enabled mem true;
+      let scratch_allocs =
+        Fun.protect
+          ~finally:(fun () ->
+            S4o_obs.Memory.set_enabled mem was;
+            S4o_obs.Memory.reset mem)
+          (fun () ->
+            check_bits "second run" expected (Compiler.run exe engine feeds);
+            List.fold_left
+              (fun n (t : S4o_obs.Memory.tag_stats) ->
+                if t.tag = "scratch" then n + t.allocs else n)
+              0 (S4o_obs.Memory.tags mem))
+      in
+      Test_util.check_int "second run: no scratch allocated" 0 scratch_allocs;
+      Test_util.check_true "second run: conv 1 reused, the output fresh"
+        (buffer_counts engine = (2, 3)))
 
 let qcheck_compiled_equals_direct =
   (* random elementwise DAGs: the compiler pipeline must preserve semantics *)
