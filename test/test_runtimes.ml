@@ -214,11 +214,6 @@ let qcheck_three_backends_agree =
             [ eager; lazy_cached; lazy_cached; lazy_uncached ])
         [ p; nudged p; nudged (nudged p); { p with dims = (m + 1, n) } ])
 
-let buffer_counts engine =
-  let m = Engine.metrics engine in
-  let count name = S4o_obs.Metrics.counter_value (S4o_obs.Metrics.counter m name) in
-  (count "xla.buffers_reused", count "xla.buffers_fresh")
-
 (* {2 Slab assignment}
 
    Each random program, traced on lazy with no cut, is compiled as one
@@ -321,9 +316,9 @@ let qcheck_slab_assignment =
       in
       let exe = S4o_xla.Compiler.compile cut.graph in
       let run () =
-        let _, fresh0 = buffer_counts engine in
+        let _, fresh0 = Test_util.buffer_counts engine in
         let out = S4o_xla.Compiler.run exe engine feeds in
-        (out, snd (buffer_counts engine) - fresh0)
+        (out, snd (Test_util.buffer_counts engine) - fresh0)
       in
       (* the second run finds the slab big enough: each kernel that runs
          outside it allocates its one result, and nothing else allocates *)
@@ -514,7 +509,7 @@ let test_lazy_reports_buffer_reuse () =
              in
              Test_util.check_true "span reuse arg" (arg "buffers_reused" = Some "3");
              Test_util.check_true "span fresh arg" (arg "buffers_fresh" = Some "2");
-             Test_util.check_true "counters" (buffer_counts engine = (3, 2)))))
+             Test_util.check_true "counters" (Test_util.buffer_counts engine = (3, 2)))))
 
 (* A result the caller keeps does not keep alive the trace that computed
    it: once materialized, a node is a leaf and holds only its value. The
@@ -577,9 +572,9 @@ let step_program () =
   in
   let exe = S4o_xla.Compiler.compile cut.graph in
   let run () =
-    let _, fresh0 = buffer_counts engine in
+    let _, fresh0 = Test_util.buffer_counts engine in
     let outputs = S4o_xla.Compiler.run exe engine feeds in
-    (outputs, snd (buffer_counts engine) - fresh0)
+    (outputs, snd (Test_util.buffer_counts engine) - fresh0)
   in
   (run, List.length cut.graph.outputs)
 
@@ -629,9 +624,9 @@ let lenet_server () =
   let input b = Dense.init_flat [| b; 28; 28; 1 |] (Dense.get_flat images) in
   let request b =
     let x = input b in
-    let _, fresh0 = buffer_counts engine in
+    let _, fresh0 = Test_util.buffer_counts engine in
     let y = Bk.to_dense (T.predict model (Bk.of_dense x)) in
-    (y, snd (buffer_counts engine) - fresh0)
+    (y, snd (Test_util.buffer_counts engine) - fresh0)
   in
   let naive b = Tn.predict reference (input b) in
   (* what the server keeps, less its metrics registry, whose histograms

@@ -36,6 +36,13 @@ let tensor_testable =
 let check_tensor msg expected actual =
   Alcotest.check tensor_testable msg expected actual
 
+(** [(xla.buffers_reused, xla.buffers_fresh)] as [engine]'s metrics count
+    them so far. *)
+let buffer_counts engine =
+  let m = S4o_device.Engine.metrics engine in
+  let count name = S4o_obs.Metrics.counter_value (S4o_obs.Metrics.counter m name) in
+  (count "xla.buffers_reused", count "xla.buffers_fresh")
+
 let qtest ?(count = 200) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name gen prop)
 

@@ -471,11 +471,6 @@ let test_run_repeated_feeds () =
 (* Runs [f] on a new domain, whose slab and scratch cache start empty. *)
 let on_fresh_domain f = Domain.join (Domain.spawn f)
 
-let buffer_counts engine =
-  let m = S4o_device.Engine.metrics engine in
-  let count name = S4o_obs.Metrics.counter_value (S4o_obs.Metrics.counter m name) in
-  (count "xla.buffers_reused", count "xla.buffers_fresh")
-
 let test_run_reuses_dead_buffers () =
   (* neg^4 x: the three intermediates share one region of the slab, each
      neg writing over its operand as that dies; the fourth, the graph
@@ -490,10 +485,10 @@ let test_run_reuses_dead_buffers () =
       let out = (Compiler.run exe engine [| xv |]).(0) in
       Test_util.check_true "value" (Dense.bit_equal xv out);
       Test_util.check_true "first run: three reused, the output and the slab fresh"
-        (buffer_counts engine = (3, 2));
+        (Test_util.buffer_counts engine = (3, 2));
       ignore (Compiler.run exe engine [| xv |]);
       Test_util.check_true "second run: three reused, the output fresh"
-        (buffer_counts engine = (6, 3)))
+        (Test_util.buffer_counts engine = (6, 3)))
 
 (* Conv kernels take their scratch (im2col panels, backward-filter's patch
    panels, backward-input's product panels and transposed filter) from each
@@ -555,7 +550,7 @@ let test_run_conv_scratch_reused () =
   on_fresh_domain (fun () ->
       check_bits "two 3x3 convs" expected (Compiler.run exe engine feeds);
       Test_util.check_true "first run: conv 1 reused, the output and the slab fresh"
-        (buffer_counts engine = (1, 2));
+        (Test_util.buffer_counts engine = (1, 2));
       let mem = S4o_obs.Memory.global in
       let was = S4o_obs.Memory.enabled mem in
       S4o_obs.Memory.reset mem;
@@ -574,7 +569,7 @@ let test_run_conv_scratch_reused () =
       in
       Test_util.check_int "second run: no scratch allocated" 0 scratch_allocs;
       Test_util.check_true "second run: conv 1 reused, the output fresh"
-        (buffer_counts engine = (2, 3)))
+        (Test_util.buffer_counts engine = (2, 3)))
 
 let qcheck_compiled_equals_direct =
   (* random elementwise DAGs: the compiler pipeline must preserve semantics *)
