@@ -60,11 +60,6 @@ let geom ~stride ~padding ~ishape ~kh ~kw =
   let pw, pw' = pad_amounts padding ~size:w ~kernel:kw ~stride:sw in
   { n; h; w; cin; kh; kw; oh; ow; sh; sw; ph; pw; hp = h + ph + ph'; wp = w + pw + pw' }
 
-(* A 1x1 stride-1 unpadded convolution is exactly a matmul of the flattened
-   input: the patch matrix would be a copy of it. *)
-let is_pointwise g =
-  g.kh = 1 && g.kw = 1 && g.sh = 1 && g.sw = 1 && g.ph = 0 && g.pw = 0
-
 (* The output position [(b, oy, ox)] of patch row [r = (b*oh + oy)*ow + ox],
    stepped row by row: one division per run of rows instead of four per
    row. *)
@@ -150,19 +145,17 @@ let conv2d ?domains ?(stride = (1, 1)) ~padding input filter =
   let cols = kh * kw * g.cin in
   let filter_mat = Dense.with_shape filter [| cols; cout |] in
   let out =
-    if is_pointwise g then
-      Dense.matmul ?domains (Dense.with_shape input [| rows; cols |]) filter_mat
-    else
-      with_padded g input (fun xp ->
-          Dense.matmul_gather ?domains ~m:rows ~k:cols ~rows:(fill_bases g)
-            ~cols:(fill_koffs g) xp filter_mat)
+    with_padded g input (fun xp ->
+        Dense.matmul_gather ?domains ~m:rows ~k:cols ~rows:(fill_bases g)
+          ~cols:(fill_koffs g) xp filter_mat)
   in
   Dense.with_shape out [| g.n; g.oh; g.ow; cout |]
 
 (* dL/dfilter = patches^T x grad: [cols; rows] x [rows; cout]. The
    transposed patch matrix is gathered from the padded input like the
-   forward's, with the tables swapped, so every element keeps
-   [Dense.matmul_tn]'s accumulation order for any domain count. *)
+   forward's, with the tables swapped, so every element keeps the
+   accumulation order of [Dense.matmul] of the materialized transpose for
+   any domain count. *)
 let conv2d_backward_filter ?domains ?(stride = (1, 1)) ~padding ~filter_shape
     input grad =
   check_rank4 "conv2d_backward_filter input" input;
@@ -174,12 +167,9 @@ let conv2d_backward_filter ?domains ?(stride = (1, 1)) ~padding ~filter_shape
   let cols = kh * kw * g.cin in
   let grad_mat = Dense.with_shape grad [| rows; cout |] in
   let dfilter =
-    if is_pointwise g then
-      Dense.matmul_tn ?domains (Dense.with_shape input [| rows; cols |]) grad_mat
-    else
-      with_padded g input (fun xp ->
-          Dense.matmul_gather ?domains ~m:cols ~k:rows ~rows:(fill_koffs g)
-            ~cols:(fill_bases g) xp grad_mat)
+    with_padded g input (fun xp ->
+        Dense.matmul_gather ?domains ~m:cols ~k:rows ~rows:(fill_koffs g)
+          ~cols:(fill_bases g) xp grad_mat)
   in
   Dense.with_shape dfilter filter_shape
 

@@ -8,12 +8,11 @@
     element [(r, p)] at a row base plus a column offset. The forward pass
     gathers patch rows, the backward-filter pass patch columns; no patch
     matrix or panel of it is ever built. The products, the padding zeros
-    and their order are the ones im2col + {!Dense.matmul} (or
-    {!Dense.matmul_tn}) would compute, so each result is bit-identical to
-    that form. The backward-input pass scatters panels of
+    and their order are the ones im2col + {!Dense.matmul} (of the patch
+    matrix, or of its transpose) would compute, so each result is
+    bit-identical to that form. The backward-input pass scatters panels of
     [grad x filter^T] into the input gradient (col2im) as
-    {!Dense.matmul_consume} hands them over. 1x1 stride-1 unpadded
-    convolutions are a plain matmul of the input. Pooling walks contiguous
+    {!Dense.matmul_consume} hands them over. Pooling walks contiguous
     channel spans and parallelizes over the batch dimension. Small problems
     (under the matmul serial cutoff) stay on the calling domain, and all
     partitions are bit-deterministic per the {!Pool} contract. The original

@@ -933,18 +933,18 @@ let nc_block = 128
    ever sees one allocation per domain. *)
 let pack_key = Domain.DLS.new_key (fun () -> Array.make (kc_block * nc_block) 0.0)
 
-(* How {!matmul_rows} reads A. [Strided]: A[i][p] at [ao + i*ars + p*acs].
+(* How {!matmul_rows} reads A. [Row_major]: A[i][p] at [ao + i*k + p].
    [Gathered]: at [ao + rows.(i) + cols.(p)], an A gathered from a buffer
    through a row-base and a column-offset table (an implicit-GEMM
    convolution's patch matrix, read straight out of the padded image). The
    kernel is always inlined with a constant tag, so each instance's loads
    compile to one form, as {!binop} does for {!apply2}. *)
-type access = Strided | Gathered
+type access = Row_major | Gathered
 
 let no_offsets = [||]
 
-let[@inline] a_row access ~ars rows i =
-  match access with Strided -> i * ars | Gathered -> Array.unsafe_get rows i
+let[@inline] a_row access ~k rows i =
+  match access with Row_major -> i * k | Gathered -> Array.unsafe_get rows i
 
 (* Adds the accumulators of one quad to C at [c]: only the first [w] when
    the quad is a partial last one. *)
@@ -970,7 +970,7 @@ let[@inline] store_quad (dc : buffer) c w x0 x1 x2 x3 =
    independent of [lo]/[hi], of the quad an element sits in and of how A
    is read, so any row partition (any domain count) and every A layout
    produce bit-identical results. *)
-let[@inline] matmul_rows access ~n ~k ~ars ~acs ~rows ~cols (da : buffer) ao
+let[@inline] matmul_rows access ~n ~k ~rows ~cols (da : buffer) ao
     (db : buffer) bo (dc : buffer) co lo hi =
   let pack = Domain.DLS.get pack_key in
   let pp = ref 0 in
@@ -1010,8 +1010,8 @@ let[@inline] matmul_rows access ~n ~k ~ars ~acs ~rows ~cols (da : buffer) ao
       let i = ref lo in
       (* 2x4 register micro-kernel *)
       while !i + 1 < hi do
-        let ia = ao + a_row access ~ars rows !i in
-        let ib = ao + a_row access ~ars rows (!i + 1) in
+        let ia = ao + a_row access ~k rows !i in
+        let ib = ao + a_row access ~k rows (!i + 1) in
         let ca = co + (!i * n) in
         let cb = ca + n in
         for q = 0 to nquads - 1 do
@@ -1019,22 +1019,22 @@ let[@inline] matmul_rows access ~n ~k ~ars ~acs ~rows ~cols (da : buffer) ao
           let acc02 = ref 0.0 and acc03 = ref 0.0 in
           let acc10 = ref 0.0 and acc11 = ref 0.0 in
           let acc12 = ref 0.0 and acc13 = ref 0.0 in
-          (* strength-reduced cursors: +acs along strided A rows, +4
+          (* strength-reduced cursors: +1 along row-major A rows, +4
              through the packed micro-panel *)
-          let ap = ref (ia + (p0 * acs)) and aq = ref (ib + (p0 * acs)) in
+          let ap = ref (ia + p0) and aq = ref (ib + p0) in
           let bb = ref (q * kl4) in
           for p = p0 to p1 - 1 do
-            let o = match access with Strided -> 0 | Gathered -> Array.unsafe_get cols p in
+            let o = match access with Row_major -> 0 | Gathered -> Array.unsafe_get cols p in
             let a0 =
-              A.unsafe_get da (match access with Strided -> !ap | Gathered -> ia + o)
+              A.unsafe_get da (match access with Row_major -> !ap | Gathered -> ia + o)
             in
             let a1 =
-              A.unsafe_get da (match access with Strided -> !aq | Gathered -> ib + o)
+              A.unsafe_get da (match access with Row_major -> !aq | Gathered -> ib + o)
             in
             (match access with
-            | Strided ->
-                ap := !ap + acs;
-                aq := !aq + acs
+            | Row_major ->
+                incr ap;
+                incr aq
             | Gathered -> ());
             let bi = !bb in
             let b0 = Array.unsafe_get pack bi in
@@ -1060,21 +1060,21 @@ let[@inline] matmul_rows access ~n ~k ~ars ~acs ~rows ~cols (da : buffer) ao
       done;
       (* row remainder *)
       if !i < hi then begin
-        let ia = ao + a_row access ~ars rows !i in
+        let ia = ao + a_row access ~k rows !i in
         let ca = co + (!i * n) in
         for q = 0 to nquads - 1 do
           let acc0 = ref 0.0 and acc1 = ref 0.0 in
           let acc2 = ref 0.0 and acc3 = ref 0.0 in
-          let ap = ref (ia + (p0 * acs)) in
+          let ap = ref (ia + p0) in
           let bb = ref (q * kl4) in
           for p = p0 to p1 - 1 do
             let a0 =
               A.unsafe_get da
                 (match access with
-                | Strided -> !ap
+                | Row_major -> !ap
                 | Gathered -> ia + Array.unsafe_get cols p)
             in
-            ap := !ap + acs;
+            incr ap;
             let bi = !bb in
             acc0 := !acc0 +. (a0 *. Array.unsafe_get pack bi);
             acc1 := !acc1 +. (a0 *. Array.unsafe_get pack (bi + 1));
@@ -1091,12 +1091,10 @@ let[@inline] matmul_rows access ~n ~k ~ars ~acs ~rows ~cols (da : buffer) ao
     pp := p1
   done
 
-(* The row-major instance: with the literal [acs = 1] inlined, the A
-   cursors step by a constant, which keeps the micro-kernel's loop as tight
-   as a kernel without a column stride. *)
+(* The row-major instance, behind every product of a materialized A. *)
 let matmul_rows_nn ~n ~k da ao db bo dc co lo hi =
-  matmul_rows Strided ~n ~k ~ars:k ~acs:1 ~rows:no_offsets ~cols:no_offsets da
-    ao db bo dc co lo hi
+  matmul_rows Row_major ~n ~k ~rows:no_offsets ~cols:no_offsets da ao db bo dc
+    co lo hi
 
 let product m n =
   S4o_obs.Memory.with_tag S4o_obs.Memory.global "matmul" (fun () ->
@@ -1110,30 +1108,6 @@ let partition ?domains ~m ~serial ~notes rows =
     Pool.run ?domains ~n:m (fun lo hi ->
         notes lo hi;
         rows lo hi)
-
-(* C[m;n] = A[m;k] x B[k;n] with A read at [i*ars + p*acs]; the shared body
-   of {!matmul} and {!matmul_tn}. *)
-let matmul_strided ?domains ~m ~k ~ars ~acs a b =
-  let n = b.shape.(1) in
-  let out = product m n in
-  let da = a.data and db = b.data and dc = out.data in
-  let notes lo hi =
-    Sanitizer.note_write dc ~lo:(lo * n) ~len:((hi - lo) * n)
-      ~who:"matmul out rows";
-    (* A's rows [lo, hi) are a contiguous range only when row-major *)
-    if acs = 1 then
-      Sanitizer.note_read da ~lo:(lo * k) ~len:((hi - lo) * k)
-        ~who:"matmul A rows"
-    else Sanitizer.note_read da ~lo:0 ~len:(m * k) ~who:"matmul A columns";
-    Sanitizer.note_read db ~lo:0 ~len:(k * n) ~who:"matmul B"
-  in
-  let serial = m * n * k <= serial_cutoff in
-  partition ?domains ~m ~serial ~notes (fun lo hi ->
-      if acs = 1 then matmul_rows_nn ~n ~k da 0 db 0 dc 0 lo hi
-      else
-        matmul_rows Strided ~n ~k ~ars ~acs ~rows:no_offsets ~cols:no_offsets
-          da 0 db 0 dc 0 lo hi);
-  out
 
 (* Floats per product panel in {!matmul_consume}: 128 KB, so a panel stays
    in L2 while the micro-kernel sweeps it. One size for every [n] lets
@@ -1183,8 +1157,8 @@ let matmul_gather ?domains ~m ~k ~rows ~cols a b =
         while !p < k do
           let p1 = min k (!p + kc_block) in
           cols !p p1 ct;
-          matmul_rows Gathered ~n ~k:(p1 - !p) ~ars:0 ~acs:0 ~rows:rt ~cols:ct
-            a 0 db (!p * n) dc (!r * n) 0 (r1 - !r);
+          matmul_rows Gathered ~n ~k:(p1 - !p) ~rows:rt ~cols:ct a 0 db
+            (!p * n) dc (!r * n) 0 (r1 - !r);
           p := p1
         done;
         r := r1
@@ -1201,14 +1175,20 @@ let matmul ?domains a b =
   let m = a.shape.(0) and k = a.shape.(1) in
   if k <> b.shape.(0) then
     fail "matmul: inner dimensions %d and %d differ" k b.shape.(0);
-  matmul_strided ?domains ~m ~k ~ars:k ~acs:1 a b
-
-let matmul_tn ?domains a b =
-  check_matmul "matmul_tn" a b;
-  let k = a.shape.(0) and m = a.shape.(1) in
-  if k <> b.shape.(0) then
-    fail "matmul_tn: leading dimensions %d and %d differ" k b.shape.(0);
-  matmul_strided ?domains ~m ~k ~ars:1 ~acs:m a b
+  let n = b.shape.(1) in
+  let out = product m n in
+  let da = a.data and db = b.data and dc = out.data in
+  let notes lo hi =
+    Sanitizer.note_write dc ~lo:(lo * n) ~len:((hi - lo) * n)
+      ~who:"matmul out rows";
+    Sanitizer.note_read da ~lo:(lo * k) ~len:((hi - lo) * k)
+      ~who:"matmul A rows";
+    Sanitizer.note_read db ~lo:0 ~len:(k * n) ~who:"matmul B"
+  in
+  let serial = m * n * k <= serial_cutoff in
+  partition ?domains ~m ~serial ~notes (fun lo hi ->
+      matmul_rows_nn ~n ~k da 0 db 0 dc 0 lo hi);
+  out
 
 let matmul_consume ?domains ~grain ~consume a b =
   check_matmul "matmul_consume" a b;

@@ -24,11 +24,11 @@
     over one run of axes and [broadcast_to] onto a blocks target have flat
     paths too. Every fast path performs the same float operations in the
     same order as the generic walker, so results are bit-identical to it.
-    The matmul family ([matmul], [matmul_tn], [matmul_gather],
-    [matmul_consume], [batch_matmul]) shares one cache-blocked kernel with
-    a 2x4 register micro-kernel and partitions output rows across the
-    domain pool above a fixed work cutoff; the partition is contiguous, so
-    results are bit-identical for every domain count. *)
+    The matmul family ([matmul], [matmul_gather], [matmul_consume],
+    [batch_matmul]) shares one cache-blocked kernel with a 2x4 register
+    micro-kernel and partitions output rows across the domain pool above a
+    fixed work cutoff; the partition is contiguous, so results are
+    bit-identical for every domain count. *)
 
 type t
 
@@ -238,12 +238,6 @@ val one_hot : classes:int -> t -> t
     default width for this call (benchmarks use it to sweep scaling);
     results are bit-identical for every width. *)
 val matmul : ?domains:int -> t -> t -> t
-
-(** [matmul_tn a b] is [matmul (transpose a) b] for [a : \[k;m\]] and
-    [b : \[k;n\]], bit for bit, without materializing the transpose: the
-    same kernel reads [a] column-wise. Same partitioning and determinism as
-    {!matmul}. *)
-val matmul_tn : ?domains:int -> t -> t -> t
 
 (** [matmul_gather ~m ~k ~rows ~cols a b] is [matmul a' b] for the
     [a' : \[m;k\]] whose element [(i, p)] is [a.{r_i + c_p}], never

@@ -23,7 +23,6 @@ type step = {
 type executable = {
   n_params : int;
   steps : step array;  (* parameters and literals, then clusters in order *)
-  n_leaves : int;  (* the parameter and literal steps *)
   outputs : int array;  (* slot of each graph output *)
   slab : int;  (* elements of slab every run needs *)
   stats : compile_stats;
@@ -35,12 +34,6 @@ type executable = {
    essential (§3.4). *)
 let compile_base_seconds = 0.050
 let compile_per_node_seconds = 0.0015
-
-(* [unbroadcast] to its operand's own shape returns the operand itself. *)
-let is_view (node : Hlo.node) =
-  match (node.role, node.inputs) with
-  | Hlo.Compute { kind = Unbroadcast _; _ }, [ a ] -> Shape.equal a.shape node.shape
-  | _ -> false
 
 (* An elementwise kernel reads element [i] of each operand before it
    writes element [i] of its result, and no element after, so its result
@@ -93,12 +86,13 @@ let assign_regions ~size ~last wants =
   (offset, !slab)
 
 (* The flat execution plan: slots in schedule order, operands resolved to
-   slots, and every value given its place. Slots that share a buffer (a
-   view and its operand, an elementwise result and the operand it writes
-   over) are released together, after the last step that reads any of
-   them, unless they are outputs. Each buffer of compute steps that no
-   output reaches gets a region of the slab; the others are allocated
-   fresh. *)
+   slots, and every value given its place. Slots that share a buffer (an
+   elementwise result and the operand it writes over) are released
+   together, after the last step that reads any of them, unless they are
+   outputs. Each buffer of compute steps that are not outputs gets a
+   region of the slab; outputs are allocated fresh. [Opt] has replaced
+   every kernel that returns its operand ([unbroadcast] to its own shape),
+   so each compute step makes a new value. *)
 let schedule (g : Hlo.graph) clusters =
   let leaves =
     List.filter
@@ -127,27 +121,20 @@ let schedule (g : Hlo.graph) clusters =
   let reader = Array.init n Fun.id in
   Array.iteri (fun k ops -> Array.iter (fun j -> reader.(j) <- k) ops) operands;
   let node k = fst order.(k) in
-  (* [escapes.(s)]: an output is [s] or a view of it *)
-  let escapes = Array.copy is_output in
-  for k = n - 1 downto 0 do
-    if is_view (node k) && escapes.(k) then escapes.(operands.(k).(0)) <- true
-  done;
   let compute k = match (node k).role with Hlo.Compute _ -> true | _ -> false in
   (* Slots that share a buffer form a class named by its first slot,
      [owner.(s)]; [last.(o)] is the last step that reads any slot of class
-     [o]. A view joins its operand's class, and so does an elementwise
-     result that no output reaches, over an operand of its own shape whose
-     class has a region and dies at it. *)
+     [o]. An elementwise result that is not an output joins the class of
+     an operand of its own shape that has a region and dies at it. *)
   let owner = Array.init n Fun.id and last = Array.copy reader in
-  let planned o = compute o && not escapes.(o) in
+  let planned o = compute o && not is_output.(o) in
   for k = 0 to n - 1 do
     let joins j =
-      is_view (node k)
-      || elementwise (node k)
-         && (not escapes.(k))
-         && Shape.equal (node j).shape (node k).shape
-         && planned owner.(j)
-         && last.(owner.(j)) = k
+      elementwise (node k)
+      && (not is_output.(k))
+      && Shape.equal (node j).shape (node k).shape
+      && planned owner.(j)
+      && last.(owner.(j)) = k
     in
     match List.find_opt joins (Array.to_list operands.(k)) with
     | Some j ->
@@ -163,7 +150,6 @@ let schedule (g : Hlo.graph) clusters =
   done;
   let size = Array.map (fun ((node : Hlo.node), _) -> Shape.numel node.shape) order in
   let region, slab = assign_regions ~size ~last (fun k -> owner.(k) = k && planned k) in
-  let offset k = if is_view (node k) then -1 else region.(owner.(k)) in
   let steps =
     Array.mapi
       (fun k (node, dispatch) ->
@@ -173,18 +159,18 @@ let schedule (g : Hlo.graph) clusters =
           release = Array.of_list release.(k);
           dispatch;
           output = is_output.(k);
-          offset = offset k;
+          offset = region.(owner.(k));
         })
       order
   in
-  (steps, List.length leaves, outputs, slab)
+  (steps, outputs, slab)
 
 let compile ?engine g =
   Hlo.validate ~stage:"compile" g;
   let input_nodes = Hlo.size g in
   let optimized, _ = Opt.optimize g in
   let clusters = Opt.fuse optimized in
-  let steps, n_leaves, outputs, slab = schedule optimized clusters in
+  let steps, outputs, slab = schedule optimized clusters in
   let compile_seconds =
     compile_base_seconds +. (compile_per_node_seconds *. float_of_int input_nodes)
   in
@@ -203,7 +189,6 @@ let compile ?engine g =
   {
     n_params;
     steps;
-    n_leaves;
     outputs;
     slab;
     stats =
@@ -272,41 +257,3 @@ let run exe engine feeds =
 
 let simulate exe engine =
   iter_kernels (fun info -> ignore (S4o_device.Engine.dispatch engine info)) exe
-
-(* Replays the plan's liveness: leaves are resident throughout, each compute
-   step adds its output, and each released compute slot gives its bytes back. *)
-let peak_memory ?(donated = []) exe =
-  let bytes k = S4o_device.Op_info.bytes_of_shape exe.steps.(k).node.shape in
-  let resident = ref 0 in
-  for k = 0 to exe.n_leaves - 1 do
-    resident := !resident + bytes k
-  done;
-  (* Donated parameter buffers may be reused for a shape-matching output, so
-     that output costs nothing extra (input–output aliasing). *)
-  let donated_shapes =
-    Array.to_list exe.steps
-    |> List.filter_map (fun st ->
-           match st.node.Hlo.role with
-           | Hlo.Param i when List.mem i donated -> Some st.node.shape
-           | _ -> None)
-  in
-  let is_output = Array.make (Array.length exe.steps) false in
-  Array.iter (fun s -> is_output.(s) <- true) exe.outputs;
-  let rec take_donation shape = function
-    | [] -> None
-    | s :: rest when Shape.equal s shape -> Some rest
-    | s :: rest -> Option.map (List.cons s) (take_donation shape rest)
-  in
-  let live = ref !resident and peak = ref !resident in
-  let aliases_remaining = ref donated_shapes in
-  for k = exe.n_leaves to Array.length exe.steps - 1 do
-    let st = exe.steps.(k) in
-    let donation = if is_output.(k) then take_donation st.node.shape !aliases_remaining else None in
-    (match donation with
-    | Some rest -> aliases_remaining := rest
-    | None ->
-        live := !live + bytes k;
-        if !live > !peak then peak := !live);
-    Array.iter (fun s -> if s >= exe.n_leaves then live := !live - bytes s) st.release
-  done;
-  !peak

@@ -53,30 +53,21 @@ val estimated_run_time : S4o_device.Device_spec.t -> executable -> float
     is shorter and is never shrunk. Each step with a region runs its kernel
     into that region ({!S4o_tensor.Dense.into}), and the run raises if the
     kernel's result is elsewhere. A graph output is allocated fresh, since
-    it outlives the run, and so is a value that an output is a view of
-    ([unbroadcast] to its own shape returns its operand). Feeds and
-    literals are used in place. Runs on one domain are sequential: a run
-    that finds its domain's slab in use raises. With the sanitizer armed
-    ({!S4o_tensor.Sanitizer.armed}), each region is filled with NaN once
-    its value dies. Results are bit-identical to allocating every buffer
-    fresh. The engine's metrics count, per run, [xla.buffers_reused] (the
-    steps served from the slab) and [xla.buffers_fresh] (the allocations
-    made fresh on the calling domain: outputs, and the slab when it grows),
-    so a program allocates fresh only its outputs once the slab is big
-    enough for it. *)
+    it outlives the run. Feeds and literals are used in place. Runs on one
+    domain are sequential: a run that finds its domain's slab in use
+    raises. With the sanitizer armed ({!S4o_tensor.Sanitizer.armed}), each
+    region is filled with NaN once its value dies. Results are
+    bit-identical to allocating every buffer fresh. The engine's metrics
+    count, per run, [xla.buffers_reused] (the steps served from the slab)
+    and [xla.buffers_fresh] (the allocations made fresh on the calling
+    domain: outputs, and the slab when it grows), so a program allocates
+    fresh only its outputs once the slab is big enough for it. *)
 val run :
   executable -> S4o_device.Engine.t -> S4o_tensor.Dense.t array -> S4o_tensor.Dense.t array
 
 (** Advance the engine's device clock as if executing, without computing any
     tensor values. *)
 val simulate : executable -> S4o_device.Engine.t -> unit
-
-(** [peak_memory ?donated exe] estimates peak device memory of one execution
-    by replaying the plan: parameters and literals are resident,
-    intermediates are freed at their release step, and parameters listed in
-    [donated] alias a shape-matching output buffer (XLA's input–output
-    buffer aliasing, §4.2). *)
-val peak_memory : ?donated:int list -> executable -> int
 
 (** {1 Execution plan} *)
 
@@ -85,18 +76,17 @@ type step = private {
   operands : int array;  (** Slots of [node]'s inputs, all earlier steps. *)
   release : int array;
       (** Slots whose value dies at this step, freed after it runs: its
-          last consumer, or that of any view of it. A graph output is never
-          released. *)
+          last consumer, or that of a value written over it. A graph output
+          is never released. *)
   dispatch : S4o_device.Op_info.t option;
       (** On the last member of each fused cluster: the kernel dispatched to
           the engine once the cluster's members have run. *)
   output : bool;  (** The step's value is a graph output. *)
   offset : int;
-      (** Where the step's result lives in the slab, or -1: a leaf, an
-          output, a view of its operand, or a value an output is a view
-          of. The region is [Shape.numel node.shape] elements long, and is
-          an operand's when the step is elementwise and writes over that
-          operand as it dies. *)
+      (** Where the step's result lives in the slab, or -1 for a leaf or
+          an output. The region is [Shape.numel node.shape] elements long,
+          and is an operand's when the step is elementwise and writes over
+          that operand as it dies. *)
 }
 
 (** The steps in execution order; slot [k] holds step [k]'s value. *)

@@ -1,13 +1,15 @@
 (* Rewrite a graph bottom-up: [rewrite n inputs'] sees the node with its
-   already-rewritten operands and returns the replacement. *)
+   already-rewritten operands and returns the replacement. A node whose
+   operands were replaced is rebuilt with the same id, so operands are
+   compared physically: comparing ids would keep the stale operand of any
+   node two levels above a replacement. *)
 let map_graph (g : Hlo.graph) (rewrite : Hlo.node -> Hlo.node list -> Hlo.node) =
   let subst : (int, Hlo.node) Hashtbl.t = Hashtbl.create 64 in
   List.iter
     (fun (n : Hlo.node) ->
       let inputs' = List.map (fun (i : Hlo.node) -> Hashtbl.find subst i.id) n.inputs in
       let n' =
-        if List.for_all2 (fun (a : Hlo.node) b -> a.id = b.Hlo.id) n.inputs inputs'
-        then rewrite n n.inputs
+        if List.for_all2 ( == ) n.inputs inputs' then rewrite n n.inputs
         else rewrite { n with inputs = inputs' } inputs'
       in
       Hashtbl.add subst n.id n')
@@ -18,17 +20,22 @@ let map_graph (g : Hlo.graph) (rewrite : Hlo.node -> Hlo.node list -> Hlo.node) 
 let literal_value (n : Hlo.node) =
   match n.role with Literal v -> Some v | Compute _ | Param _ -> None
 
-(* CSE merges nodes with equal keys and DCE only drops nodes, so neither
-   can turn a valid graph into an invalid one (a qcheck property holds them
-   to it). Constant folding can: a kernel's literal result stands in for a
-   declared shape. So only it validates what it makes. *)
+(* CSE merges nodes with equal keys, replaces an [unbroadcast] to its
+   operand's own shape (whose kernel returns the operand) by the operand,
+   and DCE only drops nodes, so none of them can turn a valid graph into an
+   invalid one (a qcheck property holds them to it). Constant folding can:
+   a kernel's literal result stands in for a declared shape. So only it
+   validates what it makes. *)
 let cse g =
   let seen = Hlo.Node_table.create 64 in
   map_graph g (fun n _ ->
-      match n.role with
-      | Param _ -> n
-      | Compute _ | Literal _ -> (
-          (* [map_graph] has already rewired [n] to its merged operands. *)
+      (* [map_graph] has already rewired [n] to its merged operands. *)
+      match (n.role, n.inputs) with
+      | Param _, _ -> n
+      | Compute { kind = Unbroadcast _; _ }, [ a ]
+        when S4o_tensor.Shape.equal a.shape n.shape ->
+          a
+      | (Compute _ | Literal _), _ -> (
           let key = Hlo.node_key ~input:(fun i -> i.Hlo.id) n in
           match Hlo.Node_table.find_opt seen key with
           | Some prior -> prior
@@ -36,19 +43,25 @@ let cse g =
               Hlo.Node_table.add seen key n;
               n))
 
-let constant_fold g =
+(* The folded graph and the number of nodes folded. *)
+let fold_constants g =
+  let count = ref 0 in
   let folded =
     map_graph g (fun n inputs ->
         match n.role with
         | Param _ | Literal _ -> n
         | Compute o ->
             let values = List.map literal_value inputs in
-            if inputs <> [] && List.for_all Option.is_some values then
+            if inputs <> [] && List.for_all Option.is_some values then begin
+              incr count;
               Hlo.literal (o.kernel (Array.of_list (List.map Option.get values)))
+            end
             else n)
   in
   Hlo.validate ~stage:"opt:constant_fold" folded;
-  folded
+  (folded, !count)
+
+let constant_fold g = fst (fold_constants g)
 
 let dead_code_elim g = Hlo.graph_of_outputs g.Hlo.outputs
 
@@ -171,16 +184,18 @@ let optimize g =
   let record name before after =
     stats := (name, before - after) :: !stats
   in
+  (* One CSE traversal leaves no duplicate, since [map_graph] rewires each
+     node before CSE keys it, and each pass rebuilds its graph from the
+     outputs, which drops the dead. So another round pays only when
+     folding made new literals, which may duplicate others. *)
   let rec go g budget =
     let n0 = Hlo.size g in
     let g = cse g in
     let n1 = Hlo.size g in
     record "cse" n0 n1;
-    let g = constant_fold g in
-    let g = dead_code_elim g in
-    let n2 = Hlo.size g in
-    record "fold+dce" n1 n2;
-    if n2 < n0 && budget > 0 then go g (budget - 1) else g
+    let g, folded = fold_constants g in
+    record "fold+dce" n1 (Hlo.size g);
+    if folded > 0 && budget > 0 then go g (budget - 1) else g
   in
   let g' = go g 4 in
   (g', List.rev !stats)

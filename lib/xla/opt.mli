@@ -10,7 +10,8 @@
     [dead_code_elim] keep a valid graph valid and check nothing. *)
 
 (** Merge nodes with equal {!Hlo.node_key}s (same op kind and parameters,
-    shape and operands). *)
+    shape and operands), and replace each [unbroadcast] to its operand's own
+    shape by the operand, in the same traversal. *)
 val cse : Hlo.graph -> Hlo.graph
 
 (** Evaluate compute nodes whose operands are all literals. *)
@@ -31,7 +32,8 @@ type cluster = { members : Hlo.node list; info : S4o_device.Op_info.t }
     traffic — the fusion saving. *)
 val fuse : Hlo.graph -> cluster list
 
-(** [optimize g] runs cse → constant folding → dce, in that order, to a
-    bounded fixed point, and returns the optimized graph plus pass
-    statistics. *)
+(** [optimize g] runs cse → constant folding, in that order, each of
+    which also drops the nodes no output reaches, once more after every
+    round that folded a node (at most five rounds), and returns the
+    optimized graph plus pass statistics. *)
 val optimize : Hlo.graph -> Hlo.graph * (string * int) list

@@ -47,10 +47,11 @@ let test_lazy_matches_naive () =
    starts as two [n x m] inputs and a [2x2x1x1] conv filter. A step is an op
    code, two operand selectors (taken modulo the number of values that fit
    the op) and a constant for [scale]/[add_scalar]. Two codes exercise the
-   lazy executor's buffer aliasing: [unbroadcast] to the operand's own shape
-   (which returns its argument), and a cut, which materializes most values
-   so far in one trace — roots that share subexpressions and feed other
-   roots — before the program goes on. Each case runs a program,
+   lazy executor's buffer plan: [unbroadcast] to the operand's own shape
+   (which returns its argument, and which CSE replaces by that argument),
+   and a cut, which materializes most values so far in one trace — roots
+   that share subexpressions and feed other roots — before the program
+   goes on. Each case runs a program,
    then the same program with every constant moved to a near-equal one
    ([c] to [Float.succ c], [1.0000001] to [1.0000004], [0.0] to [-0.0]) twice,
    then with different input dims. Naive, eager and lazy with the program
@@ -214,19 +215,72 @@ let qcheck_three_backends_agree =
             [ eager; lazy_cached; lazy_cached; lazy_uncached ])
         [ p; nudged p; nudged (nudged p); { p with dims = (m + 1, n) } ])
 
-(* {2 Slab assignment}
+(* {2 Compiled programs}
 
-   Each random program, traced on lazy with no cut, is compiled as one
-   graph whose outputs are every third value and the last, and checked
-   against a liveness analysis of its own. A value lives from its step
-   through its last reader; a view (unbroadcast to its operand's own shape)
-   holds its operand's value, so its readers count for it. *)
+   Each random program, traced on lazy with no cut, becomes one graph whose
+   outputs are every third value and the last. The slab check compiles it
+   and holds the plan to a liveness analysis of its own: a value lives
+   from its step through its last reader. *)
 
-let is_view (st : S4o_xla.Compiler.step) =
-  match st.node.role with
-  | S4o_xla.Hlo.Compute { kind = Unbroadcast _; _ } ->
-      Shape.equal st.node.shape (List.hd st.node.inputs).shape
-  | _ -> false
+(* The graph of a random program traced on [rt], with its roots (each a
+   lazy value and its naive counterpart) and feeds; [None] when no root is
+   left pending. *)
+let traced_graph rt p =
+  let module Bk = S4o_lazy.Lazy_backend.Make (struct
+    let rt = rt
+  end) in
+  let traced =
+    (module struct
+      include Bk
+
+      let cut _ = ()
+    end : FUZZED
+      with type t = Bk.t)
+  in
+  let values =
+    let (module N : FUZZED) = no_cut (module Naive_backend) in
+    List.combine (build_program traced p) (run_program (module N) p)
+  in
+  let last = List.length values - 1 in
+  let roots =
+    List.filteri (fun i (v, _) -> (i mod 3 = 2 || i = last) && S4o_lazy.Trace.is_pending v) values
+  in
+  if roots = [] then None
+  else
+    let cut = S4o_lazy.Trace.cut (List.map fst roots) in
+    let feeds =
+      Array.of_list
+        (List.map
+           (fun (l : S4o_lazy.Trace.node) ->
+             match l.state with S4o_lazy.Trace.Materialized v -> v | _ -> assert false)
+           cut.leaves)
+    in
+    Some (cut.graph, List.map snd roots, feeds)
+
+(* After [Opt.optimize], no two nodes share a key (CSE left no merge out)
+   and no [unbroadcast] keeps its operand's shape (its kernel would return
+   the operand: an alias the buffer plan does not model). *)
+let qcheck_optimized_has_no_duplicates =
+  let rt = S4o_lazy.Lazy_runtime.create (Engine.create Spec.gtx1080) in
+  Test_util.qtest ~count:300 "optimize: no equal keys, no identity unbroadcast" arb_program
+    (fun p ->
+      match traced_graph rt p with
+      | None -> true
+      | Some (g, _, _) ->
+          let g, _ = S4o_xla.Opt.optimize g in
+          let keys = S4o_xla.Hlo.Node_table.create 64 in
+          List.for_all
+            (fun (n : S4o_xla.Hlo.node) ->
+              let key = S4o_xla.Hlo.node_key ~input:(fun i -> i.S4o_xla.Hlo.id) n in
+              let fresh = not (S4o_xla.Hlo.Node_table.mem keys key) in
+              S4o_xla.Hlo.Node_table.add keys key ();
+              fresh
+              &&
+              match (n.role, n.inputs) with
+              | S4o_xla.Hlo.Compute { kind = Unbroadcast _; _ }, [ a ] ->
+                  not (Shape.equal a.shape n.shape)
+              | _ -> true)
+            g.nodes)
 
 (* The kernels that may write over an operand of their own shape that dies
    at them: each reads element [i] before it writes element [i]. *)
@@ -242,31 +296,28 @@ let elementwise (st : S4o_xla.Compiler.step) =
 
 (* Every region lies inside the slab; two values live at the same step
    never share an element, but for an elementwise result written over an
-   operand that dies at it; and every value no output reaches, bar the
-   views, has a region. *)
+   operand that dies at it; and exactly the compute values that are not
+   outputs have regions. *)
 let slab_plan_ok exe =
   let steps = S4o_xla.Compiler.plan exe and slab = S4o_xla.Compiler.slab exe in
   let n = Array.length steps in
-  let owner = Array.init n Fun.id in
-  Array.iteri (fun k st -> if is_view st then owner.(k) <- owner.(st.S4o_xla.Compiler.operands.(0))) steps;
-  let last = Array.init n Fun.id and escapes = Array.make n false in
+  let last = Array.init n Fun.id in
   Array.iteri
     (fun k (st : S4o_xla.Compiler.step) ->
-      Array.iter (fun j -> last.(owner.(j)) <- max last.(owner.(j)) k) st.operands;
-      if st.output then escapes.(owner.(k)) <- true)
+      Array.iter (fun j -> last.(j) <- max last.(j) k) st.operands)
     steps;
   let len s = Shape.numel steps.(s).node.shape and off s = steps.(s).offset in
   let regions = List.filter (fun s -> off s >= 0) (List.init n Fun.id) in
   let handoff a b =
     elementwise steps.(b)
-    && Array.exists (fun j -> owner.(j) = a) steps.(b).operands
+    && Array.mem a steps.(b).operands
     && last.(a) = b
     && off a = off b
     && Shape.equal steps.(a).node.shape steps.(b).node.shape
   in
   let planned s =
     match steps.(s).node.role with
-    | S4o_xla.Hlo.Compute _ -> (not (is_view steps.(s))) && not escapes.(s)
+    | S4o_xla.Hlo.Compute _ -> not steps.(s).output
     | _ -> false
   in
   List.for_all (fun s -> off s + len s <= slab) regions
@@ -283,58 +334,32 @@ let slab_plan_ok exe =
 let qcheck_slab_assignment =
   let engine = Engine.create Spec.gtx1080 in
   let rt = S4o_lazy.Lazy_runtime.create engine in
-  let module Bk = S4o_lazy.Lazy_backend.Make (struct
-    let rt = rt
-  end) in
-  let traced =
-    (module struct
-      include Bk
-
-      let cut _ = ()
-    end : FUZZED
-      with type t = Bk.t)
-  in
   Test_util.qtest ~count:300 "slab: live values disjoint, in bounds, = naive" arb_program
     (fun p ->
-      let values =
-        let (module N : FUZZED) = no_cut (module Naive_backend) in
-        List.combine (build_program traced p) (run_program (module N) p)
-      in
-      let last = List.length values - 1 in
-      let roots =
-        List.filteri (fun i (v, _) -> (i mod 3 = 2 || i = last) && S4o_lazy.Trace.is_pending v) values
-      in
-      roots = []
-      ||
-      let cut = S4o_lazy.Trace.cut (List.map fst roots) in
-      let feeds =
-        Array.of_list
-          (List.map
-             (fun (l : S4o_lazy.Trace.node) ->
-               match l.state with S4o_lazy.Trace.Materialized v -> v | _ -> assert false)
-             cut.leaves)
-      in
-      let exe = S4o_xla.Compiler.compile cut.graph in
-      let run () =
-        let _, fresh0 = Test_util.buffer_counts engine in
-        let out = S4o_xla.Compiler.run exe engine feeds in
-        (out, snd (Test_util.buffer_counts engine) - fresh0)
-      in
-      (* the second run finds the slab big enough: each kernel that runs
-         outside it allocates its one result, and nothing else allocates *)
-      let fresh_steps =
-        Array.fold_left
-          (fun n (st : S4o_xla.Compiler.step) ->
-            match st.node.role with
-            | S4o_xla.Hlo.Compute _ when st.offset < 0 && not (is_view st) -> n + 1
-            | _ -> n)
-          0 (S4o_xla.Compiler.plan exe)
-      in
-      ignore (run ());
-      let out, fresh = run () in
-      slab_plan_ok exe
-      && List.for_all2 Dense.bit_equal (List.map snd roots) (Array.to_list out)
-      && fresh = fresh_steps)
+      match traced_graph rt p with
+      | None -> true
+      | Some (g, expected, feeds) ->
+          let exe = S4o_xla.Compiler.compile g in
+          let run () =
+            let _, fresh0 = Test_util.buffer_counts engine in
+            let out = S4o_xla.Compiler.run exe engine feeds in
+            (out, snd (Test_util.buffer_counts engine) - fresh0)
+          in
+          (* the second run finds the slab big enough: each kernel that runs
+             outside it allocates its one result, and nothing else allocates *)
+          let fresh_steps =
+            Array.fold_left
+              (fun n (st : S4o_xla.Compiler.step) ->
+                match st.node.role with
+                | S4o_xla.Hlo.Compute _ when st.offset < 0 -> n + 1
+                | _ -> n)
+              0 (S4o_xla.Compiler.plan exe)
+          in
+          ignore (run ());
+          let out, fresh = run () in
+          slab_plan_ok exe
+          && List.for_all2 Dense.bit_equal expected (Array.to_list out)
+          && fresh = fresh_steps)
 
 (* {1 Eager runtime behaviour} *)
 
@@ -713,6 +738,7 @@ let suite =
         tc "eager = naive" `Quick test_eager_matches_naive;
         tc "lazy = naive" `Quick test_lazy_matches_naive;
         qcheck_three_backends_agree;
+        qcheck_optimized_has_no_duplicates;
         qcheck_slab_assignment;
       ] );
     ( "runtimes.eager",

@@ -592,10 +592,10 @@ let patch_matrix ~stride:(sh, sw) ~padding ~kh ~kw x =
       let iy = (oy * sh) + ky - ph and ix = (ox * sw) + kx - pw in
       if iy < 0 || iy >= h || ix < 0 || ix >= w then 0.0 else D.get x [| b; iy; ix; ch |])
 
-(* The streamed backward-filter kernel against the materialized patch
-   matrix and [matmul_tn], at every golden shape, with batch sizes whose
-   patch rows are not a whole number of 128-row blocks. *)
-let test_backward_filter_streams_matmul_tn () =
+(* The streamed backward-filter kernel against [matmul] of the
+   materialized patch matrix's transpose, at every golden shape, with batch
+   sizes whose patch rows are not a whole number of 128-row blocks. *)
+let test_backward_filter_streams_matmul () =
   List.iteri
     (fun i (name, ishape, fshape, s, padding, _) ->
       let g = Prng.create (2000 + i) in
@@ -610,8 +610,9 @@ let test_backward_filter_streams_matmul_tn () =
       let rows = Shape.numel oshape / fshape.(3) in
       let expected =
         D.reshape
-          (D.matmul_tn
-             (patch_matrix ~stride ~padding ~kh:fshape.(0) ~kw:fshape.(1) input)
+          (D.matmul
+             (D.transpose
+                (patch_matrix ~stride ~padding ~kh:fshape.(0) ~kw:fshape.(1) input))
              (D.reshape grad [| rows; fshape.(3) |]))
           fshape
       in
@@ -714,8 +715,8 @@ let suite =
         tc "max pool fwd/bwd" `Quick test_max_pool;
         tc "flop counting" `Quick test_conv2d_flops;
         tc "kernels keep their golden digests" `Quick test_conv_golden_digests;
-        tc "backward filter streams = im2col + matmul_tn" `Quick
-          test_backward_filter_streams_matmul_tn;
+        tc "backward filter streams = im2col + matmul" `Quick
+          test_backward_filter_streams_matmul;
         tc "backward filter holds one padded image" `Quick test_backward_filter_padded_bound;
         qcheck_conv_linear_in_input;
       ] );
@@ -1103,8 +1104,7 @@ let qcheck_matmul_nonfinite_definition =
             done;
             0.0 +. !acc)
       in
-      D.bit_equal expected (D.matmul a b)
-      && D.bit_equal expected (D.matmul_tn (D.transpose a) b))
+      D.bit_equal expected (D.matmul a b))
 
 let qcheck_broadcast_plans_bit_identical =
   Test_util.qtest ~count:600 "broadcast plans are bit-identical to the walkers"
@@ -1157,43 +1157,16 @@ let qcheck_broadcast_plans_bit_identical =
       in
       binary_ok && broadcast_ok && sum_ok)
 
-(* {2 Transposed operands and ReLU} *)
-
-(* Odd m, k and n hit the row-pair and column-quad remainders; k up to 300
-   crosses the 128-wide kc block twice. *)
-let qcheck_matmul_tn_bit_identical =
-  Test_util.qtest ~count:80 "matmul_tn a b = matmul (transpose a) b, bit for bit"
-    QCheck.(triple (int_range 1 13) (int_range 1 300) (int_range 1 13))
-    (fun (m, k, n) ->
-      let g = Prng.create ((m * 7919) + (k * 31) + n) in
-      let a = special_normal g [| k; m |] in
-      let b = special_normal g [| k; n |] in
-      D.bit_equal (D.matmul_tn a b) (D.matmul (D.transpose a) b))
-
-let test_matmul_tn_parallel () =
-  (* 72x4096 by 4096x8 is well over the serial cutoff: the pool splits
-     the 72 output rows, i.e. columns of [a] *)
-  let g = Prng.create 12 in
-  let a = D.rand_normal g [| 4096; 72 |] in
-  let b = D.rand_normal g [| 4096; 8 |] in
-  let expected = D.matmul ~domains:1 (D.transpose a) b in
-  List.iter
-    (fun d ->
-      Test_util.check_true
-        (Printf.sprintf "matmul_tn domains:%d = matmul of the transpose" d)
-        (D.bit_equal expected (D.matmul_tn ~domains:d a b)))
-    [ 1; 2; 4 ];
-  Test_util.check_raises_any "leading dimensions differ" (fun () ->
-      D.matmul_tn (D.zeros [| 3; 2 |]) (D.zeros [| 2; 3 |]))
+(* {2 Implicit GEMM, pooling, transposes and ReLU} *)
 
 (* The implicit-GEMM convolutions against their definition: the patch
-   matrix built element by element, then [matmul] (forward) or [matmul_tn]
-   (backward filter), bit for bit, at 1, 2 and 4 domains. Odd batches and
-   up to 20x20 images span several 128-row strips and blocks and split
-   over the pool. One filter element and one input element are sometimes
-   infinite: the zeros of the padding must be multiplied exactly as im2col
-   does (0 * inf is NaN), and the zero columns that pad a partial quad of
-   B must never reach the output. *)
+   matrix built element by element, then [matmul] of it (forward) or of its
+   transpose (backward filter), bit for bit, at 1, 2 and 4 domains. Odd
+   batches and up to 20x20 images span several 128-row strips and blocks
+   and split over the pool. One filter element and one input element are
+   sometimes infinite: the zeros of the padding must be multiplied exactly
+   as im2col does (0 * inf is NaN), and the zero columns that pad a
+   partial quad of B must never reach the output. *)
 let qcheck_conv_implicit_gemm_bit_identical =
   let gen =
     QCheck.(
@@ -1226,7 +1199,7 @@ let qcheck_conv_implicit_gemm_bit_identical =
       let grad = special_normal g [| n; oh; ow; cout |] in
       let bwd =
         D.reshape
-          (D.matmul_tn patches (D.reshape grad [| rows; cout |]))
+          (D.matmul (D.transpose patches) (D.reshape grad [| rows; cout |]))
           [| kh; kw; cin; cout |]
       in
       List.for_all
@@ -1421,8 +1394,6 @@ let kernel_suite =
         tc "parallel conv2d bit-identical" `Quick test_parallel_conv2d_bit_identical;
         qcheck_map2_fast_paths_match_strided;
         qcheck_broadcast_plans_bit_identical;
-        qcheck_matmul_tn_bit_identical;
-        tc "matmul_tn across domains" `Quick test_matmul_tn_parallel;
         qcheck_conv_implicit_gemm_bit_identical;
         qcheck_avg_pool_bit_identical;
         qcheck_matmul_consume_bit_identical;
